@@ -9,7 +9,6 @@ from .core import (
     QuantizationConfig,
     Wired,
     retention_time_from_barrier,
-    sample_pbit,
     sigmoid,
     weight_inputs,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "QuantizationConfig",
     "Wired",
     "retention_time_from_barrier",
-    "sample_pbit",
     "sigmoid",
     "weight_inputs",
     "ExactDistribution",

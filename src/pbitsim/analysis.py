@@ -13,18 +13,6 @@ from .networks import NetworkSpec
 from .oracle import boltzmann_distribution, euclidean_distance
 
 
-def artificial_node(bits) -> int:
-    """Monitoring word for a group of outputs, first bit most significant
-    (three bits A,B,C give 4*A + 2*B + C)."""
-    word = 0
-    for b in bits:
-        b = int(b)
-        if b not in (0, 1):
-            raise ConfigurationError("bits must be 0 or 1")
-        word = (word << 1) | b
-    return word
-
-
 @dataclass
 class EmpiricalDistribution:
     """State counts over a labelled group of visible units."""
@@ -143,8 +131,7 @@ def sweep_sampling_time(
     tau_min = min(p.retention_us for p in network.pbits)
     rows = []
     for idx, tau in enumerate(taus_us):
-        net = NetworkSpec(list(network.machines), [p for p in network.pbits],
-                          dict(network.visible_labels))
+        net = network.copy()
         net.set_tau_sample(int(tau))
         dist = oracle_distance(net, _derived_seed(seed, idx), samples, burn_in)
         rows.append({"tau_us": int(tau), "tau_ratio": tau / tau_min, "distance": dist})
@@ -162,8 +149,7 @@ def sweep_retention_spread(
     single_machine_oracle(network)
     rows = []
     for idx, plan in enumerate(plans):
-        net = NetworkSpec(list(network.machines), [p for p in network.pbits],
-                          dict(network.visible_labels))
+        net = network.copy()
         net.set_retention(plan)
         tau_sample = max(m.tau_sample_us for m in net.machines)
         tau_min = min(p.retention_us for p in net.pbits)
@@ -172,14 +158,20 @@ def sweep_retention_spread(
                 f"sampling period {tau_sample} exceeds smallest retention {tau_min}"
             )
         dist = oracle_distance(net, _derived_seed(seed, idx), samples, burn_in)
-        rows.append({"plan": list(int(x) for x in (plan if not np.isscalar(plan) else [plan] * net.n_total)),
+        rows.append({"plan": [p.retention_us for p in net.pbits],
                      "tau_ratio": tau_sample / tau_min, "distance": dist})
     return rows
 
 
-def distance_rows_to_csv(rows, path) -> None:
+def distance_rows_to_csv(rows, path, columns=("tau_ratio", "distance")) -> None:
+    """Write sweep rows as CSV; a list cell (a retention plan) is space-joined
+    and a number is written as repr(float)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["tau_ratio", "distance"])
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([repr(float(row["tau_ratio"])), repr(float(row["distance"]))])
+            writer.writerow([
+                " ".join(str(x) for x in row[c]) if isinstance(row[c], list)
+                else repr(float(row[c]))
+                for c in columns
+            ])

@@ -35,7 +35,7 @@ from .networks import (
     load_gate_file,
     normal_retention_plan,
     save_gate,
-    synthesize_gate,
+    single_machine_network,
     synthesize_gate_lp,
     verify_ground_states,
 )
@@ -62,7 +62,6 @@ SCENARIO_SCHEMA = {
                 "i0": {"type": "number", "minimum": 0},
                 "tau_sample_us": {"type": "integer", "minimum": 1},
                 "dac_bits": {"type": "integer", "minimum": 0},
-                "adc_bits": {"type": "integer", "minimum": 0},
                 "vref": {"type": "number", "exclusiveMinimum": 0},
             },
         },
@@ -121,7 +120,6 @@ GATE_INPUT_SCHEMA = {
         "labels": {"type": "array", "items": {"type": "string"}},
         "inputs": {"type": "array", "items": {"type": "string"}},
         "outputs": {"type": "array", "items": {"type": "string"}},
-        "method": {"enum": ["lp", "exhaustive"]},
         "aux_assignments": {"type": "array"},
         "max_weight": {"type": "number", "exclusiveMinimum": 0},
     },
@@ -157,8 +155,6 @@ def _matrix_network(spec: dict) -> NetworkSpec:
         h=h.tolist(),
         verified=True,  # raw machines carry no truth table to verify against
     )
-    from .networks import single_machine_network
-
     return single_machine_network(gate, spec["i0"])
 
 
@@ -170,8 +166,6 @@ def build_network(doc: dict) -> NetworkSpec:
     if kind == "gate":
         if "gate" not in spec:
             raise ConfigurationError("gate networks need a 'gate' name")
-        from .networks import single_machine_network
-
         net = single_machine_network(verify_ground_states(load_gate(spec["gate"])), i0)
     elif kind == "matrix":
         net = _matrix_network(spec)
@@ -184,13 +178,9 @@ def build_network(doc: dict) -> NetworkSpec:
 
     if "tau_sample_us" in spec:
         net.set_tau_sample(spec["tau_sample_us"])
-    if spec.get("dac_bits") or spec.get("adc_bits"):
+    if spec.get("dac_bits"):
         net.set_quantization(
-            QuantizationConfig(
-                dac_bits=spec.get("dac_bits", 0),
-                adc_bits=spec.get("adc_bits", 0),
-                vref=spec.get("vref", 5.0),
-            )
+            QuantizationConfig(dac_bits=spec["dac_bits"], vref=spec.get("vref", 5.0))
         )
     if "retention_us" in doc:
         net.set_retention(doc["retention_us"])
@@ -215,15 +205,18 @@ def _histogram_labels(doc: dict, net: NetworkSpec) -> dict:
     return {lab: net.visible_labels[lab] for lab in wanted}
 
 
-def cmd_run(args) -> int:
+def _scenario_and_network(args):
+    """Load the scenario, apply --seed/--samples/--burn-in, build its network."""
     doc = load_scenario(args.scenario)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.samples is not None:
-        doc["samples"] = args.samples
-    if args.burn_in is not None:
-        doc["burn_in"] = args.burn_in
-    net = build_network(doc)
+    for key, value in (("seed", args.seed), ("samples", args.samples),
+                       ("burn_in", args.burn_in)):
+        if value is not None:
+            doc[key] = value
+    return doc, build_network(doc)
+
+
+def cmd_run(args) -> int:
+    doc, net = _scenario_and_network(args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -284,14 +277,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep_tau(args) -> int:
-    doc = load_scenario(args.scenario)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.samples is not None:
-        doc["samples"] = args.samples
-    if args.burn_in is not None:
-        doc["burn_in"] = args.burn_in
-    net = build_network(doc)
+    doc, net = _scenario_and_network(args)
     taus = [int(x) for x in args.taus.split(",")]
     rows = analysis.sweep_sampling_time(
         net, doc["seed"], taus, doc["samples"], doc.get("burn_in", 0.1)
@@ -308,14 +294,7 @@ def cmd_sweep_tau(args) -> int:
 
 
 def cmd_sweep_retention(args) -> int:
-    doc = load_scenario(args.scenario)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.samples is not None:
-        doc["samples"] = args.samples
-    if args.burn_in is not None:
-        doc["burn_in"] = args.burn_in
-    net = build_network(doc)
+    doc, net = _scenario_and_network(args)
     plans_doc = args.plans
     if Path(plans_doc).exists():
         with open(plans_doc) as fh:
@@ -329,17 +308,9 @@ def cmd_sweep_retention(args) -> int:
     )
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "distance.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["plan", "tau_ratio", "distance"])
-        for row in rows:
-            writer.writerow(
-                [
-                    " ".join(str(x) for x in row["plan"]),
-                    repr(float(row["tau_ratio"])),
-                    repr(float(row["distance"])),
-                ]
-            )
+    analysis.distance_rows_to_csv(
+        rows, outdir / "distance.csv", ("plan", "tau_ratio", "distance")
+    )
     if args.format == "json":
         print(json.dumps(rows, indent=2))
     else:
@@ -352,9 +323,7 @@ def cmd_verify(args) -> int:
     gate = load_gate_file(args.gatespec)
     report = ground_state_report(gate)
     if args.format == "json":
-        printable = dict(report)
-        printable["spurious_states"] = [int(w) for w in report.get("spurious_states", [])]
-        print(json.dumps(printable, indent=2, sort_keys=True, default=str))
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(
             f"{gate.name}: {'ok' if report['ok'] else 'FAILED'} "
@@ -377,17 +346,9 @@ def cmd_synth(args) -> int:
     )
     if doc.get("aux_assignments"):
         kwargs["aux_assignments"] = [tuple(a) for a in doc["aux_assignments"]]
-    method = doc.get("method", "lp")
-    n_aux = doc.get("n_aux", 0)
-    if method == "lp":
-        if doc.get("max_weight"):
-            kwargs["bound"] = float(doc["max_weight"])
-        gate = synthesize_gate_lp(table, n_aux=n_aux, **kwargs)
-    else:
-        if doc.get("max_weight"):
-            kwargs["search_bound"] = int(doc["max_weight"])
-        kwargs.pop("aux_assignments", None)
-        gate = synthesize_gate(table, n_aux=n_aux, **kwargs)
+    if doc.get("max_weight"):
+        kwargs["bound"] = float(doc["max_weight"])
+    gate = synthesize_gate_lp(table, n_aux=doc.get("n_aux", 0), **kwargs)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"{gate.name}.json"

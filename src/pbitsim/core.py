@@ -1,8 +1,9 @@
 """Pure numerics of a single stochastic bit unit and its weight logic.
 
 Everything here is a pure function of its inputs: no clocks, no event queue,
-no random state. Randomness is injected by the caller as uniform draws so
-the sampling rule itself stays deterministic and testable.
+no random state. The stochastic update rule that consumes these voltages,
+output 1 iff sigmoid(2*v - 5) > u for a uniform draw u, lives in the event
+engine (``dynamics.Simulator``), which owns the random streams.
 
 Conventions:
   * logic levels are plain ints 0/1 (hardware: 0 V / 5 V at the output pin)
@@ -43,13 +44,12 @@ class Wired:
     source: int
     delay_us: int = 0
 
+    def __post_init__(self):
+        if self.delay_us < 0:
+            raise ConfigurationError("wire delay must be non-negative")
+
 
 TerminalMode = Union[str, Wired]
-
-
-def bipolar(level: int) -> int:
-    """Map a 0/1 logic level to its -1/+1 spin view."""
-    return 2 * level - 1
 
 
 def sigmoid(x: float) -> float:
@@ -60,13 +60,11 @@ def sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def decode_input(v_in: float) -> float:
-    """Input voltage to bipolar drive: m = 2*v - 5, so [0,5] V -> [-5,5]."""
-    return 2.0 * v_in - 5.0
-
-
 def encode_input(i: float) -> float:
-    """Bipolar drive to input voltage: v = (i + 5) / 2, inverse of decode."""
+    """Bipolar drive to input voltage: v = (i + 5) / 2, so [-5,5] -> [0,5] V.
+
+    A unit decodes its input back as 2*v - 5 (see ``dynamics``).
+    """
     return (i + 5.0) / 2.0
 
 
@@ -79,31 +77,16 @@ def saturate(x: float, limit: float = SAT_LIMIT) -> float:
     return x
 
 
-def sample_pbit(v_in: float, u: float) -> int:
-    """One stochastic update of a unit held at input voltage ``v_in``.
-
-    ``u`` is a uniform(0,1) draw supplied by the caller. Returns 1 with
-    probability sigmoid(2*v_in - 5).
-    """
-    if not 0.0 <= v_in <= V_RAIL:
-        raise ConfigurationError(
-            f"input voltage {v_in!r} outside [0, {V_RAIL}]; "
-            "weight logic must saturate before publishing"
-        )
-    return 1 if sigmoid(decode_input(v_in)) > u else 0
-
-
 @dataclass(frozen=True)
 class QuantizationConfig:
-    """DAC/ADC resolution on the published voltages. 0 bits = ideal path."""
+    """DAC resolution on the published voltages. 0 bits = ideal path."""
 
     dac_bits: int = 0
-    adc_bits: int = 0
     vref: float = V_RAIL
 
     def __post_init__(self):
-        if self.dac_bits < 0 or self.adc_bits < 0:
-            raise ConfigurationError("quantizer bit counts must be >= 0")
+        if self.dac_bits < 0:
+            raise ConfigurationError("DAC bit count must be >= 0")
         if self.vref <= 0:
             raise ConfigurationError("vref must be positive")
 
@@ -154,9 +137,6 @@ class CouplingMatrix:
     @property
     def n(self) -> int:
         return self.j.shape[0]
-
-    def with_i0(self, i0: float) -> "CouplingMatrix":
-        return CouplingMatrix(self.j.copy(), self.h.copy(), i0)
 
 
 @dataclass

@@ -30,6 +30,7 @@ from .core import (
 )
 from .errors import ConfigurationError
 from .networks import NetworkSpec
+from .oracle import state_bits
 
 PRIO_REFRESH = 0
 PRIO_UPDATE = 1
@@ -55,18 +56,12 @@ class SimulationTrace:
     def __len__(self):
         return len(self.times)
 
-    def state_bits(self, row: int) -> tuple:
-        mask = int(self.states[row])
-        return tuple((mask >> (self.n - 1 - k)) & 1 for k in range(self.n))
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["time_us"] + [f"pbit_{k}" for k in range(self.n)])
             for t, mask in zip(self.times, self.states):
-                mask = int(mask)
-                bits = [(mask >> (self.n - 1 - k)) & 1 for k in range(self.n)]
-                writer.writerow([int(t)] + bits)
+                writer.writerow([int(t), *state_bits(int(mask), self.n)])
 
 
 class Simulator:
@@ -80,14 +75,11 @@ class Simulator:
         n = network.n_total
         self.n = n
 
-        self.machine_of = np.empty(n, dtype=np.int64)
-        offsets = network.offsets()
-        self.members = []
-        for k, mach in enumerate(network.machines):
-            ids = list(range(offsets[k], offsets[k] + mach.n))
-            self.members.append(ids)
-            for gid in ids:
-                self.machine_of[gid] = k
+        self.machine_of = network.machine_of()
+        self.members = [
+            list(range(off, off + mach.n))
+            for off, mach in zip(network.offsets(), network.machines)
+        ]
 
         self.rngs = [
             np.random.default_rng(np.random.SeedSequence([seed, gid])) for gid in range(n)
@@ -129,6 +121,7 @@ class Simulator:
         self.sample_times = []
         self.sample_states = []
         self.update_events = []
+        self.n_updates = 0
         self.update_counts = np.zeros(n, dtype=np.int64)
         self.one_counts = np.zeros(n, dtype=np.int64)
 
@@ -191,6 +184,7 @@ class Simulator:
         rng = self.rngs[gid]
         u = rng.random()
         out = 1 if sigmoid(2.0 * v - 5.0) > u else 0
+        self.n_updates += 1
         self.update_counts[gid] += 1
         self.one_counts[gid] += out
         if self.record_updates:
@@ -219,16 +213,6 @@ class Simulator:
         )
 
 
-def schedule_initial(network: NetworkSpec, seed: int, record_updates: bool = False) -> Simulator:
-    """Initialize simulator state: refreshes at t=0, first updates at phase."""
-    return Simulator(network, seed, record_updates=record_updates)
-
-
-def step(sim: Simulator) -> Simulator:
-    sim.step()
-    return sim
-
-
 def run(
     network: NetworkSpec,
     seed: int,
@@ -250,7 +234,7 @@ def run(
     while queue:
         if max_samples is not None and len(sim.sample_times) >= max_samples:
             break
-        if max_updates is not None and int(sim.update_counts.sum()) >= max_updates:
+        if max_updates is not None and sim.n_updates >= max_updates:
             break
         if duration_us is not None and queue[0][0] >= duration_us:
             break
@@ -279,27 +263,12 @@ def serialization_metric(
     return sum(window) / len(window)
 
 
-def serialization_profile(
-    trace: SimulationTrace, network: NetworkSpec, window_us: int, chunk: int = 100
-) -> list:
-    """Serialization metric over consecutive chunks of update events."""
-    aligned = _alignment_flags(trace, network, window_us)
-    return [
-        sum(aligned[i : i + chunk]) / len(aligned[i : i + chunk])
-        for i in range(0, len(aligned), chunk)
-    ]
-
-
 def _alignment_flags(trace, network, window_us):
     if window_us <= 0:
         raise ConfigurationError("window must be positive")
     if not trace.update_events:
         raise ConfigurationError("trace carries no update timestamps")
-    offsets = network.offsets()
-    machine_of = {}
-    for k, mach in enumerate(network.machines):
-        for gid in range(offsets[k], offsets[k] + mach.n):
-            machine_of[gid] = k
+    machine_of = network.machine_of()
     per_machine = {}
     for pos, (t, gid) in enumerate(trace.update_events):
         per_machine.setdefault(machine_of[gid], []).append((t, gid, pos))

@@ -1,11 +1,10 @@
 """Gate Hamiltonians, their verification and synthesis, and system builders.
 
 No coupling matrix in this package is hand-invented: every shipped gate is
-either found by exhaustive search over a small coefficient grid, solved for
-by a linear program that maximizes the energy gap above the truth-table
-ground manifold, or composed by summing already-verified sub-gate
-Hamiltonians over shared spins. Every route ends in the same exhaustive
-ground-state check.
+either solved for by a linear program that maximizes the energy gap above
+the truth-table ground manifold, or composed by summing already-verified
+sub-gate Hamiltonians over shared spins. Every route ends in the same
+exhaustive ground-state check.
 """
 
 from __future__ import annotations
@@ -18,7 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (
-    FREE,
+    CLAMPED_HIGH,
+    CLAMPED_LOW,
     CouplingMatrix,
     PBitConfig,
     QuantizationConfig,
@@ -30,9 +30,11 @@ from .errors import (
     SynthesisError,
     VerificationError,
 )
-from .oracle import all_energies, state_bits
+from .oracle import all_energies, state_bits, state_index
 
 DEGENERACY_TOL = 1e-9
+# Trace states are int64 bitmasks with unit k at bit n-1-k; bit 63 is the sign.
+MAX_UNITS = 63
 
 
 # ---------------------------------------------------------------------------
@@ -147,16 +149,6 @@ def _visible_words(n: int, visible_indices) -> np.ndarray:
     return word
 
 
-def _truth_words(gate: GateSpec) -> set:
-    words = set()
-    for row in gate.truth_table:
-        w = 0
-        for b in row:
-            w = (w << 1) | b
-        words.add(w)
-    return words
-
-
 def ground_state_report(gate: GateSpec, i0_check: float = 1.0) -> dict:
     """Enumerate all states and compare ground projections to the truth table.
 
@@ -173,7 +165,7 @@ def ground_state_report(gate: GateSpec, i0_check: float = 1.0) -> dict:
     above = energies[~ground]
     gap = float(above.min() - emin) / i0_check if above.size else math.inf
     words = _visible_words(gate.n, gate.visible_indices())
-    truth = _truth_words(gate)
+    truth = {state_index(row) for row in gate.truth_table}
     ground_words = set(int(w) for w in words[ground])
     spurious = sorted(ground_words - truth)
     missing = sorted(truth - ground_words)
@@ -255,61 +247,6 @@ def _make_gate(name, truth_table, n_aux, j, h, inputs=None, outputs=None, labels
     )
 
 
-def synthesize_gate(
-    truth_table,
-    n_aux: int = 0,
-    search_bound: int = 1,
-    name: str = "gate",
-    labels=None,
-    inputs=None,
-    outputs=None,
-    max_candidates: int = 20_000_000,
-) -> GateSpec:
-    """Exhaustive search for the lexicographically smallest passing J, h.
-
-    Coefficients range over half-integers in [-search_bound, +search_bound].
-    Intended for small gates (the grid grows as 9**params); raises
-    SynthesisError when the grid is exhausted or over budget.
-    """
-    truth_table = [tuple(int(b) for b in r) for r in truth_table]
-    n_vis = len(truth_table[0])
-    n = n_vis + n_aux
-    if n > 6:
-        raise CapacityError("exhaustive synthesis limited to 6 total spins")
-    n_params = len(_pair_indices(n)) + n
-    values = np.arange(-2 * search_bound, 2 * search_bound + 1) / 2.0
-    total = len(values) ** n_params
-    if total > max_candidates:
-        raise SynthesisError(
-            f"grid of {total} candidates exceeds budget {max_candidates}"
-        )
-
-    phi = _feature_matrix(n)
-    words = _visible_words(n, list(range(n_vis)))
-    truth_words = sorted({int("".join(map(str, r)), 2) for r in truth_table})
-    in_truth = np.isin(words, truth_words)
-    row_masks = [words == w for w in truth_words]
-
-    chunk = 16384
-    grid = itertools.product(values, repeat=n_params)
-    while True:
-        block = list(itertools.islice(grid, chunk))
-        if not block:
-            raise SynthesisError("search exhausted without a verified gate")
-        theta = np.array(block)
-        energies = -(theta @ phi.T)
-        emin = energies.min(axis=1, keepdims=True)
-        ground = energies <= emin + DEGENERACY_TOL
-        ok = ~(ground & ~in_truth[None, :]).any(axis=1)
-        for mask in row_masks:
-            ok &= (ground & mask[None, :]).any(axis=1)
-        hits = np.nonzero(ok)[0]
-        if hits.size:
-            j, h = _theta_to_jh(theta[hits[0]], n)
-            gate = _make_gate(name, truth_table, n_aux, j, h, inputs, outputs, labels)
-            return verify_ground_states(gate)
-
-
 def _round_to_grid(x: np.ndarray, step: float = 0.25) -> np.ndarray:
     return np.round(np.asarray(x) / step) * step
 
@@ -349,14 +286,13 @@ def synthesize_gate_lp(
     if aux_assignments is None:
         aux_assignments = itertools.product(range(1 << n_aux), repeat=n_rows)
 
-    def state_of(row, aux_word):
-        bits = list(row) + [(aux_word >> (n_aux - 1 - k)) & 1 for k in range(n_aux)]
-        return int("".join(map(str, bits)), 2)
-
     n_states = 1 << n
+    aux_mask = (1 << n_aux) - 1
     best = None
     for assignment in aux_assignments:
-        chosen = [state_of(row, aw) for row, aw in zip(truth_table, assignment)]
+        # each chosen state: the truth row's bits above its auxiliary word
+        chosen = [(state_index(row) << n_aux) | (aw & aux_mask)
+                  for row, aw in zip(truth_table, assignment)]
         others = np.setdiff1d(np.arange(n_states), np.array(chosen))
         # variables: theta (n_params), e0, g; maximize g
         c = np.zeros(n_params + 2)
@@ -552,13 +488,13 @@ class NetworkSpec:
             acc += mach.n
         return out
 
-    def machine_of(self, gid: int) -> int:
-        acc = 0
-        for k, mach in enumerate(self.machines):
-            if gid < acc + mach.n:
-                return k
-            acc += mach.n
-        raise ConfigurationError(f"unit id {gid} out of range")
+    def machine_of(self) -> list:
+        """Machine index of every unit, indexed by global unit id."""
+        return [k for k, mach in enumerate(self.machines) for _ in range(mach.n)]
+
+    def copy(self) -> "NetworkSpec":
+        """Shallow copy whose rosters can be edited without touching this one."""
+        return NetworkSpec(list(self.machines), list(self.pbits), dict(self.visible_labels))
 
     def has_wires(self) -> bool:
         return any(isinstance(p.mode, Wired) for p in self.pbits)
@@ -566,16 +502,21 @@ class NetworkSpec:
     def validate(self) -> None:
         if sum(m.n for m in self.machines) != len(self.pbits):
             raise ConfigurationError("unit roster does not match machine sizes")
+        if self.n_total > MAX_UNITS:
+            raise CapacityError(
+                f"networks are limited to {MAX_UNITS} units, got {self.n_total}"
+            )
         for gid, p in enumerate(self.pbits):
             if p.id != gid:
                 raise ConfigurationError("unit ids must be consecutive from 0")
+        machine_of = self.machine_of()
         pair_dirs = set()
         for gid, p in enumerate(self.pbits):
             if isinstance(p.mode, Wired):
                 src = p.mode.source
                 if not 0 <= src < self.n_total:
                     raise ConfigurationError(f"wire source {src} does not exist")
-                m_src, m_dst = self.machine_of(src), self.machine_of(gid)
+                m_src, m_dst = machine_of[src], machine_of[gid]
                 if m_src == m_dst:
                     raise ConfigurationError(
                         "wires must connect units in different machines"
@@ -593,17 +534,15 @@ class NetworkSpec:
 
     def with_clamps(self, clamp_plan: dict) -> "NetworkSpec":
         """Copy of the network with labelled units pinned to rails."""
-        from .core import CLAMPED_HIGH, CLAMPED_LOW
-
-        pbits = [replace(p) for p in self.pbits]
+        net = self.copy()
         for label, bit in clamp_plan.items():
             if label not in self.visible_labels:
                 raise ConfigurationError(f"unknown visible label {label!r}")
             gid = self.visible_labels[label]
-            pbits[gid] = replace(
-                pbits[gid], mode=CLAMPED_HIGH if int(bit) else CLAMPED_LOW
+            net.pbits[gid] = replace(
+                net.pbits[gid], mode=CLAMPED_HIGH if int(bit) else CLAMPED_LOW
             )
-        return NetworkSpec(self.machines, pbits, dict(self.visible_labels))
+        return net
 
     def set_retention(self, plan) -> None:
         """Assign retention times: a scalar or one integer per unit (us)."""
@@ -831,11 +770,7 @@ def build_factorizer(
         "S2": where[("add2", "S")], "S3": where[("add3", "S")],
     }
     net = NetworkSpec(machines, pbits, labels)
-    accounting = {m.name: m.n for m in machines}
     if net.n_total != 46:
-        raise ConfigurationError(
-            f"factorizer must total 46 units, got {net.n_total} (split {accounting})"
-        )
-    net.accounting = accounting
+        raise ConfigurationError(f"factorizer must total 46 units, got {net.n_total}")
     net.validate()
     return net

@@ -7,7 +7,6 @@ the monitoring word 4*A + 2*B + C.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,14 +70,6 @@ class ExactDistribution:
 
     def prob(self, bits) -> float:
         return float(self.probabilities[state_index(bits)])
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["state_bits", "probability"])
-            for idx, p in enumerate(self.probabilities):
-                bits = "".join(str(b) for b in state_bits(idx, self.n))
-                writer.writerow([bits, repr(float(p))])
 
 
 def boltzmann_distribution(coupling: CouplingMatrix, modes=None) -> ExactDistribution:

@@ -2,11 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from pbitsim.analysis import (
     EmpiricalDistribution,
-    artificial_node,
     distance_rows_to_csv,
     histogram,
     mode_report,
@@ -18,21 +16,6 @@ from pbitsim.analysis import (
 from pbitsim.dynamics import run
 from pbitsim.errors import ConfigurationError
 from pbitsim.networks import build_and_machine, build_rca4
-
-
-class TestArtificialNode:
-    def test_examples(self):
-        assert artificial_node([1, 0, 1]) == 5
-        assert artificial_node([0, 1, 1]) == 3
-        assert artificial_node([]) == 0
-
-    def test_rejects_non_bits(self):
-        with pytest.raises(ConfigurationError):
-            artificial_node([0, 2])
-
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=16))
-    def test_matches_binary_string(self, bits):
-        assert artificial_node(bits) == int("".join(map(str, bits)), 2)
 
 
 class TestHistogram:
@@ -160,3 +143,10 @@ class TestSweeps:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "tau_ratio,distance"
         assert lines[1] == "0.005,0.0399"
+
+    def test_distance_csv_with_plan_column(self, tmp_path):
+        path = tmp_path / "distance.csv"
+        rows = [{"plan": [137_000, 263_000], "tau_ratio": 0.5, "distance": 0.25}]
+        distance_rows_to_csv(rows, path, ("plan", "tau_ratio", "distance"))
+        lines = path.read_text().strip().splitlines()
+        assert lines == ["plan,tau_ratio,distance", "137000 263000,0.5,0.25"]

@@ -111,6 +111,19 @@ class TestExitCodes:
         path = write_scenario(tmp_path / "h.json", histogram_over=["Q"])
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    def test_adc_bits_rejected(self, tmp_path, capsys):
+        path = write_scenario(tmp_path / "a.json", network={
+            "kind": "gate", "gate": "and", "i0": 0.8, "adc_bits": 1})
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "adc_bits" in capsys.readouterr().err
+
+    def test_over_63_units_rejected(self, tmp_path, capsys):
+        n = 64
+        path = write_scenario(tmp_path / "wide.json", network={
+            "kind": "matrix", "i0": 1.0, "j": [[0.0] * n] * n, "h": [0.0] * n})
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "63 units" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_shipped_gate_passes(self, tmp_path, capsys):
@@ -129,6 +142,18 @@ class TestVerify:
         assert main(["verify", str(tmp_path / "broken.json")]) == 3
         assert "FAILED" in capsys.readouterr().out
 
+    def test_json_lists_spurious_states(self, tmp_path, capsys):
+        # with J and h all zero every state is a ground state
+        gate = load_gate("and")
+        gate.j[:] = 0.0
+        gate.h[:] = 0.0
+        save_gate(gate, tmp_path / "flat.json")
+        assert main(["verify", str(tmp_path / "flat.json"), "--format", "json"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert not report["ok"]
+        assert report["spurious"] == [1, 3, 5, 6]
+        assert [1, 1, 0] in report["spurious_states"]
+
 
 class TestSynth:
     def test_lp_writes_verified_gate(self, tmp_path, capsys):
@@ -144,16 +169,16 @@ class TestSynth:
         assert gate.verified
         assert "gap=" in capsys.readouterr().out
 
-    def test_exhaustive_method(self, tmp_path):
+    def test_method_field_rejected(self, tmp_path):
+        # LP is the only synthesizer; the old "method" switch is a schema error
         spec = tmp_path / "copy.json"
         spec.write_text(json.dumps({
             "name": "my_copy",
             "table": [[0, 0], [1, 1]],
             "method": "exhaustive",
-            "max_weight": 1,
         }))
-        assert main(["synth", str(spec), "--out", str(tmp_path)]) == 0
-        assert load_gate_file(tmp_path / "my_copy.json").verified
+        assert main(["synth", str(spec), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "my_copy.json").exists()
 
     def test_infeasible_exits_three(self, tmp_path):
         spec = tmp_path / "xor.json"

@@ -13,11 +13,9 @@ from pbitsim.core import (
     CouplingMatrix,
     QuantizationConfig,
     Wired,
-    decode_input,
     encode_input,
     quantize_voltage,
     retention_time_from_barrier,
-    sample_pbit,
     saturate,
     sigmoid,
     weight_inputs,
@@ -50,11 +48,6 @@ class TestSigmoid:
 
 
 class TestVoltageCodec:
-    def test_decode_examples(self):
-        assert decode_input(2.5) == 0.0
-        assert decode_input(5.0) == 5.0
-        assert decode_input(0.0) == -5.0
-
     def test_encode_examples(self):
         assert encode_input(0.0) == 2.5
         assert encode_input(5.0) == 5.0
@@ -62,7 +55,8 @@ class TestVoltageCodec:
 
     @given(st.floats(0.0, 5.0))
     def test_round_trip(self, v):
-        assert encode_input(decode_input(v)) == pytest.approx(v, abs=1e-12)
+        # a unit decodes its input voltage as the drive 2*v - 5
+        assert encode_input(2.0 * v - 5.0) == pytest.approx(v, abs=1e-12)
 
     @given(st.floats(-100, 100))
     def test_saturate_bounds(self, x):
@@ -72,21 +66,10 @@ class TestVoltageCodec:
             assert s == x
 
 
-class TestSamplePBit:
-    def test_threshold_semantics(self):
-        # P(1) = sigmoid(2V-5): V=2.5 gives exactly 0.5
-        assert sample_pbit(2.5, 0.49) == 1
-        assert sample_pbit(2.5, 0.51) == 0
-
-    def test_rejects_out_of_range(self):
+class TestWired:
+    def test_rejects_negative_delay(self):
         with pytest.raises(ConfigurationError):
-            sample_pbit(5.1, 0.5)
-        with pytest.raises(ConfigurationError):
-            sample_pbit(-0.1, 0.5)
-
-    @given(st.floats(0.0, 5.0), st.floats(0.0, 1.0, exclude_max=True))
-    def test_output_is_binary(self, v, u):
-        assert sample_pbit(v, u) in (0, 1)
+            Wired(source=0, delay_us=-5)
 
 
 class TestQuantization:

@@ -14,12 +14,7 @@ from pbitsim.networks import (
     load_gate,
     verify_ground_states,
 )
-from pbitsim.dynamics import (
-    Simulator,
-    run,
-    serialization_metric,
-    serialization_profile,
-)
+from pbitsim.dynamics import Simulator, run, serialization_metric
 
 
 def and_net(i0=0.8, **kwargs):
@@ -130,6 +125,12 @@ class TestBudgets:
         trace = run(and_net(), seed=2, max_updates=1234)
         assert trace.update_counts.sum() == 1234
 
+    def test_running_update_counter(self):
+        sim = Simulator(and_net(), seed=2)
+        for _ in range(500):
+            sim.step()
+        assert sim.n_updates == sim.update_counts.sum() > 0
+
     def test_budget_required(self):
         with pytest.raises(ConfigurationError):
             run(and_net(), seed=2)
@@ -156,12 +157,17 @@ class TestJitter:
 
 
 class TestTrace:
-    def test_state_bits_round_trip(self):
+    def test_state_bits_round_trip(self, tmp_path):
+        # trace.csv spells out each state mask, unit k at bit n-1-k
         trace = run(and_net(), seed=4, max_samples=50)
-        for row in range(len(trace)):
-            bits = trace.state_bits(row)
-            mask = sum(b << (trace.n - 1 - k) for k, b in enumerate(bits))
-            assert mask == int(trace.states[row])
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        rows = path.read_text().strip().splitlines()[1:]
+        assert len(rows) == len(trace)
+        for row, t, mask in zip(rows, trace.times, trace.states):
+            cells = [int(c) for c in row.split(",")]
+            assert cells[0] == t
+            assert sum(b << (trace.n - 1 - k) for k, b in enumerate(cells[1:])) == mask
 
     def test_to_csv(self, tmp_path):
         trace = run(and_net(), seed=4, max_samples=5)
@@ -190,8 +196,10 @@ class TestSerializationMetric:
 
     def test_profile_chunks(self):
         net, trace = self._trace([0, 0, 0])
-        prof = serialization_profile(trace, net, window_us=10, chunk=100)
-        assert all(p == 1.0 for p in prof)
+        total = len(trace.update_events)
+        for start in range(0, total, 100):
+            end = min(start + 100, total)
+            assert serialization_metric(trace, net, window_us=10, start=start, end=end) == 1.0
 
     def test_requires_recorded_updates(self):
         net = and_net()

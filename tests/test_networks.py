@@ -29,7 +29,6 @@ from pbitsim.networks import (
     normal_retention_plan,
     save_gate,
     single_machine_network,
-    synthesize_gate,
     synthesize_gate_lp,
     verify_ground_states,
 )
@@ -94,24 +93,14 @@ class TestGateLibrary:
 
 
 class TestSynthesis:
-    def test_exhaustive_and_without_aux(self):
-        gate = synthesize_gate(AND_TABLE, n_aux=0, search_bound=2,
-                               name="and", labels=["A", "B", "C"])
-        assert gate.verified
-        assert ground_state_report(gate)["ok"]
-
-    def test_exhaustive_rejects_oversized(self):
+    def test_lp_rejects_oversized(self):
         with pytest.raises(CapacityError):
-            synthesize_gate(AND_TABLE, n_aux=4)
-
-    def test_exhaustive_budget(self):
-        with pytest.raises(SynthesisError):
-            synthesize_gate(AND_TABLE, n_aux=2, search_bound=2, max_candidates=100)
+            synthesize_gate_lp(AND_TABLE, n_aux=14)
 
     def test_parity_has_no_pairwise_realization(self):
         xor = [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
         with pytest.raises(SynthesisError):
-            synthesize_gate(xor, n_aux=0)
+            synthesize_gate_lp(xor, n_aux=0)
         gate = synthesize_gate_lp(xor, n_aux=1, labels=["A", "B", "S"])
         assert gate.verified
         assert gate.n == 4
@@ -190,8 +179,10 @@ class TestBuilders:
         assert net.n_total == 48
         wired = [p for p in net.pbits if isinstance(p.mode, Wired)]
         assert len(wired) == 3
+        machine_of = net.machine_of()
+        assert machine_of == [0] * 6 + [1] * 14 + [2] * 14 + [3] * 14
         for p in wired:
-            assert net.machine_of(p.mode.source) != net.machine_of(p.id)
+            assert machine_of[p.mode.source] != machine_of[p.id]
 
     def test_quad_and_shares_inputs(self):
         gate = build_quad_and()
@@ -201,8 +192,9 @@ class TestBuilders:
     def test_factorizer_accounting(self):
         net = build_factorizer(1.0)
         assert net.n_total == 46
-        assert sum(net.accounting.values()) == 46
-        assert net.accounting["and_bm"] == 8
+        accounting = {m.name: m.n for m in net.machines}
+        assert sum(accounting.values()) == 46
+        assert accounting["and_bm"] == 8
         wired = [p for p in net.pbits if isinstance(p.mode, Wired)]
         assert len(wired) == 5
 
@@ -241,6 +233,29 @@ class TestNetworkSpec:
         net.pbits[offs[0]] = replace(net.pbits[offs[0]], mode=Wired(source=offs[1]))
         with pytest.raises(ConfigurationError):
             net.validate()
+
+    def test_copy_is_independent(self):
+        net = build_and_machine(0.8)
+        twin = net.copy()
+        twin.set_retention(1000)
+        twin.set_tau_sample(50)
+        twin.visible_labels["X"] = 0
+        assert [p.retention_us for p in net.pbits] == [200_000] * 3
+        assert net.machines[0].tau_sample_us == 1000
+        assert "X" not in net.visible_labels
+
+    def test_unit_cap(self):
+        # states are int64 masks: 63 units fit, 64 are refused up front
+        from pbitsim.dynamics import run
+
+        def wide(n):
+            return GateSpec(name="wide", visible={f"u{k}": k for k in range(n)},
+                            inputs=[], outputs=[], auxiliary=[], truth_table=[],
+                            j=np.zeros((n, n)), h=np.zeros(n), verified=True)
+
+        assert len(run(single_machine_network(wide(63), 1.0), seed=1, max_samples=5)) == 5
+        with pytest.raises(CapacityError):
+            single_machine_network(wide(64), 1.0)
 
     def test_retention_plan_length_checked(self):
         net = build_and_machine(0.8)

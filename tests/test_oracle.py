@@ -42,6 +42,16 @@ class TestStateIndexing:
         assert state_index((1, 0, 1)) == 5
         assert state_bits(5, 3) == (1, 0, 1)
 
+    def test_monitoring_word_examples(self):
+        # the paper's artificial node: bits A, B, C read as 4*A + 2*B + C
+        assert state_index([1, 0, 1]) == 5
+        assert state_index([0, 1, 1]) == 3
+        assert state_index([]) == 0
+
+    @given(st.lists(st.integers(0, 1), min_size=1, max_size=16))
+    def test_matches_binary_string(self, bits):
+        assert state_index(bits) == int("".join(map(str, bits)), 2)
+
     @given(st.integers(1, 12), st.integers(0))
     def test_bijection(self, n, raw):
         idx = raw % (1 << n)
@@ -165,15 +175,6 @@ class TestExactDistribution:
     def test_prob_by_bits(self):
         dist = boltzmann_distribution(and_coupling(0.8))
         assert dist.prob((1, 1, 1)) == pytest.approx(dist.probabilities[7])
-
-    def test_to_csv(self, tmp_path):
-        dist = boltzmann_distribution(and_coupling(0.8))
-        path = tmp_path / "exact.csv"
-        dist.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "state_bits,probability"
-        assert len(lines) == 9
-        assert lines[1].startswith("000,")
 
 
 class TestEuclideanDistance:
