@@ -1,7 +1,9 @@
 """Golden digests: short runs must reproduce their exact bits.
 
 Each case pins the sha256 of a short trace (sample times, state masks and
-per-unit update and one counts) or of the files a CLI command writes. A
+per-unit update and one counts) or of the files a CLI command writes. The
+budget cases also pin the run's reported end time and sample count, so they
+show where each budget (and each mix of budgets) stops a run. A
 refactor of the engine, the builders or the CLI must leave every digest
 unchanged. A digest may change only together with a CHANGES.md line that
 says why the output changed on purpose. The digests rest on numpy's PCG64
@@ -59,6 +61,27 @@ def phased_net():
                        retention_us=1000)
     net.set_phases([0, 333, 666])
     return net
+
+
+def two_period_net():
+    """Two coupled 2-unit machines refreshing every 300 and 700 us, with a
+    zero-delay wire from unit 0 to unit 2: the sample lattice is the union
+    of two periods that do not divide each other."""
+    gate = verify_ground_states(load_gate("copy"))
+    mach = lambda name, tau: MachineSpec(name, gate.coupling(1.0), tau_sample_us=tau,
+                                         labels=dict(gate.visible))
+    pbits = [PBitConfig(id=k, retention_us=r, jitter_fraction=0.01)
+             for k, r in enumerate([1100, 1500, 1300, 1700])]
+    pbits[2] = PBitConfig(id=2, retention_us=1300, jitter_fraction=0.01,
+                          mode=Wired(source=0, delay_us=0))
+    net = NetworkSpec([mach("src", 300), mach("dst", 700)], pbits, {"SRC": 0, "DST": 2})
+    net.validate()
+    return net
+
+
+def fast_and_net():
+    return scenario_net({"kind": "gate", "gate": "and", "i0": 0.8, "tau_sample_us": 100},
+                        retention_us=2000)
 
 
 FACTOR_CLAMPS = {"S0": 0, "S1": 1, "S2": 1, "S3": 0}
@@ -136,6 +159,84 @@ def test_trace_digest(name):
     factory, budget, expected = TRACE_CASES[name]
     trace = run(factory(), seed=11, **budget)
     assert trace_digest(trace) == expected
+
+
+# name -> (network factory, run budget, (digest, final_time_us, samples)):
+# where each budget stops the run, and the end time it reports
+BUDGET_CASES = {
+    "two_period_samples": (
+        two_period_net, {"max_samples": SAMPLES},
+        ("4403ad81d990f16d5df751df920bce71c669ef45d3548f372d7889a0c4aa72a4",
+         699900, 3000),
+    ),
+    "two_period_updates": (
+        two_period_net, {"max_updates": 2000},
+        ("ea37991bb585e42fc2cb89e02958f0ea9beab2075de5449cb104a35075399a37",
+         681135, 2920),
+    ),
+    "two_period_duration": (
+        two_period_net, {"duration_us": 1_000_000},
+        ("5e7bf36d54620f8090f03ababdab9ab31fc72c6df93d9a7e5797bd4b99ac5b13",
+         999900, 4286),
+    ),
+    "two_period_duration_on_both_lattices": (
+        two_period_net, {"duration_us": 2_100_000},
+        ("9864d77991846a5b385aecf0eb590122d3aa779cb7807e28437cdb7ea912fc80",
+         2099901, 9000),
+    ),
+    "and_duration": (
+        fast_and_net, {"duration_us": 1_234_567},
+        ("9364f999ed6bfe5c3c08fbfbba83150c22b237fdb7bef50cb83ff2187c27182d",
+         1234500, 12346),
+    ),
+    "and_samples_before_duration": (
+        fast_and_net, {"max_samples": SAMPLES, "duration_us": 400_000},
+        ("9dd2d92f405ba574bac97843bb903888a9732fef1498f79439588aa572982933",
+         299900, 3000),
+    ),
+    "and_duration_before_samples": (
+        fast_and_net, {"max_samples": SAMPLES, "duration_us": 123_457},
+        ("d319fbca5f8496b467ed9f8de121e62482695b385ef22d64a30748f7d12d26fd",
+         123400, 1235),
+    ),
+    "and_updates_before_samples": (
+        fast_and_net, {"max_samples": SAMPLES, "max_updates": 250},
+        ("56032d4b79cc73137992bce5253a260502d0a7a6f6d395b80c6ff95c3cda3738",
+         165941, 1660),
+    ),
+    "and_samples_before_updates": (
+        fast_and_net, {"max_samples": SAMPLES, "max_updates": 1000},
+        ("9dd2d92f405ba574bac97843bb903888a9732fef1498f79439588aa572982933",
+         299900, 3000),
+    ),
+    "and_zero_updates": (
+        fast_and_net, {"max_updates": 0},
+        ("96371daacf626433c4eed164758569a6d7d2f03a4c1fc098994423b267d153d4",
+         0, 0),
+    ),
+    "and_one_sample": (
+        fast_and_net, {"max_samples": 1},
+        ("5cd1dde89d299c31cb7faf01f9e4eb8182f27a7c0a83ada35ba222adfe39b642",
+         0, 1),
+    ),
+    "delayed_wire_updates": (
+        delayed_wire_net, {"max_updates": 5000},
+        ("cfc3a256c36182be82bcc9c9211fd7672eae8ae6ffa36539af0a84d8debcb506",
+         1159900, 11600),
+    ),
+    "factorizer_updates": (
+        TRACE_CASES["factorizer"][0], {"max_updates": 10_000},
+        ("4d8ac087af25b74946a84bacf7f7ded6fa9f06007aaf2604c3f0906207f6438d",
+         4339674, 2170),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_CASES))
+def test_budget_stop(name):
+    factory, budget, expected = BUDGET_CASES[name]
+    trace = run(factory(), seed=11, **budget)
+    assert (trace_digest(trace), trace.final_time_us, len(trace)) == expected
 
 
 # command -> {file name: digest}
