@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -323,7 +324,9 @@ def cmd_verify(args) -> int:
     gate = load_gate_file(args.gatespec)
     report = ground_state_report(gate)
     if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        # strict JSON has no Infinity: a gate with no excited state has no gap
+        gap = None if math.isinf(report["gap"]) else report["gap"]
+        print(json.dumps({**report, "gap": gap}, indent=2, sort_keys=True, allow_nan=False))
     else:
         print(
             f"{gate.name}: {'ok' if report['ok'] else 'FAILED'} "

@@ -2,9 +2,16 @@
 
 Two event kinds drive everything: per-unit stochastic updates (each unit
 re-samples its output every retention time, plus jitter) and per-machine
-weight-logic refreshes (each machine re-publishes its units' input voltages
-every sampling period and logs one trace sample). Ties order refreshes
-before updates so a unit updating at the same instant sees fresh inputs.
+weight-logic refreshes (a machine re-publishes its units' input voltages on
+the ticks of its sampling-period lattice). Ties order refreshes before
+updates so a unit updating at the same instant sees fresh inputs.
+
+A refresh whose machine saw no flip since its last one would publish the
+same voltages again, so only dirty machines queue one: every machine
+refreshes at t = 0, and a flip in a clean machine queues its refresh at the
+next tick of that machine's lattice. The trace samples are the instants of
+the union of all machines' lattices; their states are rebuilt after the run
+from a log of flips, with no event per sample.
 
 Virtual time is integer microseconds. Each unit owns an independent seeded
 random stream derived from (scenario seed, unit id), so traces replay
@@ -38,11 +45,14 @@ PRIO_UPDATE = 1
 
 @dataclass
 class SimulationTrace:
-    """Timestamped machine-refresh snapshots of the full output vector.
+    """Snapshots of the full output vector at the machines' refresh instants.
 
-    States are stored as big-endian bitmasks (unit k is bit n-1-k). When two
-    machines refresh at the same instant the later snapshot wins, keeping
-    sample times strictly increasing.
+    ``times`` is the sorted union of the machines' refresh lattices (machines
+    refreshing at the same instant give one sample, so times strictly
+    increase). Each state is rebuilt from the run's flip log as the mask
+    after every update strictly before the sample time, since refreshes run
+    before updates at the same instant. States are big-endian bitmasks (unit
+    k is bit n-1-k).
     """
 
     n: int
@@ -103,11 +113,15 @@ class Simulator:
             elif p.mode == CLAMPED_LOW:
                 self.held_inputs[gid] = 0.0
 
-        # wire-delay histories, only for sources of delayed wires
+        # wire-delay histories, only for sources of delayed wires, each kept
+        # back to the longest delay of any wire from that source
         self._histories = {}
+        self._max_delay = {}
         for p in network.pbits:
             if isinstance(p.mode, Wired) and p.mode.delay_us > 0:
-                self._histories.setdefault(p.mode.source, [(0, self.outputs[p.mode.source])])
+                src = p.mode.source
+                self._histories.setdefault(src, [(0, self.outputs[src])])
+                self._max_delay[src] = max(self._max_delay.get(src, 0), p.mode.delay_us)
 
         self.clock = 0
         self._seq = 0
@@ -117,9 +131,11 @@ class Simulator:
         for gid, p in enumerate(network.pbits):
             self._push(p.phase_us, PRIO_UPDATE, gid)
 
+        self.taus = [mach.tau_sample_us for mach in network.machines]
+        # a machine is dirty exactly while its refresh is queued
         self.dirty = [True] * len(network.machines)
-        self.sample_times = []
-        self.sample_states = []
+        self.flip_times = [-1]
+        self.flip_masks = [self.mask]
         self.update_events = []
         self.n_updates = 0
         self.update_counts = np.zeros(n, dtype=np.int64)
@@ -146,29 +162,22 @@ class Simulator:
         t, prio, _seq, target = heapq.heappop(self.queue)
         self.clock = t
         if prio == PRIO_REFRESH:
-            self._refresh(t, target)
+            self._refresh(target)
         else:
             self._update(t, target)
 
-    def _refresh(self, t: int, k: int) -> None:
+    def _refresh(self, k: int) -> None:
         net = self.network
         mach = net.machines[k]
         ids = self.members[k]
-        if self.dirty[k]:
-            snapshot = [self.outputs[g] for g in ids]
-            modes = [net.pbits[g].mode for g in ids]
-            published = weight_inputs(mach.coupling, snapshot, modes, mach.quant)
-            held = self.held_inputs
-            for local, gid in enumerate(ids):
-                if modes[local] == FREE:
-                    held[gid] = published[local]
-            self.dirty[k] = False
-        if self.sample_times and self.sample_times[-1] == t:
-            self.sample_states[-1] = self.mask
-        else:
-            self.sample_times.append(t)
-            self.sample_states.append(self.mask)
-        self._push(t + mach.tau_sample_us, PRIO_REFRESH, k)
+        snapshot = [self.outputs[g] for g in ids]
+        modes = [net.pbits[g].mode for g in ids]
+        published = weight_inputs(mach.coupling, snapshot, modes, mach.quant)
+        held = self.held_inputs
+        for local, gid in enumerate(ids):
+            if modes[local] == FREE:
+                held[gid] = published[local]
+        self.dirty[k] = False
 
     def _update(self, t: int, gid: int) -> None:
         p = self.network.pbits[gid]
@@ -192,24 +201,61 @@ class Simulator:
         if out != self.outputs[gid]:
             self.outputs[gid] = out
             self.mask ^= 1 << (self.n - 1 - gid)
-            self.dirty[self.machine_of[gid]] = True
+            self.flip_times.append(t)
+            self.flip_masks.append(self.mask)
+            k = self.machine_of[gid]
+            if not self.dirty[k]:
+                self.dirty[k] = True
+                tau = self.taus[k]
+                self._push((t // tau + 1) * tau, PRIO_REFRESH, k)
             if gid in self._histories:
-                self._histories[gid].append((t, out))
+                self._record_history(gid, t, out)
         dt = p.retention_us
         if p.jitter_fraction > 0.0:
             f = p.jitter_fraction
             dt = max(1, int(round(dt * (1.0 + rng.uniform(-f, f)))))
         self._push(t + dt, PRIO_UPDATE, gid)
 
-    def trace(self) -> SimulationTrace:
+    def _record_history(self, src: int, t: int, out: int) -> None:
+        # lookups never go back in time, so no later lookup reads an entry
+        # older than the newest one at or before t - (longest delay)
+        history = self._histories[src]
+        history.append((t, out))
+        cutoff = t - self._max_delay[src]
+        drop = 0
+        while history[drop + 1][0] <= cutoff:
+            drop += 1
+        if drop:
+            del history[:drop]
+
+    def sample_times(self, last: int) -> np.ndarray:
+        """The union of the machines' refresh lattices over [0, last]."""
+        lattices = [np.arange(0, last + 1, tau, dtype=np.int64) for tau in set(self.taus)]
+        return lattices[0] if len(lattices) == 1 else np.unique(np.concatenate(lattices))
+
+    def sample_time(self, index: int) -> int:
+        """The time of sample ``index`` (from 0), which lies within
+        ``index * min(tau)`` since the fastest lattice alone has enough points."""
+        taus = set(self.taus)
+        if len(taus) == 1:
+            return index * taus.pop()
+        return int(self.sample_times(index * min(taus))[index])
+
+    def trace(self, last_sample: int) -> SimulationTrace:
+        """The samples up to ``last_sample`` (none if it is negative), each
+        state being the mask after every flip strictly before its time."""
+        times = self.sample_times(last_sample)
+        flip_times = np.asarray(self.flip_times, dtype=np.int64)
+        flip_masks = np.asarray(self.flip_masks, dtype=np.int64)
+        states = flip_masks[np.searchsorted(flip_times, times, "left") - 1]
         return SimulationTrace(
             n=self.n,
-            times=np.asarray(self.sample_times, dtype=np.int64),
-            states=np.asarray(self.sample_states, dtype=np.int64),
+            times=times,
+            states=states,
             update_events=list(self.update_events),
             update_counts=self.update_counts.copy(),
             one_counts=self.one_counts.copy(),
-            final_time_us=self.clock,
+            final_time_us=max(self.clock, int(times[-1])) if len(times) else self.clock,
         )
 
 
@@ -224,22 +270,31 @@ def run(
     """Run until a budget is exhausted; deterministic in (network, seed).
 
     ``duration_us`` processes events in the half-open window [0, duration);
-    ``max_samples`` counts logged trace rows; ``max_updates`` counts unit
-    update events. A zero budget yields an empty trace.
+    ``max_samples`` counts trace rows and stops at the last one's time s*,
+    running the events strictly before it; ``max_updates`` counts unit
+    update events and ends the samples at the last update's time. A zero
+    budget yields an empty trace.
     """
     if max_samples is None and duration_us is None and max_updates is None:
         raise ConfigurationError("a sample, update, or duration budget is required")
     sim = Simulator(network, seed, record_updates=record_updates)
+    # events run strictly before ``stop``; samples end at ``last``
+    stop = last = None
+    if duration_us is not None:
+        stop, last = duration_us, duration_us - 1
+    if max_samples is not None:
+        s_star = sim.sample_time(max_samples - 1) if max_samples > 0 else -1
+        if stop is None or s_star < stop:
+            stop, last = s_star, s_star
     queue = sim.queue
     while queue:
-        if max_samples is not None and len(sim.sample_times) >= max_samples:
-            break
         if max_updates is not None and sim.n_updates >= max_updates:
+            last = sim.clock if sim.n_updates else -1
             break
-        if duration_us is not None and queue[0][0] >= duration_us:
+        if stop is not None and queue[0][0] >= stop:
             break
         sim.step()
-    return sim.trace()
+    return sim.trace(last)
 
 
 def serialization_metric(

@@ -20,6 +20,10 @@ def write_scenario(path, **overrides):
     return path
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 @pytest.fixture
 def scenario(tmp_path):
     return write_scenario(tmp_path / "scenario.json")
@@ -149,8 +153,9 @@ class TestVerify:
         gate.h[:] = 0.0
         save_gate(gate, tmp_path / "flat.json")
         assert main(["verify", str(tmp_path / "flat.json"), "--format", "json"]) == 3
-        report = json.loads(capsys.readouterr().out)
+        report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
         assert not report["ok"]
+        assert report["gap"] is None
         assert report["spurious"] == [1, 3, 5, 6]
         assert [1, 1, 0] in report["spurious_states"]
 

@@ -1,11 +1,12 @@
-"""Event engine: determinism, tie ordering, clamps, wires, budgets."""
+"""Event engine: determinism, tie ordering, clamps, wires, budgets, event counts."""
 
 import math
 
 import numpy as np
 import pytest
 
-from pbitsim.core import CLAMPED_HIGH, CLAMPED_LOW, PBitConfig, Wired, sigmoid
+from pbitsim import dynamics
+from pbitsim.core import CLAMPED_HIGH, CLAMPED_LOW, FREE, PBitConfig, Wired, sigmoid
 from pbitsim.errors import ConfigurationError
 from pbitsim.networks import (
     MachineSpec,
@@ -14,7 +15,7 @@ from pbitsim.networks import (
     load_gate,
     verify_ground_states,
 )
-from pbitsim.dynamics import Simulator, run, serialization_metric
+from pbitsim.dynamics import PRIO_REFRESH, Simulator, run, serialization_metric
 
 
 def and_net(i0=0.8, **kwargs):
@@ -108,6 +109,17 @@ class TestTerminalModes:
                     seed=9, max_updates=5_000)
         assert trace.update_counts.sum() == 5_000
 
+    def test_delayed_wire_history_stays_bounded(self):
+        # the source updates every 1000 us and the wire looks 500 us back, so
+        # the history needs at most the entry before the window plus one in it
+        sim = Simulator(two_machine_net(FREE, wire_delay_us=500), seed=9)
+        longest = 0
+        while sim.n_updates < 50_000:
+            sim.step()
+            longest = max(longest, len(sim._histories[0]))
+        assert sim.update_counts[0] == 12_500
+        assert longest <= 2
+
 
 class TestBudgets:
     def test_duration_window_is_half_open(self):
@@ -134,6 +146,33 @@ class TestBudgets:
     def test_budget_required(self):
         with pytest.raises(ConfigurationError):
             run(and_net(), seed=2)
+
+
+class TestEventCounts:
+    """Deterministic cost gate: events processed, never wall time."""
+
+    def test_clean_refreshes_are_elided(self, monkeypatch):
+        heads = []
+        refreshes = []
+        step, weight_inputs = Simulator.step, dynamics.weight_inputs
+
+        def counting_step(sim):
+            heads.append(sim.queue[0][:2])
+            step(sim)
+
+        def counting_weight_inputs(*args):
+            refreshes.append(args)
+            return weight_inputs(*args)
+
+        monkeypatch.setattr(Simulator, "step", counting_step)
+        monkeypatch.setattr(dynamics, "weight_inputs", counting_weight_inputs)
+        # tau_sample = tau_N / 200, the regime where nearly every refresh is clean
+        trace = run(and_net(tau_sample_us=1000, retention_us=200_000), seed=1,
+                    max_samples=20_000)
+        assert len(trace) == 20_000
+        assert len(heads) == trace.update_counts.sum() + len(refreshes)
+        assert len(heads) <= 0.05 * len(trace)
+        assert heads[0] == (0, PRIO_REFRESH)
 
 
 class TestJitter:
