@@ -1,7 +1,8 @@
 """Golden digests: short runs must reproduce their exact bits.
 
 Each case pins the sha256 of a short trace (sample times, state masks and
-per-unit update and one counts) or of the files a CLI command writes. The
+per-unit update and one counts), of the files a CLI command writes, or of a
+built network (every machine's and unit's parameters and the labels). The
 budget cases also pin the run's reported end time and sample count, so they
 show where each budget (and each mix of budgets) stops a run. A
 refactor of the engine, the builders or the CLI must leave every digest
@@ -21,7 +22,16 @@ import pytest
 from pbitsim.cli import build_network, main
 from pbitsim.core import PBitConfig, Wired
 from pbitsim.dynamics import run
-from pbitsim.networks import MachineSpec, NetworkSpec, load_gate, verify_ground_states
+from pbitsim.networks import (
+    MachineSpec,
+    NetworkSpec,
+    build_and_machine,
+    build_factorizer,
+    build_full_adder,
+    build_rca4,
+    load_gate,
+    verify_ground_states,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SAMPLES = 3000
@@ -271,3 +281,56 @@ def test_cli_output_digest(command, tmp_path, capsys):
     assert main(cli_args(command, scenario, out)) == 0
     got = {fname: file_digest(out / fname) for fname in CLI_GOLDEN[command]}
     assert got == CLI_GOLDEN[command]
+
+
+def network_digest(net) -> str:
+    """sha256 of everything a run reads from a built network."""
+    h = hashlib.sha256()
+    for mach in net.machines:
+        c = mach.coupling
+        h.update(repr((mach.name, mach.tau_sample_us, mach.quant.dac_bits,
+                       mach.quant.vref, c.i0)).encode())
+        h.update(np.ascontiguousarray(c.j, dtype="<f8").tobytes())
+        h.update(np.ascontiguousarray(c.h, dtype="<f8").tobytes())
+    for p in net.pbits:
+        h.update(repr((p.id, p.retention_us, p.phase_us, p.jitter_fraction,
+                       repr(p.mode))).encode())
+    h.update(repr(sorted(net.visible_labels.items())).encode())
+    return h.hexdigest()
+
+
+# network factory name -> digest: every shipped scenario through the CLI's
+# builder, and each builder at its default sampling period
+NETWORK_GOLDEN = {
+    "build_and_machine": "0c021bfbc753bc77a3f5984ab7d6b28f8e5618a3517e0ffaf56f001836fcdde4",
+    "build_factorizer": "c4efe65c6555b1d9096f7737f191a759617490d49c0f4f1f15e5af27df075a34",
+    "build_full_adder": "b05b8e195bd367b252849a46e4d0c7b589af794cc3d52bd4846d36997240628c",
+    "build_rca4": "6fc635b3a87907facbbc12809ae148e7c49e86dd3ee3ceb39c395935d5770289",
+    "scenario:and_breakdown_200ms": "55230aa7556d683a84b5de0672ea03c289d32741bcdde909c0d15ed6d6b87cfc",
+    "scenario:and_breakdown_400ms": "fdd5ceda1b636ff82763addbe3d5e1c22d02362e05971ae9670b6dbf2604dc23",
+    "scenario:and_correlated": "0c021bfbc753bc77a3f5984ab7d6b28f8e5618a3517e0ffaf56f001836fcdde4",
+    "scenario:and_direct": "22c36658efd2b3525c2da296ec43c4c85b17e7d4243ba45350cdbb44fdeaad7a",
+    "scenario:and_inverted": "c9edfd3c60ae39adc6ce909d8612299a0d0041048859f5a217bdd19536e81cd2",
+    "scenario:and_serialization": "3bee14d16a26f7c697a884a6511115bb4ffddd032c7abe72a897d1470d69bc05",
+    "scenario:and_uncorrelated": "8410d4f852b738bc731e3966b53250ab5437db0e19495bfbd0535225b4bdccd7",
+    "scenario:factorizer": "3c72df931d0d7ccd6cdb11d8c6afc677c74dacd73cb6cba32e21a157e9878b53",
+    "scenario:factorizer_control": "b278c907a562e08341b12dcbd61fa360f427e9e006350e099d03e1467982e2e4",
+    "scenario:full_adder_direct": "dafd2ff85b2ea8319b31a2f5dd92dbc1bf93d7abcbf6e6f64ffc832fe8bd510f",
+    "scenario:full_adder_inverted": "d993390c4e07a28b648b8a65813025a28579ce9de16d2ec259156aa4838117c0",
+    "scenario:rca4_direct": "8e4adc37574c1792f12bbe5d8391d83ac6e620571f12746aa4fdd93a58e2f4c6",
+    "scenario:rca4_inverted": "b120846f5863c856702a964010d6baaec18604eb6ed8d67fb9bc75eeebc8e102",
+}
+
+NETWORK_FACTORIES = {
+    **{f"scenario:{path.stem}": (lambda path=path: build_network(json.loads(path.read_text())))
+       for path in sorted(SCENARIOS.glob("*.json"))},
+    "build_and_machine": lambda: build_and_machine(0.8),
+    "build_full_adder": lambda: build_full_adder(1.0),
+    "build_rca4": lambda: build_rca4(1.0),
+    "build_factorizer": lambda: build_factorizer(1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NETWORK_FACTORIES))
+def test_network_digest(name):
+    assert network_digest(NETWORK_FACTORIES[name]()) == NETWORK_GOLDEN[name]
