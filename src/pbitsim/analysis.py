@@ -10,7 +10,7 @@ import numpy as np
 from . import dynamics
 from .errors import ConfigurationError
 from .networks import NetworkSpec
-from .oracle import boltzmann_distribution, euclidean_distance
+from .oracle import boltzmann_distribution, euclidean_distance, project
 
 
 @dataclass
@@ -67,10 +67,7 @@ def histogram(
     if states.size == 0:
         raise ConfigurationError("no samples remain after burn-in")
     labels = list(visible)
-    words = np.zeros(states.size, dtype=np.int64)
-    for label in labels:
-        gid = visible[label]
-        words = (words << 1) | ((states >> (trace.n - 1 - gid)) & 1)
+    words = project(states, trace.n, [visible[label] for label in labels])
     counts = np.bincount(words, minlength=1 << len(labels)).astype(np.int64)
     return EmpiricalDistribution(
         labels=labels, counts=counts, total=int(states.size), burn_in_discarded=discard
@@ -91,8 +88,9 @@ def mode_report(dist: EmpiricalDistribution, k: int) -> list:
 
 
 def single_machine_oracle(network: NetworkSpec):
-    """Exact distribution for a one-machine network; raises on wired networks."""
-    if len(network.machines) != 1 or network.has_wires():
+    """Exact distribution for a one-machine network (which has no wires,
+    since wires must cross machines)."""
+    if len(network.machines) != 1:
         raise ConfigurationError(
             "the Boltzmann oracle covers single machines without wires only"
         )

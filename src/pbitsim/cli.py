@@ -20,7 +20,6 @@ import sys
 from pathlib import Path
 
 import jsonschema
-import numpy as np
 
 from . import analysis, dynamics
 from .core import QuantizationConfig
@@ -127,6 +126,14 @@ GATE_INPUT_SCHEMA = {
 }
 
 
+# sweep-retention's --plans: each plan is what a scenario's retention_us may be
+PLANS_SCHEMA = {
+    "type": "array",
+    "minItems": 1,
+    "items": SCENARIO_SCHEMA["properties"]["retention_us"],
+}
+
+
 def load_scenario(path) -> dict:
     with open(path) as fh:
         doc = json.load(fh)
@@ -139,12 +146,9 @@ def load_scenario(path) -> dict:
 def _matrix_network(spec: dict) -> NetworkSpec:
     if "j" not in spec or "h" not in spec:
         raise ConfigurationError("matrix networks need 'j' and 'h'")
-    j = np.asarray(spec["j"], dtype=float)
-    h = np.asarray(spec["h"], dtype=float)
-    n = len(h)
     labels = {str(k): int(v) for k, v in spec.get("labels", {}).items()}
     if not labels:
-        labels = {f"pbit_{k}": k for k in range(n)}
+        labels = {f"pbit_{k}": k for k in range(len(spec["h"]))}
     gate = GateSpec(
         name="matrix",
         visible=labels,
@@ -152,8 +156,8 @@ def _matrix_network(spec: dict) -> NetworkSpec:
         outputs=[],
         auxiliary=[],
         truth_table=[],
-        j=j.tolist(),
-        h=h.tolist(),
+        j=spec["j"],
+        h=spec["h"],
         verified=True,  # raw machines carry no truth table to verify against
     )
     return single_machine_network(gate, spec["i0"])
@@ -214,6 +218,14 @@ def _scenario_and_network(args):
         if value is not None:
             doc[key] = value
     return doc, build_network(doc)
+
+
+def _periods(text: str) -> list:
+    """argparse type of --taus: comma-separated integers."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
 
 
 def cmd_run(args) -> int:
@@ -277,47 +289,42 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_sweep_tau(args) -> int:
+def _sweep(args, sweep, points, columns, describe) -> int:
+    """Run one oracle-distance sweep over ``points`` and write distance.csv."""
     doc, net = _scenario_and_network(args)
-    taus = [int(x) for x in args.taus.split(",")]
-    rows = analysis.sweep_sampling_time(
-        net, doc["seed"], taus, doc["samples"], doc.get("burn_in", 0.1)
-    )
+    if "samples" not in doc:
+        raise ConfigurationError("sweeps need a 'samples' budget (scenario or --samples)")
+    rows = sweep(net, doc["seed"], points, doc["samples"], doc.get("burn_in", 0.1))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    analysis.distance_rows_to_csv(rows, outdir / "distance.csv")
+    analysis.distance_rows_to_csv(rows, outdir / "distance.csv", columns)
     if args.format == "json":
         print(json.dumps(rows, indent=2))
     else:
         for row in rows:
-            print(f"tau={row['tau_us']}us ratio={row['tau_ratio']:g} distance={row['distance']:.4f}")
+            print(describe(row))
     return 0
+
+
+def cmd_sweep_tau(args) -> int:
+    return _sweep(
+        args, analysis.sweep_sampling_time, args.taus, ("tau_ratio", "distance"),
+        lambda row: f"tau={row['tau_us']}us ratio={row['tau_ratio']:g} "
+                    f"distance={row['distance']:.4f}",
+    )
 
 
 def cmd_sweep_retention(args) -> int:
-    doc, net = _scenario_and_network(args)
-    plans_doc = args.plans
-    if Path(plans_doc).exists():
-        with open(plans_doc) as fh:
+    if Path(args.plans).exists():
+        with open(args.plans) as fh:
             plans = json.load(fh)
     else:
-        plans = json.loads(plans_doc)
-    if not isinstance(plans, list) or not plans:
-        raise ConfigurationError("plans must be a non-empty JSON list")
-    rows = analysis.sweep_retention_spread(
-        net, doc["seed"], plans, doc["samples"], doc.get("burn_in", 0.1)
+        plans = json.loads(args.plans)
+    jsonschema.validate(plans, PLANS_SCHEMA)
+    return _sweep(
+        args, analysis.sweep_retention_spread, plans, ("plan", "tau_ratio", "distance"),
+        lambda row: f"plan={row['plan']} distance={row['distance']:.4f}",
     )
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    analysis.distance_rows_to_csv(
-        rows, outdir / "distance.csv", ("plan", "tau_ratio", "distance")
-    )
-    if args.format == "json":
-        print(json.dumps(rows, indent=2))
-    else:
-        for row in rows:
-            print(f"plan={row['plan']} distance={row['distance']:.4f}")
-    return 0
 
 
 def cmd_verify(args) -> int:
@@ -416,7 +423,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-tau", help="oracle distance vs sampling period")
     p.add_argument("scenario")
-    p.add_argument("--taus", required=True, help="comma-separated periods in us")
+    p.add_argument("--taus", required=True, type=_periods,
+                   help="comma-separated periods in us")
     _add_common(p)
     p.set_defaults(func=cmd_sweep_tau)
 

@@ -68,12 +68,12 @@ def encode_input(i: float) -> float:
     return (i + 5.0) / 2.0
 
 
-def saturate(x: float, limit: float = SAT_LIMIT) -> float:
-    """Clip a weighted sum to the drive range [-limit, +limit]."""
-    if x > limit:
-        return limit
-    if x < -limit:
-        return -limit
+def saturate(x: float) -> float:
+    """Clip a weighted sum to the drive range [-SAT_LIMIT, +SAT_LIMIT]."""
+    if x > SAT_LIMIT:
+        return SAT_LIMIT
+    if x < -SAT_LIMIT:
+        return -SAT_LIMIT
     return x
 
 
@@ -175,7 +175,9 @@ def weight_inputs(
     unit j the drive is i0*(h_j + sum_i J_ji * m_i), saturated to [-5, 5],
     encoded as (drive + 5)/2 volts and quantized if a DAC is configured.
     Clamped units get exactly the rail voltage; wired units are skipped
-    (entry None) because their input is bound outside this machine.
+    (entry None) because their input is bound outside this machine. The
+    engine holds every published voltage as the unit's input; only wired
+    units bypass the weight logic.
     """
     n = coupling.n
     if len(outputs) != n or len(modes) != n:

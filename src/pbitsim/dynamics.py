@@ -4,7 +4,10 @@ Two event kinds drive everything: per-unit stochastic updates (each unit
 re-samples its output every retention time, plus jitter) and per-machine
 weight-logic refreshes (a machine re-publishes its units' input voltages on
 the ticks of its sampling-period lattice). Ties order refreshes before
-updates so a unit updating at the same instant sees fresh inputs.
+updates so a unit updating at the same instant sees fresh inputs. A unit
+updates on whatever voltage its machine's weight logic last published for
+it, the rail voltage for a clamped unit included; only a wired unit
+bypasses the weight logic and reads its source's output.
 
 A refresh whose machine saw no flip since its last one would publish the
 same voltages again, so only dirty machines queue one: every machine
@@ -26,15 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    CLAMPED_HIGH,
-    CLAMPED_LOW,
-    FREE,
-    V_RAIL,
-    Wired,
-    sigmoid,
-    weight_inputs,
-)
+from .core import CLAMPED_HIGH, CLAMPED_LOW, V_RAIL, Wired, sigmoid, weight_inputs
 from .errors import ConfigurationError
 from .networks import NetworkSpec
 from .oracle import state_bits
@@ -80,7 +75,6 @@ class Simulator:
     def __init__(self, network: NetworkSpec, seed: int, record_updates: bool = False):
         network.validate()
         self.network = network
-        self.seed = seed
         self.record_updates = record_updates
         n = network.n_total
         self.n = n
@@ -90,12 +84,14 @@ class Simulator:
             list(range(off, off + mach.n))
             for off, mach in zip(network.offsets(), network.machines)
         ]
+        self.modes = [[network.pbits[g].mode for g in ids] for ids in self.members]
 
         self.rngs = [
             np.random.default_rng(np.random.SeedSequence([seed, gid])) for gid in range(n)
         ]
 
         self.outputs = [0] * n
+        # every machine refreshes at t = 0, before any update reads these
         self.held_inputs = [2.5] * n
         self.mask = 0
         for gid, p in enumerate(network.pbits):
@@ -108,10 +104,6 @@ class Simulator:
             self.outputs[gid] = out
             if out:
                 self.mask |= 1 << (n - 1 - gid)
-            if p.mode == CLAMPED_HIGH:
-                self.held_inputs[gid] = V_RAIL
-            elif p.mode == CLAMPED_LOW:
-                self.held_inputs[gid] = 0.0
 
         # wire-delay histories, only for sources of delayed wires, each kept
         # back to the longest delay of any wire from that source
@@ -167,29 +159,23 @@ class Simulator:
             self._update(t, target)
 
     def _refresh(self, k: int) -> None:
-        net = self.network
-        mach = net.machines[k]
+        mach = self.network.machines[k]
         ids = self.members[k]
         snapshot = [self.outputs[g] for g in ids]
-        modes = [net.pbits[g].mode for g in ids]
-        published = weight_inputs(mach.coupling, snapshot, modes, mach.quant)
+        published = weight_inputs(mach.coupling, snapshot, self.modes[k], mach.quant)
         held = self.held_inputs
-        for local, gid in enumerate(ids):
-            if modes[local] == FREE:
-                held[gid] = published[local]
+        for gid, v in zip(ids, published):
+            if v is not None:
+                held[gid] = v
         self.dirty[k] = False
 
     def _update(self, t: int, gid: int) -> None:
         p = self.network.pbits[gid]
         mode = p.mode
-        if mode == FREE:
-            v = self.held_inputs[gid]
-        elif mode == CLAMPED_HIGH:
-            v = V_RAIL
-        elif mode == CLAMPED_LOW:
-            v = 0.0
-        else:
+        if type(mode) is Wired:
             v = V_RAIL * self._source_output(mode.source, t, mode.delay_us)
+        else:
+            v = self.held_inputs[gid]
         rng = self.rngs[gid]
         u = rng.random()
         out = 1 if sigmoid(2.0 * v - 5.0) > u else 0

@@ -30,9 +30,11 @@ from .errors import (
     SynthesisError,
     VerificationError,
 )
-from .oracle import all_energies, state_bits, state_index
+from .oracle import all_energies, project, state_bits, state_index
 
 DEGENERACY_TOL = 1e-9
+# the smallest energy gap (in units of i0) a synthesized gate may have
+MIN_GAP = 0.25
 # Trace states are int64 bitmasks with unit k at bit n-1-k; bit 63 is the sign.
 MAX_UNITS = 63
 
@@ -61,8 +63,11 @@ class GateSpec:
     verified: bool = False
 
     def __post_init__(self):
-        self.j = np.asarray(self.j, dtype=float)
-        self.h = np.asarray(self.h, dtype=float)
+        try:
+            self.j = np.asarray(self.j, dtype=float)
+            self.h = np.asarray(self.h, dtype=float)
+        except (TypeError, ValueError):  # ragged rows or non-numbers
+            raise ConfigurationError("J and h must be numeric arrays") from None
         self.truth_table = [tuple(int(b) for b in row) for row in self.truth_table]
         labels = list(self.visible)
         if len(set(self.truth_table)) != len(self.truth_table):
@@ -140,31 +145,21 @@ SHIPPED_GATES = ("and", "or", "not", "copy", "xor", "half_adder", "full_adder")
 # Ground-state verification
 
 
-def _visible_words(n: int, visible_indices) -> np.ndarray:
-    """Big-endian word formed by the visible bits of every state index."""
-    idx = np.arange(1 << n, dtype=np.int64)
-    word = np.zeros(1 << n, dtype=np.int64)
-    for k in visible_indices:
-        word = (word << 1) | ((idx >> (n - 1 - k)) & 1)
-    return word
-
-
-def ground_state_report(gate: GateSpec, i0_check: float = 1.0) -> dict:
-    """Enumerate all states and compare ground projections to the truth table.
+def ground_state_report(gate: GateSpec) -> dict:
+    """Enumerate all states at i0 = 1 and compare ground projections to the
+    truth table.
 
     Returns a report dict with ``ok``, the energy ``gap`` above the ground
     manifold, and any ``spurious``/``missing`` visible words.
     """
-    if i0_check <= 0:
-        raise ConfigurationError("i0_check must be positive")
     if gate.n > 24:
         raise CapacityError(f"gate too large to enumerate ({gate.n} spins)")
-    energies = all_energies(gate.coupling(i0_check))
+    energies = all_energies(gate.coupling(1.0))
     emin = energies.min()
     ground = energies <= emin + DEGENERACY_TOL
     above = energies[~ground]
-    gap = float(above.min() - emin) / i0_check if above.size else math.inf
-    words = _visible_words(gate.n, gate.visible_indices())
+    gap = float(above.min() - emin) if above.size else math.inf
+    words = project(np.arange(1 << gate.n, dtype=np.int64), gate.n, gate.visible_indices())
     truth = {state_index(row) for row in gate.truth_table}
     ground_words = set(int(w) for w in words[ground])
     spurious = sorted(ground_words - truth)
@@ -185,14 +180,14 @@ def ground_state_report(gate: GateSpec, i0_check: float = 1.0) -> dict:
     }
 
 
-def verify_ground_states(gate: GateSpec, i0_check: float = 1.0) -> GateSpec:
+def verify_ground_states(gate: GateSpec) -> GateSpec:
     """Return a VERIFIED copy of ``gate`` or raise with the offending states.
 
     Passes iff the visible projections of the minimum-energy states equal
     the truth table exactly and the ground manifold is degenerate within
     1e-9 (everything else strictly above it).
     """
-    report = ground_state_report(gate, i0_check)
+    report = ground_state_report(gate)
     if not report["ok"]:
         raise VerificationError(
             f"gate {gate.name!r} failed ground-state check: "
@@ -247,8 +242,8 @@ def _make_gate(name, truth_table, n_aux, j, h, inputs=None, outputs=None, labels
     )
 
 
-def _round_to_grid(x: np.ndarray, step: float = 0.25) -> np.ndarray:
-    return np.round(np.asarray(x) / step) * step
+def _round_to_grid(x: np.ndarray) -> np.ndarray:
+    return np.round(np.asarray(x) / 0.25) * 0.25
 
 
 def synthesize_gate_lp(
@@ -260,17 +255,17 @@ def synthesize_gate_lp(
     inputs=None,
     outputs=None,
     aux_assignments=None,
-    min_gap: float = 0.25,
 ) -> GateSpec:
     """Gap-maximizing linear-program synthesis.
 
     For a fixed assignment of auxiliary bits to each truth row, requiring
     the assigned states to share energy e0 and every other state to sit at
     least ``g`` above it is linear in (J, h, e0, g); we maximize g subject
-    to coefficient bounds. ``aux_assignments`` optionally lists candidate
-    assignments (one aux word per truth row); otherwise all are tried in
-    lexicographic order. Solutions are snapped to a quarter-integer grid
-    when the snapped gate still verifies.
+    to coefficient bounds and accept the first assignment with g >= MIN_GAP.
+    ``aux_assignments`` optionally lists candidate assignments (one aux word
+    per truth row); otherwise all are tried in lexicographic order.
+    Solutions are snapped to a quarter-integer grid when the snapped gate
+    still verifies with a gap of at least MIN_GAP.
     """
     from scipy.optimize import linprog
 
@@ -308,7 +303,7 @@ def synthesize_gate_lp(
         b_ub = np.zeros(others.size)
         bounds = [(-bound, bound)] * n_params + [(None, None), (0.0, 4.0 * bound)]
         res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
-        if res.status == 0 and res.x[-1] >= min_gap:
+        if res.status == 0 and res.x[-1] >= MIN_GAP:
             best = res.x
             break
     if best is None:
@@ -321,7 +316,7 @@ def synthesize_gate_lp(
     )
     try:
         verified = verify_ground_states(snapped)
-        if ground_state_report(verified)["gap"] >= min_gap:
+        if ground_state_report(verified)["gap"] >= MIN_GAP:
             return verified
     except VerificationError:
         pass
@@ -441,18 +436,19 @@ def fold_constant(gate: GateSpec, label: str, bit: int) -> GateSpec:
 
 DEFAULT_RETENTION_US = 200_000
 DEFAULT_TAU_SAMPLE_US = 1_000
+# the full adder, ripple-carry adder and factorizer sample ten times slower
+COMPOSITE_TAU_SAMPLE_US = 10_000
 DEFAULT_JITTER = 0.005
 
 
 @dataclass
 class MachineSpec:
-    """One Boltzmann machine: couplings, refresh period and local labels."""
+    """One Boltzmann machine: couplings, refresh period and DAC."""
 
     name: str
     coupling: CouplingMatrix
     tau_sample_us: int = DEFAULT_TAU_SAMPLE_US
     quant: QuantizationConfig = field(default_factory=QuantizationConfig)
-    labels: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.tau_sample_us <= 0:
@@ -495,9 +491,6 @@ class NetworkSpec:
     def copy(self) -> "NetworkSpec":
         """Shallow copy whose rosters can be edited without touching this one."""
         return NetworkSpec(list(self.machines), list(self.pbits), dict(self.visible_labels))
-
-    def has_wires(self) -> bool:
-        return any(isinstance(p.mode, Wired) for p in self.pbits)
 
     def validate(self) -> None:
         if sum(m.n for m in self.machines) != len(self.pbits):
@@ -544,26 +537,29 @@ class NetworkSpec:
             )
         return net
 
+    def _per_unit(self, what: str, values) -> list:
+        """A scalar for every unit, or a list with exactly one value per unit."""
+        if np.isscalar(values):
+            return [int(values)] * self.n_total
+        if len(values) != self.n_total:
+            raise ConfigurationError(
+                f"{what} must be one integer or {self.n_total} integers, got {len(values)}"
+            )
+        return [int(v) for v in values]
+
     def set_retention(self, plan) -> None:
         """Assign retention times: a scalar or one integer per unit (us)."""
-        if np.isscalar(plan):
-            plan = [int(plan)] * self.n_total
-        if len(plan) != self.n_total:
-            raise ConfigurationError(
-                f"retention plan must list {self.n_total} durations"
-            )
-        for gid, tau in enumerate(plan):
-            self.pbits[gid] = replace(self.pbits[gid], retention_us=int(tau))
+        for gid, tau in enumerate(self._per_unit("retention plan", plan)):
+            self.pbits[gid] = replace(self.pbits[gid], retention_us=tau)
 
     def set_jitter(self, fraction: float) -> None:
         for gid in range(self.n_total):
             self.pbits[gid] = replace(self.pbits[gid], jitter_fraction=float(fraction))
 
     def set_phases(self, phases) -> None:
-        if np.isscalar(phases):
-            phases = [int(phases)] * self.n_total
-        for gid, ph in enumerate(phases):
-            self.pbits[gid] = replace(self.pbits[gid], phase_us=int(ph))
+        """Offset the first updates: a scalar or one integer per unit (us)."""
+        for gid, ph in enumerate(self._per_unit("phase plan", phases)):
+            self.pbits[gid] = replace(self.pbits[gid], phase_us=ph)
 
     def set_tau_sample(self, tau_us: int) -> None:
         for k, mach in enumerate(self.machines):
@@ -574,71 +570,47 @@ class NetworkSpec:
             self.machines[k] = replace(mach, quant=quant)
 
 
+def _stack_machines(i0: float, tau_sample_us: int, parts):
+    """Machines and their unit roster for a list of (name, verified gate)
+    parts, every unit at the default retention and jitter.
+
+    Returns the machines, the roster and a {(machine, local label): global
+    id} map.
+    """
+    machines, pbits, where = [], [], {}
+    for name, gate in parts:
+        if not gate.verified:
+            raise VerificationError(f"gate {gate.name!r} must be verified before use")
+        offset = len(pbits)
+        machines.append(MachineSpec(name, gate.coupling(i0), tau_sample_us))
+        pbits += [PBitConfig(id=offset + local, retention_us=DEFAULT_RETENTION_US,
+                             jitter_fraction=DEFAULT_JITTER) for local in range(gate.n)]
+        for label, local in gate.visible.items():
+            where[(name, label)] = offset + local
+    return machines, pbits, where
+
+
 def single_machine_network(
-    gate: GateSpec,
-    i0: float,
-    tau_sample_us: int = DEFAULT_TAU_SAMPLE_US,
-    retention_us: int = DEFAULT_RETENTION_US,
-    jitter: float = DEFAULT_JITTER,
-    quant: QuantizationConfig = QuantizationConfig(),
-    name: str = None,
+    gate: GateSpec, i0: float, tau_sample_us: int = DEFAULT_TAU_SAMPLE_US
 ) -> NetworkSpec:
     """Wrap one verified gate as a standalone network."""
-    if not gate.verified:
-        raise VerificationError(f"gate {gate.name!r} must be verified before use")
-    mach = MachineSpec(
-        name=name or gate.name,
-        coupling=gate.coupling(i0),
-        tau_sample_us=tau_sample_us,
-        quant=quant,
-        labels=dict(gate.visible),
-    )
-    pbits = [
-        PBitConfig(id=k, retention_us=retention_us, jitter_fraction=jitter)
-        for k in range(gate.n)
-    ]
-    net = NetworkSpec([mach], pbits, dict(gate.visible))
+    machines, pbits, _where = _stack_machines(i0, tau_sample_us, [(gate.name, gate)])
+    net = NetworkSpec(machines, pbits, dict(gate.visible))
     net.validate()
     return net
 
 
-def build_and_machine(i0: float, **kwargs) -> NetworkSpec:
+def build_and_machine(i0: float) -> NetworkSpec:
     """The 3-unit AND machine (terminals A, B, C = A AND B)."""
-    return single_machine_network(verify_ground_states(load_gate("and")), i0, **kwargs)
+    return single_machine_network(verify_ground_states(load_gate("and")), i0)
 
 
-def build_full_adder(i0: float, tau_sample_us: int = 10_000, **kwargs) -> NetworkSpec:
+def build_full_adder(i0: float) -> NetworkSpec:
     """The 14-unit full adder (terminals A, B, CIN, S, COUT; 9 auxiliary)."""
     gate = verify_ground_states(load_gate("full_adder"))
     if gate.n != 14:
         raise ConfigurationError(f"full adder must have 14 units, found {gate.n}")
-    return single_machine_network(gate, i0, tau_sample_us=tau_sample_us, **kwargs)
-
-
-def _stack_machines(parts):
-    """Build a NetworkSpec from (name, gate, i0, tau_sample, quant) parts.
-
-    Returns the network plus a {(machine, local label): global id} map.
-    """
-    machines, pbits, where = [], [], {}
-    offset = 0
-    for name, gate, i0, tau_sample_us, quant in parts:
-        machines.append(
-            MachineSpec(
-                name=name,
-                coupling=gate.coupling(i0),
-                tau_sample_us=tau_sample_us,
-                quant=quant,
-                labels=dict(gate.visible),
-            )
-        )
-        for local in range(gate.n):
-            pbits.append(PBitConfig(id=offset + local, retention_us=DEFAULT_RETENTION_US,
-                                    jitter_fraction=DEFAULT_JITTER))
-        for label, local in gate.visible.items():
-            where[(name, label)] = offset + local
-        offset += gate.n
-    return machines, pbits, where
+    return single_machine_network(gate, i0, COMPOSITE_TAU_SAMPLE_US)
 
 
 def normal_retention_plan(
@@ -655,12 +627,7 @@ def normal_retention_plan(
     return [int(x) for x in np.clip(draws, lo_us, hi_us)]
 
 
-def build_rca4(
-    i0: float,
-    retention_plan=None,
-    tau_sample_us: int = 10_000,
-    quant: QuantizationConfig = QuantizationConfig(),
-) -> NetworkSpec:
+def build_rca4(i0: float) -> NetworkSpec:
     """4-bit ripple-carry adder: a 6-unit half adder plus three 14-unit full
     adders, chained by directed carry wires. 48 units total.
 
@@ -668,9 +635,8 @@ def build_rca4(
     """
     ha = verify_ground_states(load_gate("half_adder"))
     fa = verify_ground_states(load_gate("full_adder"))
-    parts = [("ha0", ha, i0, tau_sample_us, quant)]
-    parts += [(f"fa{k}", fa, i0, tau_sample_us, quant) for k in (1, 2, 3)]
-    machines, pbits, where = _stack_machines(parts)
+    parts = [("ha0", ha)] + [(f"fa{k}", fa) for k in (1, 2, 3)]
+    machines, pbits, where = _stack_machines(i0, COMPOSITE_TAU_SAMPLE_US, parts)
 
     labels = {
         "A0": where[("ha0", "A")], "B0": where[("ha0", "B")], "S0": where[("ha0", "S")],
@@ -692,8 +658,6 @@ def build_rca4(
     net = NetworkSpec(machines, pbits, labels)
     if net.n_total != 48:
         raise ConfigurationError(f"ripple-carry adder must total 48 units, got {net.n_total}")
-    if retention_plan is not None:
-        net.set_retention(retention_plan)
     net.validate()
     return net
 
@@ -723,11 +687,7 @@ def build_quad_and() -> GateSpec:
     return verify_ground_states(quad)
 
 
-def build_factorizer(
-    i0: float,
-    tau_sample_us: int = 10_000,
-    quant: QuantizationConfig = QuantizationConfig(),
-) -> NetworkSpec:
+def build_factorizer(i0: float) -> NetworkSpec:
     """2x2-bit multiplier run in reverse: clamp the product, read the factors.
 
     One machine holds all four partial-product AND gates over shared factor
@@ -745,13 +705,8 @@ def build_factorizer(
     add2 = fold_constant(fa, "B", 0)              # S2 = P11 xor carry1
     add3 = fold_constant(fold_constant(fa, "A", 0), "B", 0)  # S3 = carry2
 
-    parts = [
-        ("and_bm", quad, i0, tau_sample_us, quant),
-        ("add1", add1, i0, tau_sample_us, quant),
-        ("add2", add2, i0, tau_sample_us, quant),
-        ("add3", add3, i0, tau_sample_us, quant),
-    ]
-    machines, pbits, where = _stack_machines(parts)
+    parts = [("and_bm", quad), ("add1", add1), ("add2", add2), ("add3", add3)]
+    machines, pbits, where = _stack_machines(i0, COMPOSITE_TAU_SAMPLE_US, parts)
 
     wires = [
         (where[("add1", "A")], where[("and_bm", "P10")]),

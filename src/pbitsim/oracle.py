@@ -30,6 +30,16 @@ def state_index(bits) -> int:
     return word
 
 
+def project(states, n: int, units) -> np.ndarray:
+    """Big-endian word formed by the bits of ``units`` (the first one most
+    significant) in each n-unit state index or mask of ``states``."""
+    states = np.asarray(states, dtype=np.int64)
+    word = np.zeros(states.shape, dtype=np.int64)
+    for k in units:
+        word = (word << 1) | ((states >> (n - 1 - k)) & 1)
+    return word
+
+
 def _bipolar_table(n: int) -> np.ndarray:
     """All 2**n states as rows of -1/+1 spins, in index order."""
     idx = np.arange(1 << n, dtype=np.int64)

@@ -131,7 +131,8 @@ class TestSweeps:
         assert rows[1]["tau_ratio"] == pytest.approx(1000 / 137_000)
 
     def test_retention_must_dominate_sampling(self):
-        net = build_and_machine(0.8, tau_sample_us=5000)
+        net = build_and_machine(0.8)
+        net.set_tau_sample(5000)
         with pytest.raises(ConfigurationError):
             sweep_retention_spread(net, seed=3, plans=[[4000, 5000, 6000]], samples=100)
 

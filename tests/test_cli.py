@@ -128,6 +128,20 @@ class TestExitCodes:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "63 units" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("phases", [[0, 1, 2, 3, 4], [7]])
+    def test_phase_list_must_cover_every_unit(self, tmp_path, capsys, phases):
+        # the AND gate has 3 units: a longer list used to raise IndexError,
+        # a shorter one silently phased only its first units
+        path = write_scenario(tmp_path / "p.json", phases_us=phases)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "phase plan must be one integer or 3 integers" in capsys.readouterr().err
+
+    def test_ragged_matrix_rejected(self, tmp_path, capsys):
+        path = write_scenario(tmp_path / "r.json", network={
+            "kind": "matrix", "i0": 1.0, "j": [[0, 1], [1]], "h": [0, 0]})
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "numeric arrays" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_shipped_gate_passes(self, tmp_path, capsys):
@@ -213,6 +227,30 @@ class TestSweeps:
         lines = (out / "distance.csv").read_text().strip().splitlines()
         assert lines[0] == "plan,tau_ratio,distance"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("extra", [["sweep-tau", "--taus", "1000"],
+                                       ["sweep-retention", "--plans", "[200000]"]])
+    def test_updates_only_scenario_needs_samples(self, tmp_path, capsys, extra):
+        doc = json.loads(write_scenario(tmp_path / "u.json").read_text())
+        del doc["samples"]
+        doc["updates"] = 100
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(doc))
+        command, *args = extra
+        assert main([command, str(path), *args, "--out", str(tmp_path / "o")]) == 2
+        assert "'samples' budget" in capsys.readouterr().err
+
+    def test_taus_must_be_integers(self, scenario, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-tau", str(scenario), "--taus", "1k", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "not comma-separated integers: '1k'" in capsys.readouterr().err
+
+    def test_plans_validated(self, scenario, tmp_path, capsys):
+        code = main(["sweep-retention", str(scenario), "--plans", '[["a", 1, 1]]',
+                     "--samples", "300", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "'a'" in capsys.readouterr().err
 
 
 class TestReport:

@@ -18,16 +18,20 @@ from pbitsim.networks import (
 from pbitsim.dynamics import PRIO_REFRESH, Simulator, run, serialization_metric
 
 
-def and_net(i0=0.8, **kwargs):
-    return build_and_machine(i0, **kwargs)
+def and_net(i0=0.8, tau_sample_us=None, retention_us=None):
+    net = build_and_machine(i0)
+    if tau_sample_us is not None:
+        net.set_tau_sample(tau_sample_us)
+    if retention_us is not None:
+        net.set_retention(retention_us)
+    return net
 
 
 def two_machine_net(src_mode, wire_delay_us=0):
     """Two 2-unit machines; the second machine's first unit is wired to the
     first machine's first unit, whose mode is ``src_mode``."""
     gate = verify_ground_states(load_gate("copy"))
-    mach = lambda name: MachineSpec(name, gate.coupling(0.0), tau_sample_us=100,
-                                    labels=dict(gate.visible))
+    mach = lambda name: MachineSpec(name, gate.coupling(0.0), tau_sample_us=100)
     pbits = [PBitConfig(id=k, retention_us=1000) for k in range(4)]
     pbits[0] = PBitConfig(id=0, retention_us=1000, mode=src_mode)
     pbits[2] = PBitConfig(id=2, retention_us=1000,
@@ -62,8 +66,7 @@ class TestEventOrdering:
         # a strongly biased single unit: if the t=0 refresh runs first the
         # very first update already sees V=5 instead of the neutral 2.5
         gate = verify_ground_states(load_gate("copy"))
-        mach = MachineSpec("m", gate.coupling(5.0), tau_sample_us=10,
-                           labels=dict(gate.visible))
+        mach = MachineSpec("m", gate.coupling(5.0), tau_sample_us=10)
         pbits = [PBitConfig(id=0, retention_us=10, mode=CLAMPED_HIGH),
                  PBitConfig(id=1, retention_us=10)]
         net = NetworkSpec([mach], pbits, dict(gate.visible))

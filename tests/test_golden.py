@@ -57,8 +57,7 @@ def delayed_wire_net():
     wire, and the retention times differ so the wire history is consulted
     between its entries."""
     gate = verify_ground_states(load_gate("copy"))
-    mach = lambda name: MachineSpec(name, gate.coupling(1.0), tau_sample_us=100,
-                                    labels=dict(gate.visible))
+    mach = lambda name: MachineSpec(name, gate.coupling(1.0), tau_sample_us=100)
     pbits = [PBitConfig(id=k, retention_us=r) for k, r in enumerate([700, 1000, 1300, 900])]
     pbits[2] = PBitConfig(id=2, retention_us=1300, mode=Wired(source=0, delay_us=500))
     net = NetworkSpec([mach("src"), mach("dst")], pbits, {"SRC": 0, "DST": 2})
@@ -78,8 +77,7 @@ def two_period_net():
     zero-delay wire from unit 0 to unit 2: the sample lattice is the union
     of two periods that do not divide each other."""
     gate = verify_ground_states(load_gate("copy"))
-    mach = lambda name, tau: MachineSpec(name, gate.coupling(1.0), tau_sample_us=tau,
-                                         labels=dict(gate.visible))
+    mach = lambda name, tau: MachineSpec(name, gate.coupling(1.0), tau_sample_us=tau)
     pbits = [PBitConfig(id=k, retention_us=r, jitter_fraction=0.01)
              for k, r in enumerate([1100, 1500, 1300, 1700])]
     pbits[2] = PBitConfig(id=2, retention_us=1300, jitter_fraction=0.01,
