@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from pbitsim.cli import build_network, main
-from pbitsim.core import PBitConfig, Wired
+from pbitsim.core import CLAMPED_HIGH, PBitConfig, Wired
 from pbitsim.dynamics import run
 from pbitsim.networks import (
     MachineSpec,
@@ -60,6 +60,22 @@ def delayed_wire_net():
     mach = lambda name: MachineSpec(name, gate.coupling(1.0), tau_sample_us=100)
     pbits = [PBitConfig(id=k, retention_us=r) for k, r in enumerate([700, 1000, 1300, 900])]
     pbits[2] = PBitConfig(id=2, retention_us=1300, mode=Wired(source=0, delay_us=500))
+    net = NetworkSpec([mach("src"), mach("dst")], pbits, {"SRC": 0, "DST": 2})
+    net.validate()
+    return net
+
+
+def block_refill_net():
+    """The delayed-wire pair with every unit jittered and unit 1 clamped
+    high: each jittered update consumes two draws of its unit's stream, and
+    the clamped unit still draws on every update."""
+    gate = verify_ground_states(load_gate("copy"))
+    mach = lambda name: MachineSpec(name, gate.coupling(1.0), tau_sample_us=100)
+    pbits = [PBitConfig(id=k, retention_us=r, jitter_fraction=0.02)
+             for k, r in enumerate([700, 1000, 1300, 900])]
+    pbits[1] = PBitConfig(id=1, retention_us=1000, jitter_fraction=0.02, mode=CLAMPED_HIGH)
+    pbits[2] = PBitConfig(id=2, retention_us=1300, jitter_fraction=0.02,
+                          mode=Wired(source=0, delay_us=500))
     net = NetworkSpec([mach("src"), mach("dst")], pbits, {"SRC": 0, "DST": 2})
     net.validate()
     return net
@@ -152,6 +168,12 @@ TRACE_CASES = {
         delayed_wire_net,
         {"max_samples": SAMPLES},
         "4be8a9cc2c6979b672d1da3da424c88e083ebfd0949350f7ececa6991c227490",
+    ),
+    # every unit updates at least 4,000 times, i.e. draws 8,000 values
+    "block_refills": (
+        block_refill_net,
+        {"max_updates": 24_000},
+        "832d5d4ad66b43b2062395df64f83e5afd7adc86c573fdd2406366800126c61a",
     ),
     "dac_bits_3": (
         lambda: scenario_net({"kind": "gate", "gate": "and", "i0": 0.8, "dac_bits": 3},
