@@ -134,9 +134,12 @@ PLANS_SCHEMA = {
 }
 
 
-def load_scenario(path) -> dict:
+def load_scenario(path, overrides=None) -> dict:
+    """Read a scenario, apply ``overrides`` (top-level keys) and validate it."""
     with open(path) as fh:
         doc = json.load(fh)
+    if overrides and isinstance(doc, dict):  # a non-object fails the schema below
+        doc.update(overrides)
     jsonschema.validate(doc, SCENARIO_SCHEMA)
     if "samples" not in doc and "updates" not in doc:
         raise ConfigurationError("scenario needs a 'samples' or 'updates' budget")
@@ -211,12 +214,9 @@ def _histogram_labels(doc: dict, net: NetworkSpec) -> dict:
 
 
 def _scenario_and_network(args):
-    """Load the scenario, apply --seed/--samples/--burn-in, build its network."""
-    doc = load_scenario(args.scenario)
-    for key, value in (("seed", args.seed), ("samples", args.samples),
-                       ("burn_in", args.burn_in)):
-        if value is not None:
-            doc[key] = value
+    """Load the scenario with --seed/--samples/--burn-in applied, build its network."""
+    overrides = {"seed": args.seed, "samples": args.samples, "burn_in": args.burn_in}
+    doc = load_scenario(args.scenario, {k: v for k, v in overrides.items() if v is not None})
     return doc, build_network(doc)
 
 

@@ -17,8 +17,12 @@ the union of all machines' lattices; their states are rebuilt after the run
 from a log of flips, with no event per sample.
 
 Virtual time is integer microseconds. Each unit owns an independent seeded
-random stream derived from (scenario seed, unit id), so traces replay
-bit-identically regardless of host or run count.
+PCG64 stream derived from (scenario seed, unit id), so traces replay
+bit-identically regardless of host or run count. A unit's stream is consumed
+in blocks of ``BLOCK`` uniforms drawn ahead, one value per draw in turn: its
+initial state, each update's comparison value and each jitter draw. The
+values are the same as scalar ``Generator.random()`` calls, and a jitter
+draw ``-f + 2f·u`` is the same as ``Generator.uniform(-f, f)``.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import csv
 import heapq
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -36,6 +41,16 @@ from .oracle import state_bits
 
 PRIO_REFRESH = 0
 PRIO_UPDATE = 1
+# uniforms drawn ahead per refill of a unit's stream
+BLOCK = 256
+
+
+def uniform_stream(seed: int, gid: int):
+    """Unit ``gid``'s next-uniform function: the values of scalar
+    ``random()`` calls on its PCG64 generator, drawn ``BLOCK`` at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, gid]))
+    blocks = iter(lambda: rng.random(BLOCK).tolist(), None)
+    return chain.from_iterable(blocks).__next__
 
 
 @dataclass
@@ -74,7 +89,6 @@ class Simulator:
 
     def __init__(self, network: NetworkSpec, seed: int, record_updates: bool = False):
         network.validate()
-        self.network = network
         self.record_updates = record_updates
         n = network.n_total
         self.n = n
@@ -85,10 +99,12 @@ class Simulator:
             for off, mach in zip(network.offsets(), network.machines)
         ]
         self.modes = [[network.pbits[g].mode for g in ids] for ids in self.members]
-
-        self.rngs = [
-            np.random.default_rng(np.random.SeedSequence([seed, gid])) for gid in range(n)
-        ]
+        self.machines = network.machines
+        # per-unit parameters read on every update
+        self.retention = [p.retention_us for p in network.pbits]
+        self.jitter = [p.jitter_fraction for p in network.pbits]
+        self.wires = [p.mode if isinstance(p.mode, Wired) else None for p in network.pbits]
+        self.draws = [uniform_stream(seed, gid) for gid in range(n)]
 
         self.outputs = [0] * n
         # every machine refreshes at t = 0, before any update reads these
@@ -100,7 +116,7 @@ class Simulator:
             elif p.mode == CLAMPED_LOW:
                 out = 0
             else:
-                out = 1 if self.rngs[gid].random() < 0.5 else 0
+                out = 1 if self.draws[gid]() < 0.5 else 0
             self.outputs[gid] = out
             if out:
                 self.mask |= 1 << (n - 1 - gid)
@@ -109,11 +125,11 @@ class Simulator:
         # back to the longest delay of any wire from that source
         self._histories = {}
         self._max_delay = {}
-        for p in network.pbits:
-            if isinstance(p.mode, Wired) and p.mode.delay_us > 0:
-                src = p.mode.source
+        for wire in self.wires:
+            if wire is not None and wire.delay_us > 0:
+                src = wire.source
                 self._histories.setdefault(src, [(0, self.outputs[src])])
-                self._max_delay[src] = max(self._max_delay.get(src, 0), p.mode.delay_us)
+                self._max_delay[src] = max(self._max_delay.get(src, 0), wire.delay_us)
 
         self.clock = 0
         self._seq = 0
@@ -130,8 +146,18 @@ class Simulator:
         self.flip_masks = [self.mask]
         self.update_events = []
         self.n_updates = 0
-        self.update_counts = np.zeros(n, dtype=np.int64)
-        self.one_counts = np.zeros(n, dtype=np.int64)
+        self._update_counts = [0] * n
+        self._one_counts = [0] * n
+
+    @property
+    def update_counts(self) -> np.ndarray:
+        """Updates per unit so far."""
+        return np.array(self._update_counts, dtype=np.int64)
+
+    @property
+    def one_counts(self) -> np.ndarray:
+        """Updates per unit so far that drew output 1."""
+        return np.array(self._one_counts, dtype=np.int64)
 
     def _push(self, time_us, prio, target):
         heapq.heappush(self.queue, (time_us, prio, self._seq, target))
@@ -159,7 +185,7 @@ class Simulator:
             self._update(t, target)
 
     def _refresh(self, k: int) -> None:
-        mach = self.network.machines[k]
+        mach = self.machines[k]
         ids = self.members[k]
         snapshot = [self.outputs[g] for g in ids]
         published = weight_inputs(mach.coupling, snapshot, self.modes[k], mach.quant)
@@ -170,18 +196,16 @@ class Simulator:
         self.dirty[k] = False
 
     def _update(self, t: int, gid: int) -> None:
-        p = self.network.pbits[gid]
-        mode = p.mode
-        if type(mode) is Wired:
-            v = V_RAIL * self._source_output(mode.source, t, mode.delay_us)
-        else:
+        wire = self.wires[gid]
+        if wire is None:
             v = self.held_inputs[gid]
-        rng = self.rngs[gid]
-        u = rng.random()
-        out = 1 if sigmoid(2.0 * v - 5.0) > u else 0
+        else:
+            v = V_RAIL * self._source_output(wire.source, t, wire.delay_us)
+        draw = self.draws[gid]
+        out = 1 if sigmoid(2.0 * v - 5.0) > draw() else 0
         self.n_updates += 1
-        self.update_counts[gid] += 1
-        self.one_counts[gid] += out
+        self._update_counts[gid] += 1
+        self._one_counts[gid] += out
         if self.record_updates:
             self.update_events.append((t, gid))
         if out != self.outputs[gid]:
@@ -196,10 +220,11 @@ class Simulator:
                 self._push((t // tau + 1) * tau, PRIO_REFRESH, k)
             if gid in self._histories:
                 self._record_history(gid, t, out)
-        dt = p.retention_us
-        if p.jitter_fraction > 0.0:
-            f = p.jitter_fraction
-            dt = max(1, int(round(dt * (1.0 + rng.uniform(-f, f)))))
+        dt = self.retention[gid]
+        f = self.jitter[gid]
+        if f > 0.0:
+            # -f + 2f*u is exactly Generator.uniform(-f, f)
+            dt = max(1, int(round(dt * (1.0 + (-f + 2.0 * f * draw())))))
         self._push(t + dt, PRIO_UPDATE, gid)
 
     def _record_history(self, src: int, t: int, out: int) -> None:
@@ -239,8 +264,8 @@ class Simulator:
             times=times,
             states=states,
             update_events=list(self.update_events),
-            update_counts=self.update_counts.copy(),
-            one_counts=self.one_counts.copy(),
+            update_counts=self.update_counts,
+            one_counts=self.one_counts,
             final_time_us=max(self.clock, int(times[-1])) if len(times) else self.clock,
         )
 

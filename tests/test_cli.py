@@ -142,6 +142,23 @@ class TestExitCodes:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "numeric arrays" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep-tau", "--taus", "1000"]])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "-1 is less than the minimum of 0"),
+        ("--samples", "0", "0 is less than the minimum of 1"),
+        ("--samples", "-5", "-5 is less than the minimum of 1"),
+        ("--burn-in", "1.5", "1.5 is greater than or equal to the maximum of 1"),
+    ])
+    def test_overrides_meet_the_schema(self, scenario, tmp_path, capsys, command,
+                                       flag, value, message):
+        # an override is validated with the scenario, before anything runs
+        name, *extra = command
+        code = main([name, str(scenario), *extra, flag, value,
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestVerify:
     def test_shipped_gate_passes(self, tmp_path, capsys):

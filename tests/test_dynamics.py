@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pbitsim import dynamics
 from pbitsim.core import CLAMPED_HIGH, CLAMPED_LOW, FREE, PBitConfig, Wired, sigmoid
@@ -196,6 +197,49 @@ class TestJitter:
         gaps = self._gaps(0.01)
         assert all(989 <= g <= 1011 for g in gaps)
         assert len(set(gaps)) > 1
+
+
+class TestRandomStreams:
+    """Block-drawn streams give exactly the values of scalar Generator calls,
+    drawn in the engine's order: the initial state, then each update's
+    comparison value followed by its jitter."""
+
+    @staticmethod
+    def _check_stream(seed, gid, f):
+        draw = dynamics.uniform_stream(seed, gid)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, gid]))
+        assert draw() == rng.random()
+        # 3 * BLOCK + 3 draws: the stream refills its block three times
+        for _ in range(3 * dynamics.BLOCK // 2 + 1):
+            assert draw() == rng.random()
+            assert -f + 2.0 * f * draw() == rng.uniform(-f, f)
+
+    @pytest.mark.parametrize("seed", [0, 1, 11, 2**40])
+    @pytest.mark.parametrize("f", [0.005, 0.01, 0.3])
+    def test_block_stream_matches_scalar_draws(self, seed, f):
+        self._check_stream(seed, 2, f)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**63), gid=st.integers(0, 62),
+           f=st.floats(min_value=1e-9, max_value=0.999))
+    def test_block_stream_matches_scalar_draws_drawn(self, seed, gid, f):
+        self._check_stream(seed, gid, f)
+
+    @pytest.mark.parametrize("f", [0.01, 0.3])
+    def test_update_times_match_scalar_jitter(self, f):
+        # every unit's update times, rebuilt from scalar draws on its generator
+        net = and_net(retention_us=1000)
+        net.set_jitter(f)
+        trace = run(net, seed=4, max_updates=3 * 3 * dynamics.BLOCK, record_updates=True)
+        for gid in range(net.n_total):
+            rng = np.random.default_rng(np.random.SeedSequence([4, gid]))
+            rng.random()
+            want, t = [], 0
+            for _ in range(trace.update_counts[gid]):
+                want.append(t)
+                rng.random()
+                t += max(1, int(round(1000 * (1.0 + rng.uniform(-f, f)))))
+            assert [t for t, g in trace.update_events if g == gid] == want
 
 
 class TestTrace:

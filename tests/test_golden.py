@@ -21,7 +21,7 @@ import pytest
 
 from pbitsim.cli import build_network, main
 from pbitsim.core import CLAMPED_HIGH, PBitConfig, Wired
-from pbitsim.dynamics import run
+from pbitsim.dynamics import BLOCK, run
 from pbitsim.networks import (
     MachineSpec,
     NetworkSpec,
@@ -189,6 +189,13 @@ def test_trace_digest(name):
     factory, budget, expected = TRACE_CASES[name]
     trace = run(factory(), seed=11, **budget)
     assert trace_digest(trace) == expected
+
+
+def test_block_refills_case_refills_every_stream():
+    # each unit draws twice per update: its stream crosses 3 block refills
+    factory, budget, _ = TRACE_CASES["block_refills"]
+    trace = run(factory(), seed=11, **budget)
+    assert 2 * trace.update_counts.min() >= 3 * BLOCK
 
 
 # name -> (network factory, run budget, (digest, final_time_us, samples)):
