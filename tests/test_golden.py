@@ -175,6 +175,14 @@ TRACE_CASES = {
         {"max_updates": 24_000},
         "832d5d4ad66b43b2062395df64f83e5afd7adc86c573fdd2406366800126c61a",
     ),
+    # at i0 = 0 every free unit flips half the time: the 13-unit machines
+    # visit more local states than a machine's weight-logic cache holds
+    "memo_overflow": (
+        lambda: scenario_net({"kind": "factorizer", "i0": 0.0, "tau_sample_us": 2000},
+                             retention_us=20_000, clamps=FACTOR_CLAMPS),
+        {"max_samples": 5000},
+        "f9ec3dcfcfe254be906b0ae2035bd6a93f81970323e2ebd427804d32d6361248",
+    ),
     "dac_bits_3": (
         lambda: scenario_net({"kind": "gate", "gate": "and", "i0": 0.8, "dac_bits": 3},
                              retention_us=5000),
