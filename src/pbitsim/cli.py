@@ -115,7 +115,11 @@ GATE_INPUT_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "name": {"type": "string", "minLength": 1},
-        "table": {"type": "array", "minItems": 1, "items": {"type": "array"}},
+        "table": {
+            "type": "array",
+            "minItems": 1,
+            "items": {"type": "array", "items": {"enum": [0, 1]}},
+        },
         "n_aux": {"type": "integer", "minimum": 0},
         "labels": {"type": "array", "items": {"type": "string"}},
         "inputs": {"type": "array", "items": {"type": "string"}},
@@ -190,6 +194,8 @@ def build_network(doc: dict) -> NetworkSpec:
         net.set_quantization(
             QuantizationConfig(dac_bits=spec["dac_bits"], vref=spec.get("vref", 5.0))
         )
+    elif "vref" in spec:
+        raise ConfigurationError("network 'vref' needs a positive 'dac_bits'")
     if "retention_us" in doc:
         net.set_retention(doc["retention_us"])
     if "retention_normal" in doc:
@@ -370,28 +376,26 @@ def cmd_synth(args) -> int:
 
 def cmd_report(args) -> int:
     with open(args.histogram) as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = list(reader)
     if not rows:
         raise ConfigurationError("histogram file is empty")
-    rows.sort(key=lambda r: (-float(r["probability"]), int(r["state"])))
+    missing = [col for col in ("state", "label", "probability") if col not in reader.fieldnames]
+    if missing:
+        raise ConfigurationError(f"histogram file lacks the columns {missing}")
+    try:
+        rows = [(int(r["state"]), r["label"], float(r["probability"])) for r in rows]
+    except (TypeError, ValueError):  # a short row reads None, a bad cell fails to parse
+        raise ConfigurationError(
+            "histogram rows need an integer state and a numeric probability") from None
+    rows.sort(key=lambda r: (-r[2], r[0]))
     top = rows[: args.top]
     if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "state": int(r["state"]),
-                        "label": r["label"],
-                        "probability": float(r["probability"]),
-                    }
-                    for r in top
-                ],
-                indent=2,
-            )
-        )
+        print(json.dumps([{"state": s, "label": lab, "probability": p} for s, lab, p in top],
+                         indent=2))
     else:
-        for r in top:
-            print(f"state {r['label']} ({r['state']}): {float(r['probability']):.4f}")
+        for state, label, p in top:
+            print(f"state {label} ({state}): {p:.4f}")
     return 0
 
 
@@ -466,6 +470,7 @@ def main(argv=None) -> int:
         jsonschema.ValidationError,
         json.JSONDecodeError,
         FileNotFoundError,
+        IsADirectoryError,
     ) as exc:
         msg = getattr(exc, "message", None) or str(exc)
         print(f"error: {msg}", file=sys.stderr)

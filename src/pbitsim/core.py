@@ -176,8 +176,10 @@ def weight_inputs(
     encoded as (drive + 5)/2 volts and quantized if a DAC is configured.
     Clamped units get exactly the rail voltage; wired units are skipped
     (entry None) because their input is bound outside this machine. The
-    engine holds every published voltage as the unit's input; only wired
-    units bypass the weight logic.
+    engine holds every published voltage as the unit's input, together with
+    the unit's firing probability sigmoid(2*v - 5), and caches each
+    machine's result per local output mask, since it depends on nothing
+    else; only wired units bypass the weight logic.
     """
     n = coupling.n
     if len(outputs) != n or len(modes) != n:

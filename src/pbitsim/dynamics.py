@@ -9,6 +9,13 @@ updates on whatever voltage its machine's weight logic last published for
 it, the rail voltage for a clamped unit included; only a wired unit
 bypasses the weight logic and reads its source's output.
 
+The weight logic is a pure function of the machine's own outputs, so each
+machine caches what it published per local output mask (at most
+``MEMO_ENTRIES`` masks; past that a miss is computed and not kept). Each
+unit also holds its firing probability ``sigmoid(2v - 5)``, recomputed only
+when a refresh changes the voltage it holds; a wired unit reads one of two
+probabilities fixed by its source's output.
+
 A refresh whose machine saw no flip since its last one would publish the
 same voltages again, so only dirty machines queue one: every machine
 refreshes at t = 0, and a flip in a clean machine queues its refresh at the
@@ -43,6 +50,8 @@ PRIO_REFRESH = 0
 PRIO_UPDATE = 1
 # uniforms drawn ahead per refill of a unit's stream
 BLOCK = 256
+# local output masks cached per machine: every state of up to 8 units
+MEMO_ENTRIES = 256
 
 
 def uniform_stream(seed: int, gid: int):
@@ -94,10 +103,15 @@ class Simulator:
         self.n = n
 
         self.machine_of = network.machine_of()
+        offsets = network.offsets()
         self.members = [
             list(range(off, off + mach.n))
-            for off, mach in zip(network.offsets(), network.machines)
+            for off, mach in zip(offsets, network.machines)
         ]
+        # a machine's local output mask is (mask >> shift) & local_mask
+        self.shifts = [n - off - mach.n for off, mach in zip(offsets, network.machines)]
+        self.local_masks = [(1 << mach.n) - 1 for mach in network.machines]
+        self.memos = [{} for _ in network.machines]
         self.modes = [[network.pbits[g].mode for g in ids] for ids in self.members]
         self.machines = network.machines
         # per-unit parameters read on every update
@@ -108,7 +122,9 @@ class Simulator:
 
         self.outputs = [0] * n
         # every machine refreshes at t = 0, before any update reads these
-        self.held_inputs = [2.5] * n
+        self.held_inputs = [None] * n
+        self.held_p = [None] * n
+        self.wire_p = tuple(sigmoid(2.0 * (V_RAIL * out) - 5.0) for out in (0, 1))
         self.mask = 0
         for gid, p in enumerate(network.pbits):
             if p.mode == CLAMPED_HIGH:
@@ -132,12 +148,12 @@ class Simulator:
                 self._max_delay[src] = max(self._max_delay.get(src, 0), wire.delay_us)
 
         self.clock = 0
-        self._seq = 0
-        self.queue = []
-        for k in range(len(network.machines)):
-            self._push(0, PRIO_REFRESH, k)
-        for gid, p in enumerate(network.pbits):
-            self._push(p.phase_us, PRIO_UPDATE, gid)
+        m = len(network.machines)
+        self.queue = [(0, PRIO_REFRESH, k, k) for k in range(m)]
+        self.queue += [(p.phase_us, PRIO_UPDATE, m + gid, gid)
+                       for gid, p in enumerate(network.pbits)]
+        heapq.heapify(self.queue)
+        self._seq = m + n
 
         self.taus = [mach.tau_sample_us for mach in network.machines]
         # a machine is dirty exactly while its refresh is queued
@@ -158,10 +174,6 @@ class Simulator:
     def one_counts(self) -> np.ndarray:
         """Updates per unit so far that drew output 1."""
         return np.array(self._one_counts, dtype=np.int64)
-
-    def _push(self, time_us, prio, target):
-        heapq.heappush(self.queue, (time_us, prio, self._seq, target))
-        self._seq += 1
 
     def _source_output(self, src: int, at_time: int, delay_us: int) -> int:
         if delay_us == 0:
@@ -185,24 +197,31 @@ class Simulator:
             self._update(t, target)
 
     def _refresh(self, k: int) -> None:
-        mach = self.machines[k]
         ids = self.members[k]
-        snapshot = [self.outputs[g] for g in ids]
-        published = weight_inputs(mach.coupling, snapshot, self.modes[k], mach.quant)
-        held = self.held_inputs
+        memo = self.memos[k]
+        local = (self.mask >> self.shifts[k]) & self.local_masks[k]
+        published = memo.get(local)
+        if published is None:
+            mach = self.machines[k]
+            snapshot = [self.outputs[g] for g in ids]
+            published = weight_inputs(mach.coupling, snapshot, self.modes[k], mach.quant)
+            if len(memo) < MEMO_ENTRIES:
+                memo[local] = published
+        held, held_p = self.held_inputs, self.held_p
         for gid, v in zip(ids, published):
-            if v is not None:
+            if v is not None and v != held[gid]:
                 held[gid] = v
+                held_p[gid] = sigmoid(2.0 * v - 5.0)
         self.dirty[k] = False
 
     def _update(self, t: int, gid: int) -> None:
         wire = self.wires[gid]
         if wire is None:
-            v = self.held_inputs[gid]
+            p = self.held_p[gid]
         else:
-            v = V_RAIL * self._source_output(wire.source, t, wire.delay_us)
+            p = self.wire_p[self._source_output(wire.source, t, wire.delay_us)]
         draw = self.draws[gid]
-        out = 1 if sigmoid(2.0 * v - 5.0) > draw() else 0
+        out = 1 if p > draw() else 0
         self.n_updates += 1
         self._update_counts[gid] += 1
         self._one_counts[gid] += out
@@ -217,15 +236,19 @@ class Simulator:
             if not self.dirty[k]:
                 self.dirty[k] = True
                 tau = self.taus[k]
-                self._push((t // tau + 1) * tau, PRIO_REFRESH, k)
+                heapq.heappush(self.queue, ((t // tau + 1) * tau, PRIO_REFRESH, self._seq, k))
+                self._seq += 1
             if gid in self._histories:
                 self._record_history(gid, t, out)
         dt = self.retention[gid]
         f = self.jitter[gid]
         if f > 0.0:
             # -f + 2f*u is exactly Generator.uniform(-f, f)
-            dt = max(1, int(round(dt * (1.0 + (-f + 2.0 * f * draw())))))
-        self._push(t + dt, PRIO_UPDATE, gid)
+            dt = round(dt * (1.0 + (-f + 2.0 * f * draw())))
+            if dt < 1:
+                dt = 1
+        heapq.heappush(self.queue, (t + dt, PRIO_UPDATE, self._seq, gid))
+        self._seq += 1
 
     def _record_history(self, src: int, t: int, out: int) -> None:
         # lookups never go back in time, so no later lookup reads an entry

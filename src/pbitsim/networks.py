@@ -622,6 +622,8 @@ def normal_retention_plan(
     sigma_us: int = 42_000,
 ) -> list:
     """Per-unit retention times: clipped normal spread, deterministic in seed."""
+    if lo_us > hi_us:
+        raise ConfigurationError(f"retention plan bounds lo_us={lo_us} > hi_us={hi_us}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7e7e]))
     draws = rng.normal(mean_us, sigma_us, size=n)
     return [int(x) for x in np.clip(draws, lo_us, hi_us)]

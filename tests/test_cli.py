@@ -93,6 +93,25 @@ class TestExitCodes:
     def test_missing_file(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
 
+    def test_directory_in_place_of_scenario(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == 2
+        assert "Is a directory" in capsys.readouterr().err
+
+    def test_retention_bounds_must_be_ordered(self, tmp_path, capsys):
+        # lo_us > hi_us used to clip every unit to hi_us
+        path = write_scenario(tmp_path / "r.json", retention_normal={
+            "seed": 1, "lo_us": 300_000, "hi_us": 100_000})
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "lo_us=300000 > hi_us=100000" in capsys.readouterr().err
+
+    def test_vref_needs_dac_bits(self, tmp_path, capsys):
+        # a vref without a DAC used to be accepted and ignored
+        for network in ({"vref": 3.3}, {"vref": 3.3, "dac_bits": 0}):
+            path = write_scenario(tmp_path / "v.json", network={
+                "kind": "gate", "gate": "and", "i0": 0.8, **network})
+            assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+            assert "'vref' needs a positive 'dac_bits'" in capsys.readouterr().err
+
     def test_schema_violation(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"name": "x", "network": {"kind": "gate"}}))
@@ -216,6 +235,15 @@ class TestSynth:
         assert main(["synth", str(spec), "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "my_copy.json").exists()
 
+    @pytest.mark.parametrize("table", [[[0, 2], [1, 0]], [["x", 0], [1, 1]]])
+    def test_table_entries_must_be_bits(self, tmp_path, capsys, table):
+        # a 2 used to synthesize a gate, a string to end in a traceback
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps({"name": "odd", "table": table}))
+        assert main(["synth", str(spec), "--out", str(tmp_path)]) == 2
+        assert "is not one of [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "odd.json").exists()
+
     def test_infeasible_exits_three(self, tmp_path):
         spec = tmp_path / "xor.json"
         spec.write_text(json.dumps({
@@ -279,3 +307,13 @@ class TestReport:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("state ")
+
+    @pytest.mark.parametrize("text, message", [
+        ("state,label,count\n0,000,5\n", "lacks the columns ['probability']"),
+        ("state,label,count,probability\n0,000,5,high\n", "numeric probability"),
+    ])
+    def test_malformed_histogram(self, tmp_path, capsys, text, message):
+        path = tmp_path / "histogram.csv"
+        path.write_text(text)
+        assert main(["report", str(path)]) == 2
+        assert message in capsys.readouterr().err

@@ -64,8 +64,8 @@ class TestDeterminism:
 
 class TestEventOrdering:
     def test_refresh_precedes_update_at_same_instant(self):
-        # a strongly biased single unit: if the t=0 refresh runs first the
-        # very first update already sees V=5 instead of the neutral 2.5
+        # a strongly biased single unit: the t=0 refresh runs first, so the
+        # very first update already sees V=5
         gate = verify_ground_states(load_gate("copy"))
         mach = MachineSpec("m", gate.coupling(5.0), tau_sample_us=10)
         pbits = [PBitConfig(id=0, retention_us=10, mode=CLAMPED_HIGH),
@@ -155,21 +155,27 @@ class TestBudgets:
 class TestEventCounts:
     """Deterministic cost gate: events processed, never wall time."""
 
+    @staticmethod
+    def _count_calls(monkeypatch, owner, name, calls):
+        original = getattr(owner, name)
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+
     def test_clean_refreshes_are_elided(self, monkeypatch):
-        heads = []
-        refreshes = []
-        step, weight_inputs = Simulator.step, dynamics.weight_inputs
+        heads, refreshes, weight_calls = [], [], []
+        step = Simulator.step
 
         def counting_step(sim):
             heads.append(sim.queue[0][:2])
             step(sim)
 
-        def counting_weight_inputs(*args):
-            refreshes.append(args)
-            return weight_inputs(*args)
-
         monkeypatch.setattr(Simulator, "step", counting_step)
-        monkeypatch.setattr(dynamics, "weight_inputs", counting_weight_inputs)
+        self._count_calls(monkeypatch, Simulator, "_refresh", refreshes)
+        self._count_calls(monkeypatch, dynamics, "weight_inputs", weight_calls)
         # tau_sample = tau_N / 200, the regime where nearly every refresh is clean
         trace = run(and_net(tau_sample_us=1000, retention_us=200_000), seed=1,
                     max_samples=20_000)
@@ -177,6 +183,25 @@ class TestEventCounts:
         assert len(heads) == trace.update_counts.sum() + len(refreshes)
         assert len(heads) <= 0.05 * len(trace)
         assert heads[0] == (0, PRIO_REFRESH)
+        # the AND machine has 2**3 local states, each computed once
+        assert len(weight_calls) <= 8
+
+    def test_weight_logic_runs_once_per_local_state(self, monkeypatch):
+        refreshes, weight_calls = [], []
+        self._count_calls(monkeypatch, Simulator, "_refresh", refreshes)
+        self._count_calls(monkeypatch, dynamics, "weight_inputs", weight_calls)
+        # tau_sample = tau_N, the breakdown regime where every refresh is dirty
+        trace = run(and_net(tau_sample_us=200_000, retention_us=200_000), seed=1,
+                    max_samples=20_000)
+        assert len(refreshes) > 0.9 * len(trace)
+        assert len(weight_calls) <= 8
+
+    def test_held_probabilities_match_held_voltages(self):
+        sim = Simulator(and_net(tau_sample_us=1000, retention_us=1000), seed=3)
+        while sim.n_updates < 2000:
+            sim.step()
+            for v, p in zip(sim.held_inputs, sim.held_p):
+                assert p == sigmoid(2.0 * v - 5.0)
 
 
 class TestJitter:

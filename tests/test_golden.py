@@ -21,7 +21,7 @@ import pytest
 
 from pbitsim.cli import build_network, main
 from pbitsim.core import CLAMPED_HIGH, PBitConfig, Wired
-from pbitsim.dynamics import BLOCK, run
+from pbitsim.dynamics import BLOCK, MEMO_ENTRIES, Simulator, run
 from pbitsim.networks import (
     MachineSpec,
     NetworkSpec,
@@ -204,6 +204,16 @@ def test_block_refills_case_refills_every_stream():
     factory, budget, _ = TRACE_CASES["block_refills"]
     trace = run(factory(), seed=11, **budget)
     assert 2 * trace.update_counts.min() >= 3 * BLOCK
+
+
+def test_memo_overflow_case_fills_a_cache():
+    # the run of the memo_overflow case, stepped by hand to see the caches
+    factory, budget, _ = TRACE_CASES["memo_overflow"]
+    sim = Simulator(factory(), seed=11)
+    stop = sim.sample_time(budget["max_samples"] - 1)
+    while sim.queue[0][0] < stop:
+        sim.step()
+    assert max(len(memo) for memo in sim.memos) == MEMO_ENTRIES
 
 
 # name -> (network factory, run budget, (digest, final_time_us, samples)):
