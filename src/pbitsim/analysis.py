@@ -32,9 +32,6 @@ class EmpiricalDistribution:
             return np.zeros_like(self.counts, dtype=float)
         return self.counts / self.total
 
-    def prob(self, word: int) -> float:
-        return float(self.probabilities[word])
-
     def bit_string(self, word: int) -> str:
         return format(word, f"0{self.n_bits}b")
 

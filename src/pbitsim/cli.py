@@ -64,6 +64,15 @@ SCENARIO_SCHEMA = {
                 "dac_bits": {"type": "integer", "minimum": 0},
                 "vref": {"type": "number", "exclusiveMinimum": 0},
             },
+            # a field only one kind's build reads is refused on every other kind
+            "allOf": [
+                {"if": {"properties": {"kind": {"const": "gate"}}},
+                 "then": {"required": ["gate"]},
+                 "else": {"not": {"required": ["gate"]}}},
+                {"if": {"properties": {"kind": {"const": "matrix"}}},
+                 "then": {"required": ["j", "h"]},
+                 "else": {"not": {"anyOf": [{"required": [f]} for f in ("j", "h", "labels")]}}},
+            ],
         },
         "clamps": {
             "type": "object",
@@ -102,11 +111,14 @@ SCENARIO_SCHEMA = {
             "type": "array",
             "items": {"type": "string"},
             "minItems": 1,
+            "uniqueItems": True,
         },
         "record_trace": {"type": "boolean"},
         "compare_oracle": {"type": "boolean"},
         "serialization_window_us": {"type": "integer", "minimum": 1},
     },
+    # both set every unit's retention, so a scenario gives at most one plan
+    "not": {"required": ["retention_us", "retention_normal"]},
 }
 
 GATE_INPUT_SCHEMA = {
@@ -138,21 +150,30 @@ PLANS_SCHEMA = {
 }
 
 
+def _validate(doc, schema: dict) -> None:
+    """Raise the best-matching error of ``doc`` under one of the schemas
+    above, as ``jsonschema.validate`` does, but without checking the schema
+    itself against its metaschema on every call, which costs far more than
+    the validation; the tests check each schema once."""
+    error = jsonschema.exceptions.best_match(
+        jsonschema.Draft202012Validator(schema).iter_errors(doc))
+    if error is not None:
+        raise error
+
+
 def load_scenario(path, overrides=None) -> dict:
     """Read a scenario, apply ``overrides`` (top-level keys) and validate it."""
     with open(path) as fh:
         doc = json.load(fh)
     if overrides and isinstance(doc, dict):  # a non-object fails the schema below
         doc.update(overrides)
-    jsonschema.validate(doc, SCENARIO_SCHEMA)
+    _validate(doc, SCENARIO_SCHEMA)
     if "samples" not in doc and "updates" not in doc:
         raise ConfigurationError("scenario needs a 'samples' or 'updates' budget")
     return doc
 
 
 def _matrix_network(spec: dict) -> NetworkSpec:
-    if "j" not in spec or "h" not in spec:
-        raise ConfigurationError("matrix networks need 'j' and 'h'")
     labels = {str(k): int(v) for k, v in spec.get("labels", {}).items()}
     if not labels:
         labels = {f"pbit_{k}": k for k in range(len(spec["h"]))}
@@ -176,8 +197,6 @@ def build_network(doc: dict) -> NetworkSpec:
     kind = spec["kind"]
     i0 = spec["i0"]
     if kind == "gate":
-        if "gate" not in spec:
-            raise ConfigurationError("gate networks need a 'gate' name")
         net = single_machine_network(verify_ground_states(load_gate(spec["gate"])), i0)
     elif kind == "matrix":
         net = _matrix_network(spec)
@@ -326,7 +345,7 @@ def cmd_sweep_retention(args) -> int:
             plans = json.load(fh)
     else:
         plans = json.loads(args.plans)
-    jsonschema.validate(plans, PLANS_SCHEMA)
+    _validate(plans, PLANS_SCHEMA)
     return _sweep(
         args, analysis.sweep_retention_spread, plans, ("plan", "tau_ratio", "distance"),
         lambda row: f"plan={row['plan']} distance={row['distance']:.4f}",
@@ -352,7 +371,7 @@ def cmd_verify(args) -> int:
 def cmd_synth(args) -> int:
     with open(args.truthtable) as fh:
         doc = json.load(fh)
-    jsonschema.validate(doc, GATE_INPUT_SCHEMA)
+    _validate(doc, GATE_INPUT_SCHEMA)
     table = [tuple(int(b) for b in row) for row in doc["table"]]
     kwargs = dict(
         name=doc["name"],
@@ -470,7 +489,10 @@ def main(argv=None) -> int:
         jsonschema.ValidationError,
         json.JSONDecodeError,
         FileNotFoundError,
+        FileExistsError,
         IsADirectoryError,
+        NotADirectoryError,
+        UnicodeDecodeError,
     ) as exc:
         msg = getattr(exc, "message", None) or str(exc)
         print(f"error: {msg}", file=sys.stderr)

@@ -21,7 +21,10 @@ same voltages again, so only dirty machines queue one: every machine
 refreshes at t = 0, and a flip in a clean machine queues its refresh at the
 next tick of that machine's lattice. The trace samples are the instants of
 the union of all machines' lattices; their states are rebuilt after the run
-from a log of flips, with no event per sample.
+from a log of flips, with no event per sample. The same log is the only
+record of the past: a wire with a delay reads its source's bit from the mask
+of the newest flip at or before ``t - delay``, found by binary search, and no
+per-wire history is kept.
 
 Virtual time is integer microseconds. Each unit owns an independent seeded
 PCG64 stream derived from (scenario seed, unit id), so traces replay
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -137,16 +141,6 @@ class Simulator:
             if out:
                 self.mask |= 1 << (n - 1 - gid)
 
-        # wire-delay histories, only for sources of delayed wires, each kept
-        # back to the longest delay of any wire from that source
-        self._histories = {}
-        self._max_delay = {}
-        for wire in self.wires:
-            if wire is not None and wire.delay_us > 0:
-                src = wire.source
-                self._histories.setdefault(src, [(0, self.outputs[src])])
-                self._max_delay[src] = max(self._max_delay.get(src, 0), wire.delay_us)
-
         self.clock = 0
         m = len(network.machines)
         self.queue = [(0, PRIO_REFRESH, k, k) for k in range(m)]
@@ -178,17 +172,13 @@ class Simulator:
     def _source_output(self, src: int, at_time: int, delay_us: int) -> int:
         if delay_us == 0:
             return self.outputs[src]
-        history = self._histories[src]
-        want = at_time - delay_us
-        for t, val in reversed(history):
-            if t <= want:
-                return val
-        return history[0][1]
+        # the mask after the newest flip at or before at_time - delay_us; the
+        # clamp keeps an earlier time on the -1 sentinel's initial mask
+        i = bisect_right(self.flip_times, max(at_time - delay_us, -1)) - 1
+        return (self.flip_masks[i] >> (self.n - 1 - src)) & 1
 
     def step(self) -> None:
         """Process the single least event (refreshes win ties)."""
-        if not self.queue:
-            raise ConfigurationError("event queue is empty")
         t, prio, _seq, target = heapq.heappop(self.queue)
         self.clock = t
         if prio == PRIO_REFRESH:
@@ -238,8 +228,6 @@ class Simulator:
                 tau = self.taus[k]
                 heapq.heappush(self.queue, ((t // tau + 1) * tau, PRIO_REFRESH, self._seq, k))
                 self._seq += 1
-            if gid in self._histories:
-                self._record_history(gid, t, out)
         dt = self.retention[gid]
         f = self.jitter[gid]
         if f > 0.0:
@@ -249,18 +237,6 @@ class Simulator:
                 dt = 1
         heapq.heappush(self.queue, (t + dt, PRIO_UPDATE, self._seq, gid))
         self._seq += 1
-
-    def _record_history(self, src: int, t: int, out: int) -> None:
-        # lookups never go back in time, so no later lookup reads an entry
-        # older than the newest one at or before t - (longest delay)
-        history = self._histories[src]
-        history.append((t, out))
-        cutoff = t - self._max_delay[src]
-        drop = 0
-        while history[drop + 1][0] <= cutoff:
-            drop += 1
-        if drop:
-            del history[:drop]
 
     def sample_times(self, last: int) -> np.ndarray:
         """The union of the machines' refresh lattices over [0, last]."""
@@ -321,7 +297,8 @@ def run(
         if stop is None or s_star < stop:
             stop, last = s_star, s_star
     queue = sim.queue
-    while queue:
+    # every update requeues its unit, so the queue never empties
+    while True:
         if max_updates is not None and sim.n_updates >= max_updates:
             last = sim.clock if sim.n_updates else -1
             break

@@ -493,6 +493,8 @@ class NetworkSpec:
         return NetworkSpec(list(self.machines), list(self.pbits), dict(self.visible_labels))
 
     def validate(self) -> None:
+        if not self.pbits:
+            raise ConfigurationError("a network needs at least one unit")
         if sum(m.n for m in self.machines) != len(self.pbits):
             raise ConfigurationError("unit roster does not match machine sizes")
         if self.n_total > MAX_UNITS:

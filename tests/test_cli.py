@@ -2,9 +2,10 @@
 
 import json
 
+import jsonschema
 import pytest
 
-from pbitsim.cli import main
+from pbitsim.cli import GATE_INPUT_SCHEMA, PLANS_SCHEMA, SCENARIO_SCHEMA, main
 from pbitsim.networks import load_gate, load_gate_file, save_gate
 
 
@@ -27,6 +28,12 @@ def reject_constant(name):
 @pytest.fixture
 def scenario(tmp_path):
     return write_scenario(tmp_path / "scenario.json")
+
+
+@pytest.mark.parametrize("schema", [SCENARIO_SCHEMA, PLANS_SCHEMA, GATE_INPUT_SCHEMA])
+def test_schemas_meet_the_metaschema(schema):
+    # the CLI validates input against these without checking them again
+    jsonschema.Draft202012Validator.check_schema(schema)
 
 
 class TestRun:
@@ -133,6 +140,76 @@ class TestExitCodes:
     def test_unknown_histogram_label(self, tmp_path):
         path = write_scenario(tmp_path / "h.json", histogram_over=["Q"])
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("network, message", [
+        # a gate name or a matrix on another kind used to be ignored
+        ({"kind": "full_adder", "gate": "and"},
+         "should not be valid under {'required': ['gate']}"),
+        ({"kind": "gate"}, "'gate' is a required property"),
+        ({"kind": "gate", "gate": "and", "labels": {"X": 0}},
+         "should not be valid under {'anyOf': [{'required': ['j']}"),
+        ({"kind": "rca4", "j": [[0.0]], "h": [1.0]},
+         "should not be valid under {'anyOf': [{'required': ['j']}"),
+        ({"kind": "matrix", "j": [[0.0]]}, "'h' is a required property"),
+    ], ids=["gate_on_full_adder", "gate_missing", "labels_on_gate", "matrix_on_rca4",
+            "h_missing"])
+    def test_network_fields_match_the_kind(self, tmp_path, capsys, network, message):
+        path = write_scenario(tmp_path / "k.json", network={"i0": 0.8, **network})
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_one_retention_plan(self, tmp_path, capsys):
+        # retention_normal used to override retention_us silently
+        path = write_scenario(tmp_path / "r.json", retention_us=1000,
+                              retention_normal={"seed": 1})
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert ("should not be valid under {'required': ['retention_us', 'retention_normal']}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    def test_histogram_labels_unique(self, tmp_path, capsys):
+        # a repeated label used to give a histogram over one bit
+        path = write_scenario(tmp_path / "h.json", histogram_over=["A", "A"])
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "['A', 'A'] has non-unique elements" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["run", "SCENARIO", "--samples", "100"],
+        ["sweep-tau", "SCENARIO", "--taus", "1000", "--samples", "100"],
+        ["sweep-retention", "SCENARIO", "--plans", "[200000]", "--samples", "100"],
+        ["synth", "TABLE"],
+    ])
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_is_a_file(self, scenario, tmp_path, capsys, command, under):
+        # Path.mkdir used to end in a FileExistsError or NotADirectoryError traceback
+        table = tmp_path / "and_table.json"
+        table.write_text(json.dumps({
+            "name": "my_and", "table": [[0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 1]]}))
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile / "sub" if under else afile
+        argv = [{"SCENARIO": str(scenario), "TABLE": str(table)}.get(a, a) for a in command]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert afile.read_text() == ""
+
+    @pytest.mark.parametrize("command", [
+        ["run", "BAD"],
+        ["synth", "BAD"],
+        ["verify", "BAD"],
+        ["report", "BAD"],
+        ["sweep-retention", "SCENARIO", "--plans", "BAD"],
+    ])
+    def test_input_not_utf8(self, scenario, tmp_path, capsys, command):
+        # a file that is not UTF-8 used to end in a UnicodeDecodeError traceback
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe\x00")
+        argv = [{"SCENARIO": str(scenario), "BAD": str(bad)}.get(a, a) for a in command]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
 
     def test_adc_bits_rejected(self, tmp_path, capsys):
         path = write_scenario(tmp_path / "a.json", network={

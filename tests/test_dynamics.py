@@ -113,16 +113,13 @@ class TestTerminalModes:
                     seed=9, max_updates=5_000)
         assert trace.update_counts.sum() == 5_000
 
-    def test_delayed_wire_history_stays_bounded(self):
-        # the source updates every 1000 us and the wire looks 500 us back, so
-        # the history needs at most the entry before the window plus one in it
-        sim = Simulator(two_machine_net(FREE, wire_delay_us=500), seed=9)
-        longest = 0
-        while sim.n_updates < 50_000:
-            sim.step()
-            longest = max(longest, len(sim._histories[0]))
-        assert sim.update_counts[0] == 12_500
-        assert longest <= 2
+    def test_wire_longer_than_run_reads_initial_output(self):
+        # the wire looks back past t = 0 for the whole run, so unit 2 follows
+        # unit 0's initial output; reading the newest output instead gives ~0.5
+        trace = run(two_machine_net(FREE, wire_delay_us=10**9), seed=9, max_updates=20_000)
+        src_bit = (int(trace.states[0]) >> (trace.n - 1)) & 1
+        frac = trace.one_counts[2] / trace.update_counts[2]
+        assert frac == pytest.approx(sigmoid(5.0 if src_bit else -5.0), abs=0.005)
 
 
 class TestBudgets:

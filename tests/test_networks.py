@@ -15,6 +15,7 @@ from pbitsim.networks import (
     SHIPPED_GATES,
     GateCircuit,
     GateSpec,
+    NetworkSpec,
     build_and_machine,
     build_factorizer,
     build_full_adder,
@@ -233,6 +234,15 @@ class TestNetworkSpec:
         net.pbits[offs[0]] = replace(net.pbits[offs[0]], mode=Wired(source=offs[1]))
         with pytest.raises(ConfigurationError):
             net.validate()
+
+    def test_network_needs_a_unit(self):
+        # an empty network used to pass and then fail inside the engine
+        with pytest.raises(ConfigurationError, match="at least one unit"):
+            NetworkSpec([], []).validate()
+        from pbitsim.dynamics import run
+
+        with pytest.raises(ConfigurationError, match="at least one unit"):
+            run(NetworkSpec([], []), seed=0, max_samples=1)
 
     def test_copy_is_independent(self):
         net = build_and_machine(0.8)
