@@ -95,15 +95,20 @@ def single_machine_oracle(network: NetworkSpec):
     return boltzmann_distribution(network.machines[0].coupling, modes)
 
 
+def trace_distance(trace: dynamics.SimulationTrace, exact, burn_in: float) -> float:
+    """Euclidean distance between a trace's law over all its units and the
+    exact distribution ``exact``."""
+    all_units = {f"pbit_{k}": k for k in range(trace.n)}
+    emp = histogram(trace, all_units, burn_in)
+    return euclidean_distance(emp.probabilities, exact.probabilities)
+
+
 def oracle_distance(
     network: NetworkSpec, seed: int, samples: int, burn_in: float = 0.1
 ) -> float:
     """Euclidean distance between a run's empirical law and the exact oracle."""
     exact = single_machine_oracle(network)
-    trace = dynamics.run(network, seed, max_samples=samples)
-    all_units = {f"pbit_{k}": k for k in range(network.n_total)}
-    emp = histogram(trace, all_units, burn_in)
-    return euclidean_distance(emp.probabilities, exact.probabilities)
+    return trace_distance(dynamics.run(network, seed, max_samples=samples), exact, burn_in)
 
 
 def _derived_seed(seed: int, index: int) -> int:

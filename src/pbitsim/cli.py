@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from . import analysis, dynamics
 from .core import QuantizationConfig
 from .errors import CapacityError, ConfigurationError, SynthesisError, VerificationError
 from .networks import (
+    SHIPPED_GATES,
     GateSpec,
     NetworkSpec,
     build_factorizer,
@@ -39,7 +41,6 @@ from .networks import (
     synthesize_gate_lp,
     verify_ground_states,
 )
-from .oracle import euclidean_distance
 
 SCENARIO_SCHEMA = {
     "type": "object",
@@ -55,7 +56,7 @@ SCENARIO_SCHEMA = {
                 "kind": {
                     "enum": ["gate", "matrix", "full_adder", "rca4", "factorizer"]
                 },
-                "gate": {"type": "string"},
+                "gate": {"enum": list(SHIPPED_GATES)},
                 "j": {"type": "array"},
                 "h": {"type": "array"},
                 "labels": {"type": "object"},
@@ -154,11 +155,22 @@ def _validate(doc, schema: dict) -> None:
     """Raise the best-matching error of ``doc`` under one of the schemas
     above, as ``jsonschema.validate`` does, but without checking the schema
     itself against its metaschema on every call, which costs far more than
-    the validation; the tests check each schema once."""
+    the validation; the tests check each schema once.
+
+    A broken ``not`` rule is reported by the fields it forbids, since
+    jsonschema's message echoes the whole object, matrices and lists too."""
     error = jsonschema.exceptions.best_match(
         jsonschema.Draft202012Validator(schema).iter_errors(doc))
-    if error is not None:
-        raise error
+    if error is None:
+        return
+    if error.validator == "not":  # {"required": [...]} or {"anyOf": [{"required": [f]}, ...]}
+        obj, rule = error.instance, error.validator_value
+        names = rule.get("required") or [f for alt in rule["anyOf"] for f in alt["required"]]
+        fields = " and ".join(repr(f) for f in names if f in obj)
+        where = "".join(f"{part}: " for part in error.absolute_path)
+        context = f"for kind {obj['kind']!r}" if "kind" in obj else "together"
+        raise ConfigurationError(f"{where}{fields} may not be given {context}")
+    raise error
 
 
 def load_scenario(path, overrides=None) -> dict:
@@ -197,7 +209,7 @@ def build_network(doc: dict) -> NetworkSpec:
     kind = spec["kind"]
     i0 = spec["i0"]
     if kind == "gate":
-        net = single_machine_network(verify_ground_states(load_gate(spec["gate"])), i0)
+        net = single_machine_network(load_gate(spec["gate"]), i0)
     elif kind == "matrix":
         net = _matrix_network(spec)
     elif kind == "full_adder":
@@ -253,8 +265,21 @@ def _periods(text: str) -> list:
         raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
 
 
+def _positive(text: str) -> int:
+    """argparse type of --top: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 def cmd_run(args) -> int:
     doc, net = _scenario_and_network(args)
+    # the exact law is built first, so a network it cannot cover fails before the run
+    exact = analysis.single_machine_oracle(net) if doc.get("compare_oracle") else None
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -286,13 +311,8 @@ def cmd_run(args) -> int:
         ],
         "modes": analysis.mode_report(emp, args.top),
     }
-    if doc.get("compare_oracle"):
-        exact = analysis.single_machine_oracle(net)
-        all_units = {f"pbit_{k}": k for k in range(net.n_total)}
-        full = analysis.histogram(trace, all_units, burn_in)
-        report["oracle_distance"] = float(
-            euclidean_distance(full.probabilities, exact.probabilities)
-        )
+    if exact is not None:
+        report["oracle_distance"] = analysis.trace_distance(trace, exact, burn_in)
     if record_updates:
         w = doc["serialization_window_us"]
         total = len(trace.update_events)
@@ -340,7 +360,8 @@ def cmd_sweep_tau(args) -> int:
 
 
 def cmd_sweep_retention(args) -> int:
-    if Path(args.plans).exists():
+    # os.path.exists, unlike Path.exists, is False for a value too long to be a path
+    if os.path.exists(args.plans):
         with open(args.plans) as fh:
             plans = json.load(fh)
     else:
@@ -440,7 +461,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one scenario")
     p.add_argument("scenario")
-    p.add_argument("--top", type=int, default=8, help="modes listed in the report")
+    p.add_argument("--top", type=_positive, default=8, help="modes listed in the report")
     _add_common(p)
     p.set_defaults(func=cmd_run)
 
@@ -469,7 +490,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="top states of an existing histogram.csv")
     p.add_argument("histogram")
-    p.add_argument("--top", type=int, default=8)
+    p.add_argument("--top", type=_positive, default=8)
     _add_common(p, samples=False)
     p.set_defaults(func=cmd_report)
 

@@ -4,11 +4,15 @@ No coupling matrix in this package is hand-invented: every shipped gate is
 either solved for by a linear program that maximizes the energy gap above
 the truth-table ground manifold, or composed by summing already-verified
 sub-gate Hamiltonians over shared spins. Every route ends in the same
-exhaustive ground-state check.
+exhaustive ground-state check, the only thing that marks a gate verified (a
+gate file's ``verified`` key is not trusted on load). Each shipped gate is
+checked once per process, when first loaded. ``_stack_machines`` assembles
+every network from the parts, labels and wires a builder declares.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -49,7 +53,8 @@ class GateSpec:
 
     ``visible`` maps terminal labels to spin indices; ``truth_table`` rows
     are 0/1 tuples in the order the labels appear in ``visible``. The
-    ``verified`` flag may only be set by :func:`verify_ground_states`.
+    ``verified`` flag may only be set by :func:`verify_ground_states`; J and
+    h are read-only copies, so a gate cannot drift from what was checked.
     """
 
     name: str
@@ -64,10 +69,11 @@ class GateSpec:
 
     def __post_init__(self):
         try:
-            self.j = np.asarray(self.j, dtype=float)
-            self.h = np.asarray(self.h, dtype=float)
+            self.j = np.array(self.j, dtype=float)
+            self.h = np.array(self.h, dtype=float)
         except (TypeError, ValueError):  # ragged rows or non-numbers
             raise ConfigurationError("J and h must be numeric arrays") from None
+        self.j.flags.writeable = self.h.flags.writeable = False
         self.truth_table = [tuple(int(b) for b in row) for row in self.truth_table]
         labels = list(self.visible)
         if len(set(self.truth_table)) != len(self.truth_table):
@@ -113,9 +119,7 @@ def gate_from_json(doc: dict) -> GateSpec:
         outputs=[str(s) for s in doc["outputs"]],
         auxiliary=[int(i) for i in doc["auxiliary"]],
         truth_table=[tuple(row) for row in doc["truth_table"]],
-        j=np.array(doc["j"], dtype=float),
-        h=np.array(doc["h"], dtype=float),
-        verified=bool(doc.get("verified", False)),
+        j=doc["j"], h=doc["h"],
     )
 
 
@@ -130,12 +134,14 @@ def load_gate_file(path) -> GateSpec:
         return gate_from_json(json.load(fh))
 
 
+@functools.cache
 def load_gate(name: str) -> GateSpec:
-    """Load a shipped gate from the package's data directory."""
+    """A shipped gate from the package's data directory, verified the first
+    time it is loaded in a process and shared by every later caller."""
     from importlib import resources
 
     ref = resources.files("pbitsim").joinpath("gates", f"{name}.json")
-    return gate_from_json(json.loads(ref.read_text()))
+    return verify_ground_states(gate_from_json(json.loads(ref.read_text())))
 
 
 SHIPPED_GATES = ("and", "or", "not", "copy", "xor", "half_adder", "full_adder")
@@ -572,12 +578,13 @@ class NetworkSpec:
             self.machines[k] = replace(mach, quant=quant)
 
 
-def _stack_machines(i0: float, tau_sample_us: int, parts):
-    """Machines and their unit roster for a list of (name, verified gate)
-    parts, every unit at the default retention and jitter.
+def _stack_machines(i0: float, tau_sample_us: int, parts, labels, wires=()) -> NetworkSpec:
+    """The validated network of a list of (name, verified gate) parts, one
+    machine each, every unit at the default retention and jitter.
 
-    Returns the machines, the roster and a {(machine, local label): global
-    id} map.
+    ``labels`` maps each network label to a (part, terminal) pair, in the
+    order the network lists them; each (source, destination) pair of
+    ``wires`` names two (part, terminal) pairs.
     """
     machines, pbits, where = [], [], {}
     for name, gate in parts:
@@ -589,27 +596,29 @@ def _stack_machines(i0: float, tau_sample_us: int, parts):
                              jitter_fraction=DEFAULT_JITTER) for local in range(gate.n)]
         for label, local in gate.visible.items():
             where[(name, label)] = offset + local
-    return machines, pbits, where
+    for src, dst in wires:
+        pbits[where[dst]] = replace(pbits[where[dst]], mode=Wired(where[src]))
+    net = NetworkSpec(machines, pbits, {label: where[at] for label, at in labels.items()})
+    net.validate()
+    return net
 
 
 def single_machine_network(
     gate: GateSpec, i0: float, tau_sample_us: int = DEFAULT_TAU_SAMPLE_US
 ) -> NetworkSpec:
     """Wrap one verified gate as a standalone network."""
-    machines, pbits, _where = _stack_machines(i0, tau_sample_us, [(gate.name, gate)])
-    net = NetworkSpec(machines, pbits, dict(gate.visible))
-    net.validate()
-    return net
+    labels = {label: (gate.name, label) for label in gate.visible}
+    return _stack_machines(i0, tau_sample_us, [(gate.name, gate)], labels)
 
 
 def build_and_machine(i0: float) -> NetworkSpec:
     """The 3-unit AND machine (terminals A, B, C = A AND B)."""
-    return single_machine_network(verify_ground_states(load_gate("and")), i0)
+    return single_machine_network(load_gate("and"), i0)
 
 
 def build_full_adder(i0: float) -> NetworkSpec:
     """The 14-unit full adder (terminals A, B, CIN, S, COUT; 9 auxiliary)."""
-    gate = verify_ground_states(load_gate("full_adder"))
+    gate = load_gate("full_adder")
     if gate.n != 14:
         raise ConfigurationError(f"full adder must have 14 units, found {gate.n}")
     return single_machine_network(gate, i0, COMPOSITE_TAU_SAMPLE_US)
@@ -637,38 +646,24 @@ def build_rca4(i0: float) -> NetworkSpec:
 
     Visible labels: A0..A3, B0..B3 (addends, LSB first) and S0..S4 (sum word).
     """
-    ha = verify_ground_states(load_gate("half_adder"))
-    fa = verify_ground_states(load_gate("full_adder"))
-    parts = [("ha0", ha)] + [(f"fa{k}", fa) for k in (1, 2, 3)]
-    machines, pbits, where = _stack_machines(i0, COMPOSITE_TAU_SAMPLE_US, parts)
-
-    labels = {
-        "A0": where[("ha0", "A")], "B0": where[("ha0", "B")], "S0": where[("ha0", "S")],
-    }
+    fa = load_gate("full_adder")
+    parts = [("ha0", load_gate("half_adder"))] + [(f"fa{k}", fa) for k in (1, 2, 3)]
+    labels = {"A0": ("ha0", "A"), "B0": ("ha0", "B"), "S0": ("ha0", "S")}
     for k in (1, 2, 3):
-        labels[f"A{k}"] = where[(f"fa{k}", "A")]
-        labels[f"B{k}"] = where[(f"fa{k}", "B")]
-        labels[f"S{k}"] = where[(f"fa{k}", "S")]
-    labels["S4"] = where[("fa3", "COUT")]
-
-    carries = [
-        (where[("ha0", "C")], where[("fa1", "CIN")]),
-        (where[("fa1", "COUT")], where[("fa2", "CIN")]),
-        (where[("fa2", "COUT")], where[("fa3", "CIN")]),
-    ]
-    for src, dst in carries:
-        pbits[dst] = replace(pbits[dst], mode=Wired(src))
-
-    net = NetworkSpec(machines, pbits, labels)
+        labels |= {f"{t}{k}": (f"fa{k}", t) for t in ("A", "B", "S")}
+    labels["S4"] = ("fa3", "COUT")
+    carries = [(("ha0", "C"), ("fa1", "CIN")),
+               (("fa1", "COUT"), ("fa2", "CIN")),
+               (("fa2", "COUT"), ("fa3", "CIN"))]
+    net = _stack_machines(i0, COMPOSITE_TAU_SAMPLE_US, parts, labels, carries)
     if net.n_total != 48:
         raise ConfigurationError(f"ripple-carry adder must total 48 units, got {net.n_total}")
-    net.validate()
     return net
 
 
 def build_quad_and() -> GateSpec:
     """All four partial-product AND gates as one machine over shared inputs."""
-    gate = verify_ground_states(load_gate("and"))
+    gate = load_gate("and")
     circuit = GateCircuit("quad_and")
     placements = [
         ("A0", "B0", "P00"),
@@ -703,33 +698,27 @@ def build_factorizer(i0: float) -> NetworkSpec:
 
     Visible labels: A0, A1, B0, B1 (factors) and S0..S3 (product word).
     """
-    quad = build_quad_and()
-    fa = verify_ground_states(load_gate("full_adder"))
-    add1 = fold_constant(fa, "CIN", 0)            # S1 = P10 xor P01
-    add2 = fold_constant(fa, "B", 0)              # S2 = P11 xor carry1
-    add3 = fold_constant(fold_constant(fa, "A", 0), "B", 0)  # S3 = carry2
-
-    parts = [("and_bm", quad), ("add1", add1), ("add2", add2), ("add3", add3)]
-    machines, pbits, where = _stack_machines(i0, COMPOSITE_TAU_SAMPLE_US, parts)
-
-    wires = [
-        (where[("add1", "A")], where[("and_bm", "P10")]),
-        (where[("add1", "B")], where[("and_bm", "P01")]),
-        (where[("add2", "A")], where[("and_bm", "P11")]),
-        (where[("add1", "COUT")], where[("add2", "CIN")]),
-        (where[("add2", "COUT")], where[("add3", "CIN")]),
+    fa = load_gate("full_adder")
+    parts = [
+        ("and_bm", build_quad_and()),
+        ("add1", fold_constant(fa, "CIN", 0)),            # S1 = P10 xor P01
+        ("add2", fold_constant(fa, "B", 0)),              # S2 = P11 xor carry1
+        ("add3", fold_constant(fold_constant(fa, "A", 0), "B", 0)),  # S3 = carry2
     ]
-    for src, dst in wires:
-        pbits[dst] = replace(pbits[dst], mode=Wired(src))
-
     labels = {
-        "A0": where[("and_bm", "A0")], "A1": where[("and_bm", "A1")],
-        "B0": where[("and_bm", "B0")], "B1": where[("and_bm", "B1")],
-        "S0": where[("and_bm", "P00")], "S1": where[("add1", "S")],
-        "S2": where[("add2", "S")], "S3": where[("add3", "S")],
+        "A0": ("and_bm", "A0"), "A1": ("and_bm", "A1"),
+        "B0": ("and_bm", "B0"), "B1": ("and_bm", "B1"),
+        "S0": ("and_bm", "P00"), "S1": ("add1", "S"),
+        "S2": ("add2", "S"), "S3": ("add3", "S"),
     }
-    net = NetworkSpec(machines, pbits, labels)
+    wires = [
+        (("add1", "A"), ("and_bm", "P10")),
+        (("add1", "B"), ("and_bm", "P01")),
+        (("add2", "A"), ("and_bm", "P11")),
+        (("add1", "COUT"), ("add2", "CIN")),
+        (("add2", "COUT"), ("add3", "CIN")),
+    ]
+    net = _stack_machines(i0, COMPOSITE_TAU_SAMPLE_US, parts, labels, wires)
     if net.n_total != 46:
         raise ConfigurationError(f"factorizer must total 46 units, got {net.n_total}")
-    net.validate()
     return net

@@ -60,6 +60,7 @@ def test_install_wraps_and_restore_puts_originals_back(recorder):
 
 def test_traced_run_reaches_every_layer(recorder, tmp_path, capsys):
     rec, _ = recorder
+    networks.load_gate.cache_clear()  # a fresh pbitsim process loads its gates cold
     scenario = tmp_path / "and.json"
     scenario.write_text(json.dumps({
         "name": "hooks", "seed": 3, "samples": 300,

@@ -1,12 +1,14 @@
 """Command-line interface: scenarios, overrides, exit codes, artifacts."""
 
+import dataclasses
 import json
 
 import jsonschema
+import numpy as np
 import pytest
 
 from pbitsim.cli import GATE_INPUT_SCHEMA, PLANS_SCHEMA, SCENARIO_SCHEMA, main
-from pbitsim.networks import load_gate, load_gate_file, save_gate
+from pbitsim.networks import load_gate, load_gate_file, save_gate, verify_ground_states
 
 
 def write_scenario(path, **overrides):
@@ -83,6 +85,31 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         assert 0.0 <= report["oracle_distance"] < 1.0
 
+    def test_oracle_refused_before_the_run(self, tmp_path, capsys):
+        # a composite network used to run and write its histogram first
+        path = write_scenario(tmp_path / "o.json", compare_oracle=True,
+                              network={"kind": "rca4", "i0": 1.0})
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--samples", "50", "--out", str(out)]) == 2
+        assert "single machines without wires" in capsys.readouterr().err
+        assert not (out / "histogram.csv").exists()
+
+    @pytest.mark.parametrize("command", [["run", "SCENARIO"], ["report", "HISTOGRAM"]])
+    @pytest.mark.parametrize("top", ["0", "-6"])
+    def test_top_must_be_positive(self, scenario, tmp_path, capsys, command, top):
+        # run --top 0 used to simulate and write before failing; report
+        # --top -6 silently dropped the last six rows
+        histogram = tmp_path / "histogram.csv"
+        histogram.write_text("state,label,count,probability\n0,0,1,1.0\n")
+        out = tmp_path / "out"
+        argv = [{"SCENARIO": str(scenario), "HISTOGRAM": str(histogram)}.get(a, a)
+                for a in command]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--top", top, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"not a positive integer: '{top}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_serialization_report(self, tmp_path):
         path = write_scenario(tmp_path / "s.json", serialization_window_us=100)
         del_doc = json.loads(path.read_text())
@@ -144,12 +171,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("network, message", [
         # a gate name or a matrix on another kind used to be ignored
         ({"kind": "full_adder", "gate": "and"},
-         "should not be valid under {'required': ['gate']}"),
+         "network: 'gate' may not be given for kind 'full_adder'"),
         ({"kind": "gate"}, "'gate' is a required property"),
         ({"kind": "gate", "gate": "and", "labels": {"X": 0}},
-         "should not be valid under {'anyOf': [{'required': ['j']}"),
+         "network: 'labels' may not be given for kind 'gate'"),
         ({"kind": "rca4", "j": [[0.0]], "h": [1.0]},
-         "should not be valid under {'anyOf': [{'required': ['j']}"),
+         "network: 'j' and 'h' may not be given for kind 'rca4'"),
         ({"kind": "matrix", "j": [[0.0]]}, "'h' is a required property"),
     ], ids=["gate_on_full_adder", "gate_missing", "labels_on_gate", "matrix_on_rca4",
             "h_missing"])
@@ -164,8 +191,35 @@ class TestExitCodes:
         path = write_scenario(tmp_path / "r.json", retention_us=1000,
                               retention_normal={"seed": 1})
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
-        assert ("should not be valid under {'required': ['retention_us', 'retention_normal']}"
+        assert ("'retention_us' and 'retention_normal' may not be given together"
                 in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("fields, expected", [
+        ({"network": {"kind": "full_adder", "i0": 1.0,
+                      "j": np.full((14, 14), 0.625).tolist()}},
+         "error: network: 'j' may not be given for kind 'full_adder'\n"),
+        ({"retention_us": [13579] * 3, "retention_normal": {"seed": 24680}},
+         "error: 'retention_us' and 'retention_normal' may not be given together\n"),
+    ], ids=["matrix_on_full_adder", "two_retention_plans"])
+    def test_not_rules_name_the_fields(self, tmp_path, capsys, fields, expected):
+        # jsonschema's message used to echo the whole object, matrix and lists too
+        path = write_scenario(tmp_path / "n.json", **fields)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == expected
+        for value in ("0.625", "13579", "24680"):
+            assert value not in err
+
+    @pytest.mark.parametrize("gate", ["../gates/and", "nand"])
+    def test_gate_must_be_shipped(self, tmp_path, capsys, gate):
+        # a relative path used to load and run, an unknown name to print a package path
+        path = write_scenario(tmp_path / "g.json",
+                              network={"kind": "gate", "gate": gate, "i0": 0.8})
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{gate!r} is not one of ['and', 'or', 'not', 'copy', 'xor'," in err
+        assert ".json" not in err
         assert not (tmp_path / "o").exists()
 
     def test_histogram_labels_unique(self, tmp_path, capsys):
@@ -275,9 +329,7 @@ class TestVerify:
 
     def test_json_lists_spurious_states(self, tmp_path, capsys):
         # with J and h all zero every state is a ground state
-        gate = load_gate("and")
-        gate.j[:] = 0.0
-        gate.h[:] = 0.0
+        gate = dataclasses.replace(load_gate("and"), j=np.zeros((3, 3)), h=np.zeros(3))
         save_gate(gate, tmp_path / "flat.json")
         assert main(["verify", str(tmp_path / "flat.json"), "--format", "json"]) == 3
         report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
@@ -297,8 +349,9 @@ class TestSynth:
         }))
         out = tmp_path / "gates"
         assert main(["synth", str(spec), "--out", str(out)]) == 0
-        gate = load_gate_file(out / "my_and.json")
-        assert gate.verified
+        # the file records the writer's check; loading it does not trust that
+        assert json.loads((out / "my_and.json").read_text())["verified"] is True
+        assert verify_ground_states(load_gate_file(out / "my_and.json")).verified
         assert "gap=" in capsys.readouterr().out
 
     def test_method_field_rejected(self, tmp_path):
@@ -367,6 +420,16 @@ class TestSweeps:
             main(["sweep-tau", str(scenario), "--taus", "1k", "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert "not comma-separated integers: '1k'" in capsys.readouterr().err
+
+    def test_long_inline_plans(self, scenario, tmp_path):
+        # a value longer than a file name used to crash Path.exists()
+        plans = json.dumps([[200000 + k, 200000, 200000] for k in range(30)])
+        assert len(plans) >= 780
+        out = tmp_path / "out"
+        code = main(["sweep-retention", str(scenario), "--plans", plans,
+                     "--samples", "30", "--out", str(out)])
+        assert code == 0
+        assert len((out / "distance.csv").read_text().strip().splitlines()) == 31
 
     def test_plans_validated(self, scenario, tmp_path, capsys):
         code = main(["sweep-retention", str(scenario), "--plans", '[["a", 1, 1]]',

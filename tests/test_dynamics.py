@@ -14,7 +14,6 @@ from pbitsim.networks import (
     NetworkSpec,
     build_and_machine,
     load_gate,
-    verify_ground_states,
 )
 from pbitsim.dynamics import PRIO_REFRESH, Simulator, run, serialization_metric
 
@@ -31,7 +30,7 @@ def and_net(i0=0.8, tau_sample_us=None, retention_us=None):
 def two_machine_net(src_mode, wire_delay_us=0):
     """Two 2-unit machines; the second machine's first unit is wired to the
     first machine's first unit, whose mode is ``src_mode``."""
-    gate = verify_ground_states(load_gate("copy"))
+    gate = load_gate("copy")
     mach = lambda name: MachineSpec(name, gate.coupling(0.0), tau_sample_us=100)
     pbits = [PBitConfig(id=k, retention_us=1000) for k in range(4)]
     pbits[0] = PBitConfig(id=0, retention_us=1000, mode=src_mode)
@@ -66,7 +65,7 @@ class TestEventOrdering:
     def test_refresh_precedes_update_at_same_instant(self):
         # a strongly biased single unit: the t=0 refresh runs first, so the
         # very first update already sees V=5
-        gate = verify_ground_states(load_gate("copy"))
+        gate = load_gate("copy")
         mach = MachineSpec("m", gate.coupling(5.0), tau_sample_us=10)
         pbits = [PBitConfig(id=0, retention_us=10, mode=CLAMPED_HIGH),
                  PBitConfig(id=1, retention_us=10)]

@@ -30,7 +30,6 @@ from pbitsim.networks import (
     build_full_adder,
     build_rca4,
     load_gate,
-    verify_ground_states,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -56,7 +55,7 @@ def delayed_wire_net():
     """Two coupled 2-unit machines; unit 2 follows unit 0 through a 500 us
     wire, and the retention times differ so the wire history is consulted
     between its entries."""
-    gate = verify_ground_states(load_gate("copy"))
+    gate = load_gate("copy")
     mach = lambda name: MachineSpec(name, gate.coupling(1.0), tau_sample_us=100)
     pbits = [PBitConfig(id=k, retention_us=r) for k, r in enumerate([700, 1000, 1300, 900])]
     pbits[2] = PBitConfig(id=2, retention_us=1300, mode=Wired(source=0, delay_us=500))
@@ -69,7 +68,7 @@ def block_refill_net():
     """The delayed-wire pair with every unit jittered and unit 1 clamped
     high: each jittered update consumes two draws of its unit's stream, and
     the clamped unit still draws on every update."""
-    gate = verify_ground_states(load_gate("copy"))
+    gate = load_gate("copy")
     mach = lambda name: MachineSpec(name, gate.coupling(1.0), tau_sample_us=100)
     pbits = [PBitConfig(id=k, retention_us=r, jitter_fraction=0.02)
              for k, r in enumerate([700, 1000, 1300, 900])]
@@ -92,7 +91,7 @@ def two_period_net():
     """Two coupled 2-unit machines refreshing every 300 and 700 us, with a
     zero-delay wire from unit 0 to unit 2: the sample lattice is the union
     of two periods that do not divide each other."""
-    gate = verify_ground_states(load_gate("copy"))
+    gate = load_gate("copy")
     mach = lambda name, tau: MachineSpec(name, gate.coupling(1.0), tau_sample_us=tau)
     pbits = [PBitConfig(id=k, retention_us=r, jitter_fraction=0.01)
              for k, r in enumerate([1100, 1500, 1300, 1700])]

@@ -1,9 +1,12 @@
 """Gate library, verification, synthesis, composition and system builders."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pbitsim import networks
 from pbitsim.core import CLAMPED_HIGH, CLAMPED_LOW, Wired
 from pbitsim.errors import (
     CapacityError,
@@ -92,6 +95,39 @@ class TestGateLibrary:
         assert back.truth_table == gate.truth_table
         assert gate_from_json(gate_to_json(gate)).name == gate.name
 
+    def test_file_verified_key_is_not_trusted(self, tmp_path):
+        # a file's own "verified": true used to let a flat gate into a network
+        doc = gate_to_json(load_gate("and"))
+        doc["j"] = np.zeros((3, 3)).tolist()
+        doc["h"] = [0.0] * 3
+        assert doc["verified"] is True
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(VerificationError):
+            single_machine_network(load_gate_file(path), 1.0)
+
+    def test_shipped_gate_is_read_only(self):
+        # every caller shares one verified gate, so it cannot be edited
+        gate = load_gate("and")
+        with pytest.raises(ValueError):
+            gate.j[0, 1] = 0.0
+        with pytest.raises(ValueError):
+            gate.h[:] = 0.0
+        assert gate.verified
+
+    def test_shipped_gates_verified_once_per_process(self, monkeypatch):
+        checked = []
+
+        def counting(gate):
+            checked.append(gate.name)
+            return verify_ground_states(gate)
+
+        monkeypatch.setattr(networks, "verify_ground_states", counting)
+        load_gate.cache_clear()
+        build_rca4(1.0)
+        build_rca4(1.0)
+        assert sorted(checked) == ["full_adder", "half_adder"]
+
 
 class TestSynthesis:
     def test_lp_rejects_oversized(self):
@@ -127,8 +163,8 @@ class TestSynthesis:
 
 class TestComposition:
     def test_circuit_sums_to_verified_whole(self):
-        and_gate = verify_ground_states(load_gate("and"))
-        or_gate = verify_ground_states(load_gate("or"))
+        and_gate = load_gate("and")
+        or_gate = load_gate("or")
         circuit = GateCircuit("aoi")
         circuit.place(and_gate, {"A": "X", "B": "Y", "C": "M"})
         circuit.place(or_gate, {"A": "M", "B": "Z", "C": "OUT"})
@@ -150,7 +186,7 @@ class TestComposition:
             circuit.place(raw, {"A": "A", "B": "B", "C": "C"})
 
     def test_fold_constant_conditions_truth_table(self):
-        fa = verify_ground_states(load_gate("full_adder"))
+        fa = load_gate("full_adder")
         folded = fold_constant(fa, "CIN", 0)
         assert folded.verified
         assert folded.n == fa.n - 1
@@ -198,6 +234,15 @@ class TestBuilders:
         assert accounting["and_bm"] == 8
         wired = [p for p in net.pbits if isinstance(p.mode, Wired)]
         assert len(wired) == 5
+
+    def test_visible_label_order(self):
+        # the order is the default histogram_over, most significant bit first
+        assert list(build_and_machine(1.0).visible_labels) == ["A", "B", "C"]
+        assert list(build_full_adder(1.0).visible_labels) == ["A", "B", "CIN", "S", "COUT"]
+        assert list(build_rca4(1.0).visible_labels) == [
+            "A0", "B0", "S0", "A1", "B1", "S1", "A2", "B2", "S2", "A3", "B3", "S3", "S4"]
+        assert list(build_factorizer(1.0).visible_labels) == [
+            "A0", "A1", "B0", "B1", "S0", "S1", "S2", "S3"]
 
     def test_retention_plan_bounds_and_determinism(self):
         plan = normal_retention_plan(48, 99)
