@@ -12,6 +12,9 @@ from .errors import ConfigurationError
 from .networks import NetworkSpec
 from .oracle import boltzmann_distribution, euclidean_distance, project
 
+# the leading fraction of samples a run or sweep discards unless told otherwise
+DEFAULT_BURN_IN = 0.1
+
 
 @dataclass
 class EmpiricalDistribution:
@@ -104,7 +107,7 @@ def trace_distance(trace: dynamics.SimulationTrace, exact, burn_in: float) -> fl
 
 
 def oracle_distance(
-    network: NetworkSpec, seed: int, samples: int, burn_in: float = 0.1
+    network: NetworkSpec, seed: int, samples: int, burn_in: float = DEFAULT_BURN_IN
 ) -> float:
     """Euclidean distance between a run's empirical law and the exact oracle."""
     exact = single_machine_oracle(network)
@@ -120,20 +123,22 @@ def sweep_sampling_time(
     seed: int,
     taus_us,
     samples: int,
-    burn_in: float = 0.1,
+    burn_in: float = DEFAULT_BURN_IN,
 ) -> list:
     """Oracle distance as a function of normalized sampling time.
 
     Returns one row per tau: {tau_us, tau_ratio, distance} with tau_ratio
-    normalized by the smallest retention time.
+    normalized by the smallest retention time. Timing never changes the
+    exact law, so it is built once for every point.
     """
-    single_machine_oracle(network)  # raises early on composite networks
+    exact = single_machine_oracle(network)
     tau_min = min(p.retention_us for p in network.pbits)
     rows = []
     for idx, tau in enumerate(taus_us):
         net = network.copy()
         net.set_tau_sample(int(tau))
-        dist = oracle_distance(net, _derived_seed(seed, idx), samples, burn_in)
+        trace = dynamics.run(net, _derived_seed(seed, idx), max_samples=samples)
+        dist = trace_distance(trace, exact, burn_in)
         rows.append({"tau_us": int(tau), "tau_ratio": tau / tau_min, "distance": dist})
     return rows
 
@@ -143,10 +148,11 @@ def sweep_retention_spread(
     seed: int,
     plans,
     samples: int,
-    burn_in: float = 0.1,
+    burn_in: float = DEFAULT_BURN_IN,
 ) -> list:
-    """Oracle distance for each per-unit retention-time assignment."""
-    single_machine_oracle(network)
+    """Oracle distance for each per-unit retention-time assignment, against
+    one exact law built for every plan."""
+    exact = single_machine_oracle(network)
     rows = []
     for idx, plan in enumerate(plans):
         net = network.copy()
@@ -157,7 +163,8 @@ def sweep_retention_spread(
             raise ConfigurationError(
                 f"sampling period {tau_sample} exceeds smallest retention {tau_min}"
             )
-        dist = oracle_distance(net, _derived_seed(seed, idx), samples, burn_in)
+        trace = dynamics.run(net, _derived_seed(seed, idx), max_samples=samples)
+        dist = trace_distance(trace, exact, burn_in)
         rows.append({"plan": [p.retention_us for p in net.pbits],
                      "tau_ratio": tau_sample / tau_min, "distance": dist})
     return rows

@@ -291,7 +291,7 @@ def cmd_run(args) -> int:
         max_updates=doc.get("updates"),
         record_updates=record_updates,
     )
-    burn_in = doc.get("burn_in", 0.1)
+    burn_in = doc.get("burn_in", analysis.DEFAULT_BURN_IN)
     emp = analysis.histogram(trace, _histogram_labels(doc, net), burn_in)
     emp.to_csv(outdir / "histogram.csv")
     if doc.get("record_trace"):
@@ -339,7 +339,12 @@ def _sweep(args, sweep, points, columns, describe) -> int:
     doc, net = _scenario_and_network(args)
     if "samples" not in doc:
         raise ConfigurationError("sweeps need a 'samples' budget (scenario or --samples)")
-    rows = sweep(net, doc["seed"], points, doc["samples"], doc.get("burn_in", 0.1))
+    ignored = [f for f in ("updates", "record_trace", "serialization_window_us") if f in doc]
+    if ignored:
+        raise ConfigurationError(
+            f"sweeps do not read {' or '.join(map(repr, ignored))}, which only 'run' uses")
+    rows = sweep(net, doc["seed"], points, doc["samples"],
+                 doc.get("burn_in", analysis.DEFAULT_BURN_IN))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     analysis.distance_rows_to_csv(rows, outdir / "distance.csv", columns)

@@ -3,11 +3,12 @@
 No coupling matrix in this package is hand-invented: every shipped gate is
 either solved for by a linear program that maximizes the energy gap above
 the truth-table ground manifold, or composed by summing already-verified
-sub-gate Hamiltonians over shared spins. Every route ends in the same
-exhaustive ground-state check, the only thing that marks a gate verified (a
-gate file's ``verified`` key is not trusted on load). Each shipped gate is
-checked once per process, when first loaded. ``_stack_machines`` assembles
-every network from the parts, labels and wires a builder declares.
+sub-gate Hamiltonians over shared spins (``compose_gates``). Every route
+ends in the same exhaustive ground-state check, the only thing that marks a
+gate verified (a gate file's ``verified`` key is not trusted on load). Gates
+are immutable, so a verified gate is shared: each shipped gate, and each gate
+derived from them, is checked once per process. ``_stack_machines``
+assembles every network from the parts, labels and wires a builder declares.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import functools
 import itertools
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -47,39 +50,49 @@ MAX_UNITS = 63
 # Gate specifications
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GateSpec:
     """One gate Hamiltonian plus the Boolean contract it must realize.
 
     ``visible`` maps terminal labels to spin indices; ``truth_table`` rows
-    are 0/1 tuples in the order the labels appear in ``visible``. The
-    ``verified`` flag may only be set by :func:`verify_ground_states`; J and
-    h are read-only copies, so a gate cannot drift from what was checked.
+    are 0/1 tuples in the order the labels appear in ``visible``. A gate is
+    an immutable value: the mapping is read-only, the sequences are tuples,
+    J and h are read-only copies, and ``dataclasses.replace`` is the only way
+    to make a variant. The ``verified`` flag may only be set by
+    :func:`verify_ground_states`, so a gate cannot drift from what was
+    checked. Gates compare and hash by identity.
     """
 
     name: str
-    visible: dict
-    inputs: list
-    outputs: list
-    auxiliary: list
-    truth_table: list
+    visible: Mapping
+    inputs: tuple
+    outputs: tuple
+    auxiliary: tuple
+    truth_table: tuple
     j: np.ndarray
     h: np.ndarray
     verified: bool = False
 
     def __post_init__(self):
         try:
-            self.j = np.array(self.j, dtype=float)
-            self.h = np.array(self.h, dtype=float)
+            j = np.array(self.j, dtype=float)
+            h = np.array(self.h, dtype=float)
         except (TypeError, ValueError):  # ragged rows or non-numbers
             raise ConfigurationError("J and h must be numeric arrays") from None
-        self.j.flags.writeable = self.h.flags.writeable = False
-        self.truth_table = [tuple(int(b) for b in row) for row in self.truth_table]
-        labels = list(self.visible)
+        j.flags.writeable = h.flags.writeable = False
+        for name, value in (
+            ("j", j), ("h", h),
+            ("visible", MappingProxyType(dict(self.visible))),
+            ("inputs", tuple(self.inputs)),
+            ("outputs", tuple(self.outputs)),
+            ("auxiliary", tuple(self.auxiliary)),
+            ("truth_table", tuple(tuple(int(b) for b in row) for row in self.truth_table)),
+        ):
+            object.__setattr__(self, name, value)
         if len(set(self.truth_table)) != len(self.truth_table):
             raise ConfigurationError("truth table rows must be distinct")
         for row in self.truth_table:
-            if len(row) != len(labels):
+            if len(row) != len(self.visible):
                 raise ConfigurationError("truth table width must match visible labels")
         spins = sorted(list(self.visible.values()) + list(self.auxiliary))
         if spins != list(range(self.n)):
@@ -91,9 +104,6 @@ class GateSpec:
 
     def coupling(self, i0: float) -> CouplingMatrix:
         return CouplingMatrix(self.j.copy(), self.h.copy(), i0)
-
-    def visible_indices(self) -> list:
-        return [self.visible[label] for label in self.visible]
 
 
 def gate_to_json(gate: GateSpec) -> dict:
@@ -118,7 +128,7 @@ def gate_from_json(doc: dict) -> GateSpec:
         inputs=[str(s) for s in doc["inputs"]],
         outputs=[str(s) for s in doc["outputs"]],
         auxiliary=[int(i) for i in doc["auxiliary"]],
-        truth_table=[tuple(row) for row in doc["truth_table"]],
+        truth_table=doc["truth_table"],
         j=doc["j"], h=doc["h"],
     )
 
@@ -165,7 +175,7 @@ def ground_state_report(gate: GateSpec) -> dict:
     ground = energies <= emin + DEGENERACY_TOL
     above = energies[~ground]
     gap = float(above.min() - emin) if above.size else math.inf
-    words = project(np.arange(1 << gate.n, dtype=np.int64), gate.n, gate.visible_indices())
+    words = project(np.arange(1 << gate.n, dtype=np.int64), gate.n, list(gate.visible.values()))
     truth = {state_index(row) for row in gate.truth_table}
     ground_words = set(int(w) for w in words[ground])
     spurious = sorted(ground_words - truth)
@@ -229,23 +239,6 @@ def _theta_to_jh(theta, n: int):
         j[a, b] = j[b, a] = theta[k]
     h = np.array(theta[len(pairs):], dtype=float)
     return j, h
-
-
-def _make_gate(name, truth_table, n_aux, j, h, inputs=None, outputs=None, labels=None):
-    n_vis = len(truth_table[0])
-    if labels is None:
-        labels = [f"V{k}" for k in range(n_vis)]
-    visible = {lab: k for k, lab in enumerate(labels)}
-    return GateSpec(
-        name=name,
-        visible=visible,
-        inputs=list(inputs or labels[:-1]),
-        outputs=list(outputs or labels[-1:]),
-        auxiliary=list(range(n_vis, n_vis + n_aux)),
-        truth_table=[tuple(r) for r in truth_table],
-        j=j,
-        h=h,
-    )
 
 
 def _round_to_grid(x: np.ndarray) -> np.ndarray:
@@ -316,10 +309,11 @@ def synthesize_gate_lp(
         raise SynthesisError("no feasible coupling matrix at the given bound")
 
     j, h = _theta_to_jh(best[:n_params], n)
-    gate = _make_gate(name, truth_table, n_aux, j, h, inputs, outputs, labels)
-    snapped = _make_gate(
-        name, truth_table, n_aux, _round_to_grid(j), _round_to_grid(h), inputs, outputs, labels
-    )
+    if labels is None:
+        labels = [f"V{k}" for k in range(n_vis)]
+    gate = GateSpec(name, {lab: k for k, lab in enumerate(labels)}, inputs or labels[:-1],
+                    outputs or labels[-1:], range(n_vis, n), truth_table, j, h)
+    snapped = replace(gate, j=_round_to_grid(j), h=_round_to_grid(h))
     try:
         verified = verify_ground_states(snapped)
         if ground_state_report(verified)["gap"] >= MIN_GAP:
@@ -333,80 +327,48 @@ def synthesize_gate_lp(
 # Composition of verified sub-gates
 
 
-class GateCircuit:
-    """Sums verified sub-gate Hamiltonians over shared, named spins.
+def compose_gates(name, placements, visible_labels, inputs, outputs, truth_table) -> GateSpec:
+    """The verified sum of verified gate Hamiltonians over shared, named spins.
 
-    The composite ground manifold is exactly the set of states where every
-    placed gate sits in its own ground manifold, which makes composition a
-    sound construction as long as the whole is re-verified afterwards.
+    Each placement is ``(gate, {gate label: spin label})``. Spins are
+    numbered in order of first use; those not in ``visible_labels`` are
+    auxiliary. The composite ground manifold is exactly the set of states
+    where every placed gate sits in its own ground manifold, which makes
+    composition sound as long as the whole is verified, as it is here.
     """
-
-    def __init__(self, name: str):
-        self.name = name
-        self._labels = []
-        self._index = {}
-        self._j_terms = {}
-        self._h_terms = {}
-        self._placements = 0
-
-    def spin(self, label: str) -> int:
-        if label not in self._index:
-            self._index[label] = len(self._labels)
-            self._labels.append(label)
-        return self._index[label]
-
-    def place(self, gate: GateSpec, mapping: dict) -> None:
-        """Add one gate instance, wiring its visible labels per ``mapping``."""
+    index = {}
+    for gate, mapping in placements:
         if not gate.verified:
             raise ConfigurationError(f"gate {gate.name!r} is not verified")
-        if set(mapping) != set(gate.visible):
+        if gate.auxiliary:
+            raise ConfigurationError(f"gate {gate.name!r} has auxiliary spins")
+        if set(mapping) != set(gate.visible) or len(set(mapping.values())) != len(mapping):
             raise ConfigurationError(
-                f"mapping must name exactly the visible labels of {gate.name!r}"
+                f"mapping must send each visible label of {gate.name!r} to its own spin"
             )
-        self._placements += 1
-        local_to_global = {}
-        for label, idx in gate.visible.items():
-            local_to_global[idx] = self.spin(mapping[label])
-        for k, idx in enumerate(gate.auxiliary):
-            local_to_global[idx] = self.spin(f"_{gate.name}{self._placements}.aux{k}")
-        for a in range(gate.n):
-            ga = local_to_global[a]
-            self._h_terms[ga] = self._h_terms.get(ga, 0.0) + gate.h[a]
-            for b in range(a + 1, gate.n):
-                gb = local_to_global[b]
-                key = (min(ga, gb), max(ga, gb))
-                self._j_terms[key] = self._j_terms.get(key, 0.0) + gate.j[a, b]
-
-    def to_gate(self, name, visible_labels, inputs, outputs, truth_table) -> GateSpec:
-        """Finalize into a GateSpec (call verify_ground_states afterwards)."""
-        n = len(self._labels)
-        j = np.zeros((n, n))
-        h = np.zeros(n)
-        for (a, b), val in self._j_terms.items():
-            j[a, b] = j[b, a] = val
-        for a, val in self._h_terms.items():
-            h[a] = val
-        visible = {lab: self._index[lab] for lab in visible_labels}
-        auxiliary = [i for i in range(n) if i not in set(visible.values())]
-        return GateSpec(
-            name=name,
-            visible=visible,
-            inputs=list(inputs),
-            outputs=list(outputs),
-            auxiliary=auxiliary,
-            truth_table=[tuple(r) for r in truth_table],
-            j=j,
-            h=h,
-        )
+        for label in gate.visible:
+            index.setdefault(mapping[label], len(index))
+    j = np.zeros((len(index), len(index)))
+    h = np.zeros(len(index))
+    for gate, mapping in placements:
+        at = [index[mapping[label]] for label in sorted(gate.visible, key=gate.visible.get)]
+        j[np.ix_(at, at)] += gate.j
+        h[at] += gate.h
+    visible = {label: index[label] for label in visible_labels}
+    auxiliary = [k for k in range(len(index)) if k not in visible.values()]
+    return verify_ground_states(
+        GateSpec(name, visible, inputs, outputs, auxiliary, truth_table, j, h)
+    )
 
 
+@functools.cache
 def fold_constant(gate: GateSpec, label: str, bit: int) -> GateSpec:
     """Absorb a terminal held at a constant rail into the biases.
 
     Removing spin k pinned at m = 2*bit - 1 adds J_ik * m to every h_i; the
     folded gate's truth table is the original conditioned on that terminal.
     Hardware analogue: driving a terminal from a rail instead of spending a
-    unit on it.
+    unit on it. Each fold of a gate is made and verified once per process.
     """
     if label not in gate.visible:
         raise ConfigurationError(f"{label!r} is not a visible terminal of {gate.name!r}")
@@ -661,29 +623,22 @@ def build_rca4(i0: float) -> NetworkSpec:
     return net
 
 
+@functools.cache
 def build_quad_and() -> GateSpec:
-    """All four partial-product AND gates as one machine over shared inputs."""
+    """All four partial-product AND gates as one machine over shared inputs,
+    composed and verified once per process."""
     gate = load_gate("and")
-    circuit = GateCircuit("quad_and")
-    placements = [
-        ("A0", "B0", "P00"),
-        ("A1", "B0", "P10"),
-        ("A0", "B1", "P01"),
-        ("A1", "B1", "P11"),
-    ]
-    for a, b, p in placements:
-        circuit.place(gate, {"A": a, "B": b, "C": p})
-    rows = []
-    for a0, a1, b0, b1 in itertools.product((0, 1), repeat=4):
-        rows.append((a0, a1, b0, b1, a0 & b0, a1 & b0, a0 & b1, a1 & b1))
-    quad = circuit.to_gate(
+    products = [("A0", "B0", "P00"), ("A1", "B0", "P10"), ("A0", "B1", "P01"), ("A1", "B1", "P11")]
+    rows = [(a0, a1, b0, b1, a0 & b0, a1 & b0, a0 & b1, a1 & b1)
+            for a0, a1, b0, b1 in itertools.product((0, 1), repeat=4)]
+    return compose_gates(
         "quad_and",
+        [(gate, {"A": a, "B": b, "C": p}) for a, b, p in products],
         ["A0", "A1", "B0", "B1", "P00", "P10", "P01", "P11"],
         inputs=["A0", "A1", "B0", "B1"],
         outputs=["P00", "P10", "P01", "P11"],
         truth_table=rows,
     )
-    return verify_ground_states(quad)
 
 
 def build_factorizer(i0: float) -> NetworkSpec:

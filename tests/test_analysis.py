@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pbitsim import analysis
 from pbitsim.analysis import (
     EmpiricalDistribution,
     distance_rows_to_csv,
@@ -135,6 +136,23 @@ class TestSweeps:
         net.set_tau_sample(5000)
         with pytest.raises(ConfigurationError):
             sweep_retention_spread(net, seed=3, plans=[[4000, 5000, 6000]], samples=100)
+
+    @pytest.mark.parametrize("sweep, points", [
+        (sweep_sampling_time, [1000, 2000, 4000]),
+        (sweep_retention_spread, [[200_000] * 3, [137_000, 200_000, 263_000], 150_000]),
+    ])
+    def test_exact_law_built_once(self, monkeypatch, sweep, points):
+        # timing never changes the law; each point used to rebuild it
+        calls, exact = [], analysis.boltzmann_distribution
+
+        def counting(*args):
+            calls.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(analysis, "boltzmann_distribution", counting)
+        rows = sweep(build_and_machine(0.8), 3, points, 500)
+        assert len(rows) == 3
+        assert len(calls) == 1
 
     def test_distance_csv(self, tmp_path):
         path = tmp_path / "distance.csv"

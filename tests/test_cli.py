@@ -415,6 +415,18 @@ class TestSweeps:
         assert main([command, str(path), *args, "--out", str(tmp_path / "o")]) == 2
         assert "'samples' budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [["sweep-tau", "--taus", "1000"],
+                                       ["sweep-retention", "--plans", "[200000]"]])
+    @pytest.mark.parametrize("field, value", [
+        ("updates", 100), ("record_trace", True), ("serialization_window_us", 50)])
+    def test_run_only_field_refused(self, tmp_path, capsys, extra, field, value):
+        # a sweep used to accept these, ignore them and exit 0
+        path = write_scenario(tmp_path / "s.json", **{field: value})
+        command, *args = extra
+        assert main([command, str(path), *args, "--out", str(tmp_path / "o")]) == 2
+        assert f"sweeps do not read '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_taus_must_be_integers(self, scenario, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep-tau", str(scenario), "--taus", "1k", "--out", str(tmp_path)])

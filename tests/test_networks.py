@@ -1,6 +1,8 @@
 """Gate library, verification, synthesis, composition and system builders."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from pbitsim.errors import (
 )
 from pbitsim.networks import (
     SHIPPED_GATES,
-    GateCircuit,
     GateSpec,
     NetworkSpec,
     build_and_machine,
@@ -24,6 +25,7 @@ from pbitsim.networks import (
     build_full_adder,
     build_quad_and,
     build_rca4,
+    compose_gates,
     fold_constant,
     gate_from_json,
     gate_to_json,
@@ -38,6 +40,7 @@ from pbitsim.networks import (
 )
 
 AND_TABLE = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 1)]
+GATE_DIR = Path(networks.__file__).parent / "gates"
 
 
 class TestGateLibrary:
@@ -128,6 +131,37 @@ class TestGateLibrary:
         build_rca4(1.0)
         assert sorted(checked) == ["full_adder", "half_adder"]
 
+    @pytest.mark.parametrize("name", SHIPPED_GATES)
+    def test_saved_gate_matches_shipped_file(self, name, tmp_path):
+        # the gate file format: a loaded gate saves back to the same bytes
+        save_gate(load_gate(name), tmp_path / f"{name}.json")
+        assert (tmp_path / f"{name}.json").read_bytes() == (GATE_DIR / f"{name}.json").read_bytes()
+
+    def test_shared_gate_cannot_be_edited(self):
+        # every caller shares one cached gate: an edit used to reach every later build
+        gate = load_gate("and")
+        with pytest.raises(TypeError):
+            gate.visible["A"] = 2
+        with pytest.raises(AttributeError):
+            gate.truth_table.append((1, 1, 0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gate.verified = False
+        assert build_and_machine(1.0).visible_labels["A"] == 0
+        assert load_gate("and").truth_table == tuple(AND_TABLE)
+        assert load_gate("and").verified
+
+    def test_derived_gates_verified_once_per_process(self, monkeypatch):
+        checked = []
+
+        def counting(gate):
+            checked.append(gate.name)
+            return verify_ground_states(gate)
+
+        build_factorizer(1.0)
+        monkeypatch.setattr(networks, "verify_ground_states", counting)
+        build_factorizer(1.0)
+        assert checked == []
+
 
 class TestSynthesis:
     def test_lp_rejects_oversized(self):
@@ -163,27 +197,37 @@ class TestSynthesis:
 
 class TestComposition:
     def test_circuit_sums_to_verified_whole(self):
-        and_gate = load_gate("and")
-        or_gate = load_gate("or")
-        circuit = GateCircuit("aoi")
-        circuit.place(and_gate, {"A": "X", "B": "Y", "C": "M"})
-        circuit.place(or_gate, {"A": "M", "B": "Z", "C": "OUT"})
         rows = [
             (x, y, z, (x & y) | z)
             for x in (0, 1) for y in (0, 1) for z in (0, 1)
         ]
-        gate = circuit.to_gate("aoi", ["X", "Y", "Z", "OUT"],
-                               inputs=["X", "Y", "Z"], outputs=["OUT"],
-                               truth_table=rows)
-        assert verify_ground_states(gate).verified
+        gate = compose_gates(
+            "aoi",
+            [(load_gate("and"), {"A": "X", "B": "Y", "C": "M"}),
+             (load_gate("or"), {"A": "M", "B": "Z", "C": "OUT"})],
+            ["X", "Y", "Z", "OUT"], inputs=["X", "Y", "Z"], outputs=["OUT"], truth_table=rows)
+        assert gate.verified
+        assert gate.n == 5
+        assert gate.auxiliary == (2,)  # M, numbered in order of first use
+        assert ground_state_report(gate)["ok"]
 
     def test_place_requires_verified_gate(self):
-        from dataclasses import replace
+        raw = dataclasses.replace(load_gate("and"), verified=False)
+        with pytest.raises(ConfigurationError, match="not verified"):
+            compose_gates("x", [(raw, {"A": "A", "B": "B", "C": "C"})],
+                          ["A", "B", "C"], ["A", "B"], ["C"], AND_TABLE)
 
-        raw = replace(load_gate("and"), verified=False)
-        circuit = GateCircuit("x")
-        with pytest.raises(ConfigurationError):
-            circuit.place(raw, {"A": "A", "B": "B", "C": "C"})
+    def test_compose_refuses_auxiliary_spins(self):
+        xor = load_gate("xor")
+        assert xor.auxiliary
+        with pytest.raises(ConfigurationError, match="auxiliary spins"):
+            compose_gates("x", [(xor, {"A": "A", "B": "B", "S": "S"})],
+                          ["A", "B", "S"], ["A", "B"], ["S"], xor.truth_table)
+
+    def test_compose_refuses_two_terminals_on_one_spin(self):
+        with pytest.raises(ConfigurationError, match="its own spin"):
+            compose_gates("x", [(load_gate("and"), {"A": "X", "B": "X", "C": "Y"})],
+                          ["X", "Y"], ["X"], ["Y"], [(0, 0), (1, 1)])
 
     def test_fold_constant_conditions_truth_table(self):
         fa = load_gate("full_adder")
