@@ -1,5 +1,7 @@
 """Histograms, mode reports, oracle comparisons and sweeps."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,40 @@ class TestHistogram:
         assert lines[0] == "state,label,count,probability"
         assert len(lines) == 9
         assert lines[1].split(",")[:2] == ["0", "000"]
+
+
+def tied_dist(n_bits=10, seed=7):
+    """Random counts of 0-3 over 2^n_bits states: many ties and unseen states."""
+    counts = np.random.default_rng(seed).integers(0, 4, 1 << n_bits).astype(np.int64)
+    return EmpiricalDistribution(labels=[f"b{k}" for k in range(n_bits)], counts=counts,
+                                 total=int(counts.sum()), burn_in_discarded=0)
+
+
+class TestOutputsMatchReference:
+    """histogram.csv and the mode ranking against plain csv.writer and sorted."""
+
+    def test_to_csv_bytes(self, tmp_path):
+        dist = tied_dist()
+        ref = tmp_path / "reference.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["state", "label", "count", "probability"])
+            probs = dist.probabilities
+            for word in range(len(dist.counts)):
+                writer.writerow([word, format(word, "010b"), int(dist.counts[word]),
+                                 repr(float(probs[word]))])
+        path = tmp_path / "histogram.csv"
+        dist.to_csv(path)
+        assert path.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("k", [1, 3, 100, 1023, 1024, 1025])
+    def test_mode_report_order(self, k):
+        dist = tied_dist()
+        probs = dist.probabilities
+        order = sorted(range(len(probs)), key=lambda w: (-probs[w], w))
+        ref = [{"state": w, "label": format(w, "010b"), "probability": float(probs[w])}
+               for w in order[:k] if dist.counts[w] > 0 or k >= len(probs)]
+        assert mode_report(dist, k) == ref
 
 
 class TestModeReport:

@@ -293,38 +293,73 @@ def test_budget_stop(name):
     assert (trace_digest(trace), trace.final_time_us, len(trace)) == expected
 
 
-# command -> {file name: digest}
+def random_matrix_scenario(n=16):
+    """A random n-unit machine with J and h on the quarter grid, run with
+    its oracle distance and its trace: a 2^n-row histogram."""
+    rng = np.random.default_rng(n)
+    j = np.triu(rng.integers(-4, 5, (n, n)) / 4, 1)
+    return {
+        "name": f"matrix{n}",
+        "network": {"kind": "matrix", "i0": 0.5, "j": (j + j.T).tolist(),
+                    "h": (rng.integers(-4, 5, n) / 4).tolist(), "tau_sample_us": 1000},
+        "retention_us": 20_000,
+        "seed": 5,
+        "samples": 4000,
+        "compare_oracle": True,
+        "record_trace": True,
+    }
+
+
+def shipped(name):
+    return lambda tmp_path: shutil.copy(SCENARIOS / name, tmp_path / name)
+
+
+def matrix16(tmp_path):
+    path = tmp_path / "matrix16.json"
+    path.write_text(json.dumps(random_matrix_scenario()))
+    return path
+
+
+PLANS = json.dumps([[200_000] * 3, [137_000, 200_000, 263_000]])
+
+# case -> (scenario writer, command, arguments after the scenario, {file: digest});
+# the first run case records update timestamps (serialization metric)
 CLI_GOLDEN = {
-    "run": {
-        "histogram.csv": "a6b77e781e2aefc3f2cd11cfcb193215016b072accb0116cb0a953dc0ccb5fc9",
-        "report.json": "813b002806c017a175525ccf6b6d20a0abd24efeb6e961a025fa11f6c0f729d1",
-    },
-    "sweep-tau": {
-        "distance.csv": "f3e0c002e333ac0b29eeac5e3f707dfbf6c8a5d3fcf68e6733c552199f06dce3",
-    },
-    "sweep-retention": {
-        "distance.csv": "82502ea3551d1d5ba5186eed339525c8f5d00d119ac7dc83d990151e752730c7",
-    },
+    "run": (
+        shipped("and_serialization.json"), "run", [],
+        {
+            "histogram.csv": "a6b77e781e2aefc3f2cd11cfcb193215016b072accb0116cb0a953dc0ccb5fc9",
+            "report.json": "813b002806c017a175525ccf6b6d20a0abd24efeb6e961a025fa11f6c0f729d1",
+        },
+    ),
+    "run-matrix16": (
+        matrix16, "run", [],
+        {
+            "histogram.csv": "d59d9fcf4a1f087706c9d24b9fd8d9f9b1c37d4b4ba174f6a483a5726935dca5",
+            "report.json": "c2c81d38c4a3f827cf0a33ec1121c998b70b9e4fbf32a67f103c71ddf6228b6f",
+            "trace.csv": "757baca97f1f5e863bf8b243149866fd9363d2912f8e57e5d33e675b209e36df",
+        },
+    ),
+    "sweep-tau": (
+        shipped("and_correlated.json"),
+        "sweep-tau", ["--taus", "1000,50000", "--samples", "2000"],
+        {"distance.csv": "f3e0c002e333ac0b29eeac5e3f707dfbf6c8a5d3fcf68e6733c552199f06dce3"},
+    ),
+    "sweep-retention": (
+        shipped("and_correlated.json"),
+        "sweep-retention", ["--plans", PLANS, "--samples", "2000"],
+        {"distance.csv": "82502ea3551d1d5ba5186eed339525c8f5d00d119ac7dc83d990151e752730c7"},
+    ),
 }
 
 
-def cli_args(command, scenario, out):
-    if command == "run":
-        return ["run", str(scenario), "--out", str(out)]
-    extra = (["--taus", "1000,50000"] if command == "sweep-tau" else
-             ["--plans", json.dumps([[200_000] * 3, [137_000, 200_000, 263_000]])])
-    return [command, str(scenario), *extra, "--samples", "2000", "--out", str(out)]
-
-
-@pytest.mark.parametrize("command", sorted(CLI_GOLDEN))
-def test_cli_output_digest(command, tmp_path, capsys):
-    # the run case records update timestamps (serialization metric)
-    name = "and_serialization.json" if command == "run" else "and_correlated.json"
-    scenario = shutil.copy(SCENARIOS / name, tmp_path / name)
+@pytest.mark.parametrize("case", sorted(CLI_GOLDEN))
+def test_cli_output_digest(case, tmp_path, capsys):
+    write, command, args, expected = CLI_GOLDEN[case]
     out = tmp_path / "out"
-    assert main(cli_args(command, scenario, out)) == 0
-    got = {fname: file_digest(out / fname) for fname in CLI_GOLDEN[command]}
-    assert got == CLI_GOLDEN[command]
+    assert main([command, str(write(tmp_path)), *args, "--out", str(out)]) == 0
+    got = {fname: file_digest(out / fname) for fname in expected}
+    assert got == expected
 
 
 def network_digest(net) -> str:
