@@ -39,14 +39,15 @@ class EmpiricalDistribution:
         return format(word, f"0{self.n_bits}b")
 
     def to_csv(self, path) -> None:
+        """Write one row per state, every state listed, in the bytes
+        ``csv.writer`` would give: no field needs quoting, so each row is
+        formatted by a template inside one ``writelines`` loop."""
+        words = range(len(self.counts))
+        row = f"{{}},{{:0{self.n_bits}b}},{{}},{{!r}}\r\n".format
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["state", "label", "count", "probability"])
-            probs = self.probabilities
-            for word in range(len(self.counts)):
-                writer.writerow(
-                    [word, self.bit_string(word), int(self.counts[word]), repr(float(probs[word]))]
-                )
+            fh.write("state,label,count,probability\r\n")
+            fh.writelines(map(row, words, words, self.counts.tolist(),
+                              self.probabilities.tolist()))
 
 
 def histogram(
@@ -74,16 +75,27 @@ def histogram(
     )
 
 
+def rank_states(probs, words=None) -> np.ndarray:
+    """Positions of ``probs`` in mode order: descending probability, ties by
+    ascending state word. ``words`` defaults to the positions themselves."""
+    probs = np.asarray(probs, dtype=float)
+    if words is None:
+        return np.argsort(-probs, kind="stable")
+    return np.lexsort((words, -probs))
+
+
 def mode_report(dist: EmpiricalDistribution, k: int) -> list:
-    """Top-k states: descending probability, ties by ascending state word."""
+    """Top-k states by ``rank_states``; unseen states only when k covers
+    every state."""
     if k < 1:
         raise ConfigurationError("k must be >= 1")
     probs = dist.probabilities
-    order = sorted(range(len(probs)), key=lambda w: (-probs[w], w))
+    top = rank_states(probs)[:k]
+    if k < len(probs):
+        top = top[dist.counts[top] > 0]
     return [
-        {"state": w, "label": dist.bit_string(w), "probability": float(probs[w])}
-        for w in order[:k]
-        if dist.counts[w] > 0 or k >= len(probs)
+        {"state": w, "label": dist.bit_string(w), "probability": p}
+        for w, p in zip(top.tolist(), probs[top].tolist())
     ]
 
 
@@ -98,12 +110,23 @@ def single_machine_oracle(network: NetworkSpec):
     return boltzmann_distribution(network.machines[0].coupling, modes)
 
 
-def trace_distance(trace: dynamics.SimulationTrace, exact, burn_in: float) -> float:
-    """Euclidean distance between a trace's law over all its units and the
-    exact distribution ``exact``."""
-    all_units = {f"pbit_{k}": k for k in range(trace.n)}
-    emp = histogram(trace, all_units, burn_in)
-    return euclidean_distance(emp.probabilities, exact.probabilities)
+def exact_law(network: NetworkSpec, units=None):
+    """Exact law of a one-machine network over ``units`` (the first one most
+    significant), summed from its law over all units; all units by default."""
+    exact = single_machine_oracle(network)
+    if units is None:
+        return exact.probabilities
+    words = project(np.arange(1 << exact.n, dtype=np.int64), exact.n, units)
+    return np.bincount(words, weights=exact.probabilities, minlength=1 << len(units))
+
+
+def trace_distance(trace: dynamics.SimulationTrace, exact, burn_in: float,
+                   units=None) -> float:
+    """Euclidean distance between a trace's law over ``units`` (all its units
+    by default) and ``exact``, the exact law over the same units."""
+    units = range(trace.n) if units is None else units
+    emp = histogram(trace, {f"pbit_{k}": k for k in units}, burn_in)
+    return euclidean_distance(emp.probabilities, exact)
 
 
 def oracle_distance(
@@ -124,21 +147,23 @@ def sweep_sampling_time(
     taus_us,
     samples: int,
     burn_in: float = DEFAULT_BURN_IN,
+    units=None,
 ) -> list:
-    """Oracle distance as a function of normalized sampling time.
+    """Oracle distance over ``units`` (all by default) as a function of
+    normalized sampling time.
 
     Returns one row per tau: {tau_us, tau_ratio, distance} with tau_ratio
     normalized by the smallest retention time. Timing never changes the
     exact law, so it is built once for every point.
     """
-    exact = single_machine_oracle(network)
+    exact = exact_law(network, units)
     tau_min = min(p.retention_us for p in network.pbits)
     rows = []
     for idx, tau in enumerate(taus_us):
         net = network.copy()
         net.set_tau_sample(int(tau))
         trace = dynamics.run(net, _derived_seed(seed, idx), max_samples=samples)
-        dist = trace_distance(trace, exact, burn_in)
+        dist = trace_distance(trace, exact, burn_in, units)
         rows.append({"tau_us": int(tau), "tau_ratio": tau / tau_min, "distance": dist})
     return rows
 
@@ -149,10 +174,11 @@ def sweep_retention_spread(
     plans,
     samples: int,
     burn_in: float = DEFAULT_BURN_IN,
+    units=None,
 ) -> list:
-    """Oracle distance for each per-unit retention-time assignment, against
-    one exact law built for every plan."""
-    exact = single_machine_oracle(network)
+    """Oracle distance over ``units`` (all by default) for each per-unit
+    retention-time assignment, against one exact law built for every plan."""
+    exact = exact_law(network, units)
     rows = []
     for idx, plan in enumerate(plans):
         net = network.copy()
@@ -164,7 +190,7 @@ def sweep_retention_spread(
                 f"sampling period {tau_sample} exceeds smallest retention {tau_min}"
             )
         trace = dynamics.run(net, _derived_seed(seed, idx), max_samples=samples)
-        dist = trace_distance(trace, exact, burn_in)
+        dist = trace_distance(trace, exact, burn_in, units)
         rows.append({"plan": [p.retention_us for p in net.pbits],
                      "tau_ratio": tau_sample / tau_min, "distance": dist})
     return rows

@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 
 from . import analysis, dynamics
 from .core import QuantizationConfig
@@ -343,8 +344,13 @@ def _sweep(args, sweep, points, columns, describe) -> int:
     if ignored:
         raise ConfigurationError(
             f"sweeps do not read {' or '.join(map(repr, ignored))}, which only 'run' uses")
+    if doc.get("compare_oracle") is False:
+        raise ConfigurationError("sweeps always compare with the oracle; "
+                                 "'compare_oracle': false is for 'run' only")
+    # the law over histogram_over's units, or over every unit when it is absent
+    units = list(_histogram_labels(doc, net).values()) if "histogram_over" in doc else None
     rows = sweep(net, doc["seed"], points, doc["samples"],
-                 doc.get("burn_in", analysis.DEFAULT_BURN_IN))
+                 doc.get("burn_in", analysis.DEFAULT_BURN_IN), units)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     analysis.distance_rows_to_csv(rows, outdir / "distance.csv", columns)
@@ -429,12 +435,14 @@ def cmd_report(args) -> int:
     if missing:
         raise ConfigurationError(f"histogram file lacks the columns {missing}")
     try:
-        rows = [(int(r["state"]), r["label"], float(r["probability"])) for r in rows]
-    except (TypeError, ValueError):  # a short row reads None, a bad cell fails to parse
+        states = np.array([int(r["state"]) for r in rows], dtype=np.int64)
+        probs = [float(r["probability"]) for r in rows]
+    # a short row reads None, a bad cell fails to parse, a huge state overflows
+    except (TypeError, ValueError, OverflowError):
         raise ConfigurationError(
             "histogram rows need an integer state and a numeric probability") from None
-    rows.sort(key=lambda r: (-r[2], r[0]))
-    top = rows[: args.top]
+    top = [(int(states[i]), rows[i]["label"], probs[i])
+           for i in analysis.rank_states(probs, states)[: args.top]]
     if args.format == "json":
         print(json.dumps([{"state": s, "label": lab, "probability": p} for s, lab, p in top],
                          indent=2))

@@ -37,7 +37,6 @@ draw ``-f + 2f·u`` is the same as ``Generator.uniform(-f, f)``.
 
 from __future__ import annotations
 
-import csv
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -48,7 +47,6 @@ import numpy as np
 from .core import CLAMPED_HIGH, CLAMPED_LOW, V_RAIL, Wired, sigmoid, weight_inputs
 from .errors import ConfigurationError
 from .networks import NetworkSpec
-from .oracle import state_bits
 
 PRIO_REFRESH = 0
 PRIO_UPDATE = 1
@@ -90,11 +88,13 @@ class SimulationTrace:
         return len(self.times)
 
     def to_csv(self, path) -> None:
+        """Write one row per sample, its time and every unit's level, in the
+        bytes ``csv.writer`` would give, each row formatted inside C-level
+        ``map`` loops."""
+        levels = map(",".join, map(f"{{:0{self.n}b}}".format, self.states.tolist()))
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time_us"] + [f"pbit_{k}" for k in range(self.n)])
-            for t, mask in zip(self.times, self.states):
-                writer.writerow([int(t), *state_bits(int(mask), self.n)])
+            fh.write(",".join(["time_us"] + [f"pbit_{k}" for k in range(self.n)]) + "\r\n")
+            fh.writelines(map("{},{}\r\n".format, self.times.tolist(), levels))
 
 
 class Simulator:

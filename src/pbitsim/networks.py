@@ -181,9 +181,7 @@ def ground_state_report(gate: GateSpec) -> dict:
     spurious = sorted(ground_words - truth)
     missing = sorted(truth - ground_words)
     spurious_states = [
-        state_bits(int(s), gate.n)
-        for s in np.nonzero(ground)[0]
-        if int(words[s]) in set(spurious)
+        state_bits(s, gate.n) for s in np.flatnonzero(ground & np.isin(words, spurious)).tolist()
     ]
     return {
         "ok": not spurious and not missing,

@@ -9,16 +9,19 @@ from pbitsim import analysis
 from pbitsim.analysis import (
     EmpiricalDistribution,
     distance_rows_to_csv,
+    exact_law,
     histogram,
     mode_report,
     oracle_distance,
     single_machine_oracle,
     sweep_retention_spread,
     sweep_sampling_time,
+    trace_distance,
 )
 from pbitsim.dynamics import run
 from pbitsim.errors import ConfigurationError
 from pbitsim.networks import build_and_machine, build_rca4
+from pbitsim.oracle import euclidean_distance
 
 
 class TestHistogram:
@@ -189,6 +192,40 @@ class TestSweeps:
         rows = sweep(build_and_machine(0.8), 3, points, 500)
         assert len(rows) == 3
         assert len(calls) == 1
+
+    def test_exact_marginal(self):
+        net = build_and_machine(0.8)
+        full = exact_law(net)
+        # units (C, A): C is the high bit of the marginal word
+        law = exact_law(net, [2, 0])
+        for c in (0, 1):
+            for a in (0, 1):
+                want = sum(full[w] for w in range(8) if (w & 1) == c and (w >> 2) == a)
+                assert law[2 * c + a] == pytest.approx(want)
+        # every unit in order is the full law, bit for bit
+        assert exact_law(net, [0, 1, 2]).tolist() == full.tolist()
+
+    @pytest.mark.parametrize("sweep, point", [
+        (sweep_sampling_time, 4000), (sweep_retention_spread, [150_000, 200_000, 250_000])])
+    def test_subset_marginal(self, sweep, point):
+        net = build_and_machine(0.8)
+        (row,) = sweep(net, 3, [point], 2000, units=[2])
+        # the same run, measured by hand over unit C alone
+        net = net.copy()
+        if sweep is sweep_sampling_time:
+            net.set_tau_sample(point)
+        else:
+            net.set_retention(point)
+        trace = run(net, analysis._derived_seed(3, 0), max_samples=2000)
+        emp = histogram(trace, {"C": 2}, analysis.DEFAULT_BURN_IN)
+        assert row["distance"] == euclidean_distance(emp.probabilities, exact_law(net, [2]))
+        assert row["distance"] != trace_distance(trace, exact_law(net), analysis.DEFAULT_BURN_IN)
+
+    @pytest.mark.parametrize("sweep, point", [
+        (sweep_sampling_time, 4000), (sweep_retention_spread, [150_000, 200_000, 250_000])])
+    def test_all_units_in_order_is_the_full_law(self, sweep, point):
+        net = build_and_machine(0.8)
+        assert sweep(net, 3, [point], 2000, units=[0, 1, 2]) == sweep(net, 3, [point], 2000)
 
     def test_distance_csv(self, tmp_path):
         path = tmp_path / "distance.csv"

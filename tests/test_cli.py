@@ -7,8 +7,15 @@ import jsonschema
 import numpy as np
 import pytest
 
+from pbitsim.analysis import sweep_sampling_time
 from pbitsim.cli import GATE_INPUT_SCHEMA, PLANS_SCHEMA, SCENARIO_SCHEMA, main
-from pbitsim.networks import load_gate, load_gate_file, save_gate, verify_ground_states
+from pbitsim.networks import (
+    build_and_machine,
+    load_gate,
+    load_gate_file,
+    save_gate,
+    verify_ground_states,
+)
 
 
 def write_scenario(path, **overrides):
@@ -427,6 +434,38 @@ class TestSweeps:
         assert f"sweeps do not read '{field}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("extra", [["sweep-tau", "--taus", "1000"],
+                                       ["sweep-retention", "--plans", "[200000]"]])
+    def test_compare_oracle_false_refused(self, tmp_path, capsys, extra):
+        # a sweep always measures against the oracle; it used to ignore this
+        path = write_scenario(tmp_path / "s.json", compare_oracle=False)
+        command, *args = extra
+        assert main([command, str(path), *args, "--out", str(tmp_path / "o")]) == 2
+        assert "'compare_oracle': false" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_histogram_over_sets_the_marginal(self, tmp_path):
+        # the distance is measured over the named units; it used to ignore them
+        def distance(**fields):
+            path = write_scenario(tmp_path / "s.json", **fields)
+            out = tmp_path / "out"
+            assert main(["sweep-tau", str(path), "--taus", "1000", "--samples", "2000",
+                         "--out", str(out)]) == 0
+            return (out / "distance.csv").read_text()
+
+        full = distance()
+        assert distance(histogram_over=["A", "B", "C"]) == full
+        only_c = distance(histogram_over=["C"])
+        assert only_c != full
+        net = build_and_machine(0.8)
+        rows = sweep_sampling_time(net, 7, [1000], 2000, units=[2])
+        assert only_c.splitlines()[1] == f"{rows[0]['tau_ratio']!r},{rows[0]['distance']!r}"
+
+    def test_histogram_over_unknown_label(self, tmp_path, capsys):
+        path = write_scenario(tmp_path / "s.json", histogram_over=["Z"])
+        assert main(["sweep-tau", str(path), "--taus", "1000", "--out", str(tmp_path)]) == 2
+        assert "unknown histogram labels ['Z']" in capsys.readouterr().err
+
     def test_taus_must_be_integers(self, scenario, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep-tau", str(scenario), "--taus", "1k", "--out", str(tmp_path)])
@@ -459,6 +498,15 @@ class TestReport:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("state ")
+
+    def test_ties_by_state_in_an_unsorted_file(self, tmp_path, capsys):
+        path = tmp_path / "histogram.csv"
+        path.write_text("state,label,count,probability\n"
+                        "3,11,1,0.25\n2,10,2,0.5\n0,00,0,0.0\n1,01,1,0.25\n")
+        assert main(["report", str(path), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [r["state"] for r in report] == [2, 1, 3, 0]
+        assert report[1] == {"state": 1, "label": "01", "probability": 0.25}
 
     @pytest.mark.parametrize("text, message", [
         ("state,label,count\n0,000,5\n", "lacks the columns ['probability']"),
