@@ -221,12 +221,6 @@ class TestSweeps:
         assert row["distance"] == euclidean_distance(emp.probabilities, exact_law(net, [2]))
         assert row["distance"] != trace_distance(trace, exact_law(net), analysis.DEFAULT_BURN_IN)
 
-    @pytest.mark.parametrize("sweep, point", [
-        (sweep_sampling_time, 4000), (sweep_retention_spread, [150_000, 200_000, 250_000])])
-    def test_all_units_in_order_is_the_full_law(self, sweep, point):
-        net = build_and_machine(0.8)
-        assert sweep(net, 3, [point], 2000, units=[0, 1, 2]) == sweep(net, 3, [point], 2000)
-
     def test_distance_csv(self, tmp_path):
         path = tmp_path / "distance.csv"
         distance_rows_to_csv(
