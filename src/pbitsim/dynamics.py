@@ -33,11 +33,31 @@ in blocks of ``BLOCK`` uniforms drawn ahead, one value per draw in turn: its
 initial state, each update's comparison value and each jitter draw. The
 values are the same as scalar ``Generator.random()`` calls, and a jitter
 draw ``-f + 2f·u`` is the same as ``Generator.uniform(-f, f)``.
+
+Two engines run a network, and they give the same bits: the same trace, end
+time and recorded updates. ``run`` picks one from the network alone. A network
+of one machine with at most 8 units (``MEMO_ENTRIES`` local states; one machine
+holds no wire) is run by composing per-tick state maps; every other network
+steps the event heap of ``Simulator``. In one machine without wires the
+published voltages change only at lattice ticks: a refresh runs before the
+updates at its tick, and a clean refresh would publish the same values. So
+every update in [t_k, t_k+1) compares its ``u`` against p(S_k), the held
+probability in the state at tick t_k, and the interval is a map on the 2^n
+states in which each unit that updated takes the output of its last update.
+The composed engine tabulates p[state, unit] once (2^n weight-logic calls),
+draws each unit's update times and ``u`` values with numpy from the unit's
+own stream in the order above, and composes the interval maps forward over
+windows of ticks, in the manner of Propp and Wilson's coupled maps (Random
+Struct. Alg. 9, 223, 1996) run forward on the same streams. Budgets that
+count updates follow the heap's order of equal-time updates: the order of
+the units' previous updates, with first updates ahead of every later one and
+among themselves in gid order.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
@@ -54,14 +74,48 @@ PRIO_UPDATE = 1
 BLOCK = 256
 # local output masks cached per machine: every state of up to 8 units
 MEMO_ENTRIES = 256
+# updates drawn ahead per refill of a unit's schedule in the composed engine
+CHUNK = 4096
+# bound on the state-map entries of one window of the composed engine
+WINDOW_ENTRIES = 1 << 20
+
+
+def unit_rng(seed: int, gid: int) -> np.random.Generator:
+    """Unit ``gid``'s own PCG64 generator, seeded by (scenario seed, unit id)."""
+    return np.random.default_rng(np.random.SeedSequence([seed, gid]))
 
 
 def uniform_stream(seed: int, gid: int):
     """Unit ``gid``'s next-uniform function: the values of scalar
     ``random()`` calls on its PCG64 generator, drawn ``BLOCK`` at a time."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, gid]))
+    rng = unit_rng(seed, gid)
     blocks = iter(lambda: rng.random(BLOCK).tolist(), None)
     return chain.from_iterable(blocks).__next__
+
+
+def initial_output(mode, draw) -> int:
+    """A unit's output at t = 0: a clamped unit sits on its rail without a
+    draw, any other unit takes the first uniform of its stream."""
+    if mode == CLAMPED_HIGH:
+        return 1
+    if mode == CLAMPED_LOW:
+        return 0
+    return 1 if draw() < 0.5 else 0
+
+
+def sample_times(taus, last: int) -> np.ndarray:
+    """The union of the refresh lattices of periods ``taus`` over [0, last]."""
+    lattices = [np.arange(0, last + 1, tau, dtype=np.int64) for tau in set(taus)]
+    return lattices[0] if len(lattices) == 1 else np.unique(np.concatenate(lattices))
+
+
+def sample_time(taus, index: int) -> int:
+    """The time of sample ``index`` (from 0), which lies within
+    ``index * min(taus)`` since the fastest lattice alone has enough points."""
+    taus = set(taus)
+    if len(taus) == 1:
+        return index * taus.pop()
+    return int(sample_times(taus, index * min(taus))[index])
 
 
 @dataclass
@@ -95,6 +149,24 @@ class SimulationTrace:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(["time_us"] + [f"pbit_{k}" for k in range(self.n)]) + "\r\n")
             fh.writelines(map("{},{}\r\n".format, self.times.tolist(), levels))
+
+
+def _trace(n, taus, last, clock, flip_times, flip_masks, update_events,
+           update_counts, one_counts) -> SimulationTrace:
+    """The samples up to ``last`` (none if it is negative), each state being
+    the mask after every logged flip strictly before its time. The run ends
+    at its last event (``clock``) or its last sample, whichever is later."""
+    times = sample_times(taus, last)
+    states = flip_masks[np.searchsorted(flip_times, times, "left") - 1]
+    return SimulationTrace(
+        n=n,
+        times=times,
+        states=states,
+        update_events=update_events,
+        update_counts=update_counts,
+        one_counts=one_counts,
+        final_time_us=max(clock, int(times[-1])) if len(times) else clock,
+    )
 
 
 class Simulator:
@@ -131,12 +203,7 @@ class Simulator:
         self.wire_p = tuple(sigmoid(2.0 * (V_RAIL * out) - 5.0) for out in (0, 1))
         self.mask = 0
         for gid, p in enumerate(network.pbits):
-            if p.mode == CLAMPED_HIGH:
-                out = 1
-            elif p.mode == CLAMPED_LOW:
-                out = 0
-            else:
-                out = 1 if self.draws[gid]() < 0.5 else 0
+            out = initial_output(p.mode, self.draws[gid])
             self.outputs[gid] = out
             if out:
                 self.mask |= 1 << (n - 1 - gid)
@@ -238,35 +305,229 @@ class Simulator:
         heapq.heappush(self.queue, (t + dt, PRIO_UPDATE, self._seq, gid))
         self._seq += 1
 
-    def sample_times(self, last: int) -> np.ndarray:
-        """The union of the machines' refresh lattices over [0, last]."""
-        lattices = [np.arange(0, last + 1, tau, dtype=np.int64) for tau in set(self.taus)]
-        return lattices[0] if len(lattices) == 1 else np.unique(np.concatenate(lattices))
-
-    def sample_time(self, index: int) -> int:
-        """The time of sample ``index`` (from 0), which lies within
-        ``index * min(tau)`` since the fastest lattice alone has enough points."""
-        taus = set(self.taus)
-        if len(taus) == 1:
-            return index * taus.pop()
-        return int(self.sample_times(index * min(taus))[index])
-
     def trace(self, last_sample: int) -> SimulationTrace:
-        """The samples up to ``last_sample`` (none if it is negative), each
-        state being the mask after every flip strictly before its time."""
-        times = self.sample_times(last_sample)
-        flip_times = np.asarray(self.flip_times, dtype=np.int64)
-        flip_masks = np.asarray(self.flip_masks, dtype=np.int64)
-        states = flip_masks[np.searchsorted(flip_times, times, "left") - 1]
-        return SimulationTrace(
-            n=self.n,
-            times=times,
-            states=states,
-            update_events=list(self.update_events),
-            update_counts=self.update_counts,
-            one_counts=self.one_counts,
-            final_time_us=max(self.clock, int(times[-1])) if len(times) else self.clock,
-        )
+        """The samples up to ``last_sample`` (none if it is negative)."""
+        return _trace(self.n, self.taus, last_sample, self.clock,
+                      np.asarray(self.flip_times, dtype=np.int64),
+                      np.asarray(self.flip_masks, dtype=np.int64),
+                      list(self.update_events), self.update_counts, self.one_counts)
+
+
+class _Schedule:
+    """One unit's drawn but unprocessed updates, as arrays of times and
+    comparison values ``u``. They are drawn from the unit's stream up to
+    ``chunk`` updates at a time, in ``Simulator._update``'s order: ``u`` and
+    then, if the unit has jitter, the draw that sets the time of its next
+    update."""
+
+    def __init__(self, rng: np.random.Generator, pbit, chunk: int):
+        self.rng = rng
+        self.retention = pbit.retention_us
+        self.jitter = pbit.jitter_fraction
+        self.chunk = chunk
+        # no interval between two updates is shorter
+        self.min_step = max(1, int(self.retention * (1.0 - self.jitter)))
+        self.times = np.empty(0, dtype=np.int64)
+        self.u = np.empty(0)
+        # the time of the first update not drawn yet
+        self.next_t = pbit.phase_us
+
+    def refill(self, horizon) -> None:
+        """Draw the next ``chunk`` updates, or fewer if fewer start before
+        ``horizon``."""
+        c = min(self.chunk, (horizon - self.next_t) // self.min_step + 1)
+        r, f = self.retention, self.jitter
+        if f > 0.0:
+            draws = self.rng.random(2 * c)
+            u = draws[0::2]
+            # round(r * (1 + uniform(-f, f))), at least 1, as in Simulator._update
+            dt = np.maximum(np.rint(r * (1.0 + (-f + 2.0 * f * draws[1::2]))), 1)
+            dt = dt.astype(np.int64)
+        else:
+            u = self.rng.random(c)
+            dt = np.full(c, r, dtype=np.int64)
+        after = self.next_t + np.cumsum(dt)
+        self.times = np.concatenate((self.times, [self.next_t], after[:-1]))
+        self.u = np.concatenate((self.u, u))
+        self.next_t = int(after[-1])
+
+    def take(self, count: int):
+        """Remove and return the first ``count`` updates' times and ``u``."""
+        taken = self.times[:count], self.u[:count]
+        self.times, self.u = self.times[count:], self.u[count:]
+        return taken
+
+
+def _composable(network: NetworkSpec) -> bool:
+    """Whether ``run`` composes per-tick state maps for ``network``: one
+    machine (``NetworkSpec.validate`` allows no wire inside a machine) whose
+    2^n local states fit ``MEMO_ENTRIES``."""
+    return len(network.machines) == 1 and (1 << network.n_total) <= MEMO_ENTRIES
+
+
+def _heap_order(times, counts, last_t, last_pos) -> np.ndarray:
+    """The indices that sort one window's updates into the heap's order.
+
+    ``times`` holds each unit's updates in time order, unit after unit,
+    ``counts[g]`` of unit g. Updates run by time. Of two units updating at
+    one instant, the one whose previous update ran first runs first, and a
+    unit with no previous update runs before one with. If both previous
+    updates fell at one instant, the pair keeps the order it had there; for
+    updates before the window that is the order of ``last_pos``, each
+    unit's position in the run's update order (-n + gid before its first
+    update, so first updates run in gid order). ``last_t`` holds each unit's
+    last update time before the window, -1 before its first.
+    """
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    rank = np.zeros(len(times), dtype=np.int64)
+    for g in range(len(counts)):
+        tg = times[bounds[g]:bounds[g + 1]]
+        for h in range(g + 1, len(counts)):
+            th = times[bounds[h]:bounds[h + 1]]
+            _, ig, ih = np.intersect1d(tg, th, assume_unique=True, return_indices=True)
+            if not len(ig):
+                continue
+            prev_g = np.where(ig > 0, tg[ig - 1], last_t[g])
+            prev_h = np.where(ih > 0, th[ih - 1], last_t[h])
+            # -1 where g's previous update ran first, 0 where both ran at once
+            sign = np.sign(prev_g - prev_h)
+            decided = np.where(sign != 0, np.arange(len(sign)), -1)
+            np.maximum.accumulate(decided, out=decided)
+            carried = -1 if last_pos[g] < last_pos[h] else 1
+            g_first = np.where(decided >= 0, sign[decided], carried) < 0
+            rank[bounds[h] + ih] += g_first
+            rank[bounds[g] + ig] += ~g_first
+    return np.lexsort((rank, times))
+
+
+def _walk(maps, state) -> np.ndarray:
+    """The state after each row of ``maps``, applied in turn from ``state``,
+    by a two-level scan (Blelloch, "Prefix sums and their applications",
+    1990): compose each block of about sqrt(rows) maps, walk the blocks'
+    compositions from ``state``, then step through all blocks at once."""
+    rows, size = maps.shape
+    width = math.isqrt(rows)
+    blocks = -(-rows // width)
+    pad = np.tile(np.arange(size, dtype=maps.dtype), (blocks * width - rows, 1))
+    maps = np.concatenate((maps, pad)).reshape(blocks, width, size)
+    through = maps[:, 0]
+    for j in range(1, width):
+        through = np.take_along_axis(maps[:, j], through, axis=1)
+    entry = []
+    for row in through.tolist():
+        entry.append(state)
+        state = row[state]
+    after = np.empty((blocks, width), dtype=np.int64)
+    entry, index = np.array(entry), np.arange(blocks)
+    for j in range(width):
+        entry = after[:, j] = maps[index, j, entry]
+    return after.reshape(-1)[:rows]
+
+
+def _compose_window(p, tau, state, taken):
+    """Apply one window's updates, ``taken[g]`` being unit g's (times, u),
+    from ``state`` at the window's first tick. Returns the number of outputs
+    1 per unit, the ticks after which the state changed, the states it
+    changed to, and the state at the window's end."""
+    n = len(taken)
+    times = np.concatenate([t for t, _ in taken])
+    u = np.concatenate([v for _, v in taken])
+    counts = [len(t) for t, _ in taken]
+    gids = np.repeat(np.arange(n), counts)
+    ticks, at = np.unique(times // tau, return_inverse=True)
+    # row i maps the state at tick ticks[i] to the state at the next tick
+    identity = np.arange(len(p), dtype=np.uint8)
+    maps = np.tile(identity, (len(ticks), 1))
+    lo = 0
+    for g, c in enumerate(counts):
+        if c:
+            rows = at[lo:lo + c]
+            final = np.append(rows[1:] != rows[:-1], True)
+            rows, bit = rows[final], 1 << (n - 1 - g)
+            fires = p[:, g] > u[lo:lo + c][final, None]
+            maps[rows] = np.where(fires, maps[rows] | bit, maps[rows] & (identity[-1] ^ bit))
+        lo += c
+    after = _walk(maps, state)
+    before = np.concatenate(([state], after[:-1]))
+    moved = after != before
+    ones = np.bincount(gids[p[before[at], gids] > u], minlength=n)
+    return ones, ticks[moved] * tau, after[moved], int(after[-1])
+
+
+def _run_composed(network, seed, stop, last, max_updates, record_updates) -> SimulationTrace:
+    """``run`` for a network that ``_composable`` admits, with the budgets
+    already turned into ``stop`` and ``last``: each tick interval is a map on
+    the 2^n states, and the run composes them forward, window by window."""
+    mach = network.machines[0]
+    n, tau = network.n_total, mach.tau_sample_us
+    modes = [p.mode for p in network.pbits]
+    # p[state, unit]: every unit's held probability after a refresh in that state
+    p = np.array([
+        [sigmoid(2.0 * v - 5.0) for v in weight_inputs(
+            mach.coupling, [(s >> k) & 1 for k in range(n - 1, -1, -1)], modes, mach.quant)]
+        for s in range(1 << n)
+    ])
+    rngs = [unit_rng(seed, gid) for gid in range(n)]
+    state = 0
+    for gid, rng in enumerate(rngs):
+        state |= initial_output(modes[gid], rng.random) << (n - 1 - gid)
+    chunk = min(CHUNK, WINDOW_ENTRIES // (n << n))
+    schedules = [_Schedule(rng, pbit, chunk) for rng, pbit in zip(rngs, network.pbits)]
+
+    flip_times, flip_masks = [np.array([-1])], [np.array([state])]
+    update_counts = np.zeros(n, dtype=np.int64)
+    one_counts = np.zeros(n, dtype=np.int64)
+    events = []
+    ordered = record_updates or max_updates is not None
+    last_t = np.full(n, -1, dtype=np.int64)
+    last_pos = np.arange(n) - n
+    done = clock = start = 0
+    # no update at or after ``horizon`` runs
+    horizon = np.iinfo(np.int64).max if stop is None else stop
+    while True:
+        if max_updates is not None and done >= max_updates:
+            last = clock if done else -1
+            break
+        if start >= horizon:
+            break
+        # a window ends on the last tick before some unit's next undrawn update
+        for s in schedules:
+            while s.next_t < horizon and (s.next_t < start + tau or len(s.times) < chunk):
+                s.refill(horizon)
+        end = min([s.next_t // tau * tau for s in schedules if s.next_t < horizon],
+                  default=horizon)
+        counts = [int(np.searchsorted(s.times, end)) for s in schedules]
+
+        if ordered:
+            times = np.concatenate([s.times[:c] for s, c in zip(schedules, counts)])
+            gids = np.repeat(np.arange(n), counts)
+            order = _heap_order(times, counts, last_t, last_pos)
+            if max_updates is not None and done + len(order) >= max_updates:
+                # the run ends after this window's first updates in order
+                order = order[:max_updates - done]
+                counts = np.bincount(gids[order], minlength=n).tolist()
+            else:
+                position = np.empty(len(times), dtype=np.int64)
+                position[order] = np.arange(done, done + len(order))
+                for g, tail in enumerate(np.cumsum(counts) - 1):
+                    if counts[g]:
+                        last_t[g], last_pos[g] = times[tail], position[tail]
+            if record_updates:
+                events += zip(times[order].tolist(), gids[order].tolist())
+
+        taken = [s.take(c) for s, c in zip(schedules, counts)]
+        start = end
+        if not sum(counts):
+            continue
+        ones, moved_at, moved_to, state = _compose_window(p, tau, state, taken)
+        update_counts += counts
+        one_counts += ones
+        flip_times.append(moved_at)
+        flip_masks.append(moved_to)
+        clock = max(clock, max(int(t[-1]) for t, _ in taken if len(t)))
+        done += sum(counts)
+    return _trace(n, [tau], last, clock, np.concatenate(flip_times),
+                  np.concatenate(flip_masks), events, update_counts, one_counts)
 
 
 def run(
@@ -283,19 +544,25 @@ def run(
     ``max_samples`` counts trace rows and stops at the last one's time s*,
     running the events strictly before it; ``max_updates`` counts unit
     update events and ends the samples at the last update's time. A zero
-    budget yields an empty trace.
+    budget yields an empty trace. A network ``_composable`` admits runs by
+    composed state maps, any other on the event heap; both give the same
+    trace.
     """
     if max_samples is None and duration_us is None and max_updates is None:
         raise ConfigurationError("a sample, update, or duration budget is required")
-    sim = Simulator(network, seed, record_updates=record_updates)
+    network.validate()
+    taus = [mach.tau_sample_us for mach in network.machines]
     # events run strictly before ``stop``; samples end at ``last``
     stop = last = None
     if duration_us is not None:
         stop, last = duration_us, duration_us - 1
     if max_samples is not None:
-        s_star = sim.sample_time(max_samples - 1) if max_samples > 0 else -1
+        s_star = sample_time(taus, max_samples - 1) if max_samples > 0 else -1
         if stop is None or s_star < stop:
             stop, last = s_star, s_star
+    if _composable(network):
+        return _run_composed(network, seed, stop, last, max_updates, record_updates)
+    sim = Simulator(network, seed, record_updates=record_updates)
     queue = sim.queue
     # every update requeues its unit, so the queue never empties
     while True:

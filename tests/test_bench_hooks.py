@@ -62,10 +62,11 @@ def test_traced_run_reaches_every_layer(recorder, tmp_path, capsys):
     rec, _ = recorder
     networks.load_gate.cache_clear()  # a fresh pbitsim process loads its gates cold
     scenario = tmp_path / "and.json"
+    # a 14-unit machine: a network the event heap runs, so Simulator.step is reached
     scenario.write_text(json.dumps({
         "name": "hooks", "seed": 3, "samples": 300,
-        "network": {"kind": "gate", "gate": "and", "i0": 0.8},
-        "retention_us": 2000,
+        "network": {"kind": "full_adder", "i0": 1.0},
+        "retention_us": 20_000,
     }))
     assert cli.main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 0
     for name in ("cli.main", "cli.load_scenario", "cli.build_network",

@@ -1,13 +1,24 @@
 """Event engine: determinism, tie ordering, clamps, wires, budgets, event counts."""
 
+import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbitsim import dynamics
-from pbitsim.core import CLAMPED_HIGH, CLAMPED_LOW, FREE, PBitConfig, Wired, sigmoid
+from pbitsim.core import (
+    CLAMPED_HIGH,
+    CLAMPED_LOW,
+    FREE,
+    CouplingMatrix,
+    PBitConfig,
+    QuantizationConfig,
+    Wired,
+    sigmoid,
+)
 from pbitsim.errors import ConfigurationError
 from pbitsim.networks import (
     MachineSpec,
@@ -148,6 +159,18 @@ class TestBudgets:
             run(and_net(), seed=2)
 
 
+def two_and_net(tau_sample_us, retention_us):
+    """Two AND machines, the second one's A wired to the first one's C: a
+    network the event heap runs."""
+    gate = load_gate("and")
+    mach = lambda name: MachineSpec(name, gate.coupling(0.8), tau_sample_us=tau_sample_us)
+    pbits = [PBitConfig(id=k, retention_us=retention_us) for k in range(6)]
+    pbits[3] = PBitConfig(id=3, retention_us=retention_us, mode=Wired(source=2))
+    net = NetworkSpec([mach("first"), mach("second")], pbits, {"C": 2, "C2": 5})
+    net.validate()
+    return net
+
+
 class TestEventCounts:
     """Deterministic cost gate: events processed, never wall time."""
 
@@ -161,6 +184,12 @@ class TestEventCounts:
 
         monkeypatch.setattr(owner, name, counting)
 
+    @staticmethod
+    def _computed_once(weight_calls):
+        # each machine's 2**3 local states, each computed at most once
+        states = {(id(coupling), tuple(outputs)) for coupling, outputs, *_ in weight_calls}
+        return len(states) == len(weight_calls) <= 16
+
     def test_clean_refreshes_are_elided(self, monkeypatch):
         heads, refreshes, weight_calls = [], [], []
         step = Simulator.step
@@ -173,24 +202,37 @@ class TestEventCounts:
         self._count_calls(monkeypatch, Simulator, "_refresh", refreshes)
         self._count_calls(monkeypatch, dynamics, "weight_inputs", weight_calls)
         # tau_sample = tau_N / 200, the regime where nearly every refresh is clean
-        trace = run(and_net(tau_sample_us=1000, retention_us=200_000), seed=1,
+        trace = run(two_and_net(tau_sample_us=1000, retention_us=200_000), seed=1,
                     max_samples=20_000)
         assert len(trace) == 20_000
         assert len(heads) == trace.update_counts.sum() + len(refreshes)
         assert len(heads) <= 0.05 * len(trace)
         assert heads[0] == (0, PRIO_REFRESH)
-        # the AND machine has 2**3 local states, each computed once
-        assert len(weight_calls) <= 8
+        assert self._computed_once(weight_calls)
 
     def test_weight_logic_runs_once_per_local_state(self, monkeypatch):
         refreshes, weight_calls = [], []
         self._count_calls(monkeypatch, Simulator, "_refresh", refreshes)
         self._count_calls(monkeypatch, dynamics, "weight_inputs", weight_calls)
         # tau_sample = tau_N, the breakdown regime where every refresh is dirty
-        trace = run(and_net(tau_sample_us=200_000, retention_us=200_000), seed=1,
+        trace = run(two_and_net(tau_sample_us=200_000, retention_us=200_000), seed=1,
                     max_samples=20_000)
         assert len(refreshes) > 0.9 * len(trace)
-        assert len(weight_calls) <= 8
+        assert self._computed_once(weight_calls)
+
+    @pytest.mark.parametrize("tau_sample_us", [1000, 200_000])
+    def test_composed_run_tabulates_the_weight_logic(self, monkeypatch, tau_sample_us):
+        # a one-machine run of up to 8 units never steps the heap: it calls
+        # the weight logic once per state of the machine, 2**3 for the AND
+        steps, weight_calls = [], []
+        self._count_calls(monkeypatch, Simulator, "step", steps)
+        self._count_calls(monkeypatch, dynamics, "weight_inputs", weight_calls)
+        trace = run(and_net(tau_sample_us=tau_sample_us, retention_us=200_000), seed=1,
+                    max_samples=20_000)
+        assert len(trace) == 20_000
+        assert steps == []
+        assert sorted(tuple(outputs) for _, outputs, *_ in weight_calls) == [
+            (a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 
     def test_held_probabilities_match_held_voltages(self):
         sim = Simulator(and_net(tau_sample_us=1000, retention_us=1000), seed=3)
@@ -323,3 +365,109 @@ class TestSerializationMetric:
         net, trace = self._trace([0, 0, 0])
         with pytest.raises(ConfigurationError):
             serialization_metric(trace, net, window_us=10, start=10**9)
+
+
+def heap_run(net, seed, max_samples=None, duration_us=None, max_updates=None,
+             record_updates=False):
+    """``run``'s budgets over a Simulator stepped by hand: the event heap,
+    whatever engine ``run`` picks for the network."""
+    sim = Simulator(net, seed, record_updates=record_updates)
+    stop = last = None
+    if duration_us is not None:
+        stop, last = duration_us, duration_us - 1
+    if max_samples is not None:
+        s_star = dynamics.sample_time(sim.taus, max_samples - 1) if max_samples > 0 else -1
+        if stop is None or s_star < stop:
+            stop, last = s_star, s_star
+    while True:
+        if max_updates is not None and sim.n_updates >= max_updates:
+            last = sim.clock if sim.n_updates else -1
+            break
+        if stop is not None and sim.queue[0][0] >= stop:
+            break
+        sim.step()
+    return sim.trace(last)
+
+
+def digest(trace):
+    h = hashlib.sha256(f"{len(trace)}:{trace.n}:{trace.final_time_us}:".encode())
+    for arr in (trace.times, trace.states, trace.update_counts, trace.one_counts):
+        h.update(np.ascontiguousarray(arr, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+@st.composite
+def small_machines(draw):
+    """A random machine of 1-8 units with clamps, phases, jitter and a DAC,
+    sampled at 1/200 to 2 times its units' retention time."""
+    n = draw(st.integers(1, 8))
+    grid = st.integers(-4, 4).map(lambda k: k / 4)
+    j = np.zeros((n, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            j[a, b] = j[b, a] = draw(grid)
+    h = np.array([draw(grid) for _ in range(n)])
+    i0 = draw(st.sampled_from([0.0, 0.5, 0.8, 1.5]))
+    retention = draw(st.sampled_from([200, 300, 1000]))
+    tau = max(1, round(retention * draw(st.sampled_from([1 / 200, 1 / 20, 0.5, 1.0, 2.0]))))
+    dac_bits = draw(st.sampled_from([0, 0, 2, 4]))
+    quant = QuantizationConfig(dac_bits=dac_bits, vref=5.0)
+    mach = MachineSpec("m", CouplingMatrix(j, h, i0), tau_sample_us=tau, quant=quant)
+    pbits = []
+    for gid in range(n):
+        pbits.append(PBitConfig(
+            id=gid,
+            retention_us=draw(st.sampled_from([retention, retention, retention + 100])),
+            phase_us=draw(st.sampled_from([0, 0, 50, retention])),
+            jitter_fraction=draw(st.sampled_from([0.0, 0.0, 0.01, 0.3])),
+            mode=draw(st.sampled_from([FREE, FREE, FREE, CLAMPED_HIGH, CLAMPED_LOW])),
+        ))
+    net = NetworkSpec([mach], pbits, {f"u{gid}": gid for gid in range(n)})
+    net.validate()
+    return net
+
+
+budgets = st.fixed_dictionaries({}, optional={
+    "max_samples": st.integers(0, 3000),
+    "duration_us": st.integers(0, 300_000),
+    "max_updates": st.integers(0, 3000),
+}).filter(bool)
+
+
+class TestComposedEngine:
+    """One-machine runs of up to 8 units compose per-tick state maps; they
+    must give the heap's bits under every budget and window size."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(net=small_machines(), seed=st.integers(0, 2**32), budget=budgets,
+           record_updates=st.booleans(), chunk=st.sampled_from([3, 64, dynamics.CHUNK]))
+    def test_matches_the_heap(self, net, seed, budget, record_updates, chunk):
+        assert dynamics._composable(net)
+        want = heap_run(net, seed, record_updates=record_updates, **budget)
+        with mock.patch.object(dynamics, "CHUNK", chunk):
+            got = run(net, seed, record_updates=record_updates, **budget)
+        assert digest(got) == digest(want)
+        assert (got.final_time_us, len(got)) == (want.final_time_us, len(want))
+        assert got.update_events == want.update_events
+
+    def test_tie_order_carries_across_windows(self):
+        # unit 1's first update ties with unit 0's second and runs first, and
+        # the pair keeps that order at every later tie, window after window
+        mach = MachineSpec("m", CouplingMatrix(np.zeros((2, 2)), np.zeros(2), 0.0),
+                           tau_sample_us=100)
+        net = NetworkSpec([mach], [PBitConfig(id=0, retention_us=1000),
+                                   PBitConfig(id=1, retention_us=1000, phase_us=1000)])
+        want = heap_run(net, 3, max_updates=50, record_updates=True)
+        assert want.update_events[1:5] == [(1000, 1), (1000, 0), (2000, 1), (2000, 0)]
+        with mock.patch.object(dynamics, "CHUNK", 3):
+            got = run(net, 3, max_updates=50, record_updates=True)
+        assert got.update_events == want.update_events
+        assert digest(got) == digest(want)
+
+    def test_nine_units_step_the_heap(self):
+        net = NetworkSpec(
+            [MachineSpec("m", CouplingMatrix(np.zeros((9, 9)), np.zeros(9), 1.0))],
+            [PBitConfig(id=k, retention_us=1000) for k in range(9)])
+        assert not dynamics._composable(net)
+        assert dynamics._composable(and_net())
+        assert not dynamics._composable(two_and_net(1000, 1000))

@@ -21,7 +21,7 @@ import pytest
 
 from pbitsim.cli import build_network, main
 from pbitsim.core import CLAMPED_HIGH, PBitConfig, Wired
-from pbitsim.dynamics import BLOCK, MEMO_ENTRIES, Simulator, run
+from pbitsim.dynamics import BLOCK, MEMO_ENTRIES, Simulator, run, sample_time
 from pbitsim.networks import (
     MachineSpec,
     NetworkSpec,
@@ -209,7 +209,7 @@ def test_memo_overflow_case_fills_a_cache():
     # the run of the memo_overflow case, stepped by hand to see the caches
     factory, budget, _ = TRACE_CASES["memo_overflow"]
     sim = Simulator(factory(), seed=11)
-    stop = sim.sample_time(budget["max_samples"] - 1)
+    stop = sample_time(sim.taus, budget["max_samples"] - 1)
     while sim.queue[0][0] < stop:
         sim.step()
     assert max(len(memo) for memo in sim.memos) == MEMO_ENTRIES
