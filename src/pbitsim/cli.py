@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import math
+import operator
 import os
 import sys
 from pathlib import Path
@@ -293,7 +294,8 @@ def cmd_run(args) -> int:
         record_updates=record_updates,
     )
     burn_in = doc.get("burn_in", analysis.DEFAULT_BURN_IN)
-    emp = analysis.histogram(trace, _histogram_labels(doc, net), burn_in)
+    labels = _histogram_labels(doc, net)
+    emp = analysis.histogram(trace, labels, burn_in)
     emp.to_csv(outdir / "histogram.csv")
     if doc.get("record_trace"):
         trace.to_csv(outdir / "trace.csv")
@@ -313,7 +315,11 @@ def cmd_run(args) -> int:
         "modes": analysis.mode_report(emp, args.top),
     }
     if exact is not None:
-        report["oracle_distance"] = analysis.trace_distance(trace, exact, burn_in)
+        # the oracle's law is over every unit in order; a histogram over those is reused
+        if list(labels.values()) == list(range(net.n_total)):
+            report["oracle_distance"] = analysis.euclidean_distance(emp.probabilities, exact)
+        else:
+            report["oracle_distance"] = analysis.trace_distance(trace, exact, burn_in)
     if record_updates:
         w = doc["serialization_window_us"]
         total = len(trace.update_events)
@@ -427,21 +433,29 @@ def cmd_synth(args) -> int:
 
 def cmd_report(args) -> int:
     with open(args.histogram) as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = [row for row in reader if row]
     if not rows:
         raise ConfigurationError("histogram file is empty")
-    missing = [col for col in ("state", "label", "probability") if col not in reader.fieldnames]
+    wanted = ("state", "label", "probability")
+    missing = [col for col in wanted if col not in header]
     if missing:
         raise ConfigurationError(f"histogram file lacks the columns {missing}")
+    # a repeated column name reads its last column, as csv.DictReader does
+    position = {name: k for k, name in enumerate(header)}
+    state_at, label_at, prob_at = (position[col] for col in wanted)
+    bad_rows = "histogram rows need an integer state and a numeric probability"
+    if min(map(len, rows)) <= max(state_at, label_at, prob_at):
+        raise ConfigurationError(bad_rows)
     try:
-        states = np.array([int(r["state"]) for r in rows], dtype=np.int64)
-        probs = [float(r["probability"]) for r in rows]
-    # a short row reads None, a bad cell fails to parse, a huge state overflows
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigurationError(
-            "histogram rows need an integer state and a numeric probability") from None
-    top = [(int(states[i]), rows[i]["label"], probs[i])
+        states = np.array(list(map(int, map(operator.itemgetter(state_at), rows))),
+                          dtype=np.int64)
+        probs = list(map(float, map(operator.itemgetter(prob_at), rows)))
+    # a bad cell fails to parse, a huge state overflows
+    except (ValueError, OverflowError):
+        raise ConfigurationError(bad_rows) from None
+    top = [(int(states[i]), rows[i][label_at], probs[i])
            for i in analysis.rank_states(probs, states)[: args.top]]
     if args.format == "json":
         print(json.dumps([{"state": s, "label": lab, "probability": p} for s, lab, p in top],

@@ -509,8 +509,13 @@ class TestReport:
         assert report[1] == {"state": 1, "label": "01", "probability": 0.25}
 
     @pytest.mark.parametrize("text, message", [
+        ("", "histogram file is empty"),
+        ("state,label,count,probability\n\n", "histogram file is empty"),
         ("state,label,count\n0,000,5\n", "lacks the columns ['probability']"),
         ("state,label,count,probability\n0,000,5,high\n", "numeric probability"),
+        ("state,label,count,probability\nzero,000,5,0.5\n", "integer state"),
+        ("state,label,count,probability\n0,000,5,0.5\n1,001\n", "integer state"),
+        ("state,label,count,probability\n99999999999999999999,0,5,0.5\n", "integer state"),
     ])
     def test_malformed_histogram(self, tmp_path, capsys, text, message):
         path = tmp_path / "histogram.csv"
