@@ -85,9 +85,6 @@ class ExactDistribution:
     n: int
     probabilities: np.ndarray
 
-    def prob(self, bits) -> float:
-        return float(self.probabilities[state_index(bits)])
-
 
 def boltzmann_distribution(coupling: CouplingMatrix, modes=None) -> ExactDistribution:
     """Exact steady-state law P(state) ~ exp(-E(state)).

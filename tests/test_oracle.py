@@ -171,12 +171,6 @@ class TestBoltzmannDistribution:
         assert hi.probabilities[ground].sum() >= lo.probabilities[ground].sum() - 1e-12
 
 
-class TestExactDistribution:
-    def test_prob_by_bits(self):
-        dist = boltzmann_distribution(and_coupling(0.8))
-        assert dist.prob((1, 1, 1)) == pytest.approx(dist.probabilities[7])
-
-
 class TestEuclideanDistance:
     def test_identical(self):
         p = np.full(8, 0.125)
