@@ -34,9 +34,9 @@ from .networks import (
     build_factorizer,
     build_full_adder,
     build_rca4,
+    gate_from_json,
     ground_state_report,
     load_gate,
-    load_gate_file,
     normal_retention_plan,
     save_gate,
     single_machine_network,
@@ -61,7 +61,8 @@ SCENARIO_SCHEMA = {
                 "gate": {"enum": list(SHIPPED_GATES)},
                 "j": {"type": "array"},
                 "h": {"type": "array"},
-                "labels": {"type": "object"},
+                "labels": {"type": "object",
+                           "additionalProperties": {"type": "integer", "minimum": 0}},
                 "i0": {"type": "number", "minimum": 0},
                 "tau_sample_us": {"type": "integer", "minimum": 1},
                 "dac_bits": {"type": "integer", "minimum": 0},
@@ -144,6 +145,19 @@ GATE_INPUT_SCHEMA = {
     },
 }
 
+# the fields gate_from_json converts; GateSpec checks the gate they make
+GATE_FILE_SCHEMA = {
+    "type": "object",
+    "required": ["name", "visible", "inputs", "outputs", "auxiliary", "truth_table", "j", "h"],
+    "properties": {
+        "name": {"type": "string", "minLength": 1},
+        "visible": {"type": "object", "additionalProperties": {"type": "integer"}},
+        "inputs": {"type": "array"},
+        "outputs": {"type": "array"},
+        "auxiliary": {"type": "array", "items": {"type": "integer"}},
+        "truth_table": {"type": "array", "items": {"type": "array", "items": {"enum": [0, 1]}}},
+    },
+}
 
 # sweep-retention's --plans: each plan is what a scenario's retention_us may be
 PLANS_SCHEMA = {
@@ -391,7 +405,10 @@ def cmd_sweep_retention(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    gate = load_gate_file(args.gatespec)
+    with open(args.gatespec) as fh:
+        doc = json.load(fh)
+    _validate(doc, GATE_FILE_SCHEMA)
+    gate = gate_from_json(doc)
     report = ground_state_report(gate)
     if args.format == "json":
         # strict JSON has no Infinity: a gate with no excited state has no gap

@@ -28,11 +28,12 @@ per-wire history is kept.
 
 Virtual time is integer microseconds. Each unit owns an independent seeded
 PCG64 stream derived from (scenario seed, unit id), so traces replay
-bit-identically regardless of host or run count. A unit's stream is consumed
-in blocks of ``BLOCK`` uniforms drawn ahead, one value per draw in turn: its
-initial state, each update's comparison value and each jitter draw. The
-values are the same as scalar ``Generator.random()`` calls, and a jitter
-draw ``-f + 2f·u`` is the same as ``Generator.uniform(-f, f)``.
+bit-identically regardless of host or run count. A free unit's output at
+t = 0 is its stream's first value; ``_Schedule`` turns the rest into the
+unit's updates for both engines: the first falls at the unit's phase, and
+each draws its ``u`` and then, with jitter f, the interval to the next,
+``round(r·(1 + uniform(-f, f)))`` and at least 1. The heap draws ``BLOCK``
+updates ahead and the composed engine more; neither changes a bit.
 
 Two engines run a network, and they give the same bits: the same trace, end
 time and recorded updates. ``run`` picks one from the network alone. A network
@@ -45,13 +46,12 @@ every update in [t_k, t_k+1) compares its ``u`` against p(S_k), the held
 probability in the state at tick t_k, and the interval is a map on the 2^n
 states in which each unit that updated takes the output of its last update.
 The composed engine tabulates p[state, unit] once (2^n weight-logic calls),
-draws each unit's update times and ``u`` values with numpy from the unit's
-own stream in the order above, and composes the interval maps forward over
-windows of ticks, in the manner of Propp and Wilson's coupled maps (Random
-Struct. Alg. 9, 223, 1996) run forward on the same streams. Budgets that
-count updates follow the heap's order of equal-time updates: the order of
-the units' previous updates, with first updates ahead of every later one and
-among themselves in gid order.
+takes each unit's update times and ``u`` values from its schedule, and
+composes the interval maps forward over windows of ticks, in the manner of
+Propp and Wilson's coupled maps (Random Struct. Alg. 9, 223, 1996) run
+forward on the same streams. Budgets that count updates follow the heap's
+order of equal-time updates: the order of the units' previous updates, with
+first updates ahead of every later one and among themselves in gid order.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -70,7 +69,7 @@ from .networks import NetworkSpec
 
 PRIO_REFRESH = 0
 PRIO_UPDATE = 1
-# uniforms drawn ahead per refill of a unit's stream
+# updates drawn ahead per refill of a unit's schedule in the event heap
 BLOCK = 256
 # local output masks cached per machine: every state of up to 8 units
 MEMO_ENTRIES = 256
@@ -78,29 +77,6 @@ MEMO_ENTRIES = 256
 CHUNK = 4096
 # bound on the state-map entries of one window of the composed engine
 WINDOW_ENTRIES = 1 << 20
-
-
-def unit_rng(seed: int, gid: int) -> np.random.Generator:
-    """Unit ``gid``'s own PCG64 generator, seeded by (scenario seed, unit id)."""
-    return np.random.default_rng(np.random.SeedSequence([seed, gid]))
-
-
-def uniform_stream(seed: int, gid: int):
-    """Unit ``gid``'s next-uniform function: the values of scalar
-    ``random()`` calls on its PCG64 generator, drawn ``BLOCK`` at a time."""
-    rng = unit_rng(seed, gid)
-    blocks = iter(lambda: rng.random(BLOCK).tolist(), None)
-    return chain.from_iterable(blocks).__next__
-
-
-def initial_output(mode, draw) -> int:
-    """A unit's output at t = 0: a clamped unit sits on its rail without a
-    draw, any other unit takes the first uniform of its stream."""
-    if mode == CLAMPED_HIGH:
-        return 1
-    if mode == CLAMPED_LOW:
-        return 0
-    return 1 if draw() < 0.5 else 0
 
 
 def sample_times(taus, last: int) -> np.ndarray:
@@ -190,29 +166,23 @@ class Simulator:
         self.memos = [{} for _ in network.machines]
         self.modes = [[network.pbits[g].mode for g in ids] for ids in self.members]
         self.machines = network.machines
-        # per-unit parameters read on every update
-        self.retention = [p.retention_us for p in network.pbits]
-        self.jitter = [p.jitter_fraction for p in network.pbits]
         self.wires = [p.mode if isinstance(p.mode, Wired) else None for p in network.pbits]
-        self.draws = [uniform_stream(seed, gid) for gid in range(n)]
-
-        self.outputs = [0] * n
+        self.mask, schedules = _units(network, seed, BLOCK)
+        self.outputs = [(self.mask >> (n - 1 - gid)) & 1 for gid in range(n)]
         # every machine refreshes at t = 0, before any update reads these
         self.held_inputs = [None] * n
         self.held_p = [None] * n
         self.wire_p = tuple(sigmoid(2.0 * (V_RAIL * out) - 5.0) for out in (0, 1))
-        self.mask = 0
-        for gid, p in enumerate(network.pbits):
-            out = initial_output(p.mode, self.draws[gid])
-            self.outputs[gid] = out
-            if out:
-                self.mask |= 1 << (n - 1 - gid)
 
         self.clock = 0
         m = len(network.machines)
         self.queue = [(0, PRIO_REFRESH, k, k) for k in range(m)]
-        self.queue += [(p.phase_us, PRIO_UPDATE, m + gid, gid)
-                       for gid, p in enumerate(network.pbits)]
+        # each unit's next update: its time waits in the queue, its u here
+        self.next_update = [s.updates().__next__ for s in schedules]
+        self.next_u = [None] * n
+        for gid, next_update in enumerate(self.next_update):
+            t, self.next_u[gid] = next_update()
+            self.queue.append((t, PRIO_UPDATE, m + gid, gid))
         heapq.heapify(self.queue)
         self._seq = m + n
 
@@ -277,8 +247,7 @@ class Simulator:
             p = self.held_p[gid]
         else:
             p = self.wire_p[self._source_output(wire.source, t, wire.delay_us)]
-        draw = self.draws[gid]
-        out = 1 if p > draw() else 0
+        out = 1 if p > self.next_u[gid] else 0
         self.n_updates += 1
         self._update_counts[gid] += 1
         self._one_counts[gid] += out
@@ -295,14 +264,8 @@ class Simulator:
                 tau = self.taus[k]
                 heapq.heappush(self.queue, ((t // tau + 1) * tau, PRIO_REFRESH, self._seq, k))
                 self._seq += 1
-        dt = self.retention[gid]
-        f = self.jitter[gid]
-        if f > 0.0:
-            # -f + 2f*u is exactly Generator.uniform(-f, f)
-            dt = round(dt * (1.0 + (-f + 2.0 * f * draw())))
-            if dt < 1:
-                dt = 1
-        heapq.heappush(self.queue, (t + dt, PRIO_UPDATE, self._seq, gid))
+        t, self.next_u[gid] = self.next_update[gid]()
+        heapq.heappush(self.queue, (t, PRIO_UPDATE, self._seq, gid))
         self._seq += 1
 
     def trace(self, last_sample: int) -> SimulationTrace:
@@ -315,10 +278,10 @@ class Simulator:
 
 class _Schedule:
     """One unit's drawn but unprocessed updates, as arrays of times and
-    comparison values ``u``. They are drawn from the unit's stream up to
-    ``chunk`` updates at a time, in ``Simulator._update``'s order: ``u`` and
-    then, if the unit has jitter, the draw that sets the time of its next
-    update."""
+    comparison values ``u``: the only place a unit's stream becomes its
+    updates. They are drawn up to ``chunk`` updates at a time; each update
+    draws ``u`` and then, if the unit has jitter, the value that sets the
+    time of its next update."""
 
     def __init__(self, rng: np.random.Generator, pbit, chunk: int):
         self.rng = rng
@@ -340,7 +303,8 @@ class _Schedule:
         if f > 0.0:
             draws = self.rng.random(2 * c)
             u = draws[0::2]
-            # round(r * (1 + uniform(-f, f))), at least 1, as in Simulator._update
+            # round(r * (1 + uniform(-f, f))), at least 1; -f + 2f*v is
+            # exactly Generator.uniform(-f, f)
             dt = np.maximum(np.rint(r * (1.0 + (-f + 2.0 * f * draws[1::2]))), 1)
             dt = dt.astype(np.int64)
         else:
@@ -356,6 +320,28 @@ class _Schedule:
         taken = self.times[:count], self.u[:count]
         self.times, self.u = self.times[count:], self.u[count:]
         return taken
+
+    def updates(self):
+        """Every update in turn as a ``(time, u)`` pair of Python numbers."""
+        while True:
+            self.refill(math.inf)
+            times, u = self.take(self.chunk)
+            yield from zip(times.tolist(), u.tolist())
+
+
+def _units(network: NetworkSpec, seed: int, chunk: int):
+    """Every unit's output at t = 0, as one mask, and its ``_Schedule`` of
+    ``chunk`` updates per refill, both drawn from the unit's own PCG64
+    generator, seeded by (scenario seed, unit id): a clamped unit sits on its
+    rail without a draw, any other unit takes the first uniform of its stream."""
+    n = network.n_total
+    mask, schedules = 0, []
+    for gid, pbit in enumerate(network.pbits):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, gid]))
+        if pbit.mode == CLAMPED_HIGH or (pbit.mode != CLAMPED_LOW and rng.random() < 0.5):
+            mask |= 1 << (n - 1 - gid)
+        schedules.append(_Schedule(rng, pbit, chunk))
+    return mask, schedules
 
 
 def _composable(network: NetworkSpec) -> bool:
@@ -454,6 +440,22 @@ def _compose_window(p, tau, state, taken):
     return ones, ticks[moved] * tau, after[moved], int(after[-1])
 
 
+def _run_heap(network, seed, stop, last, max_updates, record_updates) -> SimulationTrace:
+    """``run`` on the event heap of ``Simulator``, with the budgets already
+    turned into ``stop`` and ``last``; it runs any network."""
+    sim = Simulator(network, seed, record_updates=record_updates)
+    queue = sim.queue
+    # every update requeues its unit, so the queue never empties
+    while True:
+        if max_updates is not None and sim.n_updates >= max_updates:
+            last = sim.clock if sim.n_updates else -1
+            break
+        if stop is not None and queue[0][0] >= stop:
+            break
+        sim.step()
+    return sim.trace(last)
+
+
 def _run_composed(network, seed, stop, last, max_updates, record_updates) -> SimulationTrace:
     """``run`` for a network that ``_composable`` admits, with the budgets
     already turned into ``stop`` and ``last``: each tick interval is a map on
@@ -467,12 +469,8 @@ def _run_composed(network, seed, stop, last, max_updates, record_updates) -> Sim
             mach.coupling, [(s >> k) & 1 for k in range(n - 1, -1, -1)], modes, mach.quant)]
         for s in range(1 << n)
     ])
-    rngs = [unit_rng(seed, gid) for gid in range(n)]
-    state = 0
-    for gid, rng in enumerate(rngs):
-        state |= initial_output(modes[gid], rng.random) << (n - 1 - gid)
     chunk = min(CHUNK, WINDOW_ENTRIES // (n << n))
-    schedules = [_Schedule(rng, pbit, chunk) for rng, pbit in zip(rngs, network.pbits)]
+    state, schedules = _units(network, seed, chunk)
 
     flip_times, flip_masks = [np.array([-1])], [np.array([state])]
     update_counts = np.zeros(n, dtype=np.int64)
@@ -560,19 +558,8 @@ def run(
         s_star = sample_time(taus, max_samples - 1) if max_samples > 0 else -1
         if stop is None or s_star < stop:
             stop, last = s_star, s_star
-    if _composable(network):
-        return _run_composed(network, seed, stop, last, max_updates, record_updates)
-    sim = Simulator(network, seed, record_updates=record_updates)
-    queue = sim.queue
-    # every update requeues its unit, so the queue never empties
-    while True:
-        if max_updates is not None and sim.n_updates >= max_updates:
-            last = sim.clock if sim.n_updates else -1
-            break
-        if stop is not None and queue[0][0] >= stop:
-            break
-        sim.step()
-    return sim.trace(last)
+    engine = _run_composed if _composable(network) else _run_heap
+    return engine(network, seed, stop, last, max_updates, record_updates)
 
 
 def serialization_metric(

@@ -139,11 +139,6 @@ def save_gate(gate: GateSpec, path) -> None:
         fh.write("\n")
 
 
-def load_gate_file(path) -> GateSpec:
-    with open(path) as fh:
-        return gate_from_json(json.load(fh))
-
-
 @functools.cache
 def load_gate(name: str) -> GateSpec:
     """A shipped gate from the package's data directory, verified the first

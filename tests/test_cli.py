@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from pbitsim.analysis import sweep_sampling_time
-from pbitsim.cli import GATE_INPUT_SCHEMA, PLANS_SCHEMA, SCENARIO_SCHEMA, main
+from pbitsim.cli import GATE_FILE_SCHEMA, GATE_INPUT_SCHEMA, PLANS_SCHEMA, SCENARIO_SCHEMA, main
 from pbitsim.networks import (
     build_and_machine,
+    gate_from_json,
+    gate_to_json,
     load_gate,
-    load_gate_file,
     save_gate,
     verify_ground_states,
 )
@@ -39,7 +40,8 @@ def scenario(tmp_path):
     return write_scenario(tmp_path / "scenario.json")
 
 
-@pytest.mark.parametrize("schema", [SCENARIO_SCHEMA, PLANS_SCHEMA, GATE_INPUT_SCHEMA])
+@pytest.mark.parametrize("schema", [SCENARIO_SCHEMA, PLANS_SCHEMA, GATE_INPUT_SCHEMA,
+                                    GATE_FILE_SCHEMA])
 def test_schemas_meet_the_metaschema(schema):
     # the CLI validates input against these without checking them again
     jsonschema.Draft202012Validator.check_schema(schema)
@@ -193,6 +195,18 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("labels, message", [
+        ({"A": "x"}, "'x' is not of type 'integer'"),
+        ({"A": [0]}, "[0] is not of type 'integer'"),
+    ], ids=["string", "list"])
+    def test_matrix_labels_are_unit_indices(self, tmp_path, capsys, labels, message):
+        # a label that is not an integer used to end in a ValueError or TypeError traceback
+        path = write_scenario(tmp_path / "l.json", network={
+            "kind": "matrix", "i0": 0.8, "j": [[0, 1], [1, 0]], "h": [0, 0], "labels": labels})
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_one_retention_plan(self, tmp_path, capsys):
         # retention_normal used to override retention_us silently
         path = write_scenario(tmp_path / "r.json", retention_us=1000,
@@ -334,6 +348,20 @@ class TestVerify:
         assert main(["verify", str(tmp_path / "broken.json")]) == 3
         assert "FAILED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("make_doc, message", [
+        (lambda doc: {k: v for k, v in doc.items() if k != "visible"},
+         "'visible' is a required property"),
+        (lambda doc: [1, 2], "[1, 2] is not of type 'object'"),
+        (lambda doc: {**doc, "visible": {**doc["visible"], "A": "x"}},
+         "'x' is not of type 'integer'"),
+    ], ids=["visible_missing", "not_an_object", "visible_not_an_index"])
+    def test_malformed_gate_file(self, tmp_path, capsys, make_doc, message):
+        # each used to end in a KeyError, TypeError or ValueError traceback
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(make_doc(gate_to_json(load_gate("and")))))
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_json_lists_spurious_states(self, tmp_path, capsys):
         # with J and h all zero every state is a ground state
         gate = dataclasses.replace(load_gate("and"), j=np.zeros((3, 3)), h=np.zeros(3))
@@ -358,7 +386,8 @@ class TestSynth:
         assert main(["synth", str(spec), "--out", str(out)]) == 0
         # the file records the writer's check; loading it does not trust that
         assert json.loads((out / "my_and.json").read_text())["verified"] is True
-        assert verify_ground_states(load_gate_file(out / "my_and.json")).verified
+        doc = json.loads((out / "my_and.json").read_text())
+        assert verify_ground_states(gate_from_json(doc)).verified
         assert "gap=" in capsys.readouterr().out
 
     def test_method_field_rejected(self, tmp_path):

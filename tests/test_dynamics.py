@@ -263,37 +263,54 @@ class TestJitter:
 
 
 class TestRandomStreams:
-    """Block-drawn streams give exactly the values of scalar Generator calls,
-    drawn in the engine's order: the initial state, then each update's
-    comparison value followed by its jitter."""
+    """A unit's schedule, drawn a chunk of updates at a time, gives exactly
+    the values of scalar Generator calls in the engine's order: each
+    update's comparison value followed by the jitter that sets the interval
+    to the next update."""
 
     @staticmethod
-    def _check_stream(seed, gid, f):
-        draw = dynamics.uniform_stream(seed, gid)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, gid]))
-        assert draw() == rng.random()
-        # 3 * BLOCK + 3 draws: the stream refills its block three times
-        for _ in range(3 * dynamics.BLOCK // 2 + 1):
-            assert draw() == rng.random()
-            assert -f + 2.0 * f * draw() == rng.uniform(-f, f)
+    def _check_stream(seed, gid, f, chunk):
+        pbit = PBitConfig(id=gid, retention_us=1000, phase_us=137, jitter_fraction=f)
+        stream = lambda: np.random.default_rng(np.random.SeedSequence([seed, gid]))
+        rng = stream()
+        want, t = [], 137
+        # 3 * BLOCK + 3 updates: a BLOCK-sized schedule refills three times
+        for _ in range(3 * dynamics.BLOCK + 3):
+            u = rng.random()
+            want.append((t, u))
+            t += max(1, round(1000 * (1.0 + rng.uniform(-f, f)))) if f > 0.0 else 1000
+        # the heap's path, update by update
+        schedule = dynamics._Schedule(stream(), pbit, chunk)
+        updates = schedule.updates()
+        assert [next(updates) for _ in want] == want
+        # the composed engine's path: refills cut short by a horizon
+        schedule = dynamics._Schedule(stream(), pbit, chunk)
+        while len(schedule.times) < len(want):
+            schedule.refill(schedule.next_t + 2500)
+        times, u = schedule.take(len(want))
+        assert list(zip(times.tolist(), u.tolist())) == want
 
     @pytest.mark.parametrize("seed", [0, 1, 11, 2**40])
-    @pytest.mark.parametrize("f", [0.005, 0.01, 0.3])
+    @pytest.mark.parametrize("f", [0.0, 0.005, 0.01, 0.3])
     def test_block_stream_matches_scalar_draws(self, seed, f):
-        self._check_stream(seed, 2, f)
+        for chunk in (1, 3, dynamics.BLOCK):
+            self._check_stream(seed, 2, f, chunk)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**63), gid=st.integers(0, 62),
-           f=st.floats(min_value=1e-9, max_value=0.999))
-    def test_block_stream_matches_scalar_draws_drawn(self, seed, gid, f):
-        self._check_stream(seed, gid, f)
+           f=st.floats(min_value=1e-9, max_value=0.999), chunk=st.integers(1, 300))
+    def test_block_stream_matches_scalar_draws_drawn(self, seed, gid, f, chunk):
+        self._check_stream(seed, gid, f, chunk)
 
     @pytest.mark.parametrize("f", [0.01, 0.3])
-    def test_update_times_match_scalar_jitter(self, f):
+    @pytest.mark.parametrize("make_net", [and_net, two_and_net], ids=["composed", "heap"])
+    def test_update_times_match_scalar_jitter(self, make_net, f):
         # every unit's update times, rebuilt from scalar draws on its generator
-        net = and_net(retention_us=1000)
+        net = make_net(retention_us=1000, tau_sample_us=100)
         net.set_jitter(f)
-        trace = run(net, seed=4, max_updates=3 * 3 * dynamics.BLOCK, record_updates=True)
+        trace = run(net, seed=4, max_updates=3 * net.n_total * dynamics.BLOCK,
+                    record_updates=True)
+        assert trace.update_counts.min() >= 2 * dynamics.BLOCK
         for gid in range(net.n_total):
             rng = np.random.default_rng(np.random.SeedSequence([4, gid]))
             rng.random()
@@ -367,26 +384,10 @@ class TestSerializationMetric:
             serialization_metric(trace, net, window_us=10, start=10**9)
 
 
-def heap_run(net, seed, max_samples=None, duration_us=None, max_updates=None,
-             record_updates=False):
-    """``run``'s budgets over a Simulator stepped by hand: the event heap,
-    whatever engine ``run`` picks for the network."""
-    sim = Simulator(net, seed, record_updates=record_updates)
-    stop = last = None
-    if duration_us is not None:
-        stop, last = duration_us, duration_us - 1
-    if max_samples is not None:
-        s_star = dynamics.sample_time(sim.taus, max_samples - 1) if max_samples > 0 else -1
-        if stop is None or s_star < stop:
-            stop, last = s_star, s_star
-    while True:
-        if max_updates is not None and sim.n_updates >= max_updates:
-            last = sim.clock if sim.n_updates else -1
-            break
-        if stop is not None and sim.queue[0][0] >= stop:
-            break
-        sim.step()
-    return sim.trace(last)
+def heap_run(net, seed, **budget):
+    """``run`` on the event heap, whatever engine it picks for the network."""
+    with mock.patch.object(dynamics, "_run_composed", dynamics._run_heap):
+        return run(net, seed, **budget)
 
 
 def digest(trace):

@@ -15,10 +15,12 @@ import hashlib
 import json
 import shutil
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from pbitsim import dynamics
 from pbitsim.cli import build_network, main
 from pbitsim.core import CLAMPED_HIGH, PBitConfig, Wired
 from pbitsim.dynamics import BLOCK, MEMO_ENTRIES, Simulator, run, sample_time
@@ -168,7 +170,7 @@ TRACE_CASES = {
         {"max_samples": SAMPLES},
         "4be8a9cc2c6979b672d1da3da424c88e083ebfd0949350f7ececa6991c227490",
     ),
-    # every unit updates at least 4,000 times, i.e. draws 8,000 values
+    # every unit updates at least 4,000 times
     "block_refills": (
         block_refill_net,
         {"max_updates": 24_000},
@@ -199,10 +201,10 @@ def test_trace_digest(name):
 
 
 def test_block_refills_case_refills_every_stream():
-    # each unit draws twice per update: its stream crosses 3 block refills
+    # every unit's schedule crosses 3 refills of BLOCK updates
     factory, budget, _ = TRACE_CASES["block_refills"]
     trace = run(factory(), seed=11, **budget)
-    assert 2 * trace.update_counts.min() >= 3 * BLOCK
+    assert trace.update_counts.min() >= 3 * BLOCK
 
 
 def test_memo_overflow_case_fills_a_cache():
@@ -291,6 +293,20 @@ def test_budget_stop(name):
     factory, budget, expected = BUDGET_CASES[name]
     trace = run(factory(), seed=11, **budget)
     assert (trace_digest(trace), trace.final_time_us, len(trace)) == expected
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("name", ["block_refills", "delayed_wire", "factorizer_max_updates",
+                                  "two_period_updates"])
+def test_heap_block_size_changes_no_bit(name, block):
+    # the event heap draws each unit's updates BLOCK at a time
+    factory, budget, expected = {**TRACE_CASES, **BUDGET_CASES}[name]
+    with mock.patch.object(dynamics, "BLOCK", block):
+        trace = run(factory(), seed=11, **budget)
+    got = trace_digest(trace)
+    if name in BUDGET_CASES:
+        got = (got, trace.final_time_us, len(trace))
+    assert got == expected
 
 
 def random_matrix_scenario(n=16):

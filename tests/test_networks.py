@@ -31,7 +31,6 @@ from pbitsim.networks import (
     gate_to_json,
     ground_state_report,
     load_gate,
-    load_gate_file,
     normal_retention_plan,
     save_gate,
     single_machine_network,
@@ -91,23 +90,21 @@ class TestGateLibrary:
         gate = load_gate("xor")
         path = tmp_path / "xor.json"
         save_gate(gate, path)
-        back = load_gate_file(path)
+        back = gate_from_json(json.loads(path.read_text()))
         assert np.array_equal(back.j, gate.j)
         assert np.array_equal(back.h, gate.h)
         assert back.visible == gate.visible
         assert back.truth_table == gate.truth_table
         assert gate_from_json(gate_to_json(gate)).name == gate.name
 
-    def test_file_verified_key_is_not_trusted(self, tmp_path):
+    def test_file_verified_key_is_not_trusted(self):
         # a file's own "verified": true used to let a flat gate into a network
         doc = gate_to_json(load_gate("and"))
         doc["j"] = np.zeros((3, 3)).tolist()
         doc["h"] = [0.0] * 3
         assert doc["verified"] is True
-        path = tmp_path / "flat.json"
-        path.write_text(json.dumps(doc))
         with pytest.raises(VerificationError):
-            single_machine_network(load_gate_file(path), 1.0)
+            single_machine_network(gate_from_json(doc), 1.0)
 
     def test_shipped_gate_is_read_only(self):
         # every caller shares one verified gate, so it cannot be edited
