@@ -109,6 +109,17 @@ def fast_and_net():
                         retention_us=2000)
 
 
+def sevenths_matrix(n):
+    """A random n-unit machine with J and h in sevenths: its drives are not
+    dyadic, so the last bits of its published voltages depend on the order
+    in which the weight logic sums them."""
+    rng = np.random.default_rng(n)
+    j = np.triu(rng.integers(-7, 8, (n, n)) / 7, 1)
+    return scenario_net({"kind": "matrix", "i0": 0.3, "j": (j + j.T).tolist(),
+                         "h": (rng.integers(-7, 8, n) / 7).tolist(), "tau_sample_us": 1000},
+                        retention_us=20_000)
+
+
 FACTOR_CLAMPS = {"S0": 0, "S1": 1, "S2": 1, "S3": 0}
 
 # name -> (network factory, run budget, digest)
@@ -183,6 +194,25 @@ TRACE_CASES = {
                              retention_us=20_000, clamps=FACTOR_CLAMPS),
         {"max_samples": 5000},
         "f9ec3dcfcfe254be906b0ae2035bd6a93f81970323e2ebd427804d32d6361248",
+    ),
+    # a one-machine composite on the event heap, through a 4-bit DAC
+    "full_adder_dac_bits_4": (
+        lambda: scenario_net({"kind": "full_adder", "i0": 1.0, "tau_sample_us": 2000,
+                              "dac_bits": 4}, retention_us=20_000),
+        {"max_samples": SAMPLES},
+        "ec166cc06ec1dd45414a86443a13382dc4f686d282f070a8d900ce189144014d",
+    ),
+    # non-dyadic machines on the event heap: 12 units, and 15 units that
+    # visit more local states than a machine's weight-logic cache holds
+    "matrix12_sevenths": (
+        lambda: sevenths_matrix(12),
+        {"max_samples": SAMPLES},
+        "ce848cde00472364387d05cfa1a904a58b3c667ec5c038aab5910036ffec7a71",
+    ),
+    "matrix15_sevenths": (
+        lambda: sevenths_matrix(15),
+        {"max_samples": SAMPLES},
+        "5f651c3806700e6d796e889a12f5c74e24711f6ca268429b28e6ee9758d5d46f",
     ),
     "dac_bits_3": (
         lambda: scenario_net({"kind": "gate", "gate": "and", "i0": 0.8, "dac_bits": 3},
