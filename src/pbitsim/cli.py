@@ -140,7 +140,11 @@ GATE_INPUT_SCHEMA = {
         "labels": {"type": "array", "items": {"type": "string"}},
         "inputs": {"type": "array", "items": {"type": "string"}},
         "outputs": {"type": "array", "items": {"type": "string"}},
-        "aux_assignments": {"type": "array"},
+        # each an aux word per truth row
+        "aux_assignments": {
+            "type": "array",
+            "items": {"type": "array", "items": {"type": "integer", "minimum": 0}},
+        },
         "max_weight": {"type": "number", "exclusiveMinimum": 0},
     },
 }

@@ -410,6 +410,24 @@ class TestSynth:
         assert "is not one of [0, 1]" in capsys.readouterr().err
         assert not (tmp_path / "odd.json").exists()
 
+    @pytest.mark.parametrize("assignments, message", [
+        ([1], "1 is not of type 'array'"),
+        ([[0, "x", 1, 0]], "'x' is not of type 'integer'"),
+        ([[0, 0.5, 1, 0]], "0.5 is not of type 'integer'"),
+        ([[0, -1, 1, 0]], "-1 is less than the minimum of 0"),
+    ])
+    def test_aux_assignments_are_lists_of_words(self, tmp_path, capsys, assignments, message):
+        # [1] used to end in "TypeError: 'int' object is not iterable"
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps({
+            "name": "odd", "table": [[0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 1]],
+            "n_aux": 1, "aux_assignments": assignments,
+        }))
+        assert main(["synth", str(spec), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert not (tmp_path / "odd.json").exists()
+
     def test_infeasible_exits_three(self, tmp_path):
         spec = tmp_path / "xor.json"
         spec.write_text(json.dumps({
