@@ -163,44 +163,85 @@ class PBitConfig:
             raise ConfigurationError("jitter fraction must lie in [0, 1)")
 
 
+def _ascending_sums(j: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """For each row of ``bits`` (0/1, shape (k, n)), acc = 0.0 and then
+    acc += m_i * J[:, i] for i = 0..n-1 in ascending order, m_i = 2*bit_i - 1.
+
+    Each term is +-J[:, i], exact, so the partial sum after unit i depends
+    only on the row's first i + 1 bits. The first ``lead`` units, as many as
+    give no more prefixes than there are rows, are summed once per prefix
+    by doubling the prefixes unit by unit; each row then adds the rest of
+    its terms to its prefix's sum in order.
+    """
+    k, n = bits.shape
+    jt = j.T
+    lead = min(n, k.bit_length() - 1)
+    # unit-major: terms[i - lead, row] is the row's term of unit i
+    terms = np.where(bits.T[lead:, :, None], jt[lead:, None], -jt[lead:, None])
+    if lead:
+        acc = np.zeros((1, n))
+        for i in range(lead):
+            acc = np.stack((acc - jt[i], acc + jt[i]), axis=1).reshape(-1, n)
+        acc = acc[bits[:, :lead] @ (1 << np.arange(lead - 1, -1, -1))]
+        if lead == n:
+            return acc
+        terms[0] += acc
+    # with lead 0 a row starts at its first term, not at 0.0 plus it; the
+    # two differ only in the sign of a zero sum, which the encoding's + 5 drops
+    return np.add.accumulate(terms, axis=0)[-1]
+
+
 def weight_inputs(
     coupling: CouplingMatrix,
-    outputs: Sequence[int],
+    outputs: Union[Sequence[int], np.ndarray],
     modes: Sequence[TerminalMode],
     quant: QuantizationConfig = QuantizationConfig(),
-) -> list:
+) -> Union[list, np.ndarray]:
     """Compute the voltages a machine's weight logic publishes.
 
-    ``outputs`` is an atomic snapshot of all unit outputs (0/1). For a free
-    unit j the drive is i0*(h_j + sum_i J_ji * m_i), saturated to [-5, 5],
-    encoded as (drive + 5)/2 volts and quantized if a DAC is configured.
+    ``outputs`` is an atomic snapshot of all unit outputs (0/1), or a 2-D
+    array of snapshots, one per row. For a free unit j the drive is
+    i0*(h_j + acc_j), where acc starts at 0.0 and adds m_i * J[:, i] for
+    i = 0..n-1 in ascending order (m = 2s - 1); it is saturated to [-5, 5]
+    (``saturate``), encoded as (drive + 5)/2 volts (``encode_input``) and
+    quantized if a DAC is configured (``quantize_voltage``), all vectorized
+    over the snapshots. The fixed order makes the bits independent of any
+    BLAS kernel, and the same for a snapshot alone and inside a batch.
     Clamped units get exactly the rail voltage; wired units are skipped
-    (entry None) because their input is bound outside this machine. The
-    engine holds every published voltage as the unit's input, together with
-    the unit's firing probability sigmoid(2*v - 5), and caches each
-    machine's result per local output mask, since it depends on nothing
-    else; only wired units bypass the weight logic.
+    because their input is bound outside this machine. A snapshot gives a
+    list, None for a wired unit; a batch gives a float array, NaN there.
+    The engine tabulates each machine's voltages over its local states with
+    one batch call per run (see ``dynamics``).
     """
     n = coupling.n
-    if len(outputs) != n or len(modes) != n:
+    bits = np.asarray(outputs)
+    if bits.ndim not in (1, 2) or bits.shape[-1] != n or len(modes) != n:
         raise ConfigurationError(
-            f"expected {n} outputs and modes, got {len(outputs)}/{len(modes)}"
+            f"expected {n} outputs and modes, got outputs of shape {bits.shape}"
+            f" and {len(modes)} modes"
         )
-    m = 2.0 * np.asarray(outputs, dtype=float) - 1.0
-    drive = coupling.i0 * (coupling.h + coupling.j @ m)
-    published = []
+    drive = coupling.i0 * (coupling.h + _ascending_sums(coupling.j, bits.reshape(-1, n)))
+    v = (np.minimum(np.maximum(drive, -SAT_LIMIT), SAT_LIMIT) + 5.0) / 2.0
+    if quant.dac_bits:
+        steps = 1 << quant.dac_bits
+        code = np.minimum(np.maximum(np.floor(v / quant.vref * steps + 0.5), 0), steps - 1)
+        v = code * quant.vref / steps
+    wired = []
     for j_idx, mode in enumerate(modes):
-        if mode == FREE:
-            v = encode_input(saturate(float(drive[j_idx])))
-            published.append(quantize_voltage(v, quant.dac_bits, quant.vref))
-        elif mode == CLAMPED_HIGH:
-            published.append(V_RAIL)
+        if mode == CLAMPED_HIGH:
+            v[:, j_idx] = V_RAIL
         elif mode == CLAMPED_LOW:
-            published.append(0.0)
+            v[:, j_idx] = 0.0
         elif isinstance(mode, Wired):
-            published.append(None)
-        else:
+            wired.append(j_idx)
+        elif mode != FREE:
             raise ConfigurationError(f"unknown terminal mode {mode!r}")
+    if bits.ndim == 2:
+        v[:, wired] = np.nan
+        return v
+    published = v[0].tolist()
+    for j_idx in wired:
+        published[j_idx] = None
     return published
 
 

@@ -9,12 +9,19 @@ updates on whatever voltage its machine's weight logic last published for
 it, the rail voltage for a clamped unit included; only a wired unit
 bypasses the weight logic and reads its source's output.
 
-The weight logic is a pure function of the machine's own outputs, so each
-machine caches what it published per local output mask (at most
-``MEMO_ENTRIES`` masks; past that a miss is computed and not kept). Each
-unit also holds its firing probability ``sigmoid(2v - 5)``, recomputed only
-when a refresh changes the voltage it holds; a wired unit reads one of two
-probabilities fixed by its source's output.
+The weight logic is a pure function of the machine's own outputs, so at
+the start of each run every machine of at most ``TABLE_UNITS`` units (the
+full adder, the largest shipped machine, has 14) gets a table v[state, unit]
+of the voltages it publishes in each of its 2^n local states, from one
+batched ``weight_inputs`` call. The batch sums each drive in the same
+ascending unit order as a single state, so a table row has the bits a
+per-state call would give. A refresh then does no weight-logic work: it
+writes its row's firing probabilities ``sigmoid(2v - 5)`` into the units'
+held probabilities with one slice assignment. Each probability is computed
+once per distinct voltage the run meets and kept in a map that lives for
+the run. A larger machine (only a ``matrix`` scenario of 15 or more units)
+computes a row when it misses and keeps at most ``MEMO_ENTRIES`` rows. A
+wired unit reads one of two probabilities fixed by its source's output.
 
 A refresh whose machine saw no flip since its last one would publish the
 same voltages again, so only dirty machines queue one: every machine
@@ -37,15 +44,15 @@ updates ahead and the composed engine more; neither changes a bit.
 
 Two engines run a network, and they give the same bits: the same trace, end
 time and recorded updates. ``run`` picks one from the network alone. A network
-of one machine with at most 8 units (``MEMO_ENTRIES`` local states; one machine
-holds no wire) is run by composing per-tick state maps; every other network
+of one machine with at most ``COMPOSED_UNITS`` (8) units (one machine holds no
+wire) is run by composing per-tick state maps; every other network
 steps the event heap of ``Simulator``. In one machine without wires the
 published voltages change only at lattice ticks: a refresh runs before the
 updates at its tick, and a clean refresh would publish the same values. So
 every update in [t_k, t_k+1) compares its ``u`` against p(S_k), the held
 probability in the state at tick t_k, and the interval is a map on the 2^n
 states in which each unit that updated takes the output of its last update.
-The composed engine tabulates p[state, unit] once (2^n weight-logic calls),
+The composed engine reads p[state, unit] off the machine's voltage table,
 takes each unit's update times and ``u`` values from its schedule, and
 composes the interval maps forward over windows of ticks, in the manner of
 Propp and Wilson's coupled maps (Random Struct. Alg. 9, 223, 1996) run
@@ -71,8 +78,13 @@ PRIO_REFRESH = 0
 PRIO_UPDATE = 1
 # updates drawn ahead per refill of a unit's schedule in the event heap
 BLOCK = 256
-# local output masks cached per machine: every state of up to 8 units
+# the largest machine whose weight logic a run tabulates over every local
+# state: the full adder, the largest shipped machine
+TABLE_UNITS = 14
+# local output masks cached per larger machine
 MEMO_ENTRIES = 256
+# the largest machine the composed engine runs
+COMPOSED_UNITS = 8
 # updates drawn ahead per refill of a unit's schedule in the composed engine
 CHUNK = 4096
 # bound on the state-map entries of one window of the composed engine
@@ -155,24 +167,27 @@ class Simulator:
         self.n = n
 
         self.machine_of = network.machine_of()
-        offsets = network.offsets()
-        self.members = [
-            list(range(off, off + mach.n))
-            for off, mach in zip(offsets, network.machines)
-        ]
+        # machine k's units are offsets[k], offsets[k] + 1, ...
+        self.offsets = network.offsets()
         # a machine's local output mask is (mask >> shift) & local_mask
-        self.shifts = [n - off - mach.n for off, mach in zip(offsets, network.machines)]
+        self.shifts = [n - off - mach.n for off, mach in zip(self.offsets, network.machines)]
         self.local_masks = [(1 << mach.n) - 1 for mach in network.machines]
-        self.memos = [{} for _ in network.machines]
-        self.modes = [[network.pbits[g].mode for g in ids] for ids in self.members]
+        self.modes = [_driven_modes(network.pbits[off:off + mach.n])
+                      for off, mach in zip(self.offsets, network.machines)]
         self.machines = network.machines
+        self.p_of = _Probabilities()
+        # the voltages of each machine of up to TABLE_UNITS units in every
+        # local state; a larger machine caches the rows it computed, keyed
+        # by local output mask
+        self.tables = [_voltage_table(mach, modes) if mach.n <= TABLE_UNITS else None
+                       for mach, modes in zip(network.machines, self.modes)]
+        self.memos = [{} for _ in network.machines]
         self.wires = [p.mode if isinstance(p.mode, Wired) else None for p in network.pbits]
         self.mask, schedules = _units(network, seed, BLOCK)
         self.outputs = [(self.mask >> (n - 1 - gid)) & 1 for gid in range(n)]
         # every machine refreshes at t = 0, before any update reads these
-        self.held_inputs = [None] * n
         self.held_p = [None] * n
-        self.wire_p = tuple(sigmoid(2.0 * (V_RAIL * out) - 5.0) for out in (0, 1))
+        self.wire_p = (self.p_of[0.0], self.p_of[V_RAIL])
 
         self.clock = 0
         m = len(network.machines)
@@ -224,22 +239,26 @@ class Simulator:
             self._update(t, target)
 
     def _refresh(self, k: int) -> None:
-        ids = self.members[k]
-        memo = self.memos[k]
         local = (self.mask >> self.shifts[k]) & self.local_masks[k]
-        published = memo.get(local)
-        if published is None:
-            mach = self.machines[k]
-            snapshot = [self.outputs[g] for g in ids]
-            published = weight_inputs(mach.coupling, snapshot, self.modes[k], mach.quant)
-            if len(memo) < MEMO_ENTRIES:
-                memo[local] = published
-        held, held_p = self.held_inputs, self.held_p
-        for gid, v in zip(ids, published):
-            if v is not None and v != held[gid]:
-                held[gid] = v
-                held_p[gid] = sigmoid(2.0 * v - 5.0)
+        table = self.tables[k]
+        row = table[local].tolist() if table is not None else self._row(k, local)
+        off = self.offsets[k]
+        self.held_p[off:off + len(row)] = map(self.p_of.__getitem__, row)
         self.dirty[k] = False
+
+    def _row(self, k: int, local: int) -> list:
+        """Machine k's voltages in local state ``local``, for a machine too
+        large to tabulate: computed on a miss, and kept while its cache has
+        room."""
+        memo = self.memos[k]
+        row = memo.get(local)
+        if row is None:
+            mach = self.machines[k]
+            snapshot = [(local >> b) & 1 for b in range(mach.n - 1, -1, -1)]
+            row = weight_inputs(mach.coupling, snapshot, self.modes[k], mach.quant)
+            if len(memo) < MEMO_ENTRIES:
+                memo[local] = row
+        return row
 
     def _update(self, t: int, gid: int) -> None:
         wire = self.wires[gid]
@@ -344,11 +363,36 @@ def _units(network: NetworkSpec, seed: int, chunk: int):
     return mask, schedules
 
 
+class _Probabilities(dict):
+    """Firing probabilities sigmoid(2v - 5) keyed by input voltage v, each
+    computed when the run first meets its voltage; one map per run."""
+
+    def __missing__(self, v):
+        p = self[v] = sigmoid(2.0 * v - 5.0)
+        return p
+
+
+def _driven_modes(pbits) -> list:
+    """The terminal modes a machine's weight logic is asked for. A wired
+    unit's input is its wire, so it is asked for as clamped low: its entry
+    is a rail that no update reads, and every entry is a voltage."""
+    return [CLAMPED_LOW if isinstance(p.mode, Wired) else p.mode for p in pbits]
+
+
+def _voltage_table(mach, modes) -> np.ndarray:
+    """v[state, unit]: the voltage the machine's weight logic publishes for
+    each unit in local state ``state`` (unit k is bit n-1-k), from one call
+    over every state."""
+    n = mach.n
+    states = ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+    return weight_inputs(mach.coupling, states, modes, mach.quant)
+
+
 def _composable(network: NetworkSpec) -> bool:
     """Whether ``run`` composes per-tick state maps for ``network``: one
-    machine (``NetworkSpec.validate`` allows no wire inside a machine) whose
-    2^n local states fit ``MEMO_ENTRIES``."""
-    return len(network.machines) == 1 and (1 << network.n_total) <= MEMO_ENTRIES
+    machine (``NetworkSpec.validate`` allows no wire inside a machine) of at
+    most ``COMPOSED_UNITS`` units."""
+    return len(network.machines) == 1 and network.n_total <= COMPOSED_UNITS
 
 
 def _heap_order(times, counts, last_t, last_pos) -> np.ndarray:
@@ -462,13 +506,10 @@ def _run_composed(network, seed, stop, last, max_updates, record_updates) -> Sim
     the 2^n states, and the run composes them forward, window by window."""
     mach = network.machines[0]
     n, tau = network.n_total, mach.tau_sample_us
-    modes = [p.mode for p in network.pbits]
     # p[state, unit]: every unit's held probability after a refresh in that state
-    p = np.array([
-        [sigmoid(2.0 * v - 5.0) for v in weight_inputs(
-            mach.coupling, [(s >> k) & 1 for k in range(n - 1, -1, -1)], modes, mach.quant)]
-        for s in range(1 << n)
-    ])
+    p_of = _Probabilities()
+    p = np.array([list(map(p_of.__getitem__, row))
+                  for row in _voltage_table(mach, _driven_modes(network.pbits)).tolist()])
     chunk = min(CHUNK, WINDOW_ENTRIES // (n << n))
     state, schedules = _units(network, seed, chunk)
 

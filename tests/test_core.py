@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pbitsim.core import (
     CLAMPED_HIGH,
@@ -140,6 +140,81 @@ class TestWeightInputs:
         h = np.array([100.0])
         v = weight_inputs(CouplingMatrix(j, h, 1.0), [0], [FREE], QuantizationConfig())
         assert v[0] == 5.0
+
+
+def ascending_reference(coupling, outputs, modes, quant):
+    """The published voltages in pure Python: each drive summed over the
+    units in ascending order from 0.0, then the scalar codec steps."""
+    n = coupling.n
+    published = []
+    for j in range(n):
+        mode = modes[j]
+        if mode == CLAMPED_HIGH:
+            published.append(5.0)
+        elif mode == CLAMPED_LOW:
+            published.append(0.0)
+        elif isinstance(mode, Wired):
+            published.append(None)
+        else:
+            acc = 0.0
+            for i in range(n):
+                acc += (2.0 * outputs[i] - 1.0) * float(coupling.j[j, i])
+            drive = coupling.i0 * (float(coupling.h[j]) + acc)
+            published.append(
+                quantize_voltage(encode_input(saturate(drive)), quant.dac_bits, quant.vref))
+    return published
+
+
+@st.composite
+def weight_logic(draw):
+    """A machine of 1-10 units with J and h mostly off the binary grid,
+    every terminal mode and a DAC of 0-8 bits."""
+    n = draw(st.integers(1, 10))
+    value = st.one_of(st.integers(-21, 21).map(lambda k: k / 7),
+                      st.floats(-3, 3, allow_subnormal=False),
+                      st.integers(-12, 12).map(lambda k: k / 4))
+    j = np.zeros((n, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            j[a, b] = j[b, a] = draw(value)
+    h = np.array([draw(value) for _ in range(n)])
+    i0 = draw(st.sampled_from([0.0, 0.3, 1.0, 2.7]))
+    modes = [draw(st.sampled_from([FREE, FREE, FREE, CLAMPED_HIGH, CLAMPED_LOW,
+                                   Wired(source=0)])) for _ in range(n)]
+    quant = QuantizationConfig(dac_bits=draw(st.integers(0, 8)),
+                               vref=draw(st.sampled_from([5.0, 4.5, 3.3])))
+    return CouplingMatrix(j, h, i0), modes, quant
+
+
+class TestSummationOrder:
+    """Every table row, the snapshot alone and the pure-Python ascending
+    sum give the same bits, so no BLAS kernel picks the order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(machine=weight_logic(), picks=st.lists(st.integers(0, 2**10 - 1), max_size=40))
+    # a drive of -2.5 V lands halfway between two 1-bit codes: ties round up
+    @example(machine=(CouplingMatrix(np.zeros((1, 1)), np.array([-2.5]), 1.0), [FREE],
+                      QuantizationConfig(dac_bits=1, vref=5.0)), picks=[])
+    def test_table_rows_match_one_state_and_the_reference(self, machine, picks):
+        coupling, modes, quant = machine
+        n = coupling.n
+        states = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        table = weight_inputs(coupling, states, modes, quant)
+        assert table.shape == (1 << n, n)
+        for s, row in enumerate(table.tolist()):
+            one = weight_inputs(coupling, states[s].tolist(), modes, quant)
+            assert [None if math.isnan(v) else v for v in row] == one
+            assert one == ascending_reference(coupling, states[s].tolist(), modes, quant)
+        # any batch of states, in any order, reads the same rows
+        rows = [p % (1 << n) for p in picks]
+        if rows:
+            batch = weight_inputs(coupling, states[rows], modes, quant)
+            assert np.array_equal(batch, table[rows], equal_nan=True)
+
+    def test_rejects_a_wrong_width(self):
+        coupling = CouplingMatrix(np.zeros((2, 2)), np.zeros(2), 1.0)
+        with pytest.raises(ConfigurationError):
+            weight_inputs(coupling, np.zeros((4, 3), dtype=int), [FREE, FREE])
 
 
 class TestRetentionTime:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbitsim import dynamics
+from pbitsim.cli import build_network
 from pbitsim.core import (
     CLAMPED_HIGH,
     CLAMPED_LOW,
@@ -18,6 +19,7 @@ from pbitsim.core import (
     QuantizationConfig,
     Wired,
     sigmoid,
+    weight_inputs,
 )
 from pbitsim.errors import ConfigurationError
 from pbitsim.networks import (
@@ -83,7 +85,7 @@ class TestEventOrdering:
         net = NetworkSpec([mach], pbits, dict(gate.visible))
         sim = Simulator(net, seed=0)
         sim.step()  # machine refresh at t=0
-        assert sim.held_inputs[1] == 5.0
+        assert sim.held_p[1] == sigmoid(2.0 * 5.0 - 5.0)
 
     def test_sample_times_strictly_increase(self):
         trace = run(and_net(), seed=3, max_samples=300)
@@ -185,10 +187,12 @@ class TestEventCounts:
         monkeypatch.setattr(owner, name, counting)
 
     @staticmethod
-    def _computed_once(weight_calls):
-        # each machine's 2**3 local states, each computed at most once
-        states = {(id(coupling), tuple(outputs)) for coupling, outputs, *_ in weight_calls}
-        return len(states) == len(weight_calls) <= 16
+    def _tabulated(weight_calls, machines):
+        # one call per machine, over its 2**3 local states in mask order
+        states = [[a, b, c] for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+        return (len({id(coupling) for coupling, *_ in weight_calls}) == len(weight_calls)
+                == machines
+                and all(np.array_equal(outputs, states) for _, outputs, *_ in weight_calls))
 
     def test_clean_refreshes_are_elided(self, monkeypatch):
         heads, refreshes, weight_calls = [], [], []
@@ -208,7 +212,7 @@ class TestEventCounts:
         assert len(heads) == trace.update_counts.sum() + len(refreshes)
         assert len(heads) <= 0.05 * len(trace)
         assert heads[0] == (0, PRIO_REFRESH)
-        assert self._computed_once(weight_calls)
+        assert self._tabulated(weight_calls, 2)
 
     def test_weight_logic_runs_once_per_local_state(self, monkeypatch):
         refreshes, weight_calls = [], []
@@ -218,12 +222,12 @@ class TestEventCounts:
         trace = run(two_and_net(tau_sample_us=200_000, retention_us=200_000), seed=1,
                     max_samples=20_000)
         assert len(refreshes) > 0.9 * len(trace)
-        assert self._computed_once(weight_calls)
+        assert self._tabulated(weight_calls, 2)
 
     @pytest.mark.parametrize("tau_sample_us", [1000, 200_000])
     def test_composed_run_tabulates_the_weight_logic(self, monkeypatch, tau_sample_us):
         # a one-machine run of up to 8 units never steps the heap: it calls
-        # the weight logic once per state of the machine, 2**3 for the AND
+        # the weight logic once, over the machine's 2**3 states
         steps, weight_calls = [], []
         self._count_calls(monkeypatch, Simulator, "step", steps)
         self._count_calls(monkeypatch, dynamics, "weight_inputs", weight_calls)
@@ -231,15 +235,56 @@ class TestEventCounts:
                     max_samples=20_000)
         assert len(trace) == 20_000
         assert steps == []
-        assert sorted(tuple(outputs) for _, outputs, *_ in weight_calls) == [
-            (a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+        assert self._tabulated(weight_calls, 1)
 
     def test_held_probabilities_match_held_voltages(self):
-        sim = Simulator(and_net(tau_sample_us=1000, retention_us=1000), seed=3)
+        # after each refresh, each unit of the machine holds sigmoid(2v - 5)
+        # of the voltage the weight logic publishes for that one state; the
+        # wired unit holds none it reads
+        net = two_and_net(tau_sample_us=1000, retention_us=1000).with_clamps({"C2": 0})
+        sim = Simulator(net, seed=3)
+        refreshed = 0
         while sim.n_updates < 2000:
+            _, prio, _, k = sim.queue[0]
             sim.step()
-            for v, p in zip(sim.held_inputs, sim.held_p):
-                assert p == sigmoid(2.0 * v - 5.0)
+            if prio != PRIO_REFRESH:
+                continue
+            refreshed += 1
+            mach, ids = net.machines[k], range(3 * k, 3 * k + 3)
+            v = weight_inputs(mach.coupling, [sim.outputs[g] for g in ids],
+                              [net.pbits[g].mode for g in ids], mach.quant)
+            held = [sim.held_p[g] for g in ids]
+            assert [p for p, x in zip(held, v) if x is not None] == [
+                sigmoid(2.0 * x - 5.0) for x in v if x is not None]
+        assert refreshed > 100
+
+    def test_control_tabulates_each_machine_once(self, monkeypatch):
+        # the factorizer at i0 = 0: its 13-unit machines visit thousands of
+        # local states, and each machine calls the weight logic once; the
+        # sigmoid runs at most once per voltage published or read off a wire
+        net = build_network({
+            "name": "control", "seed": 0,
+            "network": {"kind": "factorizer", "i0": 0.0, "tau_sample_us": 2000},
+            "retention_us": 20_000, "clamps": {"S0": 0, "S1": 1, "S2": 1, "S3": 0}})
+        tables, sigmoid_args = [], []
+        weight_inputs, sigmoid_ = dynamics.weight_inputs, dynamics.sigmoid
+
+        def tabulating(*args):
+            tables.append(weight_inputs(*args))
+            return tables[-1]
+
+        def sigmoid_calls(x):
+            sigmoid_args.append(x)
+            return sigmoid_(x)
+
+        monkeypatch.setattr(dynamics, "weight_inputs", tabulating)
+        monkeypatch.setattr(dynamics, "sigmoid", sigmoid_calls)
+        trace = run(net, seed=11, max_samples=5000)
+        assert len(trace) == 5000
+        assert len(tables) == len(net.machines) == 4
+        published = {0.0, 5.0}.union(*(t[~np.isnan(t)].tolist() for t in tables))
+        assert len(sigmoid_args) == len(set(sigmoid_args)) <= len(published)
+        assert set(sigmoid_args) <= {2.0 * v - 5.0 for v in published}
 
 
 class TestJitter:

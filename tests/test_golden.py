@@ -23,7 +23,7 @@ import pytest
 from pbitsim import dynamics
 from pbitsim.cli import build_network, main
 from pbitsim.core import CLAMPED_HIGH, PBitConfig, Wired
-from pbitsim.dynamics import BLOCK, MEMO_ENTRIES, Simulator, run, sample_time
+from pbitsim.dynamics import BLOCK, MEMO_ENTRIES, TABLE_UNITS, Simulator, run, sample_time
 from pbitsim.networks import (
     MachineSpec,
     NetworkSpec,
@@ -202,8 +202,9 @@ TRACE_CASES = {
         {"max_samples": SAMPLES},
         "ec166cc06ec1dd45414a86443a13382dc4f686d282f070a8d900ce189144014d",
     ),
-    # non-dyadic machines on the event heap: 12 units, and 15 units that
-    # visit more local states than a machine's weight-logic cache holds
+    # non-dyadic machines on the event heap: 12 units, read from a table,
+    # and 15 units, computed row by row, that visit more local states than
+    # their cache holds
     "matrix12_sevenths": (
         lambda: sevenths_matrix(12),
         {"max_samples": SAMPLES},
@@ -237,14 +238,40 @@ def test_block_refills_case_refills_every_stream():
     assert trace.update_counts.min() >= 3 * BLOCK
 
 
-def test_memo_overflow_case_fills_a_cache():
-    # the run of the memo_overflow case, stepped by hand to see the caches
-    factory, budget, _ = TRACE_CASES["memo_overflow"]
+def local_states_seen(name):
+    """The run of a trace case stepped by hand: the simulator after it, and
+    the local states each machine refreshed in."""
+    factory, budget, _ = TRACE_CASES[name]
     sim = Simulator(factory(), seed=11)
     stop = sample_time(sim.taus, budget["max_samples"] - 1)
+    seen = [set() for _ in sim.machines]
     while sim.queue[0][0] < stop:
+        if sim.queue[0][1] == dynamics.PRIO_REFRESH:
+            k = sim.queue[0][3]
+            seen[k].add((sim.mask >> sim.shifts[k]) & sim.local_masks[k])
         sim.step()
-    assert max(len(memo) for memo in sim.memos) == MEMO_ENTRIES
+    return sim, seen
+
+
+def test_memo_overflow_case_fills_a_cache():
+    # the machines visit more local states than a bounded cache of
+    # MEMO_ENTRIES would hold, and read every one from their tables
+    sim, seen = local_states_seen("memo_overflow")
+    assert max(len(states) for states in seen) > MEMO_ENTRIES
+    for mach, table, memo in zip(sim.machines, sim.tables, sim.memos):
+        assert mach.n <= TABLE_UNITS
+        assert table.shape == (1 << mach.n, mach.n)
+        assert memo == {}
+
+
+def test_matrix15_case_fills_its_cache():
+    # a machine past TABLE_UNITS computes a row per miss and keeps at most
+    # MEMO_ENTRIES of them
+    sim, seen = local_states_seen("matrix15_sevenths")
+    assert sim.machines[0].n == TABLE_UNITS + 1
+    assert sim.tables == [None]
+    assert len(seen[0]) > MEMO_ENTRIES
+    assert len(sim.memos[0]) == MEMO_ENTRIES
 
 
 # name -> (network factory, run budget, (digest, final_time_us, samples)):
