@@ -175,19 +175,20 @@ def _ascending_sums(j: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """
     k, n = bits.shape
     jt = j.T
+    if k == 1:
+        # one row starts at its first term, not at 0.0 plus it; the two
+        # differ only in the sign of a zero sum, which the encoding's + 5 drops
+        return np.add.accumulate(np.where(bits[0, :, None], jt, -jt), axis=0)[-1:]
     lead = min(n, k.bit_length() - 1)
+    acc = np.zeros((1, n))
+    for i in range(lead):
+        acc = np.stack((acc - jt[i], acc + jt[i]), axis=1).reshape(-1, n)
+    acc = acc[bits[:, :lead] @ (1 << np.arange(lead - 1, -1, -1))]
+    if lead == n:
+        return acc
     # unit-major: terms[i - lead, row] is the row's term of unit i
     terms = np.where(bits.T[lead:, :, None], jt[lead:, None], -jt[lead:, None])
-    if lead:
-        acc = np.zeros((1, n))
-        for i in range(lead):
-            acc = np.stack((acc - jt[i], acc + jt[i]), axis=1).reshape(-1, n)
-        acc = acc[bits[:, :lead] @ (1 << np.arange(lead - 1, -1, -1))]
-        if lead == n:
-            return acc
-        terms[0] += acc
-    # with lead 0 a row starts at its first term, not at 0.0 plus it; the
-    # two differ only in the sign of a zero sum, which the encoding's + 5 drops
+    terms[0] += acc
     return np.add.accumulate(terms, axis=0)[-1]
 
 
@@ -228,13 +229,15 @@ def weight_inputs(
         v = code * quant.vref / steps
     wired = []
     for j_idx, mode in enumerate(modes):
+        if mode == FREE:
+            continue
         if mode == CLAMPED_HIGH:
             v[:, j_idx] = V_RAIL
         elif mode == CLAMPED_LOW:
             v[:, j_idx] = 0.0
         elif isinstance(mode, Wired):
             wired.append(j_idx)
-        elif mode != FREE:
+        else:
             raise ConfigurationError(f"unknown terminal mode {mode!r}")
     if bits.ndim == 2:
         v[:, wired] = np.nan

@@ -254,7 +254,7 @@ class Simulator:
         row = memo.get(local)
         if row is None:
             mach = self.machines[k]
-            snapshot = [(local >> b) & 1 for b in range(mach.n - 1, -1, -1)]
+            snapshot = (local >> np.arange(mach.n - 1, -1, -1)) & 1
             row = weight_inputs(mach.coupling, snapshot, self.modes[k], mach.quant)
             if len(memo) < MEMO_ENTRIES:
                 memo[local] = row

@@ -240,7 +240,7 @@ class TestEventCounts:
     def test_held_probabilities_match_held_voltages(self):
         # after each refresh, each unit of the machine holds sigmoid(2v - 5)
         # of the voltage the weight logic publishes for that one state; the
-        # wired unit holds none it reads
+        # wired unit reads its wire instead
         net = two_and_net(tau_sample_us=1000, retention_us=1000).with_clamps({"C2": 0})
         sim = Simulator(net, seed=3)
         refreshed = 0
