@@ -172,7 +172,11 @@ class Simulator:
         # a machine's local output mask is (mask >> shift) & local_mask
         self.shifts = [n - off - mach.n for off, mach in zip(self.offsets, network.machines)]
         self.local_masks = [(1 << mach.n) - 1 for mach in network.machines]
-        self.modes = [_driven_modes(network.pbits[off:off + mach.n])
+        # a wired unit's input is its wire, so the weight logic is asked for
+        # it as clamped low: its entry is a rail no update reads, and every
+        # entry is a voltage
+        self.modes = [[CLAMPED_LOW if isinstance(p.mode, Wired) else p.mode
+                       for p in network.pbits[off:off + mach.n]]
                       for off, mach in zip(self.offsets, network.machines)]
         self.machines = network.machines
         self.p_of = _Probabilities()
@@ -372,13 +376,6 @@ class _Probabilities(dict):
         return p
 
 
-def _driven_modes(pbits) -> list:
-    """The terminal modes a machine's weight logic is asked for. A wired
-    unit's input is its wire, so it is asked for as clamped low: its entry
-    is a rail that no update reads, and every entry is a voltage."""
-    return [CLAMPED_LOW if isinstance(p.mode, Wired) else p.mode for p in pbits]
-
-
 def _voltage_table(mach, modes) -> np.ndarray:
     """v[state, unit]: the voltage the machine's weight logic publishes for
     each unit in local state ``state`` (unit k is bit n-1-k), from one call
@@ -509,7 +506,7 @@ def _run_composed(network, seed, stop, last, max_updates, record_updates) -> Sim
     # p[state, unit]: every unit's held probability after a refresh in that state
     p_of = _Probabilities()
     p = np.array([list(map(p_of.__getitem__, row))
-                  for row in _voltage_table(mach, _driven_modes(network.pbits)).tolist()])
+                  for row in _voltage_table(mach, [p.mode for p in network.pbits]).tolist()])
     chunk = min(CHUNK, WINDOW_ENTRIES // (n << n))
     state, schedules = _units(network, seed, chunk)
 
