@@ -311,6 +311,9 @@ def cmd_run(args) -> int:
         max_updates=doc.get("updates"),
         record_updates=record_updates,
     )
+    if record_updates and not trace.update_events:
+        raise ConfigurationError("the run made no updates, so it has no serialization "
+                                 "to measure; give it a larger budget")
     burn_in = doc.get("burn_in", analysis.DEFAULT_BURN_IN)
     labels = _histogram_labels(doc, net)
     emp = analysis.histogram(trace, labels, burn_in)

@@ -42,23 +42,27 @@ each draws its ``u`` and then, with jitter f, the interval to the next,
 ``round(r·(1 + uniform(-f, f)))`` and at least 1. The heap draws ``BLOCK``
 updates ahead and the composed engine more; neither changes a bit.
 
-Two engines run a network, and they give the same bits: the same trace, end
-time and recorded updates. ``run`` picks one from the network alone. A network
-of one machine with at most ``COMPOSED_UNITS`` (8) units (one machine holds no
-wire) is run by composing per-tick state maps; every other network
-steps the event heap of ``Simulator``. In one machine without wires the
-published voltages change only at lattice ticks: a refresh runs before the
-updates at its tick, and a clean refresh would publish the same values. So
-every update in [t_k, t_k+1) compares its ``u`` against p(S_k), the held
-probability in the state at tick t_k, and the interval is a map on the 2^n
-states in which each unit that updated takes the output of its last update.
-The composed engine reads p[state, unit] off the machine's voltage table,
-takes each unit's update times and ``u`` values from its schedule, and
-composes the interval maps forward over windows of ticks, in the manner of
-Propp and Wilson's coupled maps (Random Struct. Alg. 9, 223, 1996) run
-forward on the same streams. Budgets that count updates follow the heap's
-order of equal-time updates: the order of the units' previous updates, with
-first updates ahead of every later one and among themselves in gid order.
+Two engines run a network, and they give the same trace and end time.
+``_composable`` picks one from the network and the budget. A run with only a
+sample or duration budget, on one machine with at most ``COMPOSED_UNITS`` (8)
+units (one machine holds no wire), composes per-tick state maps; a run with
+an update budget or recorded updates, and every run of a larger network,
+steps the event heap of ``Simulator``, whose order of equal-time updates is
+the only one those runs need. In one machine without wires the published
+voltages change only at lattice ticks: a refresh runs before the updates at
+its tick, and a clean refresh would publish the same values. So every update
+in [t_k, t_k+1) compares its ``u`` against p(S_k), the held probability in
+the state at tick t_k, and the interval is a map on the 2^n states in which
+each unit that updated takes the output of its last update. The composed
+engine reads p[state, unit] off the machine's voltage table, takes each
+unit's update times and ``u`` values from its schedule, and composes the
+interval maps forward over windows of ticks, in the manner of Propp and
+Wilson's coupled maps (Random Struct. Alg. 9, 223, 1996) run forward on the
+same streams.
+
+Every virtual time of a run, the updates drawn ahead included, stays below
+``TIME_LIMIT_US`` (2^62 µs), so int64 arrays hold it; ``run`` refuses a
+budget or timing that could pass it.
 """
 
 from __future__ import annotations
@@ -89,6 +93,8 @@ COMPOSED_UNITS = 8
 CHUNK = 4096
 # bound on the state-map entries of one window of the composed engine
 WINDOW_ENTRIES = 1 << 20
+# every virtual time of a run stays below this, half of int64's range
+TIME_LIMIT_US = 1 << 62
 
 
 def sample_times(taus, last: int) -> np.ndarray:
@@ -385,46 +391,32 @@ def _voltage_table(mach, modes) -> np.ndarray:
     return weight_inputs(mach.coupling, states, modes, mach.quant)
 
 
-def _composable(network: NetworkSpec) -> bool:
-    """Whether ``run`` composes per-tick state maps for ``network``: one
-    machine (``NetworkSpec.validate`` allows no wire inside a machine) of at
-    most ``COMPOSED_UNITS`` units."""
-    return len(network.machines) == 1 and network.n_total <= COMPOSED_UNITS
+def _composable(network: NetworkSpec, max_updates, record_updates) -> bool:
+    """Whether ``run`` composes per-tick state maps: a run that neither
+    counts nor records updates, since only the heap orders equal-time
+    updates, on one machine (``NetworkSpec.validate`` allows no wire inside
+    a machine) of at most ``COMPOSED_UNITS`` units."""
+    return (max_updates is None and not record_updates
+            and len(network.machines) == 1 and network.n_total <= COMPOSED_UNITS)
 
 
-def _heap_order(times, counts, last_t, last_pos) -> np.ndarray:
-    """The indices that sort one window's updates into the heap's order.
-
-    ``times`` holds each unit's updates in time order, unit after unit,
-    ``counts[g]`` of unit g. Updates run by time. Of two units updating at
-    one instant, the one whose previous update ran first runs first, and a
-    unit with no previous update runs before one with. If both previous
-    updates fell at one instant, the pair keeps the order it had there; for
-    updates before the window that is the order of ``last_pos``, each
-    unit's position in the run's update order (-n + gid before its first
-    update, so first updates run in gid order). ``last_t`` holds each unit's
-    last update time before the window, -1 before its first.
-    """
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    rank = np.zeros(len(times), dtype=np.int64)
-    for g in range(len(counts)):
-        tg = times[bounds[g]:bounds[g + 1]]
-        for h in range(g + 1, len(counts)):
-            th = times[bounds[h]:bounds[h + 1]]
-            _, ig, ih = np.intersect1d(tg, th, assume_unique=True, return_indices=True)
-            if not len(ig):
-                continue
-            prev_g = np.where(ig > 0, tg[ig - 1], last_t[g])
-            prev_h = np.where(ih > 0, th[ih - 1], last_t[h])
-            # -1 where g's previous update ran first, 0 where both ran at once
-            sign = np.sign(prev_g - prev_h)
-            decided = np.where(sign != 0, np.arange(len(sign)), -1)
-            np.maximum.accumulate(decided, out=decided)
-            carried = -1 if last_pos[g] < last_pos[h] else 1
-            g_first = np.where(decided >= 0, sign[decided], carried) < 0
-            rank[bounds[h] + ih] += g_first
-            rank[bounds[g] + ig] += ~g_first
-    return np.lexsort((rank, times))
+def _check_horizon(pbits, taus, max_samples, duration_us, max_updates) -> None:
+    """Refuse a run whose virtual times could reach ``TIME_LIMIT_US``. Its
+    events end by its first budget's bound (the duration, the samples'
+    ticks, or an interval of up to twice the longest retention per update
+    after the latest phase) or by that phase. Past them come one tick of
+    the slowest lattice and a refill of updates drawn ahead."""
+    longest = 2 * max(p.retention_us for p in pbits)
+    phase = max(p.phase_us for p in pbits)
+    ends = [duration_us, None if max_samples is None else max_samples * min(taus),
+            None if max_updates is None else phase + max_updates * longest]
+    end = max(min(e for e in ends if e is not None), phase)
+    reach = end + max(taus) + max(BLOCK, CHUNK) * longest
+    if reach >= TIME_LIMIT_US:
+        raise ConfigurationError(
+            f"the run's virtual times could reach {reach} us, past the limit of "
+            f"2**62 = {TIME_LIMIT_US} us; shorten its budget, retention, phases "
+            "or sampling period")
 
 
 def _walk(maps, state) -> np.ndarray:
@@ -497,10 +489,11 @@ def _run_heap(network, seed, stop, last, max_updates, record_updates) -> Simulat
     return sim.trace(last)
 
 
-def _run_composed(network, seed, stop, last, max_updates, record_updates) -> SimulationTrace:
-    """``run`` for a network that ``_composable`` admits, with the budgets
-    already turned into ``stop`` and ``last``: each tick interval is a map on
-    the 2^n states, and the run composes them forward, window by window."""
+def _run_composed(network, seed, stop, last) -> SimulationTrace:
+    """``run`` for a network and budget that ``_composable`` admits, with the
+    budget already turned into ``stop`` and ``last``: each tick interval is
+    a map on the 2^n states, and the run composes them forward, window by
+    window, up to ``stop``."""
     mach = network.machines[0]
     n, tau = network.n_total, mach.tau_sample_us
     # p[state, unit]: every unit's held probability after a refresh in that state
@@ -513,44 +506,15 @@ def _run_composed(network, seed, stop, last, max_updates, record_updates) -> Sim
     flip_times, flip_masks = [np.array([-1])], [np.array([state])]
     update_counts = np.zeros(n, dtype=np.int64)
     one_counts = np.zeros(n, dtype=np.int64)
-    events = []
-    ordered = record_updates or max_updates is not None
-    last_t = np.full(n, -1, dtype=np.int64)
-    last_pos = np.arange(n) - n
-    done = clock = start = 0
-    # no update at or after ``horizon`` runs
-    horizon = np.iinfo(np.int64).max if stop is None else stop
-    while True:
-        if max_updates is not None and done >= max_updates:
-            last = clock if done else -1
-            break
-        if start >= horizon:
-            break
+    clock = start = 0
+    # no update at or after ``stop`` runs
+    while start < stop:
         # a window ends on the last tick before some unit's next undrawn update
         for s in schedules:
-            while s.next_t < horizon and (s.next_t < start + tau or len(s.times) < chunk):
-                s.refill(horizon)
-        end = min([s.next_t // tau * tau for s in schedules if s.next_t < horizon],
-                  default=horizon)
+            while s.next_t < stop and (s.next_t < start + tau or len(s.times) < chunk):
+                s.refill(stop)
+        end = min([s.next_t // tau * tau for s in schedules if s.next_t < stop], default=stop)
         counts = [int(np.searchsorted(s.times, end)) for s in schedules]
-
-        if ordered:
-            times = np.concatenate([s.times[:c] for s, c in zip(schedules, counts)])
-            gids = np.repeat(np.arange(n), counts)
-            order = _heap_order(times, counts, last_t, last_pos)
-            if max_updates is not None and done + len(order) >= max_updates:
-                # the run ends after this window's first updates in order
-                order = order[:max_updates - done]
-                counts = np.bincount(gids[order], minlength=n).tolist()
-            else:
-                position = np.empty(len(times), dtype=np.int64)
-                position[order] = np.arange(done, done + len(order))
-                for g, tail in enumerate(np.cumsum(counts) - 1):
-                    if counts[g]:
-                        last_t[g], last_pos[g] = times[tail], position[tail]
-            if record_updates:
-                events += zip(times[order].tolist(), gids[order].tolist())
-
         taken = [s.take(c) for s, c in zip(schedules, counts)]
         start = end
         if not sum(counts):
@@ -560,10 +524,9 @@ def _run_composed(network, seed, stop, last, max_updates, record_updates) -> Sim
         one_counts += ones
         flip_times.append(moved_at)
         flip_masks.append(moved_to)
-        clock = max(clock, max(int(t[-1]) for t, _ in taken if len(t)))
-        done += sum(counts)
+        clock = max(int(t[-1]) for t, _ in taken if len(t))
     return _trace(n, [tau], last, clock, np.concatenate(flip_times),
-                  np.concatenate(flip_masks), events, update_counts, one_counts)
+                  np.concatenate(flip_masks), [], update_counts, one_counts)
 
 
 def run(
@@ -580,14 +543,16 @@ def run(
     ``max_samples`` counts trace rows and stops at the last one's time s*,
     running the events strictly before it; ``max_updates`` counts unit
     update events and ends the samples at the last update's time. A zero
-    budget yields an empty trace. A network ``_composable`` admits runs by
-    composed state maps, any other on the event heap; both give the same
-    trace.
+    budget yields an empty trace. A run ``_composable`` admits composes state
+    maps; any other, such as one with an update budget or recorded updates,
+    steps the event heap. Both give the same trace. A run whose virtual
+    times could reach ``TIME_LIMIT_US`` is refused.
     """
     if max_samples is None and duration_us is None and max_updates is None:
         raise ConfigurationError("a sample, update, or duration budget is required")
     network.validate()
     taus = [mach.tau_sample_us for mach in network.machines]
+    _check_horizon(network.pbits, taus, max_samples, duration_us, max_updates)
     # events run strictly before ``stop``; samples end at ``last``
     stop = last = None
     if duration_us is not None:
@@ -596,8 +561,9 @@ def run(
         s_star = sample_time(taus, max_samples - 1) if max_samples > 0 else -1
         if stop is None or s_star < stop:
             stop, last = s_star, s_star
-    engine = _run_composed if _composable(network) else _run_heap
-    return engine(network, seed, stop, last, max_updates, record_updates)
+    if _composable(network, max_updates, record_updates):
+        return _run_composed(network, seed, stop, last)
+    return _run_heap(network, seed, stop, last, max_updates, record_updates)
 
 
 def serialization_metric(

@@ -1,7 +1,9 @@
 """Command-line interface: scenarios, overrides, exit codes, artifacts."""
 
+import contextlib
 import dataclasses
 import json
+import signal
 
 import jsonschema
 import numpy as np
@@ -29,6 +31,21 @@ def write_scenario(path, **overrides):
     doc.update(overrides)
     path.write_text(json.dumps(doc))
     return path
+
+
+@contextlib.contextmanager
+def within_a_second():
+    """Fail the block, instead of waiting on it, if it runs past one second."""
+    def expire(*_):
+        pytest.fail("took more than a second")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def reject_constant(name):
@@ -131,6 +148,14 @@ class TestRun:
         assert "serialization_initial" in report
         assert "serialization_final" in report
 
+    def test_serialization_needs_updates(self, tmp_path, capsys):
+        # a run that made no updates was said to carry no update timestamps
+        path = write_scenario(tmp_path / "s.json", samples=1, serialization_window_us=10)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: the run made no updates, so it has no serialization to measure; "
+            "give it a larger budget\n")
+
 
 class TestExitCodes:
     def test_missing_file(self, tmp_path):
@@ -146,6 +171,24 @@ class TestExitCodes:
             "seed": 1, "lo_us": 300_000, "hi_us": 100_000})
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "lo_us=300000 > hi_us=100000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields", [
+        {"retention_us": 99999999999999999999, "jitter_fraction": 0, "samples": 10},
+        {"retention_us": 99999999999999999999, "samples": 10},
+        {"retention_us": 4611686018427387904, "updates": 10},
+        {"network": {"kind": "gate", "gate": "and", "i0": 0.8,
+                     "tau_sample_us": 99999999999999999999}, "samples": 10},
+    ], ids=["retention_without_jitter", "retention", "retention_updates", "tau_sample"])
+    def test_virtual_times_fit_int64(self, tmp_path, capsys, fields):
+        # the first used to end in an OverflowError traceback, the others to
+        # run without end
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({
+            "name": "x", "seed": 7, "network": {"kind": "gate", "gate": "and", "i0": 0.8},
+            **fields}))
+        with within_a_second():
+            assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "past the limit of 2**62 = 4611686018427387904 us" in capsys.readouterr().err
 
     def test_vref_needs_dac_bits(self, tmp_path, capsys):
         # a vref without a DAC used to be accepted and ignored

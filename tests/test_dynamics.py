@@ -348,9 +348,10 @@ class TestRandomStreams:
         self._check_stream(seed, gid, f, chunk)
 
     @pytest.mark.parametrize("f", [0.01, 0.3])
-    @pytest.mark.parametrize("make_net", [and_net, two_and_net], ids=["composed", "heap"])
+    @pytest.mark.parametrize("make_net", [and_net, two_and_net], ids=["one_machine", "heap"])
     def test_update_times_match_scalar_jitter(self, make_net, f):
-        # every unit's update times, rebuilt from scalar draws on its generator
+        # every unit's update times, rebuilt from scalar draws on its
+        # generator; an update budget steps the heap on both networks
         net = make_net(retention_us=1000, tau_sample_us=100)
         net.set_jitter(f)
         trace = run(net, seed=4, max_updates=3 * net.n_total * dynamics.BLOCK,
@@ -430,8 +431,8 @@ class TestSerializationMetric:
 
 
 def heap_run(net, seed, **budget):
-    """``run`` on the event heap, whatever engine it picks for the network."""
-    with mock.patch.object(dynamics, "_run_composed", dynamics._run_heap):
+    """``run`` on the event heap, whatever engine it picks for the run."""
+    with mock.patch.object(dynamics, "_composable", lambda *_: False):
         return run(net, seed, **budget)
 
 
@@ -476,44 +477,52 @@ def small_machines(draw):
 budgets = st.fixed_dictionaries({}, optional={
     "max_samples": st.integers(0, 3000),
     "duration_us": st.integers(0, 300_000),
-    "max_updates": st.integers(0, 3000),
 }).filter(bool)
 
 
 class TestComposedEngine:
-    """One-machine runs of up to 8 units compose per-tick state maps; they
-    must give the heap's bits under every budget and window size."""
+    """One-machine runs of up to 8 units under sample and duration budgets
+    compose per-tick state maps; they must give the heap's bits under every
+    such budget and window size."""
 
     @settings(max_examples=150, deadline=None)
     @given(net=small_machines(), seed=st.integers(0, 2**32), budget=budgets,
-           record_updates=st.booleans(), chunk=st.sampled_from([3, 64, dynamics.CHUNK]))
-    def test_matches_the_heap(self, net, seed, budget, record_updates, chunk):
-        assert dynamics._composable(net)
-        want = heap_run(net, seed, record_updates=record_updates, **budget)
+           chunk=st.sampled_from([3, 64, dynamics.CHUNK]))
+    def test_matches_the_heap(self, net, seed, budget, chunk):
+        assert dynamics._composable(net, None, False)
+        want = heap_run(net, seed, **budget)
         with mock.patch.object(dynamics, "CHUNK", chunk):
-            got = run(net, seed, record_updates=record_updates, **budget)
+            got = run(net, seed, **budget)
         assert digest(got) == digest(want)
         assert (got.final_time_us, len(got)) == (want.final_time_us, len(want))
-        assert got.update_events == want.update_events
 
     def test_tie_order_carries_across_windows(self):
         # unit 1's first update ties with unit 0's second and runs first, and
-        # the pair keeps that order at every later tie, window after window
+        # the pair keeps that order at every later tie
         mach = MachineSpec("m", CouplingMatrix(np.zeros((2, 2)), np.zeros(2), 0.0),
                            tau_sample_us=100)
         net = NetworkSpec([mach], [PBitConfig(id=0, retention_us=1000),
                                    PBitConfig(id=1, retention_us=1000, phase_us=1000)])
-        want = heap_run(net, 3, max_updates=50, record_updates=True)
-        assert want.update_events[1:5] == [(1000, 1), (1000, 0), (2000, 1), (2000, 0)]
-        with mock.patch.object(dynamics, "CHUNK", 3):
-            got = run(net, 3, max_updates=50, record_updates=True)
-        assert got.update_events == want.update_events
-        assert digest(got) == digest(want)
+        trace = run(net, 3, max_updates=50, record_updates=True)
+        assert trace.update_events[1:5] == [(1000, 1), (1000, 0), (2000, 1), (2000, 0)]
 
     def test_nine_units_step_the_heap(self):
         net = NetworkSpec(
             [MachineSpec("m", CouplingMatrix(np.zeros((9, 9)), np.zeros(9), 1.0))],
             [PBitConfig(id=k, retention_us=1000) for k in range(9)])
-        assert not dynamics._composable(net)
-        assert dynamics._composable(and_net())
-        assert not dynamics._composable(two_and_net(1000, 1000))
+        assert not dynamics._composable(net, None, False)
+        assert dynamics._composable(and_net(), None, False)
+        assert not dynamics._composable(two_and_net(1000, 1000), None, False)
+
+    @pytest.mark.parametrize("budget, heap", [
+        ({"max_updates": 100}, True),
+        ({"max_samples": 100, "record_updates": True}, True),
+        ({"max_samples": 100}, False),
+    ], ids=["max_updates", "record_updates", "max_samples"])
+    def test_update_budgets_step_the_heap(self, monkeypatch, budget, heap):
+        # only a run that neither counts nor records updates composes maps
+        steps = []
+        step = Simulator.step
+        monkeypatch.setattr(Simulator, "step", lambda sim: steps.append(sim) or step(sim))
+        run(and_net(), seed=1, **budget)
+        assert bool(steps) == heap
