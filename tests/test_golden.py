@@ -104,6 +104,21 @@ def two_period_net():
     return net
 
 
+def tie_net():
+    """Three coupled 2-unit machines whose units all update at the same
+    instants (retention 1000 us, phase 0, no jitter), with two zero-delay
+    wires: unit 2 reads unit 0, which comes before it at every tie, and
+    unit 1 reads unit 4, which comes after it."""
+    gate = load_gate("copy")
+    mach = lambda name: MachineSpec(name, gate.coupling(1.0), tau_sample_us=100)
+    pbits = [PBitConfig(id=k, retention_us=1000, jitter_fraction=0.0) for k in range(6)]
+    pbits[1] = PBitConfig(id=1, retention_us=1000, jitter_fraction=0.0, mode=Wired(source=4))
+    pbits[2] = PBitConfig(id=2, retention_us=1000, jitter_fraction=0.0, mode=Wired(source=0))
+    net = NetworkSpec([mach("a"), mach("b"), mach("c")], pbits, {"A": 0, "B": 2, "C": 4})
+    net.validate()
+    return net
+
+
 def fast_and_net():
     return scenario_net({"kind": "gate", "gate": "and", "i0": 0.8, "tau_sample_us": 100},
                         retention_us=2000)
@@ -341,6 +356,35 @@ BUDGET_CASES = {
         TRACE_CASES["factorizer"][0], {"max_updates": 10_000},
         ("4d8ac087af25b74946a84bacf7f7ded6fa9f06007aaf2604c3f0906207f6438d",
          4339674, 2170),
+    ),
+    # every unit updates at t = 0 in unit order: the budget ends inside
+    # that first instant
+    "factorizer_updates_inside_first_instant": (
+        TRACE_CASES["factorizer"][0], {"max_updates": 20},
+        ("d6971eee36d3093fdf9857827be89dcff47828dd8bdca6148f3e97af49a540b3",
+         0, 1),
+    ),
+    "tie_samples": (
+        tie_net, {"max_samples": SAMPLES},
+        ("ee872dfa3c18136c0cc45db86381e8aa853d379cd54868a30a455cb900c8a54b",
+         299900, 3000),
+    ),
+    # 333 whole instants of all six units
+    "tie_updates": (
+        tie_net, {"max_updates": 1998},
+        ("7ff13160f22c2eaff4e91d41daa240fa88243785930a7ba5de956ab2f1bb4553",
+         332000, 3321),
+    ),
+    # the last update is the fifth of its instant's six
+    "tie_updates_inside_an_instant": (
+        tie_net, {"max_updates": 2003},
+        ("97ff3249ca404b08f52d4e6fb0a4ae5848ad65efb7ee7e8cbc699ad2dc822743",
+         333000, 3331),
+    ),
+    "tie_duration": (
+        tie_net, {"duration_us": 250_050},
+        ("a62ed6488d3de002ac6d7fd4565cee43783291eb89313cda43fc4cf176b47d62",
+         250000, 2501),
     ),
 }
 
