@@ -178,12 +178,7 @@ class Simulator:
         # a machine's local output mask is (mask >> shift) & local_mask
         self.shifts = [n - off - mach.n for off, mach in zip(self.offsets, network.machines)]
         self.local_masks = [(1 << mach.n) - 1 for mach in network.machines]
-        # a wired unit's input is its wire, so the weight logic is asked for
-        # it as clamped low: its entry is a rail no update reads, and every
-        # entry is a voltage
-        self.modes = [[CLAMPED_LOW if isinstance(p.mode, Wired) else p.mode
-                       for p in network.pbits[off:off + mach.n]]
-                      for off, mach in zip(self.offsets, network.machines)]
+        self.modes = _weight_modes(network)
         self.machines = network.machines
         self.p_of = _Probabilities()
         # the voltages of each machine of up to TABLE_UNITS units in every
@@ -382,6 +377,15 @@ class _Probabilities(dict):
         return p
 
 
+def _weight_modes(network: NetworkSpec) -> list:
+    """Each machine's unit modes as its weight logic is asked for them. A
+    wired unit's input is its wire, so it is asked for as clamped low: its
+    entry is a rail no update reads, and every entry is a voltage."""
+    return [[CLAMPED_LOW if isinstance(p.mode, Wired) else p.mode
+             for p in network.pbits[off:off + mach.n]]
+            for off, mach in zip(network.offsets(), network.machines)]
+
+
 def _voltage_table(mach, modes) -> np.ndarray:
     """v[state, unit]: the voltage the machine's weight logic publishes for
     each unit in local state ``state`` (unit k is bit n-1-k), from one call
@@ -391,13 +395,21 @@ def _voltage_table(mach, modes) -> np.ndarray:
     return weight_inputs(mach.coupling, states, modes, mach.quant)
 
 
-def _composable(network: NetworkSpec, max_updates, record_updates) -> bool:
-    """Whether ``run`` composes per-tick state maps: a run that neither
-    counts nor records updates, since only the heap orders equal-time
-    updates, on one machine (``NetworkSpec.validate`` allows no wire inside
-    a machine) of at most ``COMPOSED_UNITS`` units."""
-    return (max_updates is None and not record_updates
-            and len(network.machines) == 1 and network.n_total <= COMPOSED_UNITS)
+def _composable(network: NetworkSpec, max_updates, record_updates) -> str:
+    """The engine ``run`` gives a run: ``"heap"`` for a run that records
+    updates, since only the heap logs each one; on one machine
+    (``NetworkSpec.validate`` allows no wire inside a machine),
+    ``"composed"`` for a run of at most ``COMPOSED_UNITS`` units that does
+    not count updates, and ``"heap"`` for any other; on several machines,
+    ``"flips"`` if each has at most ``TABLE_UNITS`` units, whose
+    probability tables the flip-driven engine reads, and ``"heap"`` if
+    not."""
+    if record_updates:
+        return "heap"
+    if len(network.machines) == 1:
+        small = max_updates is None and network.n_total <= COMPOSED_UNITS
+        return "composed" if small else "heap"
+    return "flips" if all(m.n <= TABLE_UNITS for m in network.machines) else "heap"
 
 
 def _check_horizon(pbits, taus, max_samples, duration_us, max_updates) -> None:
@@ -529,6 +541,383 @@ def _run_composed(network, seed, stop, last) -> SimulationTrace:
                   np.concatenate(flip_masks), [], update_counts, one_counts)
 
 
+def _dependence(volts, wired) -> int:
+    """The local mask of the bits that some voltage in table ``volts``
+    depends on; a wired unit's column is never read."""
+    n = volts.shape[1]
+    read = volts[:, [not w for w in wired]]
+    dep = 0
+    if not read.size:
+        return dep
+    for k in range(n):
+        # the states without unit k's bit, and the same states with it
+        halves = read.reshape(1 << k, 2, -1, read.shape[1])
+        if np.any(halves[:, 0] != halves[:, 1]):
+            dep |= 1 << (n - 1 - k)
+    return dep
+
+
+class _FlipRun:
+    """One run of the flip-driven engine, window by window.
+
+    Each unit's held probability is constant between two changes of its
+    input, so its outputs there are the comparisons ``p > u`` over its
+    schedule. A unit keeps those stretches as segments (first update index,
+    probability) and turns them into outputs, counts and flips once per
+    window (``settle``). Only a flip that changes some other unit's
+    probability is an event: the flip of a bit that a voltage of its
+    machine depends on, which queues a refresh at the machine's next tick,
+    or of a wire's source. The units that flip such bits are "eager". An
+    eager unit whose own probability never changes (not wired, its voltage
+    the same in every state: a clamped unit, or any unit at i0 = 0) has its
+    flips found for the whole window at once; any other finds its next flip
+    by scanning its segment. A heap runs the events in time order.
+    """
+
+    def __init__(self, network: NetworkSpec, seed: int):
+        n = self.n = network.n_total
+        machines = network.machines
+        self.m = len(machines)
+        self.machine_of = network.machine_of()
+        self.offsets = network.offsets()
+        self.taus = [mach.tau_sample_us for mach in machines]
+        self.shifts = [n - off - mach.n for off, mach in zip(self.offsets, machines)]
+        self.volts = [_voltage_table(mach, modes)
+                      for mach, modes in zip(machines, _weight_modes(network))]
+        self.p_of = _Probabilities()
+        self.wire_p = (self.p_of[0.0], self.p_of[V_RAIL])
+        wires = [p.mode if isinstance(p.mode, Wired) else None for p in network.pbits]
+        self.wired = [w is not None for w in wires]
+        self.readers = [[] for _ in range(n)]
+        for r, w in enumerate(wires):
+            if w is not None:
+                self.readers[w.source].append((r, w.delay_us))
+        # the global mask bits each machine's voltages depend on
+        self.dep_masks = [_dependence(volts, self.wired[off:off + volts.shape[1]]) << shift
+                          for volts, off, shift in zip(self.volts, self.offsets, self.shifts)]
+        self.bits = [1 << (n - 1 - g) for g in range(n)]
+        self.refreshes = [self.dep_masks[k] & bit != 0
+                          for k, bit in zip(self.machine_of, self.bits)]
+        self.eager = [dep or bool(readers) for dep, readers in zip(self.refreshes, self.readers)]
+        fixed = np.concatenate([np.all(volts == volts[0], axis=0) for volts in self.volts])
+        self.constant = [bool(c) and not w for c, w in zip(fixed, self.wired)]
+
+        self.mask, self.schedules = _units(network, seed, CHUNK)
+        self.initial_mask = self.mask
+        self.out = [(self.mask >> (n - 1 - g)) & 1 for g in range(n)]
+        # each unit's output after the last settled window
+        self.out_settled = list(self.out)
+        # the local state each machine last refreshed in, masked to its dependences
+        self.held = [(self.mask & dep) >> shift for dep, shift in zip(self.dep_masks, self.shifts)]
+        self.p = [self.wire_p[self.out[w.source]] if w is not None else None for w in wires]
+        for k, off in enumerate(self.offsets):
+            for g, v in enumerate(self.volts[k][self.held[k]].tolist(), off):
+                if not self.wired[g]:
+                    self.p[g] = self.p_of[v]
+        self.pending = [False] * self.m
+        self.heap = []
+        # a unit's flip events of an older segment are stale
+        self.version = [0] * n
+        # the heap's tie rule: each unit's last update time and its rank among
+        # the updates of that instant; before the first update, -1 and its id
+        self.last_t = [-1] * n
+        self.last_rank = list(range(n))
+        self.update_counts = np.zeros(n, dtype=np.int64)
+        self.one_counts = np.zeros(n, dtype=np.int64)
+        self.flip_times, self.flip_units = [], []
+        self.clock = 0
+
+    def draw(self, start: int, end: int) -> None:
+        """Take every unit's updates in [start, end) from its schedule."""
+        self.times, self.u = [], []
+        for s in self.schedules:
+            while s.next_t < end:
+                s.refill(end)
+            times, u = s.take(int(np.searchsorted(s.times, end)))
+            self.times.append(times)
+            self.u.append(u)
+
+    def rank_ties(self) -> np.ndarray:
+        """Rank the updates of every instant that holds several, in the
+        heap's order: by each one's previous update, the earlier first, and
+        among updates whose previous ones fell in one instant, by their
+        ranks there; a first update comes before any other, first updates
+        in unit order. Returns the window's update times, sorted."""
+        times = np.concatenate(self.times)
+        ordered = np.sort(times)
+        self.rank = {}
+        same = ordered[1:] == ordered[:-1]
+        if not same.any():
+            return ordered
+        tied = np.unique(ordered[1:][same])
+        at = np.minimum(np.searchsorted(tied, times), len(tied) - 1)
+        hit = np.flatnonzero(tied[at] == times)
+        counts = [len(t) for t in self.times]
+        owner = np.repeat(np.arange(self.n), counts)[hit]
+        index = hit - np.cumsum([0] + counts[:-1])[owner]
+        order = np.lexsort((owner, times[hit]))
+        group, when = [], None
+        for t, g, i in zip(times[hit][order].tolist(), owner[order].tolist(),
+                           index[order].tolist()):
+            if t != when:
+                self._rank_group(group)
+                group, when = [], t
+            group.append((g, i))
+        self._rank_group(group)
+        return ordered
+
+    def _rank_group(self, group) -> None:
+        keyed = []
+        for g, i in group:
+            if i:
+                key = (int(self.times[g][i - 1]), self.rank.get((g, i - 1), 0))
+            else:
+                key = (self.last_t[g], self.last_rank[g])
+            keyed.append((key, g, i))
+        keyed.sort()
+        for r, (_, g, i) in enumerate(keyed):
+            self.rank[(g, i)] = r
+
+    def cut(self, t_end: int, keep: int) -> None:
+        """End the window at instant ``t_end``, which runs only the first
+        ``keep`` of its updates in the heap's order."""
+        tied = [(self.rank.get((g, i), 0), g) for g, times in enumerate(self.times)
+                for i in [int(np.searchsorted(times, t_end))]
+                if i < len(times) and times[i] == t_end]
+        kept = {g for _, g in sorted(tied)[:keep]}
+        for g, times in enumerate(self.times):
+            c = int(np.searchsorted(times, t_end, "right" if g in kept else "left"))
+            self.times[g], self.u[g] = times[:c], self.u[g][:c]
+
+    def _late_reads(self, r: int, g: int, flips) -> list:
+        """For each update of source g in ``flips`` (indices), 1 if its
+        zero-delay reader r updates at the same instant before it, and so
+        reads g's bit from before that update, else 0."""
+        at, times = self.times[g][flips], self.times[r]
+        late = np.zeros(len(flips), dtype=np.int64)
+        if len(times):
+            j = np.searchsorted(times, at)
+            for q in np.flatnonzero(times[np.minimum(j, len(times) - 1)] == at).tolist():
+                late[q] = self.rank[(r, int(j[q]))] < self.rank[(g, int(flips[q]))]
+        return late
+
+    def begin(self, end: int) -> None:
+        """Start every unit's first segment of the window at its held
+        probability. Find the flips of each constant eager unit: queue those
+        that refresh its machine, give each zero-delay reader that is not
+        eager its segments, and queue its other readers' input changes.
+        Queue every other eager unit's first flip."""
+        n, heap, wire_p = self.n, self.heap, self.wire_p
+        self.starts = [[0] for _ in range(n)]
+        self.probs = [[p] for p in self.p]
+        self.next_flip = [None] * n
+        for g in range(n):
+            if not self.eager[g]:
+                continue
+            if not self.constant[g]:
+                self._queue(g, self._scan(g, 0, len(self.u[g])))
+                continue
+            fires = self.p[g] > self.u[g]
+            flips = np.flatnonzero(fires != np.concatenate(([self.out[g]], fires[:-1])))
+            if not len(flips):
+                continue
+            at = self.times[g][flips]
+            after = fires[flips]
+            if self.refreshes[g]:
+                for t in at.tolist():
+                    heapq.heappush(heap, (t, 0, n + g, 0))
+            for r, delay in self.readers[g]:
+                changes = at + delay
+                if not delay:
+                    changes += self._late_reads(r, g, flips)
+                    if not self.eager[r]:
+                        self.starts[r] += np.searchsorted(self.times[r], changes).tolist()
+                        self.probs[r] += [wire_p[b] for b in after.tolist()]
+                        self.p[r] = wire_p[int(after[-1])]
+                        continue
+                code = 2 * n + self.m + r
+                for t, b in zip(changes.tolist(), after.tolist()):
+                    heapq.heappush(heap, (t, -1, code, int(b)))
+
+    def _scan(self, g: int, index: int, limit: int):
+        """The first of eager unit g's updates ``index`` to ``limit - 1``
+        whose output differs from its present one at its held probability,
+        or None. The scan looks about four expected runs ahead at first,
+        then four times further each step."""
+        u, p, out = self.u[g], self.p[g], self.out[g]
+        rate = 1.0 - p if out else p
+        if rate <= 0.0:
+            return None
+        step = max(16, int(4.0 / rate))
+        while index < limit:
+            ahead = u[index:min(index + step, limit)]
+            flips = ahead >= p if out else ahead < p
+            j = int(flips.argmax())
+            if flips[j]:
+                return index + j
+            index += step
+            step *= 4
+        return None
+
+    def _queue(self, g: int, i) -> None:
+        """Make update ``i`` (or None) eager unit g's next flip."""
+        self.version[g] += 1
+        self.next_flip[g] = i
+        if i is not None:
+            heapq.heappush(self.heap, (int(self.times[g][i]), self.rank.get((g, i), 0),
+                                       g, self.version[g]))
+
+    def _requeue(self, g: int, i: int, old: float) -> None:
+        """Find eager unit g's next flip after its probability changed from
+        ``old`` at update ``i``, which is at or before its queued flip. A
+        change that makes a flip less likely cannot bring the flip forward,
+        and one that makes it more likely cannot put it off."""
+        p, out, f = self.p[g], self.out[g], self.next_flip[g]
+        if (p >= old) if out else (p <= old):
+            if f is not None and not ((self.u[g][f] >= p) if out else (self.u[g][f] < p)):
+                self._queue(g, self._scan(g, f + 1, len(self.u[g])))
+            return
+        j = self._scan(g, i, len(self.u[g]) if f is None else f)
+        if j is not None:
+            self._queue(g, j)
+
+    def advance(self, end: int) -> None:
+        """Run every event before ``end``. Refreshes and wire input changes
+        at an instant run before its flips, and its flips run in the heap's
+        order of updates."""
+        heap, n, m = self.heap, self.n, self.m
+        while heap and heap[0][0] < end:
+            t, _, code, extra = heapq.heappop(heap)
+            if code < n:
+                if extra == self.version[code]:
+                    self._flip(code, t)
+            elif code < 2 * n:
+                self._toggle(code - n, t)
+            elif code < 2 * n + m:
+                self._refresh(code - 2 * n, t)
+            else:
+                self._set_p(code - 2 * n - m, t, self.wire_p[extra])
+
+    def _toggle(self, g: int, t: int) -> None:
+        """Flip unit g's output at ``t``; a bit its machine depends on
+        queues a refresh at the machine's next tick."""
+        self.out[g] ^= 1
+        if self.refreshes[g]:
+            self.mask ^= self.bits[g]
+            k = self.machine_of[g]
+            if not self.pending[k]:
+                self.pending[k] = True
+                tau = self.taus[k]
+                heapq.heappush(self.heap, ((t // tau + 1) * tau, -1, 2 * self.n + k, 0))
+
+    def _flip(self, g: int, t: int) -> None:
+        i = self.next_flip[g]
+        self._toggle(g, t)
+        bit = self.out[g]
+        for r, delay in self.readers[g]:
+            if delay:
+                heapq.heappush(self.heap, (t + delay, -1, 2 * self.n + self.m + r, bit))
+            else:
+                late = int(self._late_reads(r, g, [i])[0])
+                self._set_p(r, t + late, self.wire_p[bit])
+        self._queue(g, self._scan(g, i + 1, len(self.u[g])))
+
+    def _refresh(self, k: int, t: int) -> None:
+        self.pending[k] = False
+        local = (self.mask & self.dep_masks[k]) >> self.shifts[k]
+        if local == self.held[k]:
+            return
+        self.held[k] = local
+        for g, v in enumerate(self.volts[k][local].tolist(), self.offsets[k]):
+            if not self.wired[g]:
+                self._set_p(g, t, self.p_of[v])
+
+    def _set_p(self, g: int, t: int, p: float) -> None:
+        """Unit g holds ``p`` from its first update at or after ``t``."""
+        old = self.p[g]
+        if p == old:
+            return
+        self.p[g] = p
+        i = int(np.searchsorted(self.times[g], t))
+        if self.starts[g][-1] == i:
+            self.probs[g][-1] = p
+        else:
+            self.starts[g].append(i)
+            self.probs[g].append(p)
+        if self.eager[g]:
+            self._requeue(g, i, old)
+
+    def settle(self) -> None:
+        """Turn the window's segments into every unit's outputs: add up its
+        updates and ones and log its flips; keep its last update for the
+        tie rule."""
+        for g in range(self.n):
+            times, u = self.times[g], self.u[g]
+            if not len(times):
+                continue
+            starts, probs = self.starts[g], self.probs[g]
+            if len(probs) == 1:
+                fires = probs[0] > u
+            else:
+                fires = np.repeat(probs, np.diff(starts + [len(u)])) > u
+            flips = np.flatnonzero(fires[1:] != fires[:-1]) + 1
+            if fires[0] != self.out_settled[g]:
+                flips = np.concatenate(([0], flips))
+            self.flip_times.append(times[flips])
+            self.flip_units.append(np.full(len(flips), g, dtype=np.int64))
+            self.out[g] = self.out_settled[g] = int(fires[-1])
+            self.update_counts[g] += len(u)
+            self.one_counts[g] += int(np.count_nonzero(fires))
+            self.last_t[g] = int(times[-1])
+            self.last_rank[g] = self.rank.get((g, len(times) - 1), 0)
+            self.clock = max(self.clock, self.last_t[g])
+
+    def trace(self, last: int) -> SimulationTrace:
+        times = np.concatenate([[-1]] + self.flip_times).astype(np.int64)
+        units = np.concatenate([[0]] + self.flip_units).astype(np.int64)
+        order = np.argsort(times, kind="stable")
+        bits = np.left_shift(np.int64(1), self.n - 1 - units[order])
+        bits[0] = self.initial_mask
+        return _trace(self.n, self.taus, last, self.clock, times[order],
+                      np.bitwise_xor.accumulate(bits), [], self.update_counts,
+                      self.one_counts)
+
+
+def _run_flips(network, seed, stop, last, max_updates) -> SimulationTrace:
+    """``run`` for a network and budget that ``_composable`` gives the
+    flip-driven engine, with the sample and duration budgets already turned
+    into ``stop`` and ``last``. Schedules are drawn in windows of at most
+    ``CHUNK`` updates per unit; an update budget ends the run inside the
+    window that holds its last update, at the instant of that update."""
+    run_ = _FlipRun(network, seed)
+    if max_updates == 0:
+        stop, last = 0, -1
+    span = CHUNK * min(s.min_step for s in run_.schedules)
+    # updates per microsecond of the whole network, to size a window that
+    # an update budget ends in
+    rate = sum(1.0 / s.retention for s in run_.schedules)
+    counted, start = 0, 0
+    while stop is None or start < stop:
+        end = start + span if stop is None else min(start + span, stop)
+        if max_updates is not None:
+            end = min(end, start + int((max_updates - counted) * 1.05 / rate) + 1)
+        run_.draw(start, end)
+        ordered = run_.rank_ties()
+        if max_updates is not None and counted + len(ordered) >= max_updates:
+            t_end = int(ordered[max_updates - counted - 1])
+            if stop is None or t_end < stop:
+                before = int(np.searchsorted(ordered, t_end))
+                run_.cut(t_end, max_updates - counted - before)
+                stop = end = t_end + 1
+                last = t_end
+        counted += len(ordered)
+        run_.begin(end)
+        run_.advance(end)
+        run_.settle()
+        start = end
+    return run_.trace(last)
+
+
 def run(
     network: NetworkSpec,
     seed: int,
@@ -561,8 +950,11 @@ def run(
         s_star = sample_time(taus, max_samples - 1) if max_samples > 0 else -1
         if stop is None or s_star < stop:
             stop, last = s_star, s_star
-    if _composable(network, max_updates, record_updates):
+    engine = _composable(network, max_updates, record_updates)
+    if engine == "composed":
         return _run_composed(network, seed, stop, last)
+    if engine == "flips":
+        return _run_flips(network, seed, stop, last, max_updates)
     return _run_heap(network, seed, stop, last, max_updates, record_updates)
 
 

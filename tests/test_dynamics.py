@@ -1,5 +1,6 @@
 """Event engine: determinism, tie ordering, clamps, wires, budgets, event counts."""
 
+import dataclasses
 import hashlib
 import math
 from unittest import mock
@@ -205,9 +206,10 @@ class TestEventCounts:
         monkeypatch.setattr(Simulator, "step", counting_step)
         self._count_calls(monkeypatch, Simulator, "_refresh", refreshes)
         self._count_calls(monkeypatch, dynamics, "weight_inputs", weight_calls)
-        # tau_sample = tau_N / 200, the regime where nearly every refresh is clean
-        trace = run(two_and_net(tau_sample_us=1000, retention_us=200_000), seed=1,
-                    max_samples=20_000)
+        # tau_sample = tau_N / 200, the regime where nearly every refresh is
+        # clean, on the event heap
+        trace = heap_run(two_and_net(tau_sample_us=1000, retention_us=200_000), seed=1,
+                         max_samples=20_000)
         assert len(trace) == 20_000
         assert len(heads) == trace.update_counts.sum() + len(refreshes)
         assert len(heads) <= 0.05 * len(trace)
@@ -218,9 +220,10 @@ class TestEventCounts:
         refreshes, weight_calls = [], []
         self._count_calls(monkeypatch, Simulator, "_refresh", refreshes)
         self._count_calls(monkeypatch, dynamics, "weight_inputs", weight_calls)
-        # tau_sample = tau_N, the breakdown regime where every refresh is dirty
-        trace = run(two_and_net(tau_sample_us=200_000, retention_us=200_000), seed=1,
-                    max_samples=20_000)
+        # tau_sample = tau_N, the breakdown regime where every refresh is
+        # dirty, on the event heap
+        trace = heap_run(two_and_net(tau_sample_us=200_000, retention_us=200_000), seed=1,
+                         max_samples=20_000)
         assert len(refreshes) > 0.9 * len(trace)
         assert self._tabulated(weight_calls, 2)
 
@@ -257,6 +260,23 @@ class TestEventCounts:
             assert [p for p, x in zip(held, v) if x is not None] == [
                 sigmoid(2.0 * x - 5.0) for x in v if x is not None]
         assert refreshed > 100
+
+    def test_flip_engine_events_are_few(self, monkeypatch):
+        # the factorizer at i0 = 1.5 under an update budget: the flip-driven
+        # engine visits the flips that change some other unit's probability
+        # and the refreshes they queue, and only adds up the other updates
+        pops, flips, refreshes = [], [], []
+        self._count_calls(monkeypatch, dynamics.heapq, "heappop", pops)
+        self._count_calls(monkeypatch, dynamics._FlipRun, "_toggle", flips)
+        self._count_calls(monkeypatch, dynamics._FlipRun, "_refresh", refreshes)
+        net = build_network({
+            "name": "factorizer", "seed": 0, "network": {"kind": "factorizer", "i0": 1.5},
+            "clamps": {"S0": 0, "S1": 1, "S2": 1, "S3": 0}})
+        trace = run(net, seed=1, max_updates=50_000)
+        assert trace.update_counts.sum() == 50_000
+        assert flips and refreshes
+        assert len(pops) >= len(flips) + len(refreshes)
+        assert len(flips) + len(refreshes) <= 0.05 * 50_000
 
     def test_control_tabulates_each_machine_once(self, monkeypatch):
         # the factorizer at i0 = 0: its 13-unit machines visit thousands of
@@ -431,8 +451,8 @@ class TestSerializationMetric:
 
 
 def heap_run(net, seed, **budget):
-    """``run`` on the event heap, whatever engine it picks for the run."""
-    with mock.patch.object(dynamics, "_composable", lambda *_: False):
+    """``run`` on the event heap, whatever engine the chooser would pick."""
+    with mock.patch.object(dynamics, "_composable", lambda *_: "heap"):
         return run(net, seed, **budget)
 
 
@@ -489,7 +509,7 @@ class TestComposedEngine:
     @given(net=small_machines(), seed=st.integers(0, 2**32), budget=budgets,
            chunk=st.sampled_from([3, 64, dynamics.CHUNK]))
     def test_matches_the_heap(self, net, seed, budget, chunk):
-        assert dynamics._composable(net, None, False)
+        assert dynamics._composable(net, None, False) == "composed"
         want = heap_run(net, seed, **budget)
         with mock.patch.object(dynamics, "CHUNK", chunk):
             got = run(net, seed, **budget)
@@ -510,9 +530,9 @@ class TestComposedEngine:
         net = NetworkSpec(
             [MachineSpec("m", CouplingMatrix(np.zeros((9, 9)), np.zeros(9), 1.0))],
             [PBitConfig(id=k, retention_us=1000) for k in range(9)])
-        assert not dynamics._composable(net, None, False)
-        assert dynamics._composable(and_net(), None, False)
-        assert not dynamics._composable(two_and_net(1000, 1000), None, False)
+        assert dynamics._composable(net, None, False) == "heap"
+        assert dynamics._composable(and_net(), None, False) == "composed"
+        assert dynamics._composable(two_and_net(1000, 1000), None, False) == "flips"
 
     @pytest.mark.parametrize("budget, heap", [
         ({"max_updates": 100}, True),
@@ -526,3 +546,73 @@ class TestComposedEngine:
         monkeypatch.setattr(Simulator, "step", lambda sim: steps.append(sim) or step(sim))
         run(and_net(), seed=1, **budget)
         assert bool(steps) == heap
+
+
+@st.composite
+def small_networks(draw):
+    """A random network of 2-4 machines of 1-4 units each, with clamps,
+    phases, jitter (none, or equal retentions and phases in some networks,
+    so that updates tie), a DAC, and zero-delay and delayed wires between
+    machines, none of them wired in both directions."""
+    grid = st.integers(-4, 4).map(lambda k: k / 4)
+    i0 = draw(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0]))
+    retention = draw(st.sampled_from([200, 300, 1000]))
+    ties = draw(st.booleans())
+    machines, pbits = [], []
+    for k in range(draw(st.integers(2, 4))):
+        n = draw(st.integers(1, 4))
+        j = np.zeros((n, n))
+        for a in range(n):
+            for b in range(a + 1, n):
+                j[a, b] = j[b, a] = draw(grid)
+        h = np.array([draw(grid) for _ in range(n)])
+        tau = max(1, round(retention * draw(st.sampled_from([1 / 200, 1 / 20, 0.5, 1.0]))))
+        quant = QuantizationConfig(dac_bits=draw(st.sampled_from([0, 0, 3])), vref=5.0)
+        machines.append(MachineSpec(f"m{k}", CouplingMatrix(j, h, i0), tau_sample_us=tau,
+                                    quant=quant))
+        for _ in range(n):
+            pbits.append(PBitConfig(
+                id=len(pbits),
+                retention_us=retention if ties else draw(
+                    st.sampled_from([retention, retention + 100, 2 * retention])),
+                phase_us=0 if ties else draw(st.sampled_from([0, 0, 50, retention])),
+                jitter_fraction=0.0 if ties else draw(st.sampled_from([0.0, 0.01, 0.3])),
+                mode=draw(st.sampled_from([FREE, FREE, FREE, CLAMPED_HIGH, CLAMPED_LOW])),
+            ))
+    net = NetworkSpec(machines, pbits, {f"u{gid}": gid for gid in range(len(pbits))})
+    machine_of = net.machine_of()
+    pairs = set()
+    for dst in range(len(pbits)):
+        if not draw(st.integers(0, 2)):
+            src = draw(st.integers(0, len(pbits) - 1))
+            m_src, m_dst = machine_of[src], machine_of[dst]
+            if m_src != m_dst and (m_dst, m_src) not in pairs:
+                pairs.add((m_src, m_dst))
+                delay = draw(st.sampled_from([0, 0, 0, 50, retention, 10 * retention]))
+                pbits[dst] = dataclasses.replace(pbits[dst], mode=Wired(src, delay))
+    net.validate()
+    return net
+
+
+any_budget = st.fixed_dictionaries({}, optional={
+    "max_samples": st.integers(0, 3000),
+    "duration_us": st.integers(0, 300_000),
+    "max_updates": st.integers(0, 5000),
+}).filter(bool)
+
+
+class TestFlipEngine:
+    """Runs on several machines that do not record updates go to the
+    flip-driven engine; under every budget and window size it must give the
+    heap's bits, end time and length."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(net=small_networks(), seed=st.integers(0, 2**32), budget=any_budget,
+           chunk=st.sampled_from([3, 64, dynamics.CHUNK]))
+    def test_matches_the_heap(self, net, seed, budget, chunk):
+        assert dynamics._composable(net, budget.get("max_updates"), False) == "flips"
+        want = heap_run(net, seed, **budget)
+        with mock.patch.object(dynamics, "CHUNK", chunk):
+            got = run(net, seed, **budget)
+        assert digest(got) == digest(want)
+        assert (got.final_time_us, len(got)) == (want.final_time_us, len(want))

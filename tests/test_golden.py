@@ -402,7 +402,8 @@ def test_budget_stop(name):
 def test_heap_block_size_changes_no_bit(name, block):
     # the event heap draws each unit's updates BLOCK at a time
     factory, budget, expected = {**TRACE_CASES, **BUDGET_CASES}[name]
-    with mock.patch.object(dynamics, "BLOCK", block):
+    with mock.patch.object(dynamics, "BLOCK", block), \
+            mock.patch.object(dynamics, "_composable", lambda *_: "heap"):
         trace = run(factory(), seed=11, **budget)
     got = trace_digest(trace)
     if name in BUDGET_CASES:
