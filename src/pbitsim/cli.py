@@ -300,9 +300,6 @@ def cmd_run(args) -> int:
     doc, net = _scenario_and_network(args)
     # the exact law is built first, so a network it cannot cover fails before the run
     exact = analysis.single_machine_oracle(net) if doc.get("compare_oracle") else None
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     record_updates = "serialization_window_us" in doc
     trace = dynamics.run(
         net,
@@ -314,6 +311,9 @@ def cmd_run(args) -> int:
     if record_updates and not trace.update_events:
         raise ConfigurationError("the run made no updates, so it has no serialization "
                                  "to measure; give it a larger budget")
+    # made only once the run stands, so a refused run leaves no directory behind
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     burn_in = doc.get("burn_in", analysis.DEFAULT_BURN_IN)
     labels = _histogram_labels(doc, net)
     emp = analysis.histogram(trace, labels, burn_in)

@@ -37,28 +37,51 @@ Virtual time is integer microseconds. Each unit owns an independent seeded
 PCG64 stream derived from (scenario seed, unit id), so traces replay
 bit-identically regardless of host or run count. A free unit's output at
 t = 0 is its stream's first value; ``_Schedule`` turns the rest into the
-unit's updates for both engines: the first falls at the unit's phase, and
+unit's updates for every engine: the first falls at the unit's phase, and
 each draws its ``u`` and then, with jitter f, the interval to the next,
 ``round(r·(1 + uniform(-f, f)))`` and at least 1. The heap draws ``BLOCK``
-updates ahead and the composed engine more; neither changes a bit.
+updates ahead and the other engines more; none of them changes a bit.
 
-Two engines run a network, and they give the same trace and end time.
-``_composable`` picks one from the network and the budget. A run with only a
-sample or duration budget, on one machine with at most ``COMPOSED_UNITS`` (8)
-units (one machine holds no wire), composes per-tick state maps; a run with
-an update budget or recorded updates, and every run of a larger network,
-steps the event heap of ``Simulator``, whose order of equal-time updates is
-the only one those runs need. In one machine without wires the published
-voltages change only at lattice ticks: a refresh runs before the updates at
-its tick, and a clean refresh would publish the same values. So every update
-in [t_k, t_k+1) compares its ``u`` against p(S_k), the held probability in
-the state at tick t_k, and the interval is a map on the 2^n states in which
-each unit that updated takes the output of its last update. The composed
-engine reads p[state, unit] off the machine's voltage table, takes each
-unit's update times and ``u`` values from its schedule, and composes the
-interval maps forward over windows of ticks, in the manner of Propp and
-Wilson's coupled maps (Random Struct. Alg. 9, 223, 1996) run forward on the
-same streams.
+Three engines run a network, and they give the same trace and end time.
+``_composable`` picks one from the network and the budget:
+
+- ``"heap"``, the event heap of ``Simulator``, for every run that records
+  updates, every one-machine run with an update budget or more than
+  ``COMPOSED_UNITS`` (8) units, and every network with a machine too large
+  to tabulate;
+- ``"composed"`` for the other one-machine runs (one machine holds no
+  wire), which compose per-tick state maps;
+- ``"flips"`` for the other runs on several machines, under any budget,
+  which step only the flips that other units read.
+
+In one machine without wires the published voltages change only at lattice
+ticks: a refresh runs before the updates at its tick, and a clean refresh
+would publish the same values. So every update in [t_k, t_k+1) compares its
+``u`` against p(S_k), the held probability in the state at tick t_k, and
+the interval is a map on the 2^n states in which each unit that updated
+takes the output of its last update. The composed engine reads p[state,
+unit] off the machine's voltage table, takes each unit's update times and
+``u`` values from its schedule, and composes the interval maps forward over
+windows of ticks, in the manner of Propp and Wilson's coupled maps (Random
+Struct. Alg. 9, 223, 1996) run forward on the same streams.
+
+In any network, unit g's held probability at time t is its machine's
+p[state just before tick floor(t/tau)*tau, g], and a wired unit's is fixed
+by its source's bit at t - delay. Between two changes of a unit's input its
+outputs are the fixed comparisons ``p > u`` over its schedule, so the
+flip-driven engine, in the manner of rejection-free Monte Carlo (Bortz,
+Kalos and Lebowitz, J. Comput. Phys. 17, 10, 1975) but bit for bit, draws
+the schedules in windows of at most ``CHUNK`` updates per unit and makes
+events only of the flips that change some other unit's probability: a flip
+of a bit that some voltage of its machine depends on (read off the tables
+once per run), which queues a refresh at the machine's next tick, and a
+flip of a wire's source. A refresh changes only the probabilities whose
+voltages differ. A unit finds its next such flip with a numpy scan, or all
+of a window's flips at once if its own probability never changes; every
+other update only adds to its unit's counts, once per window. Only
+zero-delay wires and update budgets need the heap's order of equal-time
+updates (by each one's previous update time, recursively, then by unit
+id); the engine ranks the updates of an instant only where several tie.
 
 Every virtual time of a run, the updates drawn ahead included, stays below
 ``TIME_LIMIT_US`` (2^62 µs), so int64 arrays hold it; ``run`` refuses a
@@ -633,7 +656,7 @@ class _FlipRun:
         for s in self.schedules:
             while s.next_t < end:
                 s.refill(end)
-            times, u = s.take(int(np.searchsorted(s.times, end)))
+            times, u = s.take(int(s.times.searchsorted(end)))
             self.times.append(times)
             self.u.append(u)
 
@@ -650,7 +673,7 @@ class _FlipRun:
         if not same.any():
             return ordered
         tied = np.unique(ordered[1:][same])
-        at = np.minimum(np.searchsorted(tied, times), len(tied) - 1)
+        at = np.minimum(tied.searchsorted(times), len(tied) - 1)
         hit = np.flatnonzero(tied[at] == times)
         counts = [len(t) for t in self.times]
         owner = np.repeat(np.arange(self.n), counts)[hit]
@@ -682,11 +705,11 @@ class _FlipRun:
         """End the window at instant ``t_end``, which runs only the first
         ``keep`` of its updates in the heap's order."""
         tied = [(self.rank.get((g, i), 0), g) for g, times in enumerate(self.times)
-                for i in [int(np.searchsorted(times, t_end))]
+                for i in [int(times.searchsorted(t_end))]
                 if i < len(times) and times[i] == t_end]
         kept = {g for _, g in sorted(tied)[:keep]}
         for g, times in enumerate(self.times):
-            c = int(np.searchsorted(times, t_end, "right" if g in kept else "left"))
+            c = int(times.searchsorted(t_end, "right" if g in kept else "left"))
             self.times[g], self.u[g] = times[:c], self.u[g][:c]
 
     def _late_reads(self, r: int, g: int, flips) -> list:
@@ -696,12 +719,12 @@ class _FlipRun:
         at, times = self.times[g][flips], self.times[r]
         late = np.zeros(len(flips), dtype=np.int64)
         if len(times):
-            j = np.searchsorted(times, at)
+            j = times.searchsorted(at)
             for q in np.flatnonzero(times[np.minimum(j, len(times) - 1)] == at).tolist():
                 late[q] = self.rank[(r, int(j[q]))] < self.rank[(g, int(flips[q]))]
         return late
 
-    def begin(self, end: int) -> None:
+    def begin(self) -> None:
         """Start every unit's first segment of the window at its held
         probability. Find the flips of each constant eager unit: queue those
         that refresh its machine, give each zero-delay reader that is not
@@ -731,7 +754,7 @@ class _FlipRun:
                 if not delay:
                     changes += self._late_reads(r, g, flips)
                     if not self.eager[r]:
-                        self.starts[r] += np.searchsorted(self.times[r], changes).tolist()
+                        self.starts[r] += self.times[r].searchsorted(changes).tolist()
                         self.probs[r] += [wire_p[b] for b in after.tolist()]
                         self.p[r] = wire_p[int(after[-1])]
                         continue
@@ -838,7 +861,7 @@ class _FlipRun:
         if p == old:
             return
         self.p[g] = p
-        i = int(np.searchsorted(self.times[g], t))
+        i = int(self.times[g].searchsorted(t))
         if self.starts[g][-1] == i:
             self.probs[g][-1] = p
         else:
@@ -906,12 +929,12 @@ def _run_flips(network, seed, stop, last, max_updates) -> SimulationTrace:
         if max_updates is not None and counted + len(ordered) >= max_updates:
             t_end = int(ordered[max_updates - counted - 1])
             if stop is None or t_end < stop:
-                before = int(np.searchsorted(ordered, t_end))
+                before = int(ordered.searchsorted(t_end))
                 run_.cut(t_end, max_updates - counted - before)
                 stop = end = t_end + 1
                 last = t_end
         counted += len(ordered)
-        run_.begin(end)
+        run_.begin()
         run_.advance(end)
         run_.settle()
         start = end
@@ -932,10 +955,12 @@ def run(
     ``max_samples`` counts trace rows and stops at the last one's time s*,
     running the events strictly before it; ``max_updates`` counts unit
     update events and ends the samples at the last update's time. A zero
-    budget yields an empty trace. A run ``_composable`` admits composes state
-    maps; any other, such as one with an update budget or recorded updates,
-    steps the event heap. Both give the same trace. A run whose virtual
-    times could reach ``TIME_LIMIT_US`` is refused.
+    budget yields an empty trace. ``_composable`` picks the engine: the
+    event heap for a run with recorded updates, per-tick state maps for a
+    small machine under a sample or duration budget, the flip-driven engine
+    for a network of several machines, and the heap for any other run. All
+    three give the same trace. A run whose virtual times could reach
+    ``TIME_LIMIT_US`` is refused.
     """
     if max_samples is None and duration_us is None and max_updates is None:
         raise ConfigurationError("a sample, update, or duration budget is required")

@@ -155,6 +155,7 @@ class TestRun:
         assert capsys.readouterr().err == (
             "error: the run made no updates, so it has no serialization to measure; "
             "give it a larger budget\n")
+        assert not (tmp_path / "o").exists()
 
 
 class TestExitCodes:
@@ -189,6 +190,7 @@ class TestExitCodes:
         with within_a_second():
             assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "past the limit of 2**62 = 4611686018427387904 us" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_vref_needs_dac_bits(self, tmp_path, capsys):
         # a vref without a DAC used to be accepted and ignored

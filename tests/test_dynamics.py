@@ -551,9 +551,11 @@ class TestComposedEngine:
 @st.composite
 def small_networks(draw):
     """A random network of 2-4 machines of 1-4 units each, with clamps,
-    phases, jitter (none, or equal retentions and phases in some networks,
-    so that updates tie), a DAC, and zero-delay and delayed wires between
-    machines, none of them wired in both directions."""
+    phases, jitter, a DAC, and zero-delay and delayed wires between
+    machines, none of them wired in both directions. In some networks every
+    unit has the same retention, no jitter, and a phase of 0 or one
+    retention, so that updates tie at every instant, in an order that a
+    unit's first update changes."""
     grid = st.integers(-4, 4).map(lambda k: k / 4)
     i0 = draw(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0]))
     retention = draw(st.sampled_from([200, 300, 1000]))
@@ -575,7 +577,7 @@ def small_networks(draw):
                 id=len(pbits),
                 retention_us=retention if ties else draw(
                     st.sampled_from([retention, retention + 100, 2 * retention])),
-                phase_us=0 if ties else draw(st.sampled_from([0, 0, 50, retention])),
+                phase_us=draw(st.sampled_from([0, 0, retention] if ties else [0, 0, 50, retention])),
                 jitter_fraction=0.0 if ties else draw(st.sampled_from([0.0, 0.01, 0.3])),
                 mode=draw(st.sampled_from([FREE, FREE, FREE, CLAMPED_HIGH, CLAMPED_LOW])),
             ))

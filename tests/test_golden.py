@@ -119,6 +119,15 @@ def tie_net():
     return net
 
 
+def late_source_tie_net():
+    """``tie_net`` with unit 4 first updating at 1000 us: there its first
+    update comes before unit 1's second, so unit 1 reads unit 4's new bit,
+    and the pair keeps that order at every later instant."""
+    net = tie_net()
+    net.set_phases([0, 0, 0, 0, 1000, 0])
+    return net
+
+
 def fast_and_net():
     return scenario_net({"kind": "gate", "gate": "and", "i0": 0.8, "tau_sample_us": 100},
                         retention_us=2000)
@@ -385,6 +394,16 @@ BUDGET_CASES = {
         tie_net, {"duration_us": 250_050},
         ("a62ed6488d3de002ac6d7fd4565cee43783291eb89313cda43fc4cf176b47d62",
          250000, 2501),
+    ),
+    "late_source_tie_samples": (
+        late_source_tie_net, {"max_samples": SAMPLES},
+        ("2d45841276b62e760ffbc0976c61ebd36e1b54bac17d4b1d179e0c2e2d5d427f",
+         299900, 3000),
+    ),
+    "late_source_tie_updates_inside_an_instant": (
+        late_source_tie_net, {"max_updates": 2003},
+        ("22589ad9973703d1bfbd6af94520973b7b55aa40a3765d79cc765a443d0b74b8",
+         333000, 3331),
     ),
 }
 
