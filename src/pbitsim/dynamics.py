@@ -534,7 +534,7 @@ def _run_composed(network, seed, stop, last) -> SimulationTrace:
     # p[state, unit]: every unit's held probability after a refresh in that state
     p_of = _Probabilities()
     p = np.array([list(map(p_of.__getitem__, row))
-                  for row in _voltage_table(mach, [p.mode for p in network.pbits]).tolist()])
+                  for row in _voltage_table(mach, _weight_modes(network)[0]).tolist()])
     chunk = min(CHUNK, WINDOW_ENTRIES // (n << n))
     state, schedules = _units(network, seed, chunk)
 
@@ -834,6 +834,8 @@ class _FlipRun:
                 heapq.heappush(self.heap, ((t // tau + 1) * tau, -1, 2 * self.n + k, 0))
 
     def _flip(self, g: int, t: int) -> None:
+        """Flip scanned unit g at ``t``, change its readers' probabilities,
+        and find its next flip."""
         i = self.next_flip[g]
         self._toggle(g, t)
         bit = self.out[g]
@@ -846,6 +848,8 @@ class _FlipRun:
         self._queue(g, self._scan(g, i + 1, len(self.u[g])))
 
     def _refresh(self, k: int, t: int) -> None:
+        """Machine k's refresh at tick ``t``: each unit whose voltage differs
+        from the last refresh's takes its new probability."""
         self.pending[k] = False
         local = (self.mask & self.dep_masks[k]) >> self.shifts[k]
         if local == self.held[k]:
@@ -896,6 +900,7 @@ class _FlipRun:
             self.clock = max(self.clock, self.last_t[g])
 
     def trace(self, last: int) -> SimulationTrace:
+        """The samples up to ``last``, from the flips in time order."""
         times = np.concatenate([[-1]] + self.flip_times).astype(np.int64)
         units = np.concatenate([[0]] + self.flip_units).astype(np.int64)
         order = np.argsort(times, kind="stable")
