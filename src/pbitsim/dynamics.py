@@ -112,7 +112,9 @@ TABLE_UNITS = 14
 MEMO_ENTRIES = 256
 # the largest machine the composed engine runs
 COMPOSED_UNITS = 8
-# updates drawn ahead per refill of a unit's schedule in the composed engine
+# updates drawn ahead per refill of a unit's schedule in the composed and
+# flip-driven engines; a flip-driven window holds at most about this many
+# updates per unit
 CHUNK = 4096
 # bound on the state-map entries of one window of the composed engine
 WINDOW_ENTRIES = 1 << 20
@@ -790,20 +792,6 @@ class _FlipRun:
             heapq.heappush(self.heap, (int(self.times[g][i]), self.rank.get((g, i), 0),
                                        g, self.version[g]))
 
-    def _requeue(self, g: int, i: int, old: float) -> None:
-        """Find eager unit g's next flip after its probability changed from
-        ``old`` at update ``i``, which is at or before its queued flip. A
-        change that makes a flip less likely cannot bring the flip forward,
-        and one that makes it more likely cannot put it off."""
-        p, out, f = self.p[g], self.out[g], self.next_flip[g]
-        if (p >= old) if out else (p <= old):
-            if f is not None and not ((self.u[g][f] >= p) if out else (self.u[g][f] < p)):
-                self._queue(g, self._scan(g, f + 1, len(self.u[g])))
-            return
-        j = self._scan(g, i, len(self.u[g]) if f is None else f)
-        if j is not None:
-            self._queue(g, j)
-
     def advance(self, end: int) -> None:
         """Run every event before ``end``. Refreshes and wire input changes
         at an instant run before its flips, and its flips run in the heap's
@@ -861,8 +849,7 @@ class _FlipRun:
 
     def _set_p(self, g: int, t: int, p: float) -> None:
         """Unit g holds ``p`` from its first update at or after ``t``."""
-        old = self.p[g]
-        if p == old:
+        if p == self.p[g]:
             return
         self.p[g] = p
         i = int(self.times[g].searchsorted(t))
@@ -872,7 +859,7 @@ class _FlipRun:
             self.starts[g].append(i)
             self.probs[g].append(p)
         if self.eager[g]:
-            self._requeue(g, i, old)
+            self._queue(g, self._scan(g, i, len(self.u[g])))
 
     def settle(self) -> None:
         """Turn the window's segments into every unit's outputs: add up its
