@@ -426,9 +426,8 @@ def _composable(network: NetworkSpec, max_updates, record_updates) -> str:
     (``NetworkSpec.validate`` allows no wire inside a machine),
     ``"composed"`` for a run of at most ``COMPOSED_UNITS`` units that does
     not count updates, and ``"heap"`` for any other; on several machines,
-    ``"flips"`` if each has at most ``TABLE_UNITS`` units, whose
-    probability tables the flip-driven engine reads, and ``"heap"`` if
-    not."""
+    ``"flips"`` if each has at most ``TABLE_UNITS`` units, whose voltage
+    tables the flip-driven engine reads, and ``"heap"`` if not."""
     if record_updates:
         return "heap"
     if len(network.machines) == 1:
@@ -640,6 +639,12 @@ class _FlipRun:
                 if not self.wired[g]:
                     self.p[g] = self.p_of[v]
         self.pending = [False] * self.m
+        # events (time, order, code, extra). Refreshes and wire changes have
+        # order -1, so they run before the updates of their instant; a flip
+        # has its update's tie rank. Code g < n is unit g's scanned flip
+        # (extra: its version), n + g a constant unit's found flip, 2n + k
+        # machine k's refresh, and 2n + m + r reader r's wire change (extra:
+        # the source's new bit).
         self.heap = []
         # a unit's flip events of an older segment are stale
         self.version = [0] * n
