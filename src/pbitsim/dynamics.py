@@ -598,7 +598,7 @@ class _FlipRun:
     by scanning its segment. A heap runs the events in time order.
     """
 
-    def __init__(self, network: NetworkSpec, seed: int):
+    def __init__(self, network: NetworkSpec, seed: int, rank_all: bool):
         n = self.n = network.n_total
         machines = network.machines
         self.m = len(machines)
@@ -616,6 +616,11 @@ class _FlipRun:
         for r, w in enumerate(wires):
             if w is not None:
                 self.readers[w.source].append((r, w.delay_us))
+        # the units whose same-instant order matters: the ends of zero-delay
+        # wires, or every unit when an update budget may end inside an instant
+        self.tie_units = list(range(n)) if rank_all else sorted(
+            {g for r, w in enumerate(wires) if w is not None and not w.delay_us
+             for g in (r, w.source)})
         # the global mask bits each machine's voltages depend on
         self.dep_masks = [_dependence(volts, self.wired[off:off + volts.shape[1]]) << shift
                           for volts, off, shift in zip(self.volts, self.offsets, self.shifts)]
@@ -667,24 +672,28 @@ class _FlipRun:
             self.times.append(times)
             self.u.append(u)
 
-    def rank_ties(self) -> np.ndarray:
-        """Rank the updates of every instant that holds several, in the
-        heap's order: by each one's previous update, the earlier first, and
-        among updates whose previous ones fell in one instant, by their
-        ranks there; a first update comes before any other, first updates
-        in unit order. Returns the window's update times, sorted."""
-        times = np.concatenate(self.times)
-        ordered = np.sort(times)
+    def rank_ties(self) -> None:
+        """Rank the updates of ``tie_units`` at every instant where several
+        of them fall, in the heap's order: by each one's previous update, the
+        earlier first, and among updates whose previous ones fell in one
+        instant, by their ranks there; a first update comes before any
+        other, first updates in unit order. How two units' updates are
+        ordered depends on those two units alone, so ranks among any set of
+        units order its members as the heap does."""
         self.rank = {}
+        units = self.tie_units
+        counts = [len(self.times[g]) for g in units]
+        times = np.concatenate([self.times[g] for g in units] + [[]]).astype(np.int64)
+        ordered = np.sort(times)
         same = ordered[1:] == ordered[:-1]
         if not same.any():
-            return ordered
+            return
         tied = np.unique(ordered[1:][same])
         at = np.minimum(tied.searchsorted(times), len(tied) - 1)
         hit = np.flatnonzero(tied[at] == times)
-        counts = [len(t) for t in self.times]
-        owner = np.repeat(np.arange(self.n), counts)[hit]
-        index = hit - np.cumsum([0] + counts[:-1])[owner]
+        place = np.repeat(np.arange(len(units)), counts)[hit]
+        owner = np.array(units)[place]
+        index = hit - np.cumsum([0] + counts[:-1])[place]
         order = np.lexsort((owner, times[hit]))
         group, when = [], None
         for t, g, i in zip(times[hit][order].tolist(), owner[order].tolist(),
@@ -694,7 +703,6 @@ class _FlipRun:
                 group, when = [], t
             group.append((g, i))
         self._rank_group(group)
-        return ordered
 
     def _rank_group(self, group) -> None:
         keyed = []
@@ -909,7 +917,7 @@ def _run_flips(network, seed, stop, last, max_updates) -> SimulationTrace:
     into ``stop`` and ``last``. Schedules are drawn in windows of at most
     ``CHUNK`` updates per unit; an update budget ends the run inside the
     window that holds its last update, at the instant of that update."""
-    run_ = _FlipRun(network, seed)
+    run_ = _FlipRun(network, seed, rank_all=max_updates is not None)
     if max_updates == 0:
         stop, last = 0, -1
     span = CHUNK * min(s.min_step for s in run_.schedules)
@@ -922,15 +930,17 @@ def _run_flips(network, seed, stop, last, max_updates) -> SimulationTrace:
         if max_updates is not None:
             end = min(end, start + int((max_updates - counted) * 1.05 / rate) + 1)
         run_.draw(start, end)
-        ordered = run_.rank_ties()
-        if max_updates is not None and counted + len(ordered) >= max_updates:
+        run_.rank_ties()
+        drawn = sum(map(len, run_.times))
+        if max_updates is not None and counted + drawn >= max_updates:
+            ordered = np.sort(np.concatenate(run_.times))
             t_end = int(ordered[max_updates - counted - 1])
             if stop is None or t_end < stop:
                 before = int(ordered.searchsorted(t_end))
                 run_.cut(t_end, max_updates - counted - before)
                 stop = end = t_end + 1
                 last = t_end
-        counted += len(ordered)
+        counted += drawn
         run_.begin()
         run_.advance(end)
         run_.settle()
