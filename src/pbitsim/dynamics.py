@@ -81,7 +81,8 @@ of a window's flips at once if its own probability never changes; every
 other update only adds to its unit's counts, once per window. Only
 zero-delay wires and update budgets need the heap's order of equal-time
 updates (by each one's previous update time, recursively, then by unit
-id); the engine ranks the updates of an instant only where several tie.
+id); the engine ranks an instant's updates only among the units whose
+order is read, and only where several of them tie.
 
 Every virtual time of a run, the updates drawn ahead included, stays below
 ``TIME_LIMIT_US`` (2^62 µs), so int64 arrays hold it; ``run`` refuses a
