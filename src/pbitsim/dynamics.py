@@ -46,13 +46,17 @@ Three engines run a network, and they give the same trace and end time.
 ``_composable`` picks one from the network and the budget:
 
 - ``"heap"``, the event heap of ``Simulator``, for every run that records
-  updates, every one-machine run with an update budget or more than
+  updates or has an update budget, every one-machine run of more than
   ``COMPOSED_UNITS`` (8) units, and every network with a machine too large
   to tabulate;
 - ``"composed"`` for the other one-machine runs (one machine holds no
   wire), which compose per-tick state maps;
-- ``"flips"`` for the other runs on several machines, under any budget,
-  which step only the flips that other units read.
+- ``"flips"`` for the other runs on several machines, which step only the
+  flips that other units read.
+
+So the two fast engines take only sample and duration budgets. An update
+budget's run costs the heap a fixed amount per update; on the flip-driven
+engine its cost would follow its flips, which vary between seeds.
 
 In one machine without wires the published voltages change only at lattice
 ticks: a refresh runs before the updates at its tick, and a clean refresh
@@ -79,10 +83,10 @@ flip of a wire's source. A refresh changes only the probabilities whose
 voltages differ. A unit finds its next such flip with a numpy scan, or all
 of a window's flips at once if its own probability never changes; every
 other update only adds to its unit's counts, once per window. Only
-zero-delay wires and update budgets need the heap's order of equal-time
-updates (by each one's previous update time, recursively, then by unit
-id); the engine ranks an instant's updates only among the units whose
-order is read, and only where several of them tie.
+zero-delay wires need the heap's order of equal-time updates (by each
+one's previous update time, recursively, then by unit id); the engine
+ranks an instant's updates only among the ends of such wires, and only
+where several of them tie.
 
 Every virtual time of a run, the updates drawn ahead included, stays below
 ``TIME_LIMIT_US`` (2^62 µs), so int64 arrays hold it; ``run`` refuses a
@@ -423,17 +427,17 @@ def _voltage_table(mach, modes) -> np.ndarray:
 
 def _composable(network: NetworkSpec, max_updates, record_updates) -> str:
     """The engine ``run`` gives a run: ``"heap"`` for a run that records
-    updates, since only the heap logs each one; on one machine
+    updates, since only the heap logs each one, or counts them, since only
+    the heap's cost is fixed by the count; on one machine
     (``NetworkSpec.validate`` allows no wire inside a machine),
-    ``"composed"`` for a run of at most ``COMPOSED_UNITS`` units that does
-    not count updates, and ``"heap"`` for any other; on several machines,
-    ``"flips"`` if each has at most ``TABLE_UNITS`` units, whose voltage
-    tables the flip-driven engine reads, and ``"heap"`` if not."""
-    if record_updates:
+    ``"composed"`` for a run of at most ``COMPOSED_UNITS`` units and
+    ``"heap"`` for a larger one; on several machines, ``"flips"`` if each
+    has at most ``TABLE_UNITS`` units, whose voltage tables the flip-driven
+    engine reads, and ``"heap"`` if not."""
+    if record_updates or max_updates is not None:
         return "heap"
     if len(network.machines) == 1:
-        small = max_updates is None and network.n_total <= COMPOSED_UNITS
-        return "composed" if small else "heap"
+        return "composed" if network.n_total <= COMPOSED_UNITS else "heap"
     return "flips" if all(m.n <= TABLE_UNITS for m in network.machines) else "heap"
 
 
@@ -599,7 +603,7 @@ class _FlipRun:
     by scanning its segment. A heap runs the events in time order.
     """
 
-    def __init__(self, network: NetworkSpec, seed: int, rank_all: bool):
+    def __init__(self, network: NetworkSpec, seed: int):
         n = self.n = network.n_total
         machines = network.machines
         self.m = len(machines)
@@ -617,11 +621,9 @@ class _FlipRun:
         for r, w in enumerate(wires):
             if w is not None:
                 self.readers[w.source].append((r, w.delay_us))
-        # the units whose same-instant order matters: the ends of zero-delay
-        # wires, or every unit when an update budget may end inside an instant
-        self.tie_units = list(range(n)) if rank_all else sorted(
-            {g for r, w in enumerate(wires) if w is not None and not w.delay_us
-             for g in (r, w.source)})
+        # the units whose same-instant order matters: the ends of zero-delay wires
+        self.tie_units = sorted({g for r, w in enumerate(wires) if w is not None
+                                 and not w.delay_us for g in (r, w.source)})
         # the global mask bits each machine's voltages depend on
         self.dep_masks = [_dependence(volts, self.wired[off:off + volts.shape[1]]) << shift
                           for volts, off, shift in zip(self.volts, self.offsets, self.shifts)]
@@ -716,17 +718,6 @@ class _FlipRun:
         keyed.sort()
         for r, (_, g, i) in enumerate(keyed):
             self.rank[(g, i)] = r
-
-    def cut(self, t_end: int, keep: int) -> None:
-        """End the window at instant ``t_end``, which runs only the first
-        ``keep`` of its updates in the heap's order."""
-        tied = [(self.rank.get((g, i), 0), g) for g, times in enumerate(self.times)
-                for i in [int(times.searchsorted(t_end))]
-                if i < len(times) and times[i] == t_end]
-        kept = {g for _, g in sorted(tied)[:keep]}
-        for g, times in enumerate(self.times):
-            c = int(times.searchsorted(t_end, "right" if g in kept else "left"))
-            self.times[g], self.u[g] = times[:c], self.u[g][:c]
 
     def _late_reads(self, r: int, g: int, flips) -> list:
         """For each update of source g in ``flips`` (indices), 1 if its
@@ -912,36 +903,18 @@ class _FlipRun:
                       self.one_counts)
 
 
-def _run_flips(network, seed, stop, last, max_updates) -> SimulationTrace:
+def _run_flips(network, seed, stop, last) -> SimulationTrace:
     """``run`` for a network and budget that ``_composable`` gives the
     flip-driven engine, with the sample and duration budgets already turned
     into ``stop`` and ``last``. Schedules are drawn in windows of at most
-    ``CHUNK`` updates per unit; an update budget ends the run inside the
-    window that holds its last update, at the instant of that update."""
-    run_ = _FlipRun(network, seed, rank_all=max_updates is not None)
-    if max_updates == 0:
-        stop, last = 0, -1
+    ``CHUNK`` updates per unit."""
+    run_ = _FlipRun(network, seed)
     span = CHUNK * min(s.min_step for s in run_.schedules)
-    # updates per microsecond of the whole network, to size a window that
-    # an update budget ends in
-    rate = sum(1.0 / s.retention for s in run_.schedules)
-    counted, start = 0, 0
-    while stop is None or start < stop:
-        end = start + span if stop is None else min(start + span, stop)
-        if max_updates is not None:
-            end = min(end, start + int((max_updates - counted) * 1.05 / rate) + 1)
+    start = 0
+    while start < stop:
+        end = min(start + span, stop)
         run_.draw(start, end)
         run_.rank_ties()
-        drawn = sum(map(len, run_.times))
-        if max_updates is not None and counted + drawn >= max_updates:
-            ordered = np.sort(np.concatenate(run_.times))
-            t_end = int(ordered[max_updates - counted - 1])
-            if stop is None or t_end < stop:
-                before = int(ordered.searchsorted(t_end))
-                run_.cut(t_end, max_updates - counted - before)
-                stop = end = t_end + 1
-                last = t_end
-        counted += drawn
         run_.begin()
         run_.advance(end)
         run_.settle()
@@ -965,8 +938,9 @@ def run(
     update events and ends the samples at the last update's time. A zero
     budget yields an empty trace. ``_composable`` picks the engine: the
     event heap for a run with recorded updates, per-tick state maps for a
-    small machine under a sample or duration budget, the flip-driven engine
-    for a network of several machines, and the heap for any other run. All
+    small machine and the flip-driven engine for a network of several
+    machines, both under a sample or duration budget, and the heap for any
+    other run. All
     three give the same trace. A run whose virtual times could reach
     ``TIME_LIMIT_US`` is refused.
     """
@@ -987,7 +961,7 @@ def run(
     if engine == "composed":
         return _run_composed(network, seed, stop, last)
     if engine == "flips":
-        return _run_flips(network, seed, stop, last, max_updates)
+        return _run_flips(network, seed, stop, last)
     return _run_heap(network, seed, stop, last, max_updates, record_updates)
 
 

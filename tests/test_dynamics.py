@@ -262,21 +262,24 @@ class TestEventCounts:
         assert refreshed > 100
 
     def test_flip_engine_events_are_few(self, monkeypatch):
-        # the factorizer at i0 = 1.5 under an update budget: the flip-driven
-        # engine visits the flips that change some other unit's probability
-        # and the refreshes they queue, and only adds up the other updates
+        # the factorizer at i0 = 1.5 for the time of its first 50,000
+        # updates, whole instants: the flip-driven engine visits the flips
+        # that change some other unit's probability and the refreshes they
+        # queue, and only adds up the other updates
+        net = build_network({
+            "name": "factorizer", "seed": 0, "network": {"kind": "factorizer", "i0": 1.5},
+            "clamps": {"S0": 0, "S1": 1, "S2": 1, "S3": 0}})
+        t_end = run(net, seed=1, max_updates=50_000).final_time_us
         pops, flips, refreshes = [], [], []
         self._count_calls(monkeypatch, dynamics.heapq, "heappop", pops)
         self._count_calls(monkeypatch, dynamics._FlipRun, "_toggle", flips)
         self._count_calls(monkeypatch, dynamics._FlipRun, "_refresh", refreshes)
-        net = build_network({
-            "name": "factorizer", "seed": 0, "network": {"kind": "factorizer", "i0": 1.5},
-            "clamps": {"S0": 0, "S1": 1, "S2": 1, "S3": 0}})
-        trace = run(net, seed=1, max_updates=50_000)
-        assert trace.update_counts.sum() == 50_000
+        trace = run(net, seed=1, duration_us=t_end + 1)
+        updates = int(trace.update_counts.sum())
+        assert updates >= 50_000
         assert flips and refreshes
         assert len(pops) >= len(flips) + len(refreshes)
-        assert len(flips) + len(refreshes) <= 0.05 * 50_000
+        assert len(flips) + len(refreshes) <= 0.05 * updates
 
     def test_control_tabulates_each_machine_once(self, monkeypatch):
         # the factorizer at i0 = 0: its 13-unit machines visit thousands of
@@ -596,25 +599,32 @@ def small_networks(draw):
     return net
 
 
-any_budget = st.fixed_dictionaries({}, optional={
-    "max_samples": st.integers(0, 3000),
-    "duration_us": st.integers(0, 300_000),
-    "max_updates": st.integers(0, 5000),
-}).filter(bool)
-
-
 class TestFlipEngine:
-    """Runs on several machines that do not record updates go to the
-    flip-driven engine; under every budget and window size it must give the
-    heap's bits, end time and length."""
+    """Runs on several machines under sample and duration budgets go to the
+    flip-driven engine; under every such budget and window size it must give
+    the heap's bits, end time and length."""
 
     @settings(max_examples=200, deadline=None)
-    @given(net=small_networks(), seed=st.integers(0, 2**32), budget=any_budget,
+    @given(net=small_networks(), seed=st.integers(0, 2**32), budget=budgets,
            chunk=st.sampled_from([3, 64, dynamics.CHUNK]))
     def test_matches_the_heap(self, net, seed, budget, chunk):
-        assert dynamics._composable(net, budget.get("max_updates"), False) == "flips"
+        assert dynamics._composable(net, None, False) == "flips"
         want = heap_run(net, seed, **budget)
         with mock.patch.object(dynamics, "CHUNK", chunk):
             got = run(net, seed, **budget)
         assert digest(got) == digest(want)
         assert (got.final_time_us, len(got)) == (want.final_time_us, len(want))
+
+    @pytest.mark.parametrize("budget, heap", [
+        ({"max_updates": 100}, True),
+        ({"max_samples": 100, "record_updates": True}, True),
+        ({"max_samples": 100}, False),
+    ], ids=["max_updates", "record_updates", "max_samples"])
+    def test_update_budgets_step_the_heap(self, monkeypatch, budget, heap):
+        # the heap's cost is fixed by an update budget; only a run that
+        # neither counts nor records updates takes the flip-driven engine
+        steps = []
+        step = Simulator.step
+        monkeypatch.setattr(Simulator, "step", lambda sim: steps.append(sim) or step(sim))
+        run(two_and_net(1000, 1000), seed=1, **budget)
+        assert bool(steps) == heap
