@@ -537,17 +537,21 @@ class TestComposedEngine:
         assert dynamics._composable(and_net(), None, False) == "composed"
         assert dynamics._composable(two_and_net(1000, 1000), None, False) == "flips"
 
-    @pytest.mark.parametrize("budget, heap", [
-        ({"max_updates": 100}, True),
-        ({"max_samples": 100, "record_updates": True}, True),
-        ({"max_samples": 100}, False),
-    ], ids=["max_updates", "record_updates", "max_samples"])
-    def test_update_budgets_step_the_heap(self, monkeypatch, budget, heap):
-        # only a run that neither counts nor records updates composes maps
+    @pytest.mark.parametrize("net, budget, heap", [
+        (and_net, {"max_updates": 100}, True),
+        (and_net, {"max_samples": 100, "record_updates": True}, True),
+        (and_net, {"max_samples": 100}, False),
+        (lambda: two_and_net(1000, 1000), {"max_updates": 100}, True),
+        (lambda: two_and_net(1000, 1000), {"max_samples": 100}, False),
+    ], ids=["max_updates", "record_updates", "max_samples",
+            "two_machines_max_updates", "two_machines_max_samples"])
+    def test_update_budgets_step_the_heap(self, monkeypatch, net, budget, heap):
+        # only a run that neither counts nor records updates composes maps or
+        # takes the flip-driven engine; the heap's cost is fixed by the budget
         steps = []
         step = Simulator.step
         monkeypatch.setattr(Simulator, "step", lambda sim: steps.append(sim) or step(sim))
-        run(and_net(), seed=1, **budget)
+        run(net(), seed=1, **budget)
         assert bool(steps) == heap
 
 
@@ -614,17 +618,3 @@ class TestFlipEngine:
             got = run(net, seed, **budget)
         assert digest(got) == digest(want)
         assert (got.final_time_us, len(got)) == (want.final_time_us, len(want))
-
-    @pytest.mark.parametrize("budget, heap", [
-        ({"max_updates": 100}, True),
-        ({"max_samples": 100, "record_updates": True}, True),
-        ({"max_samples": 100}, False),
-    ], ids=["max_updates", "record_updates", "max_samples"])
-    def test_update_budgets_step_the_heap(self, monkeypatch, budget, heap):
-        # the heap's cost is fixed by an update budget; only a run that
-        # neither counts nor records updates takes the flip-driven engine
-        steps = []
-        step = Simulator.step
-        monkeypatch.setattr(Simulator, "step", lambda sim: steps.append(sim) or step(sim))
-        run(two_and_net(1000, 1000), seed=1, **budget)
-        assert bool(steps) == heap
