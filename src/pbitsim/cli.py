@@ -300,17 +300,18 @@ def cmd_run(args) -> int:
     doc, net = _scenario_and_network(args)
     # the exact law is built first, so a network it cannot cover fails before the run
     exact = analysis.single_machine_oracle(net) if doc.get("compare_oracle") else None
-    record_updates = "serialization_window_us" in doc
     trace = dynamics.run(
         net,
         doc["seed"],
         max_samples=doc.get("samples"),
         max_updates=doc.get("updates"),
-        record_updates=record_updates,
     )
-    if record_updates and not trace.update_events:
-        raise ConfigurationError("the run made no updates, so it has no serialization "
-                                 "to measure; give it a larger budget")
+    events = None
+    if "serialization_window_us" in doc:
+        events = dynamics.update_order(net, doc["seed"], trace.update_counts)
+        if not events:
+            raise ConfigurationError("the run made no updates, so it has no serialization "
+                                     "to measure; give it a larger budget")
     # made only once the run stands, so a refused run leaves no directory behind
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -341,11 +342,11 @@ def cmd_run(args) -> int:
             report["oracle_distance"] = analysis.euclidean_distance(emp.probabilities, exact)
         else:
             report["oracle_distance"] = analysis.trace_distance(trace, exact, burn_in)
-    if record_updates:
+    if events:
         w = doc["serialization_window_us"]
-        total = len(trace.update_events)
-        first = dynamics.serialization_metric(trace, net, w, 0, min(1000, total))
-        last = dynamics.serialization_metric(trace, net, w, max(0, total - 2000), total)
+        total = len(events)
+        first = dynamics.serialization_metric(events, net, w, 0, min(1000, total))
+        last = dynamics.serialization_metric(events, net, w, max(0, total - 2000), total)
         report["serialization_initial"] = first
         report["serialization_final"] = last
     with open(outdir / "report.json", "w") as fh:

@@ -2,8 +2,9 @@
 
 Everything here is a pure function of its inputs: no clocks, no event queue,
 no random state. The stochastic update rule that consumes these voltages,
-output 1 iff sigmoid(2*v - 5) > u for a uniform draw u, lives in the event
-engine (``dynamics.Simulator``), which owns the random streams.
+output 1 iff sigmoid(2*v - 5) > u for a uniform draw u, is applied by each of
+the three engines in ``dynamics``; ``dynamics._Schedule`` owns the random
+streams that give each unit its draws.
 
 Conventions:
   * logic levels are plain ints 0/1 (hardware: 0 V / 5 V at the output pin)

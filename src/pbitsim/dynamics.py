@@ -45,14 +45,13 @@ updates ahead and the other engines more; none of them changes a bit.
 Three engines run a network, and they give the same trace and end time.
 ``_composable`` picks one from the network and the budget:
 
-- ``"heap"``, the event heap of ``Simulator``, for every run that records
-  updates or has an update budget, every one-machine run of more than
-  ``COMPOSED_UNITS`` (8) units, and every network with a machine too large
-  to tabulate;
-- ``"composed"`` for the other one-machine runs (one machine holds no
-  wire), which compose per-tick state maps;
-- ``"flips"`` for the other runs on several machines, which step only the
-  flips that other units read.
+- ``"heap"``, the event heap of ``Simulator``, for every run with an
+  update budget and every network with a machine too large to tabulate;
+- ``"composed"`` for the other runs on one machine of at most
+  ``COMPOSED_UNITS`` (8) units (one machine holds no wire), which compose
+  per-tick state maps;
+- ``"flips"`` for every other run, which steps only the flips that other
+  units read.
 
 So the two fast engines take only sample and duration budgets. An update
 budget's run costs the heap a fixed amount per update; on the flip-driven
@@ -83,10 +82,16 @@ flip of a wire's source. A refresh changes only the probabilities whose
 voltages differ. A unit finds its next such flip with a numpy scan, or all
 of a window's flips at once if its own probability never changes; every
 other update only adds to its unit's counts, once per window. Only
-zero-delay wires need the heap's order of equal-time updates (by each
-one's previous update time, recursively, then by unit id); the engine
-ranks an instant's updates only among the ends of such wires, and only
-where several of them tie.
+zero-delay wires need the heap's order of equal-time updates
+(``_rank_ties``: by each one's previous update time, recursively, then by
+unit id); the engine ranks an instant's updates only among the ends of
+such wires, and only where several of them tie.
+
+No engine logs its updates. A unit's update times come from its schedule
+alone, and its outputs never feed back into them, so ``update_order``
+rebuilds the heap's order of a run's updates from the per-unit counts of
+its trace: each unit's first updates, sorted by time and, within an
+instant, by ``_rank_ties`` over every unit.
 
 Every virtual time of a run, the updates drawn ahead included, stays below
 ``TIME_LIMIT_US`` (2^62 µs), so int64 arrays hold it; ``run`` refuses a
@@ -98,7 +103,8 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,7 +163,6 @@ class SimulationTrace:
     n: int
     times: np.ndarray
     states: np.ndarray
-    update_events: list = field(default_factory=list)
     update_counts: np.ndarray = None
     one_counts: np.ndarray = None
     final_time_us: int = 0
@@ -175,8 +180,8 @@ class SimulationTrace:
             fh.writelines(map("{},{}\r\n".format, self.times.tolist(), levels))
 
 
-def _trace(n, taus, last, clock, flip_times, flip_masks, update_events,
-           update_counts, one_counts) -> SimulationTrace:
+def _trace(n, taus, last, clock, flip_times, flip_masks, update_counts,
+           one_counts) -> SimulationTrace:
     """The samples up to ``last`` (none if it is negative), each state being
     the mask after every logged flip strictly before its time. The run ends
     at its last event (``clock``) or its last sample, whichever is later."""
@@ -186,7 +191,6 @@ def _trace(n, taus, last, clock, flip_times, flip_masks, update_events,
         n=n,
         times=times,
         states=states,
-        update_events=update_events,
         update_counts=update_counts,
         one_counts=one_counts,
         final_time_us=max(clock, int(times[-1])) if len(times) else clock,
@@ -196,9 +200,8 @@ def _trace(n, taus, last, clock, flip_times, flip_masks, update_events,
 class Simulator:
     """Event-queue state for one run. Strictly single-threaded."""
 
-    def __init__(self, network: NetworkSpec, seed: int, record_updates: bool = False):
+    def __init__(self, network: NetworkSpec, seed: int):
         network.validate()
-        self.record_updates = record_updates
         n = network.n_total
         self.n = n
 
@@ -241,7 +244,6 @@ class Simulator:
         self.dirty = [True] * len(network.machines)
         self.flip_times = [-1]
         self.flip_masks = [self.mask]
-        self.update_events = []
         self.n_updates = 0
         self._update_counts = [0] * n
         self._one_counts = [0] * n
@@ -305,8 +307,6 @@ class Simulator:
         self.n_updates += 1
         self._update_counts[gid] += 1
         self._one_counts[gid] += out
-        if self.record_updates:
-            self.update_events.append((t, gid))
         if out != self.outputs[gid]:
             self.outputs[gid] = out
             self.mask ^= 1 << (self.n - 1 - gid)
@@ -327,7 +327,7 @@ class Simulator:
         return _trace(self.n, self.taus, last_sample, self.clock,
                       np.asarray(self.flip_times, dtype=np.int64),
                       np.asarray(self.flip_masks, dtype=np.int64),
-                      list(self.update_events), self.update_counts, self.one_counts)
+                      self.update_counts, self.one_counts)
 
 
 class _Schedule:
@@ -425,20 +425,18 @@ def _voltage_table(mach, modes) -> np.ndarray:
     return weight_inputs(mach.coupling, states, modes, mach.quant)
 
 
-def _composable(network: NetworkSpec, max_updates, record_updates) -> str:
-    """The engine ``run`` gives a run: ``"heap"`` for a run that records
-    updates, since only the heap logs each one, or counts them, since only
-    the heap's cost is fixed by the count; on one machine
-    (``NetworkSpec.validate`` allows no wire inside a machine),
-    ``"composed"`` for a run of at most ``COMPOSED_UNITS`` units and
-    ``"heap"`` for a larger one; on several machines, ``"flips"`` if each
-    has at most ``TABLE_UNITS`` units, whose voltage tables the flip-driven
-    engine reads, and ``"heap"`` if not."""
-    if record_updates or max_updates is not None:
+def _composable(network: NetworkSpec, max_updates) -> str:
+    """The engine ``run`` gives a run: ``"heap"`` for an update budget, since
+    only the heap's cost is fixed by the count, or for a network with a
+    machine of more than ``TABLE_UNITS`` units, whose voltage table the other
+    engines read; ``"composed"`` for one machine (``NetworkSpec.validate``
+    allows no wire inside a machine) of at most ``COMPOSED_UNITS`` units;
+    ``"flips"`` for any other run."""
+    if max_updates is not None or any(m.n > TABLE_UNITS for m in network.machines):
         return "heap"
-    if len(network.machines) == 1:
-        return "composed" if network.n_total <= COMPOSED_UNITS else "heap"
-    return "flips" if all(m.n <= TABLE_UNITS for m in network.machines) else "heap"
+    if len(network.machines) == 1 and network.n_total <= COMPOSED_UNITS:
+        return "composed"
+    return "flips"
 
 
 def _check_horizon(pbits, taus, max_samples, duration_us, max_updates) -> None:
@@ -514,10 +512,10 @@ def _compose_window(p, tau, state, taken):
     return ones, ticks[moved] * tau, after[moved], int(after[-1])
 
 
-def _run_heap(network, seed, stop, last, max_updates, record_updates) -> SimulationTrace:
+def _run_heap(network, seed, stop, last, max_updates) -> SimulationTrace:
     """``run`` on the event heap of ``Simulator``, with the budgets already
     turned into ``stop`` and ``last``; it runs any network."""
-    sim = Simulator(network, seed, record_updates=record_updates)
+    sim = Simulator(network, seed)
     queue = sim.queue
     # every update requeues its unit, so the queue never empties
     while True:
@@ -567,7 +565,7 @@ def _run_composed(network, seed, stop, last) -> SimulationTrace:
         flip_masks.append(moved_to)
         clock = max(int(t[-1]) for t, _ in taken if len(t))
     return _trace(n, [tau], last, clock, np.concatenate(flip_times),
-                  np.concatenate(flip_masks), [], update_counts, one_counts)
+                  np.concatenate(flip_masks), update_counts, one_counts)
 
 
 def _dependence(volts, wired) -> int:
@@ -584,6 +582,38 @@ def _dependence(volts, wired) -> int:
         if np.any(halves[:, 0] != halves[:, 1]):
             dep |= 1 << (n - 1 - k)
     return dep
+
+
+def _rank_ties(times, units, last_t, last_rank) -> dict:
+    """The heap's tie rule: rank ``(g, i)``, unit g's update ``times[g][i]``,
+    among the updates of ``units`` at every instant where several of them
+    fall. They run in the order of each one's previous update, the earlier
+    first, and among updates whose previous ones fell in one instant, by
+    their ranks there; unit g's update before ``times[g][0]`` fell at
+    ``last_t[g]`` with rank ``last_rank[g]``, which are -1 and g before its
+    first update. How two units' updates are ordered depends on those two
+    units alone, so ranks among any set of units order its members as the
+    heap does. An update at an instant without a tie has no entry."""
+    rank = {}
+    counts = [len(times[g]) for g in units]
+    flat = np.concatenate([times[g] for g in units] + [[]]).astype(np.int64)
+    ordered = np.sort(flat)
+    same = ordered[1:] == ordered[:-1]
+    if not same.any():
+        return rank
+    tied = np.unique(ordered[1:][same])
+    at = np.minimum(tied.searchsorted(flat), len(tied) - 1)
+    hit = np.flatnonzero(tied[at] == flat)
+    place = np.repeat(np.arange(len(units)), counts)[hit]
+    owner = np.array(units)[place]
+    index = hit - np.cumsum([0] + counts[:-1])[place]
+    order = np.lexsort((owner, flat[hit]))
+    hits = zip(flat[hit][order].tolist(), owner[order].tolist(), index[order].tolist())
+    for _, group in itertools.groupby(hits, key=lambda h: h[0]):
+        keyed = sorted(((int(times[g][i - 1]), rank.get((g, i - 1), 0)) if i
+                        else (last_t[g], last_rank[g]), g, i) for _, g, i in group)
+        rank.update(((g, i), r) for r, (_, g, i) in enumerate(keyed))
+    return rank
 
 
 class _FlipRun:
@@ -656,7 +686,7 @@ class _FlipRun:
         self.heap = []
         # a unit's flip events of an older segment are stale
         self.version = [0] * n
-        # the heap's tie rule: each unit's last update time and its rank among
+        # for ``_rank_ties``: each unit's last update time and its rank among
         # the updates of that instant; before the first update, -1 and its id
         self.last_t = [-1] * n
         self.last_rank = list(range(n))
@@ -666,7 +696,8 @@ class _FlipRun:
         self.clock = 0
 
     def draw(self, start: int, end: int) -> None:
-        """Take every unit's updates in [start, end) from its schedule."""
+        """Take every unit's updates in [start, end) from its schedule, and
+        rank the ties among ``tie_units``."""
         self.times, self.u = [], []
         for s in self.schedules:
             while s.next_t < end:
@@ -674,50 +705,7 @@ class _FlipRun:
             times, u = s.take(int(s.times.searchsorted(end)))
             self.times.append(times)
             self.u.append(u)
-
-    def rank_ties(self) -> None:
-        """Rank the updates of ``tie_units`` at every instant where several
-        of them fall, in the heap's order: by each one's previous update, the
-        earlier first, and among updates whose previous ones fell in one
-        instant, by their ranks there; a first update comes before any
-        other, first updates in unit order. How two units' updates are
-        ordered depends on those two units alone, so ranks among any set of
-        units order its members as the heap does."""
-        self.rank = {}
-        units = self.tie_units
-        counts = [len(self.times[g]) for g in units]
-        times = np.concatenate([self.times[g] for g in units] + [[]]).astype(np.int64)
-        ordered = np.sort(times)
-        same = ordered[1:] == ordered[:-1]
-        if not same.any():
-            return
-        tied = np.unique(ordered[1:][same])
-        at = np.minimum(tied.searchsorted(times), len(tied) - 1)
-        hit = np.flatnonzero(tied[at] == times)
-        place = np.repeat(np.arange(len(units)), counts)[hit]
-        owner = np.array(units)[place]
-        index = hit - np.cumsum([0] + counts[:-1])[place]
-        order = np.lexsort((owner, times[hit]))
-        group, when = [], None
-        for t, g, i in zip(times[hit][order].tolist(), owner[order].tolist(),
-                           index[order].tolist()):
-            if t != when:
-                self._rank_group(group)
-                group, when = [], t
-            group.append((g, i))
-        self._rank_group(group)
-
-    def _rank_group(self, group) -> None:
-        keyed = []
-        for g, i in group:
-            if i:
-                key = (int(self.times[g][i - 1]), self.rank.get((g, i - 1), 0))
-            else:
-                key = (self.last_t[g], self.last_rank[g])
-            keyed.append((key, g, i))
-        keyed.sort()
-        for r, (_, g, i) in enumerate(keyed):
-            self.rank[(g, i)] = r
+        self.rank = _rank_ties(self.times, self.tie_units, self.last_t, self.last_rank)
 
     def _late_reads(self, r: int, g: int, flips) -> list:
         """For each update of source g in ``flips`` (indices), 1 if its
@@ -899,7 +887,7 @@ class _FlipRun:
         bits = np.left_shift(np.int64(1), self.n - 1 - units[order])
         bits[0] = self.initial_mask
         return _trace(self.n, self.taus, last, self.clock, times[order],
-                      np.bitwise_xor.accumulate(bits), [], self.update_counts,
+                      np.bitwise_xor.accumulate(bits), self.update_counts,
                       self.one_counts)
 
 
@@ -914,7 +902,6 @@ def _run_flips(network, seed, stop, last) -> SimulationTrace:
     while start < stop:
         end = min(start + span, stop)
         run_.draw(start, end)
-        run_.rank_ties()
         run_.begin()
         run_.advance(end)
         run_.settle()
@@ -928,7 +915,6 @@ def run(
     max_samples: int = None,
     duration_us: int = None,
     max_updates: int = None,
-    record_updates: bool = False,
 ) -> SimulationTrace:
     """Run until a budget is exhausted; deterministic in (network, seed).
 
@@ -937,12 +923,11 @@ def run(
     running the events strictly before it; ``max_updates`` counts unit
     update events and ends the samples at the last update's time. A zero
     budget yields an empty trace. ``_composable`` picks the engine: the
-    event heap for a run with recorded updates, per-tick state maps for a
-    small machine and the flip-driven engine for a network of several
-    machines, both under a sample or duration budget, and the heap for any
-    other run. All
-    three give the same trace. A run whose virtual times could reach
-    ``TIME_LIMIT_US`` is refused.
+    event heap for an update budget or a machine too large to tabulate,
+    per-tick state maps for a machine of up to ``COMPOSED_UNITS`` units,
+    and the flip-driven engine for any other run. All three give the same
+    trace. A run whose virtual times could reach ``TIME_LIMIT_US`` is
+    refused. ``update_order`` gives the order of the run's updates.
     """
     if max_samples is None and duration_us is None and max_updates is None:
         raise ConfigurationError("a sample, update, or duration budget is required")
@@ -957,60 +942,68 @@ def run(
         s_star = sample_time(taus, max_samples - 1) if max_samples > 0 else -1
         if stop is None or s_star < stop:
             stop, last = s_star, s_star
-    engine = _composable(network, max_updates, record_updates)
+    engine = _composable(network, max_updates)
     if engine == "composed":
         return _run_composed(network, seed, stop, last)
     if engine == "flips":
         return _run_flips(network, seed, stop, last)
-    return _run_heap(network, seed, stop, last, max_updates, record_updates)
+    return _run_heap(network, seed, stop, last, max_updates)
+
+
+def update_order(network: NetworkSpec, seed: int, update_counts) -> list:
+    """The ``(time, unit)`` pair of every update of a run, in the order the
+    event heap runs them, from the run's ``update_counts``: each unit g's
+    first ``update_counts[g]`` updates from a fresh schedule, sorted by
+    time and, within an instant, by ``_rank_ties`` over every unit."""
+    n = network.n_total
+    _, schedules = _units(network, seed, CHUNK)
+    times = []
+    for s, count in zip(schedules, update_counts):
+        while len(s.times) < count:
+            s.refill(TIME_LIMIT_US)
+        times.append(s.times[:count])
+    rank = _rank_ties(times, range(n), [-1] * n, list(range(n)))
+    events = sorted((t, rank.get((g, i), 0), g)
+                    for g, ts in enumerate(times) for i, t in enumerate(ts.tolist()))
+    return [(t, g) for t, _, g in events]
 
 
 def serialization_metric(
-    trace: SimulationTrace,
+    events: list,
     network: NetworkSpec,
     window_us: int,
     start: int = 0,
     end: int = None,
 ) -> float:
     """Fraction of unit updates with another same-machine update within the
-    window; a proxy for the probability of parallel updating.
-
-    Requires a trace recorded with record_updates=True.
+    window; a proxy for the probability of parallel updating. ``events``
+    are a run's ``(time, unit)`` updates in order, as ``update_order``
+    gives them; ``start`` and ``end`` pick a range of them.
     """
-    aligned = _alignment_flags(trace, network, window_us)
+    aligned = _alignment_flags(events, network, window_us)
     if end is None:
         end = len(aligned)
     window = aligned[start:end]
-    if not window:
+    if not len(window):
         raise ConfigurationError("no update events in the requested range")
-    return sum(window) / len(window)
+    return int(np.count_nonzero(window)) / len(window)
 
 
-def _alignment_flags(trace, network, window_us):
+def _alignment_flags(events, network, window_us) -> np.ndarray:
+    """For each of ``events`` in turn, whether another unit of its machine
+    updates within ``window_us`` of it."""
     if window_us <= 0:
         raise ConfigurationError("window must be positive")
-    if not trace.update_events:
-        raise ConfigurationError("trace carries no update timestamps")
-    machine_of = network.machine_of()
-    per_machine = {}
-    for pos, (t, gid) in enumerate(trace.update_events):
-        per_machine.setdefault(machine_of[gid], []).append((t, gid, pos))
-    flags = [False] * len(trace.update_events)
-    for events in per_machine.values():
-        times = [e[0] for e in events]
-        for i, (t, gid, pos) in enumerate(events):
-            j = i - 1
-            while j >= 0 and t - times[j] <= window_us:
-                if events[j][1] != gid:
-                    flags[pos] = True
-                    break
-                j -= 1
-            if flags[pos]:
-                continue
-            j = i + 1
-            while j < len(events) and times[j] - t <= window_us:
-                if events[j][1] != gid:
-                    flags[pos] = True
-                    break
-                j += 1
+    times, gids = np.array(events, dtype=np.int64).reshape(-1, 2).T
+    machines = np.array(network.machine_of())[gids]
+    flags = np.zeros(len(events), dtype=bool)
+    for k in np.unique(machines):
+        at = np.flatnonzero(machines == k)
+        t, g = times[at], gids[at]
+        # the updates within the window of each one are lo..hi-1, and the
+        # first one after lo by another unit than lo's is at run_end
+        lo, hi = t.searchsorted(t - window_us, "left"), t.searchsorted(t + window_us, "right")
+        ends = np.append(np.flatnonzero(g[1:] != g[:-1]) + 1, len(g))
+        run_end = ends[ends.searchsorted(lo, "right")]
+        flags[at] = (g[lo] != g) | (run_end < hi)
     return flags

@@ -62,9 +62,10 @@ def test_traced_run_reaches_every_layer(recorder, tmp_path, capsys):
     rec, _ = recorder
     networks.load_gate.cache_clear()  # a fresh pbitsim process loads its gates cold
     scenario = tmp_path / "and.json"
-    # a 14-unit machine: a network the event heap runs, so Simulator.step is reached
+    # an update budget on a 14-unit machine: the event heap runs it, so
+    # Simulator.step is reached
     scenario.write_text(json.dumps({
-        "name": "hooks", "seed": 3, "samples": 300,
+        "name": "hooks", "seed": 3, "updates": 300,
         "network": {"kind": "full_adder", "i0": 1.0},
         "retention_us": 20_000,
     }))

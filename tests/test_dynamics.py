@@ -29,7 +29,7 @@ from pbitsim.networks import (
     build_and_machine,
     load_gate,
 )
-from pbitsim.dynamics import PRIO_REFRESH, Simulator, run, serialization_metric
+from pbitsim.dynamics import PRIO_REFRESH, Simulator, run, serialization_metric, update_order
 
 
 def and_net(i0=0.8, tau_sample_us=None, retention_us=None):
@@ -95,9 +95,9 @@ class TestEventOrdering:
     def test_updates_wait_for_phase(self):
         net = and_net()
         net.set_phases([0, 500, 900])
-        trace = run(net, seed=1, duration_us=1000, record_updates=True)
+        trace = run(net, seed=1, duration_us=1000)
         first = {}
-        for t, gid in trace.update_events:
+        for t, gid in update_order(net, 1, trace.update_counts):
             first.setdefault(gid, t)
         assert first == {0: 0, 1: 500, 2: 900}
 
@@ -315,9 +315,9 @@ class TestJitter:
         net = and_net()
         net.set_retention(1000)
         net.set_jitter(jitter)
-        trace = run(net, seed=6, max_updates=3000, record_updates=True)
+        trace = run(net, seed=6, max_updates=3000)
         per_unit = {}
-        for t, gid in trace.update_events:
+        for t, gid in update_order(net, 6, trace.update_counts):
             per_unit.setdefault(gid, []).append(t)
         return [b - a for ts in per_unit.values() for a, b in zip(ts, ts[1:])]
 
@@ -377,9 +377,9 @@ class TestRandomStreams:
         # generator; an update budget steps the heap on both networks
         net = make_net(retention_us=1000, tau_sample_us=100)
         net.set_jitter(f)
-        trace = run(net, seed=4, max_updates=3 * net.n_total * dynamics.BLOCK,
-                    record_updates=True)
+        trace = run(net, seed=4, max_updates=3 * net.n_total * dynamics.BLOCK)
         assert trace.update_counts.min() >= 2 * dynamics.BLOCK
+        events = update_order(net, 4, trace.update_counts)
         for gid in range(net.n_total):
             rng = np.random.default_rng(np.random.SeedSequence([4, gid]))
             rng.random()
@@ -388,7 +388,7 @@ class TestRandomStreams:
                 want.append(t)
                 rng.random()
                 t += max(1, int(round(1000 * (1.0 + rng.uniform(-f, f)))))
-            assert [t for t, g in trace.update_events if g == gid] == want
+            assert [t for t, g in events if g == gid] == want
 
 
 class TestTrace:
@@ -414,43 +414,66 @@ class TestTrace:
 
 
 class TestSerializationMetric:
-    def _trace(self, phases, jitter=0.0):
+    def _events(self, phases, jitter=0.0):
         net = and_net()
         net.set_retention(1000)
         net.set_jitter(jitter)
         net.set_phases(phases)
-        return net, run(net, seed=11, max_updates=3000, record_updates=True)
+        trace = run(net, seed=11, max_updates=3000)
+        return net, update_order(net, 11, trace.update_counts)
 
     def test_synchronized_updates_score_one(self):
-        net, trace = self._trace([0, 0, 0])
-        assert serialization_metric(trace, net, window_us=10) == 1.0
+        net, events = self._events([0, 0, 0])
+        assert serialization_metric(events, net, window_us=10) == 1.0
 
     def test_staggered_updates_score_zero(self):
-        net, trace = self._trace([0, 333, 666])
-        assert serialization_metric(trace, net, window_us=100) == 0.0
+        net, events = self._events([0, 333, 666])
+        assert serialization_metric(events, net, window_us=100) == 0.0
+
+    def test_window_ends_count(self):
+        # each update lies 333 us from another unit's and 334 us from the
+        # third's
+        net, events = self._events([0, 333, 666])
+        assert serialization_metric(events, net, window_us=333) == 1.0
+        assert serialization_metric(events, net, window_us=332) == 0.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(net=st.deferred(lambda: small_networks()), data=st.data(),
+           window_us=st.integers(1, 40))
+    def test_flags_match_the_definition(self, net, data, window_us):
+        # an update is aligned if another unit of its machine updates within
+        # the window, before or after it
+        events = sorted(data.draw(st.lists(
+            st.tuples(st.integers(0, 200), st.integers(0, net.n_total - 1)), max_size=60)))
+        machine_of = net.machine_of()
+        want = [any(machine_of[h] == machine_of[g] and h != g and abs(s - t) <= window_us
+                    for s, h in events) for t, g in events]
+        assert dynamics._alignment_flags(events, net, window_us).tolist() == want
 
     def test_profile_chunks(self):
-        net, trace = self._trace([0, 0, 0])
-        total = len(trace.update_events)
+        net, events = self._events([0, 0, 0])
+        total = len(events)
         for start in range(0, total, 100):
             end = min(start + 100, total)
-            assert serialization_metric(trace, net, window_us=10, start=start, end=end) == 1.0
+            assert serialization_metric(events, net, window_us=10, start=start, end=end) == 1.0
 
     def test_requires_recorded_updates(self):
+        # a zero-update run has no update events to measure
         net = and_net()
-        trace = run(net, seed=1, max_samples=10)
+        events = update_order(net, 1, run(net, seed=1, max_updates=0).update_counts)
+        assert events == []
         with pytest.raises(ConfigurationError):
-            serialization_metric(trace, net, window_us=10)
+            serialization_metric(events, net, window_us=10)
 
     def test_window_must_be_positive(self):
-        net, trace = self._trace([0, 0, 0])
+        net, events = self._events([0, 0, 0])
         with pytest.raises(ConfigurationError):
-            serialization_metric(trace, net, window_us=0)
+            serialization_metric(events, net, window_us=0)
 
     def test_empty_range_rejected(self):
-        net, trace = self._trace([0, 0, 0])
+        net, events = self._events([0, 0, 0])
         with pytest.raises(ConfigurationError):
-            serialization_metric(trace, net, window_us=10, start=10**9)
+            serialization_metric(events, net, window_us=10, start=10**9)
 
 
 def heap_run(net, seed, **budget):
@@ -467,10 +490,11 @@ def digest(trace):
 
 
 @st.composite
-def small_machines(draw):
-    """A random machine of 1-8 units with clamps, phases, jitter and a DAC,
-    sampled at 1/200 to 2 times its units' retention time."""
-    n = draw(st.integers(1, 8))
+def small_machines(draw, units=(1, 8)):
+    """A random machine of ``units`` (least, most) units with clamps, phases,
+    jitter and a DAC, sampled at 1/200 to 2 times its units' retention
+    time."""
+    n = draw(st.integers(*units))
     grid = st.integers(-4, 4).map(lambda k: k / 4)
     j = np.zeros((n, n))
     for a in range(n):
@@ -512,7 +536,7 @@ class TestComposedEngine:
     @given(net=small_machines(), seed=st.integers(0, 2**32), budget=budgets,
            chunk=st.sampled_from([3, 64, dynamics.CHUNK]))
     def test_matches_the_heap(self, net, seed, budget, chunk):
-        assert dynamics._composable(net, None, False) == "composed"
+        assert dynamics._composable(net, None) == "composed"
         want = heap_run(net, seed, **budget)
         with mock.patch.object(dynamics, "CHUNK", chunk):
             got = run(net, seed, **budget)
@@ -526,28 +550,31 @@ class TestComposedEngine:
                            tau_sample_us=100)
         net = NetworkSpec([mach], [PBitConfig(id=0, retention_us=1000),
                                    PBitConfig(id=1, retention_us=1000, phase_us=1000)])
-        trace = run(net, 3, max_updates=50, record_updates=True)
-        assert trace.update_events[1:5] == [(1000, 1), (1000, 0), (2000, 1), (2000, 0)]
+        trace = run(net, 3, max_updates=50)
+        events = update_order(net, 3, trace.update_counts)
+        assert events[1:5] == [(1000, 1), (1000, 0), (2000, 1), (2000, 0)]
 
-    def test_nine_units_step_the_heap(self):
-        net = NetworkSpec(
-            [MachineSpec("m", CouplingMatrix(np.zeros((9, 9)), np.zeros(9), 1.0))],
-            [PBitConfig(id=k, retention_us=1000) for k in range(9)])
-        assert dynamics._composable(net, None, False) == "heap"
-        assert dynamics._composable(and_net(), None, False) == "composed"
-        assert dynamics._composable(two_and_net(1000, 1000), None, False) == "flips"
+    def test_untabulated_machines_step_the_heap(self):
+        # a one-machine run past COMPOSED_UNITS takes the flip-driven
+        # engine; only a machine past TABLE_UNITS sends a run to the heap
+        machine = lambda n: NetworkSpec(
+            [MachineSpec("m", CouplingMatrix(np.zeros((n, n)), np.zeros(n), 1.0))],
+            [PBitConfig(id=k, retention_us=1000) for k in range(n)])
+        assert dynamics._composable(machine(9), None) == "flips"
+        assert dynamics._composable(machine(dynamics.TABLE_UNITS + 1), None) == "heap"
+        assert dynamics._composable(and_net(), None) == "composed"
+        assert dynamics._composable(two_and_net(1000, 1000), None) == "flips"
 
     @pytest.mark.parametrize("net, budget, heap", [
         (and_net, {"max_updates": 100}, True),
-        (and_net, {"max_samples": 100, "record_updates": True}, True),
         (and_net, {"max_samples": 100}, False),
         (lambda: two_and_net(1000, 1000), {"max_updates": 100}, True),
         (lambda: two_and_net(1000, 1000), {"max_samples": 100}, False),
-    ], ids=["max_updates", "record_updates", "max_samples",
+    ], ids=["max_updates", "max_samples",
             "two_machines_max_updates", "two_machines_max_samples"])
     def test_update_budgets_step_the_heap(self, monkeypatch, net, budget, heap):
-        # only a run that neither counts nor records updates composes maps or
-        # takes the flip-driven engine; the heap's cost is fixed by the budget
+        # only a run without an update budget composes maps or takes the
+        # flip-driven engine; the heap's cost is fixed by the budget
         steps = []
         step = Simulator.step
         monkeypatch.setattr(Simulator, "step", lambda sim: steps.append(sim) or step(sim))
@@ -604,17 +631,48 @@ def small_networks(draw):
 
 
 class TestFlipEngine:
-    """Runs on several machines under sample and duration budgets go to the
-    flip-driven engine; under every such budget and window size it must give
-    the heap's bits, end time and length."""
+    """Runs on several machines, or on one machine of 9 to ``TABLE_UNITS``
+    units, under sample and duration budgets go to the flip-driven engine;
+    under every such budget and window size it must give the heap's bits,
+    end time and length."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(net=small_networks(), seed=st.integers(0, 2**32), budget=budgets,
-           chunk=st.sampled_from([3, 64, dynamics.CHUNK]))
-    def test_matches_the_heap(self, net, seed, budget, chunk):
-        assert dynamics._composable(net, None, False) == "flips"
+    @staticmethod
+    def _check(net, seed, budget, chunk):
+        assert dynamics._composable(net, None) == "flips"
         want = heap_run(net, seed, **budget)
         with mock.patch.object(dynamics, "CHUNK", chunk):
             got = run(net, seed, **budget)
         assert digest(got) == digest(want)
         assert (got.final_time_us, len(got)) == (want.final_time_us, len(want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(net=small_networks(), seed=st.integers(0, 2**32), budget=budgets,
+           chunk=st.sampled_from([3, 64, dynamics.CHUNK]))
+    def test_matches_the_heap(self, net, seed, budget, chunk):
+        self._check(net, seed, budget, chunk)
+
+    @settings(max_examples=15, deadline=None)
+    @given(net=small_machines(units=(9, dynamics.TABLE_UNITS)), seed=st.integers(0, 2**32),
+           budget=budgets, chunk=st.sampled_from([3, 64, dynamics.CHUNK]))
+    def test_one_machine_matches_the_heap(self, net, seed, budget, chunk):
+        self._check(net, seed, budget, chunk)
+
+
+class TestUpdateOrder:
+    """No engine logs its updates; ``update_order`` rebuilds, from the
+    schedules and a run's update counts, the order in which the event heap
+    runs them, under every kind of budget."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(net=st.one_of(small_machines(), small_networks()), seed=st.integers(0, 2**32),
+           budget=st.fixed_dictionaries({}, optional={
+               "max_samples": st.integers(0, 3000),
+               "duration_us": st.integers(0, 300_000),
+               "max_updates": st.integers(0, 3000),
+           }).filter(bool))
+    def test_matches_the_heap(self, net, seed, budget):
+        log, update = [], Simulator._update
+        with mock.patch.object(Simulator, "_update",
+                               lambda sim, t, gid: log.append((t, gid)) or update(sim, t, gid)):
+            trace = heap_run(net, seed, **budget)
+        assert update_order(net, seed, trace.update_counts) == log

@@ -23,7 +23,8 @@ import pytest
 from pbitsim import dynamics
 from pbitsim.cli import build_network, main
 from pbitsim.core import CLAMPED_HIGH, PBitConfig, Wired
-from pbitsim.dynamics import BLOCK, MEMO_ENTRIES, TABLE_UNITS, Simulator, run, sample_time
+from pbitsim.dynamics import (BLOCK, MEMO_ENTRIES, TABLE_UNITS, Simulator, run, sample_time,
+                              update_order)
 from pbitsim.networks import (
     MachineSpec,
     NetworkSpec,
@@ -219,16 +220,16 @@ TRACE_CASES = {
         {"max_samples": 5000},
         "f9ec3dcfcfe254be906b0ae2035bd6a93f81970323e2ebd427804d32d6361248",
     ),
-    # a one-machine composite on the event heap, through a 4-bit DAC
+    # a one-machine composite on the flip-driven engine, through a 4-bit DAC
     "full_adder_dac_bits_4": (
         lambda: scenario_net({"kind": "full_adder", "i0": 1.0, "tau_sample_us": 2000,
                               "dac_bits": 4}, retention_us=20_000),
         {"max_samples": SAMPLES},
         "ec166cc06ec1dd45414a86443a13382dc4f686d282f070a8d900ce189144014d",
     ),
-    # non-dyadic machines on the event heap: 12 units, read from a table,
-    # and 15 units, computed row by row, that visit more local states than
-    # their cache holds
+    # non-dyadic machines: 12 units, read from a table by the flip-driven
+    # engine, and 15 units, computed row by row on the event heap, that
+    # visit more local states than their cache holds
     "matrix12_sevenths": (
         lambda: sevenths_matrix(12),
         {"max_samples": SAMPLES},
@@ -415,6 +416,20 @@ def test_budget_stop(name):
     assert (trace_digest(trace), trace.final_time_us, len(trace)) == expected
 
 
+@pytest.mark.parametrize("name", ["tie_updates_inside_an_instant",
+                                  "late_source_tie_updates_inside_an_instant"])
+def test_update_order_cut_inside_an_instant(name, monkeypatch):
+    # the heap's order of the updates, logged as it runs them, up to a
+    # budget that ends inside an instant of six tied updates
+    factory, budget, _ = BUDGET_CASES[name]
+    log, update = [], Simulator._update
+    monkeypatch.setattr(Simulator, "_update",
+                        lambda sim, t, gid: log.append((t, gid)) or update(sim, t, gid))
+    net = factory()
+    trace = run(net, seed=11, **budget)
+    assert update_order(net, 11, trace.update_counts) == log
+
+
 @pytest.mark.parametrize("block", [1, 3])
 @pytest.mark.parametrize("name", ["block_refills", "delayed_wire", "factorizer_max_updates",
                                   "two_period_updates"])
@@ -460,7 +475,7 @@ def matrix16(tmp_path):
 PLANS = json.dumps([[200_000] * 3, [137_000, 200_000, 263_000]])
 
 # case -> (scenario writer, command, arguments after the scenario, {file: digest});
-# the first run case records update timestamps (serialization metric)
+# the first run case reports the serialization metric over its updates
 CLI_GOLDEN = {
     "run": (
         shipped("and_serialization.json"), "run", [],
