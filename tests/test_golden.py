@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from pbitsim import dynamics
+from pbitsim.analysis import histogram
 from pbitsim.cli import build_network, main
 from pbitsim.core import CLAMPED_HIGH, PBitConfig, Wired
 from pbitsim.dynamics import (BLOCK, MEMO_ENTRIES, TABLE_UNITS, Simulator, run, sample_time,
@@ -416,6 +417,34 @@ def test_budget_stop(name):
     assert (trace_digest(trace), trace.final_time_us, len(trace)) == expected
 
 
+def histogram_digest(dist) -> str:
+    h = hashlib.sha256(f"{dist.total}:{dist.burn_in_discarded}:{dist.labels}:".encode())
+    h.update(np.ascontiguousarray(dist.counts, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+# budget name -> digest: the counts of a run of ``two_period_net`` over units
+# 3, 0 and 2, in that order, after a burn-in of a quarter of its samples
+HISTOGRAM_CASES = {
+    "two_period_samples":
+        "345510aa2f9bef438a6353e7eb7c500d50304eb006bc155c548ad23ca050c34f",
+    "two_period_updates":
+        "cb7a03d9a7d0b226687ef06c0d445e57a4193b00b8865cf88b6f1235be5217ba",
+    "two_period_duration":
+        "e5bea481918816649dc9fe0468dd83259198eb7ee5231b30a151fcf60f03c6cf",
+    "two_period_duration_on_both_lattices":
+        "604ef72c20278003e598a86e4efec9284629c9d1e6038433eaec2a7bd3b97115",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HISTOGRAM_CASES))
+def test_histogram_digest(name):
+    _, budget, _ = BUDGET_CASES[name]
+    trace = run(two_period_net(), seed=11, **budget)
+    dist = histogram(trace, {"D": 3, "S": 0, "W": 2}, burn_in=0.25)
+    assert histogram_digest(dist) == HISTOGRAM_CASES[name]
+
+
 @pytest.mark.parametrize("name", ["tie_updates_inside_an_instant",
                                   "late_source_tie_updates_inside_an_instant"])
 def test_update_order_cut_inside_an_instant(name, monkeypatch):
@@ -466,10 +495,41 @@ def shipped(name):
     return lambda tmp_path: shutil.copy(SCENARIOS / name, tmp_path / name)
 
 
-def matrix16(tmp_path):
-    path = tmp_path / "matrix16.json"
-    path.write_text(json.dumps(random_matrix_scenario()))
-    return path
+def written(doc):
+    def write(tmp_path):
+        path = tmp_path / f"{doc['name']}.json"
+        path.write_text(json.dumps(doc))
+        return path
+    return write
+
+
+matrix16 = written(random_matrix_scenario())
+
+# short composite runs that discard a burn-in fraction that cuts no lattice
+# period evenly and count only some of their units, in their own order: one
+# of several machines on the flip-driven engine, and one under an update
+# budget on the event heap
+RCA4_BURN_IN = {
+    "name": "rca4_burn_in",
+    "network": {"kind": "rca4", "i0": 1.0, "tau_sample_us": 2000},
+    "retention_us": 20_000,
+    "clamps": {"S0": 1, "S2": 1},
+    "seed": 7,
+    "samples": 20_000,
+    "burn_in": 0.37,
+    "histogram_over": ["B0", "A3", "S4", "A1"],
+}
+FULL_ADDER_UPDATES_BURN_IN = {
+    "name": "full_adder_updates_burn_in",
+    "network": {"kind": "full_adder", "i0": 1.0, "tau_sample_us": 2000},
+    "retention_us": 20_000,
+    "jitter_fraction": 0.01,
+    "seed": 8,
+    "updates": 20_000,
+    "burn_in": 0.37,
+    "histogram_over": ["COUT", "A", "S"],
+    "record_trace": True,
+}
 
 
 PLANS = json.dumps([[200_000] * 3, [137_000, 200_000, 263_000]])
@@ -490,6 +550,21 @@ CLI_GOLDEN = {
             "histogram.csv": "d59d9fcf4a1f087706c9d24b9fd8d9f9b1c37d4b4ba174f6a483a5726935dca5",
             "report.json": "c2c81d38c4a3f827cf0a33ec1121c998b70b9e4fbf32a67f103c71ddf6228b6f",
             "trace.csv": "757baca97f1f5e863bf8b243149866fd9363d2912f8e57e5d33e675b209e36df",
+        },
+    ),
+    "run-rca4-burn-in": (
+        written(RCA4_BURN_IN), "run", [],
+        {
+            "histogram.csv": "77fbb280ebd1108ee8e49eb019f4ad293b38b96af7a3f48e62319cf496f7aedb",
+            "report.json": "57031419c517b7b9b8ead1b3586c20674f186eeff4b3312ac674f628d6c21d21",
+        },
+    ),
+    "run-full-adder-updates-burn-in": (
+        written(FULL_ADDER_UPDATES_BURN_IN), "run", [],
+        {
+            "histogram.csv": "4716de9427080d740279973000ff35ee6ef0fa2531f893d2889ec1bcf805c3ad",
+            "report.json": "f8821ba4975ee409aec2993dc4336abedfd6545c1bafec0a451832515481aa22",
+            "trace.csv": "100ccb26a35078db4444df13fef526877717c312496e4638c3d28bda8d9e5122",
         },
     ),
     "sweep-tau": (
