@@ -59,19 +59,24 @@ def histogram(
 
     ``visible`` maps labels to global unit ids; the first label is the most
     significant bit of the state word. The leading ``burn_in`` fraction of
-    samples is discarded.
+    samples is discarded. The samples are counted from the trace's flip log:
+    each flip's mask adds the number of kept samples that hold it, so the
+    cost follows the run's flips, not its samples.
     """
     if not 0.0 <= burn_in < 1.0:
         raise ConfigurationError("burn-in fraction must lie in [0, 1)")
     discard = int(len(trace) * burn_in)
-    states = trace.states[discard:]
-    if states.size == 0:
+    held = trace.segment_samples(discard)
+    total = int(held.sum())
+    if total == 0:
         raise ConfigurationError("no samples remain after burn-in")
     labels = list(visible)
-    words = project(states, trace.n, [visible[label] for label in labels])
-    counts = np.bincount(words, minlength=1 << len(labels)).astype(np.int64)
+    seen = held > 0
+    words = project(trace.flip_masks[seen], trace.n, [visible[label] for label in labels])
+    counts = np.zeros(1 << len(labels), dtype=np.int64)
+    np.add.at(counts, words, held[seen])
     return EmpiricalDistribution(
-        labels=labels, counts=counts, total=int(states.size), burn_in_discarded=discard
+        labels=labels, counts=counts, total=total, burn_in_discarded=discard
     )
 
 

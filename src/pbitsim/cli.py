@@ -345,8 +345,9 @@ def cmd_run(args) -> int:
     if events:
         w = doc["serialization_window_us"]
         total = len(events)
-        first = dynamics.serialization_metric(events, net, w, 0, min(1000, total))
-        last = dynamics.serialization_metric(events, net, w, max(0, total - 2000), total)
+        aligned = dynamics.alignment_flags(events, net, w)
+        first = dynamics.serialization_metric(aligned, 0, min(1000, total))
+        last = dynamics.serialization_metric(aligned, max(0, total - 2000), total)
         report["serialization_initial"] = first
         report["serialization_final"] = last
     with open(outdir / "report.json", "w") as fh:

@@ -27,11 +27,14 @@ A refresh whose machine saw no flip since its last one would publish the
 same voltages again, so only dirty machines queue one: every machine
 refreshes at t = 0, and a flip in a clean machine queues its refresh at the
 next tick of that machine's lattice. The trace samples are the instants of
-the union of all machines' lattices; their states are rebuilt after the run
-from a log of flips, with no event per sample. The same log is the only
-record of the past: a wire with a delay reads its source's bit from the mask
-of the newest flip at or before ``t - delay``, found by binary search, and no
-per-wire history is kept.
+the union of all machines' lattices, and no engine makes an event per
+sample: a trace keeps the run's log of flips, and ``sample_count`` counts
+from the periods alone how many samples each flip's mask holds for, by
+inclusion-exclusion over the lcm of each set of periods. So a statistic of
+the samples costs one step per flip; the per-sample arrays are built only
+when asked for. The same log is the only record of the past: a wire with a
+delay reads its source's bit from the mask of the newest flip at or before
+``t - delay``, found by binary search, and no per-wire history is kept.
 
 Virtual time is integer microseconds. Each unit owns an independent seeded
 PCG64 stream derived from (scenario seed, unit id), so traces replay
@@ -100,6 +103,7 @@ budget or timing that could pass it.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from bisect import bisect_right
@@ -139,36 +143,92 @@ def sample_times(taus, last: int) -> np.ndarray:
     return lattices[0] if len(lattices) == 1 else np.unique(np.concatenate(lattices))
 
 
+def _lattice_terms(taus) -> list:
+    """``(period, coefficient)`` pairs whose sum of ``coefficient * (x //
+    period + 1)`` counts the union of the lattices of periods ``taus`` in
+    [0, x]: inclusion-exclusion over the lcm of each subset of the distinct
+    periods, the subsets with one lcm merged. An lcm of ``TIME_LIMIT_US`` or
+    more holds no instant past 0 before that limit, so it is clipped there."""
+    terms = {}
+    for tau in sorted(set(taus)):
+        for period, c in list(terms.items()):
+            lcm = min(math.lcm(period, tau), TIME_LIMIT_US)
+            terms[lcm] = terms.get(lcm, 0) - c
+        terms[tau] = terms.get(tau, 0) + 1
+    return [(period, c) for period, c in terms.items() if c]
+
+
+def sample_count(taus, x):
+    """The number of samples, the instants of the union of the lattices of
+    periods ``taus``, in [0, x], for each x (at least -1) of an array or one
+    integer."""
+    x = np.asarray(x, dtype=np.int64)
+    count = np.zeros(x.shape, dtype=np.int64)
+    for period, c in _lattice_terms(taus):
+        count += c * (x // period + 1)
+    return count
+
+
 def sample_time(taus, index: int) -> int:
-    """The time of sample ``index`` (from 0), which lies within
-    ``index * min(taus)`` since the fastest lattice alone has enough points."""
-    taus = set(taus)
-    if len(taus) == 1:
-        return index * taus.pop()
-    return int(sample_times(taus, index * min(taus))[index])
+    """The time of sample ``index`` (from 0): the first instant with ``index
+    + 1`` samples up to it, found by binary search within ``index *
+    min(taus)``, since the fastest lattice alone has enough points there."""
+    lo, hi = 0, index * min(taus)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sample_count(taus, mid) > index:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 @dataclass
 class SimulationTrace:
-    """Snapshots of the full output vector at the machines' refresh instants.
+    """A run's samples of the full output vector at the machines' refresh
+    instants, held as its log of flips.
 
-    ``times`` is the sorted union of the machines' refresh lattices (machines
-    refreshing at the same instant give one sample, so times strictly
-    increase). Each state is rebuilt from the run's flip log as the mask
-    after every update strictly before the sample time, since refreshes run
-    before updates at the same instant. States are big-endian bitmasks (unit
-    k is bit n-1-k).
+    The samples are the instants of the union of the machines' refresh
+    lattices (periods ``taus``) in [0, ``last``]; machines refreshing at the
+    same instant give one sample. A sample's state is the mask after every
+    update strictly before its time, since refreshes run before updates at
+    the same instant: ``flip_masks[i]`` is the mask after the flip at
+    ``flip_times[i]``, in time order from the initial mask at the sentinel
+    time -1. So every statistic of the samples is a sum over flips of the
+    samples each mask holds for (``segment_samples``). States are big-endian
+    bitmasks (unit k is bit n-1-k); the per-sample arrays ``times`` and
+    ``states`` are built only when asked for.
     """
 
     n: int
-    times: np.ndarray
-    states: np.ndarray
-    update_counts: np.ndarray = None
-    one_counts: np.ndarray = None
-    final_time_us: int = 0
+    taus: list
+    last: int
+    flip_times: np.ndarray
+    flip_masks: np.ndarray
+    update_counts: np.ndarray
+    one_counts: np.ndarray
+    final_time_us: int
 
     def __len__(self):
-        return len(self.times)
+        return int(sample_count(self.taus, self.last))
+
+    def segment_samples(self, first: int) -> np.ndarray:
+        """For each flip, the number of samples from sample ``first`` on
+        that hold its mask: those at s with flip_times[i] < s <=
+        flip_times[i + 1], or up to ``last`` after the final flip."""
+        lo = np.maximum(self.flip_times, sample_time(self.taus, first) - 1)
+        hi = np.append(np.minimum(self.flip_times[1:], self.last), self.last)
+        return np.maximum(sample_count(self.taus, hi) - sample_count(self.taus, lo), 0)
+
+    @functools.cached_property
+    def times(self) -> np.ndarray:
+        """Every sample's time, in increasing order."""
+        return sample_times(self.taus, self.last)
+
+    @functools.cached_property
+    def states(self) -> np.ndarray:
+        """Every sample's state."""
+        return self.flip_masks[np.searchsorted(self.flip_times, self.times, "left") - 1]
 
     def to_csv(self, path) -> None:
         """Write one row per sample, its time and every unit's level, in the
@@ -182,18 +242,20 @@ class SimulationTrace:
 
 def _trace(n, taus, last, clock, flip_times, flip_masks, update_counts,
            one_counts) -> SimulationTrace:
-    """The samples up to ``last`` (none if it is negative), each state being
-    the mask after every logged flip strictly before its time. The run ends
-    at its last event (``clock``) or its last sample, whichever is later."""
-    times = sample_times(taus, last)
-    states = flip_masks[np.searchsorted(flip_times, times, "left") - 1]
+    """The trace of the samples up to ``last`` (none if it is negative) from
+    a run's flip log. The run ends at its last event (``clock``) or its last
+    sample, whichever is later."""
+    samples = int(sample_count(taus, last))
+    end = sample_time(taus, samples - 1) if samples else clock
     return SimulationTrace(
         n=n,
-        times=times,
-        states=states,
+        taus=list(taus),
+        last=last,
+        flip_times=flip_times,
+        flip_masks=flip_masks,
         update_counts=update_counts,
         one_counts=one_counts,
-        final_time_us=max(clock, int(times[-1])) if len(times) else clock,
+        final_time_us=max(clock, end),
     )
 
 
@@ -695,8 +757,8 @@ class _FlipRun:
         self.flip_times, self.flip_units = [], []
         self.clock = 0
 
-    def draw(self, start: int, end: int) -> None:
-        """Take every unit's updates in [start, end) from its schedule, and
+    def draw(self, end: int) -> None:
+        """Take every unit's updates before ``end`` from its schedule, and
         rank the ties among ``tie_units``."""
         self.times, self.u = [], []
         for s in self.schedules:
@@ -901,7 +963,7 @@ def _run_flips(network, seed, stop, last) -> SimulationTrace:
     start = 0
     while start < stop:
         end = min(start + span, stop)
-        run_.draw(start, end)
+        run_.draw(end)
         run_.begin()
         run_.advance(end)
         run_.settle()
@@ -968,30 +1030,22 @@ def update_order(network: NetworkSpec, seed: int, update_counts) -> list:
     return [(t, g) for t, _, g in events]
 
 
-def serialization_metric(
-    events: list,
-    network: NetworkSpec,
-    window_us: int,
-    start: int = 0,
-    end: int = None,
-) -> float:
+def serialization_metric(aligned, start: int = 0, end: int = None) -> float:
     """Fraction of unit updates with another same-machine update within the
-    window; a proxy for the probability of parallel updating. ``events``
-    are a run's ``(time, unit)`` updates in order, as ``update_order``
-    gives them; ``start`` and ``end`` pick a range of them.
+    window; a proxy for the probability of parallel updating. ``aligned``
+    are a run's update flags from ``alignment_flags``; ``start`` and ``end``
+    pick a range of them.
     """
-    aligned = _alignment_flags(events, network, window_us)
-    if end is None:
-        end = len(aligned)
     window = aligned[start:end]
     if not len(window):
         raise ConfigurationError("no update events in the requested range")
     return int(np.count_nonzero(window)) / len(window)
 
 
-def _alignment_flags(events, network, window_us) -> np.ndarray:
-    """For each of ``events`` in turn, whether another unit of its machine
-    updates within ``window_us`` of it."""
+def alignment_flags(events, network, window_us) -> np.ndarray:
+    """For each of ``events``, a run's ``(time, unit)`` updates in order as
+    ``update_order`` gives them, whether another unit of its machine updates
+    within ``window_us`` of it."""
     if window_us <= 0:
         raise ConfigurationError("window must be positive")
     times, gids = np.array(events, dtype=np.int64).reshape(-1, 2).T

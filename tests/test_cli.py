@@ -11,6 +11,7 @@ import pytest
 
 from pbitsim.analysis import sweep_sampling_time
 from pbitsim.cli import GATE_FILE_SCHEMA, GATE_INPUT_SCHEMA, PLANS_SCHEMA, SCENARIO_SCHEMA, main
+from pbitsim.dynamics import SimulationTrace
 from pbitsim.networks import (
     build_and_machine,
     gate_from_json,
@@ -135,6 +136,25 @@ class TestRun:
         assert exc.value.code == 2
         assert f"not a positive integer: '{top}'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"compare_oracle": True, "histogram_over": ["C", "A"], "burn_in": 0.37},
+        {"network": {"kind": "rca4", "i0": 1.0}, "histogram_over": ["S4", "A0"]},
+    ], ids=["gate_oracle_over_a_subset", "rca4"])
+    def test_statistics_read_no_sample_arrays(self, tmp_path, monkeypatch, doc):
+        # every statistic of a run counts its samples from the flip log;
+        # only trace.csv builds the per-sample arrays
+        def refuse(_trace):
+            raise AssertionError("a statistic read the per-sample arrays")
+
+        monkeypatch.setattr(SimulationTrace, "times", property(refuse))
+        monkeypatch.setattr(SimulationTrace, "states", property(refuse))
+        path = write_scenario(tmp_path / "s.json", samples=20_000, **doc)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["samples"] == 20_000
+        assert "oracle_distance" in report or "compare_oracle" not in doc
 
     def test_serialization_report(self, tmp_path):
         path = write_scenario(tmp_path / "s.json", serialization_window_us=100)

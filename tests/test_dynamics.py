@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbitsim import dynamics
+from pbitsim.analysis import histogram
 from pbitsim.cli import build_network
 from pbitsim.core import (
     CLAMPED_HIGH,
@@ -29,7 +30,9 @@ from pbitsim.networks import (
     build_and_machine,
     load_gate,
 )
-from pbitsim.dynamics import PRIO_REFRESH, Simulator, run, serialization_metric, update_order
+from pbitsim.oracle import project
+from pbitsim.dynamics import (PRIO_REFRESH, Simulator, alignment_flags, run, sample_count,
+                              sample_time, serialization_metric, update_order)
 
 
 def and_net(i0=0.8, tau_sample_us=None, retention_us=None):
@@ -424,18 +427,18 @@ class TestSerializationMetric:
 
     def test_synchronized_updates_score_one(self):
         net, events = self._events([0, 0, 0])
-        assert serialization_metric(events, net, window_us=10) == 1.0
+        assert serialization_metric(alignment_flags(events, net, 10)) == 1.0
 
     def test_staggered_updates_score_zero(self):
         net, events = self._events([0, 333, 666])
-        assert serialization_metric(events, net, window_us=100) == 0.0
+        assert serialization_metric(alignment_flags(events, net, 100)) == 0.0
 
     def test_window_ends_count(self):
         # each update lies 333 us from another unit's and 334 us from the
         # third's
         net, events = self._events([0, 333, 666])
-        assert serialization_metric(events, net, window_us=333) == 1.0
-        assert serialization_metric(events, net, window_us=332) == 0.0
+        assert serialization_metric(alignment_flags(events, net, 333)) == 1.0
+        assert serialization_metric(alignment_flags(events, net, 332)) == 0.0
 
     @settings(max_examples=50, deadline=None)
     @given(net=st.deferred(lambda: small_networks()), data=st.data(),
@@ -448,14 +451,15 @@ class TestSerializationMetric:
         machine_of = net.machine_of()
         want = [any(machine_of[h] == machine_of[g] and h != g and abs(s - t) <= window_us
                     for s, h in events) for t, g in events]
-        assert dynamics._alignment_flags(events, net, window_us).tolist() == want
+        assert alignment_flags(events, net, window_us).tolist() == want
 
     def test_profile_chunks(self):
         net, events = self._events([0, 0, 0])
+        aligned = alignment_flags(events, net, 10)
         total = len(events)
         for start in range(0, total, 100):
             end = min(start + 100, total)
-            assert serialization_metric(events, net, window_us=10, start=start, end=end) == 1.0
+            assert serialization_metric(aligned, start=start, end=end) == 1.0
 
     def test_requires_recorded_updates(self):
         # a zero-update run has no update events to measure
@@ -463,17 +467,17 @@ class TestSerializationMetric:
         events = update_order(net, 1, run(net, seed=1, max_updates=0).update_counts)
         assert events == []
         with pytest.raises(ConfigurationError):
-            serialization_metric(events, net, window_us=10)
+            serialization_metric(alignment_flags(events, net, 10))
 
     def test_window_must_be_positive(self):
         net, events = self._events([0, 0, 0])
         with pytest.raises(ConfigurationError):
-            serialization_metric(events, net, window_us=0)
+            serialization_metric(alignment_flags(events, net, 0))
 
     def test_empty_range_rejected(self):
         net, events = self._events([0, 0, 0])
         with pytest.raises(ConfigurationError):
-            serialization_metric(events, net, window_us=10, start=10**9)
+            serialization_metric(alignment_flags(events, net, 10), start=10**9)
 
 
 def heap_run(net, seed, **budget):
@@ -676,3 +680,58 @@ class TestUpdateOrder:
                                lambda sim, t, gid: log.append((t, gid)) or update(sim, t, gid)):
             trace = heap_run(net, seed, **budget)
         assert update_order(net, seed, trace.update_counts) == log
+
+
+@st.composite
+def periodic_networks(draw):
+    """A random network of ``small_machines`` or ``small_networks`` with a
+    sampling period drawn for each machine: periods that divide each other,
+    coprime ones, and primes whose lcm lies past any run."""
+    net = draw(st.one_of(small_machines(), small_networks()))
+    for mach in net.machines:
+        mach.tau_sample_us = draw(st.sampled_from([1, 2, 3, 7, 60, 97, 300, 1000,
+                                                   99_991, 100_003]))
+    return net
+
+
+class TestSampleCounts:
+    """A trace holds its run's flip log; ``sample_count`` counts the samples
+    each flip's mask holds for, and every count must equal the one read off
+    the per-sample arrays, under every budget, burn-in and set of units."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(net=periodic_networks(), seed=st.integers(0, 2**32), data=st.data(),
+           budget=st.fixed_dictionaries({}, optional={
+               "max_samples": st.integers(0, 3000),
+               "duration_us": st.integers(0, 300_000),
+               "max_updates": st.integers(0, 3000),
+           }).filter(bool),
+           burn_in=st.floats(0.0, 1.0, exclude_max=True))
+    def test_counts_match_the_sample_arrays(self, net, seed, data, budget, burn_in):
+        trace = run(net, seed, **budget)
+        times, states = trace.times, trace.states
+        assert len(trace) == len(times)
+        # the run ends at its last update or its last sample, whichever is later
+        updates = update_order(net, seed, trace.update_counts)
+        assert trace.final_time_us == max([updates[-1][0] if updates else 0]
+                                          + times[-1:].tolist())
+        x = data.draw(st.lists(st.integers(-1, 2 * trace.final_time_us + 1), max_size=20))
+        lattice = dynamics.sample_times(trace.taus, max(x, default=-1))
+        assert sample_count(trace.taus, x).tolist() == lattice.searchsorted(x, "right").tolist()
+        if len(times):
+            index = data.draw(st.integers(0, len(times) - 1))
+            assert sample_time(trace.taus, index) == times[index]
+
+        units = data.draw(st.lists(st.integers(0, net.n_total - 1), min_size=1, unique=True))
+        visible = {f"u{g}": g for g in units}
+        discard = int(len(times) * burn_in)
+        if discard == len(times):
+            with pytest.raises(ConfigurationError):
+                histogram(trace, visible, burn_in)
+            return
+        dist = histogram(trace, visible, burn_in)
+        want = np.bincount(project(states[discard:], net.n_total, units),
+                           minlength=1 << len(units))
+        assert dist.counts.dtype == np.int64
+        assert dist.counts.tolist() == want.tolist()
+        assert (dist.total, dist.burn_in_discarded) == (len(times) - discard, discard)
