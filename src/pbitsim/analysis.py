@@ -8,12 +8,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .errors import ConfigurationError
+from .errors import CapacityError, ConfigurationError
 from .networks import NetworkSpec
-from .oracle import boltzmann_distribution, euclidean_distance, project
+from .oracle import (ENUMERATION_LIMIT, bit_rows, boltzmann_distribution, euclidean_distance,
+                     project)
 
 # the leading fraction of samples a run or sweep discards unless told otherwise
 DEFAULT_BURN_IN = 0.1
+# the most histogram rows ``to_csv`` builds at once
+BLOCK_ROWS = 1 << 16
+# an unseen state's row after its word and bits
+_UNSEEN_TAIL = b",0,0.0\r\n"
 
 
 @dataclass
@@ -40,14 +45,47 @@ class EmpiricalDistribution:
 
     def to_csv(self, path) -> None:
         """Write one row per state, every state listed, in the bytes
-        ``csv.writer`` would give: no field needs quoting, so each row is
-        formatted by a template inside one ``writelines`` loop."""
-        words = range(len(self.counts))
+        ``csv.writer`` would give (no field needs quoting).
+
+        Most of 2^n states are never seen, and an unseen state's row is
+        always ``w,<bits>,0,0.0``. So the rows are built as uint8 blocks by
+        ``_unseen_rows``, one per run of words with the same number of
+        digits (at most ``BLOCK_ROWS`` rows each), and only the seen states
+        are formatted one by one, by a template, each written in place of
+        its row of the block."""
         row = f"{{}},{{:0{self.n_bits}b}},{{}},{{!r}}\r\n".format
-        with open(path, "w", newline="") as fh:
-            fh.write("state,label,count,probability\r\n")
-            fh.writelines(map(row, words, words, self.counts.tolist(),
-                              self.probabilities.tolist()))
+        seen = np.flatnonzero(self.counts)
+        words = seen.tolist() + [len(self.counts)]
+        counts = self.counts[seen].tolist()
+        probs = self.probabilities[seen].tolist()
+        j = 0
+        with open(path, "wb") as fh:
+            fh.write(b"state,label,count,probability\r\n")
+            lo = 0
+            while lo < len(self.counts):
+                hi = min(len(self.counts), 10 ** len(str(lo)), lo + BLOCK_ROWS)
+                block = _unseen_rows(lo, hi, self.n_bits)
+                flat, width, start = memoryview(block.reshape(-1)), block.shape[1], lo
+                while words[j] < hi:
+                    w = words[j]
+                    fh.write(flat[(start - lo) * width:(w - lo) * width])
+                    fh.write(row(w, w, counts[j], probs[j]).encode())
+                    start, j = w + 1, j + 1
+                fh.write(flat[(start - lo) * width:])
+                lo = hi
+
+
+def _unseen_rows(lo: int, hi: int, n: int) -> np.ndarray:
+    """The histogram rows ``w,<n bits>,0,0.0\\r\\n`` of the words in [lo, hi),
+    which all have as many digits as lo, as a uint8 array of one row each."""
+    digits = len(str(lo))
+    block = np.empty((hi - lo, digits + n + len(_UNSEEN_TAIL) + 1), dtype=np.uint8)
+    words = np.arange(lo, hi)[:, None]
+    block[:, :digits] = words // 10 ** np.arange(digits - 1, -1, -1) % 10 + ord("0")
+    block[:, digits] = ord(",")
+    block[:, digits + 1:digits + 1 + n] = bit_rows(lo, hi, n) + ord("0")
+    block[:, digits + 1 + n:] = np.frombuffer(_UNSEEN_TAIL, dtype=np.uint8)
+    return block
 
 
 def histogram(
@@ -63,6 +101,7 @@ def histogram(
     each flip's mask adds the number of kept samples that hold it, so the
     cost follows the run's flips, not its samples.
     """
+    check_histogram_units(len(visible))
     if not 0.0 <= burn_in < 1.0:
         raise ConfigurationError("burn-in fraction must lie in [0, 1)")
     discard = int(len(trace) * burn_in)
@@ -78,6 +117,15 @@ def histogram(
     return EmpiricalDistribution(
         labels=labels, counts=counts, total=total, burn_in_discarded=discard
     )
+
+
+def check_histogram_units(count: int) -> None:
+    """Refuse a histogram over more units than the oracle enumerates: it
+    holds and writes one row for each of the 2^count states."""
+    if count > ENUMERATION_LIMIT:
+        raise CapacityError(
+            f"a histogram covers at most {ENUMERATION_LIMIT} units, got {count}; "
+            "name fewer units in 'histogram_over'")
 
 
 def rank_states(probs, words=None) -> np.ndarray:

@@ -267,6 +267,7 @@ def _histogram_labels(doc: dict, net: NetworkSpec) -> dict:
     missing = [lab for lab in wanted if lab not in net.visible_labels]
     if missing:
         raise ConfigurationError(f"unknown histogram labels {missing}")
+    analysis.check_histogram_units(len(wanted))
     return {lab: net.visible_labels[lab] for lab in wanted}
 
 
@@ -298,7 +299,9 @@ def _positive(text: str) -> int:
 
 def cmd_run(args) -> int:
     doc, net = _scenario_and_network(args)
-    # the exact law is built first, so a network it cannot cover fails before the run
+    # the histogram's units and the exact law come first, so a histogram too
+    # wide or a network the oracle cannot cover fails before the run
+    labels = _histogram_labels(doc, net)
     exact = analysis.single_machine_oracle(net) if doc.get("compare_oracle") else None
     trace = dynamics.run(
         net,
@@ -316,7 +319,6 @@ def cmd_run(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     burn_in = doc.get("burn_in", analysis.DEFAULT_BURN_IN)
-    labels = _histogram_labels(doc, net)
     emp = analysis.histogram(trace, labels, burn_in)
     emp.to_csv(outdir / "histogram.csv")
     if doc.get("record_trace"):

@@ -20,8 +20,10 @@ writes its row's firing probabilities ``sigmoid(2v - 5)`` into the units'
 held probabilities with one slice assignment. Each probability is computed
 once per distinct voltage the run meets and kept in a map that lives for
 the run. A larger machine (only a ``matrix`` scenario of 15 or more units)
-computes a row when it misses and keeps at most ``MEMO_ENTRIES`` rows. A
-wired unit reads one of two probabilities fixed by its source's output.
+computes a state's row of firing probabilities when it first meets the
+state and keeps up to ``MEMO_ENTRIES`` (2^``TABLE_UNITS``) of them, so a
+refresh in a state met before is one slice assignment too. A wired unit
+reads one of two probabilities fixed by its source's output.
 
 A refresh whose machine saw no flip since its last one would publish the
 same voltages again, so only dirty machines queue one: every machine
@@ -115,6 +117,7 @@ import numpy as np
 from .core import CLAMPED_HIGH, CLAMPED_LOW, V_RAIL, Wired, sigmoid, weight_inputs
 from .errors import ConfigurationError
 from .networks import NetworkSpec
+from .oracle import bit_rows
 
 PRIO_REFRESH = 0
 PRIO_UPDATE = 1
@@ -123,8 +126,9 @@ BLOCK = 256
 # the largest machine whose weight logic a run tabulates over every local
 # state: the full adder, the largest shipped machine
 TABLE_UNITS = 14
-# local output masks cached per larger machine
-MEMO_ENTRIES = 256
+# rows of firing probabilities cached per larger machine, as many as a
+# table holds; a row only refers to the run's shared floats
+MEMO_ENTRIES = 1 << TABLE_UNITS
 # the largest machine the composed engine runs
 COMPOSED_UNITS = 8
 # updates drawn ahead per refill of a unit's schedule in the composed and
@@ -277,8 +281,8 @@ class Simulator:
         self.machines = network.machines
         self.p_of = _Probabilities()
         # the voltages of each machine of up to TABLE_UNITS units in every
-        # local state; a larger machine caches the rows it computed, keyed
-        # by local output mask
+        # local state; a larger machine caches the probability rows it
+        # computed, keyed by local output mask
         self.tables = [_voltage_table(mach, modes) if mach.n <= TABLE_UNITS else None
                        for mach, modes in zip(network.machines, self.modes)]
         self.memos = [{} for _ in network.machines]
@@ -340,21 +344,25 @@ class Simulator:
     def _refresh(self, k: int) -> None:
         local = (self.mask >> self.shifts[k]) & self.local_masks[k]
         table = self.tables[k]
-        row = table[local].tolist() if table is not None else self._row(k, local)
         off = self.offsets[k]
-        self.held_p[off:off + len(row)] = map(self.p_of.__getitem__, row)
+        if table is None:
+            row = self._row(k, local)
+        else:
+            row = list(map(self.p_of.__getitem__, table[local].tolist()))
+        self.held_p[off:off + len(row)] = row
         self.dirty[k] = False
 
     def _row(self, k: int, local: int) -> list:
-        """Machine k's voltages in local state ``local``, for a machine too
-        large to tabulate: computed on a miss, and kept while its cache has
-        room."""
+        """Machine k's firing probabilities in local state ``local``, for a
+        machine too large to tabulate: computed on a miss, and kept while its
+        cache has room."""
         memo = self.memos[k]
         row = memo.get(local)
         if row is None:
             mach = self.machines[k]
-            snapshot = (local >> np.arange(mach.n - 1, -1, -1)) & 1
-            row = weight_inputs(mach.coupling, snapshot, self.modes[k], mach.quant)
+            volts = weight_inputs(mach.coupling, bit_rows(local, local + 1, mach.n)[0],
+                                  self.modes[k], mach.quant)
+            row = list(map(self.p_of.__getitem__, volts))
             if len(memo) < MEMO_ENTRIES:
                 memo[local] = row
         return row
@@ -482,9 +490,7 @@ def _voltage_table(mach, modes) -> np.ndarray:
     """v[state, unit]: the voltage the machine's weight logic publishes for
     each unit in local state ``state`` (unit k is bit n-1-k), from one call
     over every state."""
-    n = mach.n
-    states = ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
-    return weight_inputs(mach.coupling, states, modes, mach.quant)
+    return weight_inputs(mach.coupling, bit_rows(0, 1 << mach.n, mach.n), modes, mach.quant)
 
 
 def _composable(network: NetworkSpec, max_updates) -> str:

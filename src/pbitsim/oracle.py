@@ -40,11 +40,21 @@ def project(states, n: int, units) -> np.ndarray:
     return word
 
 
+def bit_rows(lo: int, hi: int, n: int) -> np.ndarray:
+    """The n big-endian bits of each index in [lo, hi), one uint8 row of 0/1
+    per index: column k is bit n-1-k, as in ``state_bits``. The indices are
+    unpacked from their big-endian bytes, so no n-wide integer array is made."""
+    width = 4 if n <= 32 else 8
+    idx = np.arange(lo, hi, dtype=f">u{width}")
+    return np.unpackbits(idx.view(np.uint8).reshape(-1, width), axis=1)[:, 8 * width - n:]
+
+
 def _bipolar_table(n: int) -> np.ndarray:
     """All 2**n states as rows of -1/+1 spins, in index order."""
-    idx = np.arange(1 << n, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1
-    return 2.0 * bits - 1.0
+    m = bit_rows(0, 1 << n, n).astype(np.float64)
+    m *= 2.0
+    m -= 1.0
+    return m
 
 
 def energy(coupling: CouplingMatrix, state) -> float:

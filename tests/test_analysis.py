@@ -82,19 +82,41 @@ def tied_dist(n_bits=10, seed=7):
 class TestOutputsMatchReference:
     """histogram.csv and the mode ranking against plain csv.writer and sorted."""
 
-    def test_to_csv_bytes(self, tmp_path):
-        dist = tied_dist()
+    @staticmethod
+    def _check_to_csv(dist, tmp_path):
         ref = tmp_path / "reference.csv"
         with open(ref, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["state", "label", "count", "probability"])
             probs = dist.probabilities
             for word in range(len(dist.counts)):
-                writer.writerow([word, format(word, "010b"), int(dist.counts[word]),
+                writer.writerow([word, format(word, f"0{dist.n_bits}b"), int(dist.counts[word]),
                                  repr(float(probs[word]))])
         path = tmp_path / "histogram.csv"
         dist.to_csv(path)
         assert path.read_bytes() == ref.read_bytes()
+
+    def test_to_csv_bytes(self, tmp_path):
+        self._check_to_csv(tied_dist(), tmp_path)
+
+    @pytest.mark.parametrize("case", ["sparse", "all_seen", "one_bit_last", "one_bit_first"])
+    def test_to_csv_bytes_over_every_width(self, tmp_path, case):
+        # 2^17 words have 1 to 6 digits; unseen rows come from blocks, seen
+        # rows from the template, and the first and last rows are seen
+        rng = np.random.default_rng(17)
+        counts = {
+            "sparse": np.zeros(1 << 17, dtype=np.int64),
+            "all_seen": rng.integers(1, 5, 1 << 17),
+            "one_bit_last": np.array([0, 7]),
+            "one_bit_first": np.array([7, 0]),
+        }[case]
+        if case == "sparse":
+            counts[rng.integers(0, 1 << 17, 500)] = rng.integers(1, 50, 500)
+            counts[[0, 9, 10, 99_999, 100_000, (1 << 17) - 1]] = [3, 1, 2, 4, 1, 5]
+        n_bits = len(counts).bit_length() - 1
+        dist = EmpiricalDistribution(labels=[f"b{k}" for k in range(n_bits)], counts=counts,
+                                     total=int(counts.sum()), burn_in_discarded=0)
+        self._check_to_csv(dist, tmp_path)
 
     @pytest.mark.parametrize("k", [1, 3, 100, 1023, 1024, 1025])
     def test_mode_report_order(self, k):

@@ -9,6 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from pbitsim import dynamics
 from pbitsim.analysis import sweep_sampling_time
 from pbitsim.cli import GATE_FILE_SCHEMA, GATE_INPUT_SCHEMA, PLANS_SCHEMA, SCENARIO_SCHEMA, main
 from pbitsim.dynamics import SimulationTrace
@@ -363,6 +364,17 @@ class TestExitCodes:
             "kind": "matrix", "i0": 1.0, "j": [[0.0] * n] * n, "h": [0.0] * n})
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "63 units" in capsys.readouterr().err
+
+    def test_histogram_over_25_units_rejected(self, tmp_path, capsys, monkeypatch):
+        # with no histogram_over the histogram covers all 25 units: its 2^25
+        # rows used to be allocated after the run, and written out
+        monkeypatch.setattr(dynamics, "run", lambda *_, **__: pytest.fail("the run started"))
+        n = 25
+        path = write_scenario(tmp_path / "wide.json", network={
+            "kind": "matrix", "i0": 1.0, "j": [[0.0] * n] * n, "h": [0.0] * n}, samples=100)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "a histogram covers at most 24 units, got 25" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("phases", [[0, 1, 2, 3, 4], [7]])
     def test_phase_list_must_cover_every_unit(self, tmp_path, capsys, phases):

@@ -230,6 +230,30 @@ class TestEventCounts:
         assert len(refreshes) > 0.9 * len(trace)
         assert self._tabulated(weight_calls, 2)
 
+    def test_untabulated_weight_logic_runs_once_per_local_state(self, monkeypatch):
+        # a random 18-unit machine with J and h on the quarter grid, too large
+        # to tabulate, visits hundreds of local states: it computes a state's
+        # row when it first refreshes in that state and reads it back on
+        # every later refresh there
+        rng = np.random.default_rng(18)
+        j = np.triu(rng.integers(-4, 5, (18, 18)) / 4, 1)
+        net = build_network({
+            "name": "matrix18", "seed": 0, "retention_us": 20_000,
+            "network": {"kind": "matrix", "i0": 0.5, "j": (j + j.T).tolist(),
+                        "h": (rng.integers(-4, 5, 18) / 4).tolist(), "tau_sample_us": 1000}})
+        states, weight_calls = [], []
+        refresh = Simulator._refresh
+
+        def logging_refresh(sim, k):
+            states.append(sim.mask)
+            refresh(sim, k)
+
+        monkeypatch.setattr(Simulator, "_refresh", logging_refresh)
+        self._count_calls(monkeypatch, dynamics, "weight_inputs", weight_calls)
+        heap_run(net, seed=1, max_samples=10_000)
+        assert len(set(states)) > 500
+        assert len(weight_calls) == len(set(states)) < len(states)
+
     @pytest.mark.parametrize("tau_sample_us", [1000, 200_000])
     def test_composed_run_tabulates_the_weight_logic(self, monkeypatch, tau_sample_us):
         # a one-machine run of up to 8 units never steps the heap: it calls

@@ -24,8 +24,7 @@ from pbitsim import dynamics
 from pbitsim.analysis import histogram
 from pbitsim.cli import build_network, main
 from pbitsim.core import CLAMPED_HIGH, PBitConfig, Wired
-from pbitsim.dynamics import (BLOCK, MEMO_ENTRIES, TABLE_UNITS, Simulator, run, sample_time,
-                              update_order)
+from pbitsim.dynamics import BLOCK, TABLE_UNITS, Simulator, run, sample_time, update_order
 from pbitsim.networks import (
     MachineSpec,
     NetworkSpec,
@@ -280,24 +279,28 @@ def local_states_seen(name):
 
 
 def test_memo_overflow_case_fills_a_cache():
-    # the machines visit more local states than a bounded cache of
-    # MEMO_ENTRIES would hold, and read every one from their tables
+    # a 13-unit machine visits over a thousand local states, and every
+    # machine reads each state from its full table, so the caches stay empty
     sim, seen = local_states_seen("memo_overflow")
-    assert max(len(states) for states in seen) > MEMO_ENTRIES
+    assert max(len(states) for states in seen) > 1000
     for mach, table, memo in zip(sim.machines, sim.tables, sim.memos):
         assert mach.n <= TABLE_UNITS
         assert table.shape == (1 << mach.n, mach.n)
         assert memo == {}
 
 
-def test_matrix15_case_fills_its_cache():
+def test_matrix15_case_fills_its_cache(monkeypatch):
     # a machine past TABLE_UNITS computes a row per miss and keeps at most
-    # MEMO_ENTRIES of them
+    # MEMO_ENTRIES of them; with room for 64 the run takes the path that
+    # finds the cache full, and its bits stay the same
+    monkeypatch.setattr(dynamics, "MEMO_ENTRIES", 64)
     sim, seen = local_states_seen("matrix15_sevenths")
     assert sim.machines[0].n == TABLE_UNITS + 1
     assert sim.tables == [None]
-    assert len(seen[0]) > MEMO_ENTRIES
-    assert len(sim.memos[0]) == MEMO_ENTRIES
+    assert len(seen[0]) > 64
+    assert len(sim.memos[0]) == 64
+    _, budget, expected = TRACE_CASES["matrix15_sevenths"]
+    assert trace_digest(sim.trace(sample_time(sim.taus, budget["max_samples"] - 1))) == expected
 
 
 # name -> (network factory, run budget, (digest, final_time_us, samples)):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pbitsim.core import CLAMPED_HIGH, CLAMPED_LOW, FREE, CouplingMatrix, Wired
 from pbitsim.errors import CapacityError, ConfigurationError
@@ -12,6 +12,7 @@ from pbitsim.networks import load_gate
 from pbitsim.oracle import (
     ExactDistribution,
     all_energies,
+    bit_rows,
     boltzmann_distribution,
     energy,
     euclidean_distance,
@@ -56,6 +57,21 @@ class TestStateIndexing:
     def test_bijection(self, n, raw):
         idx = raw % (1 << n)
         assert state_index(state_bits(idx, n)) == idx
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 63), st.integers(0), st.integers(0, 300))
+    @example(32, (1 << 32) - 5, 10)
+    @example(33, (1 << 32) - 5, 10)
+    @example(63, (1 << 63) - 5, 10)
+    def test_bit_rows_match_the_shifts(self, n, raw, length):
+        # up to 32 units the indices unpack from 4 bytes, past that from 8
+        lo = raw % (1 << n)
+        hi = min(lo + length, 1 << n)
+        rows = bit_rows(lo, hi, n)
+        assert rows.dtype == np.uint8
+        assert rows.shape == (hi - lo, n)
+        assert rows.tolist() == [[(w >> (n - 1 - k)) & 1 for k in range(n)]
+                                 for w in range(lo, hi)]
 
 
 class TestEnergy:
