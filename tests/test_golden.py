@@ -134,7 +134,7 @@ def fast_and_net():
                         retention_us=2000)
 
 
-def sevenths_matrix(n):
+def sevenths_matrix(n, retention_us=20_000):
     """A random n-unit machine with J and h in sevenths: its drives are not
     dyadic, so the last bits of its published voltages depend on the order
     in which the weight logic sums them."""
@@ -142,7 +142,14 @@ def sevenths_matrix(n):
     j = np.triu(rng.integers(-7, 8, (n, n)) / 7, 1)
     return scenario_net({"kind": "matrix", "i0": 0.3, "j": (j + j.T).tolist(),
                          "h": (rng.integers(-7, 8, n) / 7).tolist(), "tau_sample_us": 1000},
-                        retention_us=20_000)
+                        retention_us=retention_us)
+
+
+def slow_tick_and_net():
+    """An AND gate whose units update every 2 us and whose tick is 10 ms,
+    longer than a composed window's updates span."""
+    return scenario_net({"kind": "gate", "gate": "and", "i0": 0.8, "tau_sample_us": 10_000},
+                        retention_us=2)
 
 
 FACTOR_CLAMPS = {"S0": 0, "S1": 1, "S2": 1, "S3": 0}
@@ -246,6 +253,18 @@ TRACE_CASES = {
         {"max_samples": SAMPLES},
         "6147f2fd50ba0959f0f0d6362a560b95a0f31effbcad6801e74e206377f1c150",
     ),
+    # the composed engine on 8 units, whose maps are cut into many windows
+    "composed_matrix8_windows": (
+        lambda: sevenths_matrix(8, retention_us=200),
+        {"max_samples": 5000},
+        "4755ad0b517359575366e06c8f18b836365eace0f610638ecfbbbc3de9cc03f4",
+    ),
+    # the composed engine with every window a single tick
+    "composed_slow_tick": (
+        slow_tick_and_net,
+        {"max_samples": 50},
+        "34a75bf3188984cb7d9d6b62971d71482448417914f4d9b3b31ad328089963a8",
+    ),
 }
 
 
@@ -261,6 +280,23 @@ def test_block_refills_case_refills_every_stream():
     factory, budget, _ = TRACE_CASES["block_refills"]
     trace = run(factory(), seed=11, **budget)
     assert trace.update_counts.min() >= 3 * BLOCK
+
+
+@pytest.mark.parametrize("name, windows", [
+    ("composed_matrix8_windows", lambda count, samples: count > 10),
+    ("composed_slow_tick", lambda count, samples: count == samples - 1),
+])
+def test_composed_cases_span_their_windows(name, windows, monkeypatch):
+    # the 8-unit case composes more than ten windows of maps; the slow-tick
+    # case composes one window per tick that holds updates
+    factory, budget, _ = TRACE_CASES[name]
+    calls, compose = [], dynamics._compose_window
+    monkeypatch.setattr(dynamics, "_compose_window",
+                        lambda *args: calls.append(1) or compose(*args))
+    net = factory()
+    assert dynamics._composable(net, None) == "composed"
+    trace = run(net, seed=11, **budget)
+    assert windows(len(calls), len(trace))
 
 
 def local_states_seen(name):
