@@ -69,16 +69,18 @@ would publish the same values. So every update in [t_k, t_k+1) compares its
 the interval is a map on the 2^n states in which each unit that updated
 takes the output of its last update. The composed engine reads p[state,
 unit] off the machine's voltage table, takes each unit's update times and
-``u`` values from its schedule, and composes the interval maps forward over
-windows of ticks, in the manner of Propp and Wilson's coupled maps (Random
-Struct. Alg. 9, 223, 1996) run forward on the same streams.
+``u`` values from its schedule, and applies the interval maps forward over
+windows of whole ticks, in the manner of Propp and Wilson's coupled maps
+(Random Struct. Alg. 9, 223, 1996) run forward on the same streams: it
+builds a window's maps with numpy and walks them in one pass, one lookup
+per tick.
 
 In any network, unit g's held probability at time t is its machine's
 p[state just before tick floor(t/tau)*tau, g], and a wired unit's is fixed
 by its source's bit at t - delay. Between two changes of a unit's input its
 outputs are the fixed comparisons ``p > u`` over its schedule, so the
 flip-driven engine, in the manner of rejection-free Monte Carlo (Bortz,
-Kalos and Lebowitz, J. Comput. Phys. 17, 10, 1975) but bit for bit, draws
+Kalos and Lebowitz, J. Comput. Phys. 17, 10, 1975) but bit for bit, takes
 the schedules in windows of at most ``CHUNK`` updates per unit and makes
 events only of the flips that change some other unit's probability: a flip
 of a bit that some voltage of its machine depends on (read off the tables
@@ -91,6 +93,10 @@ zero-delay wires need the heap's order of equal-time updates
 (``_rank_ties``: by each one's previous update time, recursively, then by
 unit id); the engine ranks an instant's updates only among the ends of
 such wires, and only where several of them tie.
+
+Both window engines take their updates by one rule, ``_windows``: a
+window holds every unit's updates before its end, each window spans a
+fixed time, and the span bounds a unit's updates in a window.
 
 No engine logs its updates. A unit's update times come from its schedule
 alone, and its outputs never feed back into them, so ``update_order``
@@ -526,39 +532,28 @@ def _check_horizon(pbits, taus, max_samples, duration_us, max_updates) -> None:
             "or sampling period")
 
 
-def _walk(maps, state) -> np.ndarray:
-    """The state after each row of ``maps``, applied in turn from ``state``,
-    by a two-level scan (Blelloch, "Prefix sums and their applications",
-    1990): compose each block of about sqrt(rows) maps, walk the blocks'
-    compositions from ``state``, then step through all blocks at once."""
-    rows, size = maps.shape
-    width = math.isqrt(rows)
-    blocks = -(-rows // width)
-    pad = np.tile(np.arange(size, dtype=maps.dtype), (blocks * width - rows, 1))
-    maps = np.concatenate((maps, pad)).reshape(blocks, width, size)
-    through = maps[:, 0]
-    for j in range(1, width):
-        through = np.take_along_axis(maps[:, j], through, axis=1)
-    entry = []
-    for row in through.tolist():
-        entry.append(state)
-        state = row[state]
-    after = np.empty((blocks, width), dtype=np.int64)
-    entry, index = np.array(entry), np.arange(blocks)
-    for j in range(width):
-        entry = after[:, j] = maps[index, j, entry]
-    return after.reshape(-1)[:rows]
+def _windows(schedules, span, stop):
+    """Every unit's updates before ``stop``, window by window: for each
+    window of ``span`` from 0, its end and the updates before it, unit g's
+    times ``times[g]`` and comparison values ``u[g]``, taken from its
+    schedule and refilled as needed."""
+    for start in range(0, stop, span):
+        end = min(start + span, stop)
+        for s in schedules:
+            while s.next_t < end:
+                s.refill(end)
+        times, u = zip(*[s.take(int(s.times.searchsorted(end))) for s in schedules])
+        yield end, times, u
 
 
-def _compose_window(p, tau, state, taken):
-    """Apply one window's updates, ``taken[g]`` being unit g's (times, u),
+def _compose_window(p, tau, state, times, u):
+    """Apply one window's updates, ``times[g]`` and ``u[g]`` being unit g's,
     from ``state`` at the window's first tick. Returns the number of outputs
     1 per unit, the ticks after which the state changed, the states it
     changed to, and the state at the window's end."""
-    n = len(taken)
-    times = np.concatenate([t for t, _ in taken])
-    u = np.concatenate([v for _, v in taken])
-    counts = [len(t) for t, _ in taken]
+    n = len(times)
+    counts = [len(t) for t in times]
+    times, u = np.concatenate(times), np.concatenate(u)
     gids = np.repeat(np.arange(n), counts)
     ticks, at = np.unique(times // tau, return_inverse=True)
     # row i maps the state at tick ticks[i] to the state at the next tick
@@ -573,11 +568,16 @@ def _compose_window(p, tau, state, taken):
             fires = p[:, g] > u[lo:lo + c][final, None]
             maps[rows] = np.where(fires, maps[rows] | bit, maps[rows] & (identity[-1] ^ bit))
         lo += c
-    after = _walk(maps, state)
-    before = np.concatenate(([state], after[:-1]))
+    # the state at each tick of the window and at its end, one lookup a row
+    flat, states = maps.ravel(), [state]
+    for base in range(0, flat.size, len(p)):
+        state = flat.item(base + state)
+        states.append(state)
+    states = np.array(states)
+    before, after = states[:-1], states[1:]
     moved = after != before
     ones = np.bincount(gids[p[before[at], gids] > u], minlength=n)
-    return ones, ticks[moved] * tau, after[moved], int(after[-1])
+    return ones, ticks[moved] * tau, after[moved], state
 
 
 def _run_heap(network, seed, stop, last, max_updates) -> SimulationTrace:
@@ -609,29 +609,23 @@ def _run_composed(network, seed, stop, last) -> SimulationTrace:
                   for row in _voltage_table(mach, _weight_modes(network)[0]).tolist()])
     chunk = min(CHUNK, WINDOW_ENTRIES // (n << n))
     state, schedules = _units(network, seed, chunk)
+    # whole ticks of at most ``chunk`` updates per unit, or a single tick
+    span = max(tau, chunk * min(s.min_step for s in schedules) // tau * tau)
 
     flip_times, flip_masks = [np.array([-1])], [np.array([state])]
     update_counts = np.zeros(n, dtype=np.int64)
     one_counts = np.zeros(n, dtype=np.int64)
-    clock = start = 0
-    # no update at or after ``stop`` runs
-    while start < stop:
-        # a window ends on the last tick before some unit's next undrawn update
-        for s in schedules:
-            while s.next_t < stop and (s.next_t < start + tau or len(s.times) < chunk):
-                s.refill(stop)
-        end = min([s.next_t // tau * tau for s in schedules if s.next_t < stop], default=stop)
-        counts = [int(np.searchsorted(s.times, end)) for s in schedules]
-        taken = [s.take(c) for s, c in zip(schedules, counts)]
-        start = end
+    clock = 0
+    for _, times, u in _windows(schedules, span, stop):
+        counts = [len(t) for t in times]
         if not sum(counts):
             continue
-        ones, moved_at, moved_to, state = _compose_window(p, tau, state, taken)
+        ones, moved_at, moved_to, state = _compose_window(p, tau, state, times, u)
         update_counts += counts
         one_counts += ones
         flip_times.append(moved_at)
         flip_masks.append(moved_to)
-        clock = max(int(t[-1]) for t, _ in taken if len(t))
+        clock = max(int(t[-1]) for t in times if len(t))
     return _trace(n, [tau], last, clock, np.concatenate(flip_times),
                   np.concatenate(flip_masks), update_counts, one_counts)
 
@@ -763,18 +757,6 @@ class _FlipRun:
         self.flip_times, self.flip_units = [], []
         self.clock = 0
 
-    def draw(self, end: int) -> None:
-        """Take every unit's updates before ``end`` from its schedule, and
-        rank the ties among ``tie_units``."""
-        self.times, self.u = [], []
-        for s in self.schedules:
-            while s.next_t < end:
-                s.refill(end)
-            times, u = s.take(int(s.times.searchsorted(end)))
-            self.times.append(times)
-            self.u.append(u)
-        self.rank = _rank_ties(self.times, self.tie_units, self.last_t, self.last_rank)
-
     def _late_reads(self, r: int, g: int, flips) -> list:
         """For each update of source g in ``flips`` (indices), 1 if its
         zero-delay reader r updates at the same instant before it, and so
@@ -787,13 +769,17 @@ class _FlipRun:
                 late[q] = self.rank[(r, int(j[q]))] < self.rank[(g, int(flips[q]))]
         return late
 
-    def begin(self) -> None:
-        """Start every unit's first segment of the window at its held
-        probability. Find the flips of each constant eager unit: queue those
-        that refresh its machine, give each zero-delay reader that is not
-        eager its segments, and queue its other readers' input changes.
-        Queue every other eager unit's first flip."""
+    def begin(self, times, u) -> None:
+        """Take the window's updates, unit g's times ``times[g]`` and its
+        ``u[g]``, and rank their ties among ``tie_units``. Start every
+        unit's first segment of the window at its held probability. Find
+        the flips of each constant eager unit: queue those that refresh its
+        machine, give each zero-delay reader that is not eager its segments,
+        and queue its other readers' input changes. Queue every other eager
+        unit's first flip."""
         n, heap, wire_p = self.n, self.heap, self.wire_p
+        self.times, self.u = times, u
+        self.rank = _rank_ties(times, self.tie_units, self.last_t, self.last_rank)
         self.starts = [[0] for _ in range(n)]
         self.probs = [[p] for p in self.p]
         self.next_flip = [None] * n
@@ -966,14 +952,10 @@ def _run_flips(network, seed, stop, last) -> SimulationTrace:
     ``CHUNK`` updates per unit."""
     run_ = _FlipRun(network, seed)
     span = CHUNK * min(s.min_step for s in run_.schedules)
-    start = 0
-    while start < stop:
-        end = min(start + span, stop)
-        run_.draw(end)
-        run_.begin()
+    for end, times, u in _windows(run_.schedules, span, stop):
+        run_.begin(times, u)
         run_.advance(end)
         run_.settle()
-        start = end
     return run_.trace(last)
 
 
