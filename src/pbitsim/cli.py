@@ -65,7 +65,9 @@ SCENARIO_SCHEMA = {
                            "additionalProperties": {"type": "integer", "minimum": 0}},
                 "i0": {"type": "number", "minimum": 0},
                 "tau_sample_us": {"type": "integer", "minimum": 1},
-                "dac_bits": {"type": "integer", "minimum": 0},
+                # float64 holds every DAC code exactly up to 2**53
+                "dac_bits": {"type": "integer", "minimum": 0,
+                             "maximum": sys.float_info.mant_dig},
                 "vref": {"type": "number", "exclusiveMinimum": 0},
             },
             # a field only one kind's build reads is refused on every other kind
@@ -134,7 +136,7 @@ GATE_INPUT_SCHEMA = {
         "table": {
             "type": "array",
             "minItems": 1,
-            "items": {"type": "array", "items": {"enum": [0, 1]}},
+            "items": {"type": "array", "minItems": 1, "items": {"enum": [0, 1]}},
         },
         "n_aux": {"type": "integer", "minimum": 0},
         "labels": {"type": "array", "items": {"type": "string"}},
@@ -438,6 +440,9 @@ def cmd_synth(args) -> int:
     with open(args.truthtable) as fh:
         doc = json.load(fh)
     _validate(doc, GATE_INPUT_SCHEMA)
+    filename = f"{doc['name']}.json"
+    if Path(filename).name != filename or "\0" in filename:
+        raise ConfigurationError(f"gate name {doc['name']!r} is not a plain file name")
     table = [tuple(int(b) for b in row) for row in doc["table"]]
     kwargs = dict(
         name=doc["name"],
@@ -452,7 +457,7 @@ def cmd_synth(args) -> int:
     gate = synthesize_gate_lp(table, n_aux=doc.get("n_aux", 0), **kwargs)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"{gate.name}.json"
+    path = outdir / filename
     save_gate(gate, path)
     report = ground_state_report(gate)
     print(f"{gate.name}: {gate.n} units, gap={report['gap']}, wrote {path}")
@@ -494,17 +499,17 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _add_common(parser, samples=True):
-    parser.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    if samples:
-        parser.add_argument(
-            "--samples", type=int, default=None, help="override sample budget"
-        )
-        parser.add_argument(
-            "--burn-in", type=float, default=None, help="override burn-in fraction"
-        )
-    parser.add_argument("--out", default=".", help="output directory")
+def _add_format(parser):
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
+
+
+def _add_scenario_flags(parser):
+    """The flags of the subcommands that run a scenario."""
+    parser.add_argument("--seed", type=int, default=None, help="override scenario seed")
+    parser.add_argument("--samples", type=int, default=None, help="override sample budget")
+    parser.add_argument("--burn-in", type=float, default=None, help="override burn-in fraction")
+    parser.add_argument("--out", default=".", help="output directory")
+    _add_format(parser)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -517,36 +522,36 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one scenario")
     p.add_argument("scenario")
     p.add_argument("--top", type=_positive, default=8, help="modes listed in the report")
-    _add_common(p)
+    _add_scenario_flags(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep-tau", help="oracle distance vs sampling period")
     p.add_argument("scenario")
     p.add_argument("--taus", required=True, type=_periods,
                    help="comma-separated periods in us")
-    _add_common(p)
+    _add_scenario_flags(p)
     p.set_defaults(func=cmd_sweep_tau)
 
     p = sub.add_parser("sweep-retention", help="oracle distance vs retention plans")
     p.add_argument("scenario")
     p.add_argument("--plans", required=True, help="JSON list of plans, or a file path")
-    _add_common(p)
+    _add_scenario_flags(p)
     p.set_defaults(func=cmd_sweep_retention)
 
     p = sub.add_parser("verify", help="ground-state verification of a gate file")
     p.add_argument("gatespec")
-    _add_common(p, samples=False)
+    _add_format(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("synth", help="synthesize a gate Hamiltonian from a truth table")
     p.add_argument("truthtable")
-    _add_common(p, samples=False)
+    p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("report", help="top states of an existing histogram.csv")
     p.add_argument("histogram")
     p.add_argument("--top", type=_positive, default=8)
-    _add_common(p, samples=False)
+    _add_format(p)
     p.set_defaults(func=cmd_report)
 
     return parser

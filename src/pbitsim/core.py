@@ -17,6 +17,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -86,8 +87,10 @@ class QuantizationConfig:
     vref: float = V_RAIL
 
     def __post_init__(self):
-        if self.dac_bits < 0:
-            raise ConfigurationError("DAC bit count must be >= 0")
+        # float64 holds every code exactly only up to 2**53
+        if not 0 <= self.dac_bits <= sys.float_info.mant_dig:
+            raise ConfigurationError(
+                f"DAC bit count must be 0 to {sys.float_info.mant_dig}, got {self.dac_bits}")
         if self.vref <= 0:
             raise ConfigurationError("vref must be positive")
 

@@ -163,8 +163,6 @@ def ground_state_report(gate: GateSpec) -> dict:
     Returns a report dict with ``ok``, the energy ``gap`` above the ground
     manifold, and any ``spurious``/``missing`` visible words.
     """
-    if gate.n > 24:
-        raise CapacityError(f"gate too large to enumerate ({gate.n} spins)")
     energies = all_energies(gate.coupling(1.0))
     emin = energies.min()
     ground = energies <= emin + DEGENERACY_TOL
@@ -255,7 +253,8 @@ def synthesize_gate_lp(
     least ``g`` above it is linear in (J, h, e0, g); we maximize g subject
     to coefficient bounds and accept the first assignment with g >= MIN_GAP.
     ``aux_assignments`` optionally lists candidate assignments (one aux word
-    per truth row); otherwise all are tried in lexicographic order.
+    below 2**n_aux per truth row); otherwise all are tried in lexicographic
+    order.
     Solutions are snapped to a quarter-integer grid when the snapped gate
     still verifies with a gap of at least MIN_GAP.
     """
@@ -263,6 +262,8 @@ def synthesize_gate_lp(
 
     truth_table = [tuple(int(b) for b in r) for r in truth_table]
     n_vis = len(truth_table[0])
+    if any(len(row) != n_vis for row in truth_table):
+        raise ConfigurationError("truth table width must be the same in every row")
     n = n_vis + n_aux
     if n > 16:
         raise CapacityError("LP synthesis limited to 16 total spins")
@@ -272,13 +273,17 @@ def synthesize_gate_lp(
 
     if aux_assignments is None:
         aux_assignments = itertools.product(range(1 << n_aux), repeat=n_rows)
+    elif any(len(a) != n_rows or not all(0 <= w < 1 << n_aux for w in a)
+             for a in aux_assignments):
+        raise ConfigurationError(
+            f"each aux assignment needs one word per truth row ({n_rows}), "
+            f"each below 2**n_aux = {1 << n_aux}")
 
     n_states = 1 << n
-    aux_mask = (1 << n_aux) - 1
     best = None
     for assignment in aux_assignments:
         # each chosen state: the truth row's bits above its auxiliary word
-        chosen = [(state_index(row) << n_aux) | (aw & aux_mask)
+        chosen = [(state_index(row) << n_aux) | aw
                   for row, aw in zip(truth_table, assignment)]
         others = np.setdiff1d(np.arange(n_states), np.array(chosen))
         # variables: theta (n_params), e0, g; maximize g

@@ -122,7 +122,8 @@ class TestRun:
         assert "single machines without wires" in capsys.readouterr().err
         assert not (out / "histogram.csv").exists()
 
-    @pytest.mark.parametrize("command", [["run", "SCENARIO"], ["report", "HISTOGRAM"]])
+    @pytest.mark.parametrize("command", [["run", "SCENARIO", "--out", "OUT"],
+                                         ["report", "HISTOGRAM"]])
     @pytest.mark.parametrize("top", ["0", "-6"])
     def test_top_must_be_positive(self, scenario, tmp_path, capsys, command, top):
         # run --top 0 used to simulate and write before failing; report
@@ -130,10 +131,10 @@ class TestRun:
         histogram = tmp_path / "histogram.csv"
         histogram.write_text("state,label,count,probability\n0,0,1,1.0\n")
         out = tmp_path / "out"
-        argv = [{"SCENARIO": str(scenario), "HISTOGRAM": str(histogram)}.get(a, a)
-                for a in command]
+        argv = [{"SCENARIO": str(scenario), "HISTOGRAM": str(histogram),
+                 "OUT": str(out)}.get(a, a) for a in command]
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--top", top, "--out", str(out)])
+            main([*argv, "--top", top])
         assert exc.value.code == 2
         assert f"not a positive integer: '{top}'" in capsys.readouterr().err
         assert not out.exists()
@@ -212,6 +213,26 @@ class TestExitCodes:
             assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "past the limit of 2**62 = 4611686018427387904 us" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_dac_bits_at_most_53(self, tmp_path, capsys):
+        # 2000 bits used to end in an OverflowError traceback
+        path = write_scenario(tmp_path / "d.json", network={
+            "kind": "gate", "gate": "and", "i0": 0.8, "dac_bits": 2000})
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: 2000 is greater than the maximum of 53\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("verify", "--seed"), ("verify", "--out"),
+        ("synth", "--seed"), ("synth", "--format"),
+        ("report", "--seed"), ("report", "--out"),
+    ])
+    def test_flags_a_command_does_not_read_rejected(self, tmp_path, capsys, command, flag):
+        # each used to be accepted and ignored
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(tmp_path / "in.json"), flag, "json"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} json" in capsys.readouterr().err
 
     def test_vref_needs_dac_bits(self, tmp_path, capsys):
         # a vref without a DAC used to be accepted and ignored
@@ -337,18 +358,19 @@ class TestExitCodes:
         assert afile.read_text() == ""
 
     @pytest.mark.parametrize("command", [
-        ["run", "BAD"],
-        ["synth", "BAD"],
+        ["run", "BAD", "--out", "OUT"],
+        ["synth", "BAD", "--out", "OUT"],
         ["verify", "BAD"],
         ["report", "BAD"],
-        ["sweep-retention", "SCENARIO", "--plans", "BAD"],
+        ["sweep-retention", "SCENARIO", "--plans", "BAD", "--out", "OUT"],
     ])
     def test_input_not_utf8(self, scenario, tmp_path, capsys, command):
         # a file that is not UTF-8 used to end in a UnicodeDecodeError traceback
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"\xff\xfe\x00")
-        argv = [{"SCENARIO": str(scenario), "BAD": str(bad)}.get(a, a) for a in command]
-        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        argv = [{"SCENARIO": str(scenario), "BAD": str(bad), "OUT": str(tmp_path / "o")}.get(a, a)
+                for a in command]
+        assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "o").exists()
 
@@ -504,6 +526,36 @@ class TestSynth:
         err = capsys.readouterr().err
         assert message in err
         assert not (tmp_path / "odd.json").exists()
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"table": [[0, 1], []]}, "[] should be non-empty"),
+        ({"table": [[0, 0], [1, 1, 1]]}, "truth table width must be the same in every row"),
+        ({"n_aux": 1, "aux_assignments": [[0]]},
+         "each aux assignment needs one word per truth row (2), each below 2**n_aux = 2"),
+        ({"n_aux": 1, "aux_assignments": [[0, 1, 1]]},
+         "each aux assignment needs one word per truth row (2), each below 2**n_aux = 2"),
+        ({"n_aux": 1, "aux_assignments": [[5, 7]]},
+         "each aux assignment needs one word per truth row (2), each below 2**n_aux = 2"),
+    ], ids=["empty_row", "ragged_rows", "short_assignment", "long_assignment", "wide_words"])
+    def test_malformed_table_or_assignments(self, tmp_path, capsys, fields, message):
+        # the rows used to end in a ValueError or IndexError traceback; the
+        # short assignment was cut to its first rows by zip and failed
+        # verification, and the wide words were masked to [1, 1]
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps({"name": "odd", "table": [[0, 0], [1, 1]], **fields}))
+        assert main(["synth", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", ["../x", "a/b", "x\0"])
+    def test_name_is_a_plain_file_name(self, tmp_path, capsys, name):
+        # "../x" used to write x.json beside the output directory
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps({"name": name, "table": [[0, 0], [1, 1]]}))
+        out = tmp_path / "o"
+        assert main(["synth", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: gate name {name!r} is not a plain file name\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.json"]
 
     def test_infeasible_exits_three(self, tmp_path):
         spec = tmp_path / "xor.json"

@@ -85,6 +85,14 @@ class TestQuantization:
         # full scale clamps to the top code
         assert quantize_voltage(5.0, 10, 5.0) == pytest.approx(1023 * 5.0 / 1024)
 
+    def test_dac_bits_at_most_53(self):
+        # float64 holds every code exactly only up to 2**53; 2000 bits used
+        # to end in an OverflowError inside the weight logic
+        assert QuantizationConfig(dac_bits=53).dac_bits == 53
+        for bits in (54, 2000):
+            with pytest.raises(ConfigurationError, match="must be 0 to 53"):
+                QuantizationConfig(dac_bits=bits)
+
     @given(st.floats(0.0, 5.0), st.integers(1, 16))
     def test_step_error_bound(self, v, bits):
         step = 5.0 / (1 << bits)

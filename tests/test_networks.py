@@ -69,6 +69,14 @@ class TestGateLibrary:
             report = ground_state_report(gate)
             assert report["ground_count"] == len(gate.truth_table)
 
+    def test_report_refused_past_the_enumeration_limit(self):
+        # the oracle's limit is the only one: 24 spins enumerate, 25 do not
+        wide = GateSpec(name="wide", visible={f"u{k}": k for k in range(25)}, inputs=[],
+                        outputs=[], auxiliary=[], truth_table=[], j=np.zeros((25, 25)),
+                        h=np.zeros(25))
+        with pytest.raises(CapacityError, match="enumeration limited to 24 units, got 25"):
+            ground_state_report(wide)
+
     def test_sign_corruption_is_caught(self):
         gate = load_gate("and")
         j = gate.j.copy()
