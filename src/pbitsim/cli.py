@@ -145,6 +145,7 @@ GATE_INPUT_SCHEMA = {
         # each an aux word per truth row
         "aux_assignments": {
             "type": "array",
+            "minItems": 1,
             "items": {"type": "array", "items": {"type": "integer", "minimum": 0}},
         },
         "max_weight": {"type": "number", "exclusiveMinimum": 0},
@@ -450,7 +451,7 @@ def cmd_synth(args) -> int:
         inputs=doc.get("inputs"),
         outputs=doc.get("outputs"),
     )
-    if doc.get("aux_assignments"):
+    if "aux_assignments" in doc:
         kwargs["aux_assignments"] = [tuple(a) for a in doc["aux_assignments"]]
     if doc.get("max_weight"):
         kwargs["bound"] = float(doc["max_weight"])

@@ -536,11 +536,14 @@ class TestSynth:
          "each aux assignment needs one word per truth row (2), each below 2**n_aux = 2"),
         ({"n_aux": 1, "aux_assignments": [[5, 7]]},
          "each aux assignment needs one word per truth row (2), each below 2**n_aux = 2"),
-    ], ids=["empty_row", "ragged_rows", "short_assignment", "long_assignment", "wide_words"])
+        ({"n_aux": 1, "aux_assignments": []}, "[] should be non-empty"),
+    ], ids=["empty_row", "ragged_rows", "short_assignment", "long_assignment", "wide_words",
+            "no_assignments"])
     def test_malformed_table_or_assignments(self, tmp_path, capsys, fields, message):
         # the rows used to end in a ValueError or IndexError traceback; the
         # short assignment was cut to its first rows by zip and failed
-        # verification, and the wide words were masked to [1, 1]
+        # verification, the wide words were masked to [1, 1], and an empty
+        # list of assignments searched every assignment
         spec = tmp_path / "t.json"
         spec.write_text(json.dumps({"name": "odd", "table": [[0, 0], [1, 1]], **fields}))
         assert main(["synth", str(spec), "--out", str(tmp_path / "o")]) == 2
