@@ -158,6 +158,8 @@ GATE_FILE_SCHEMA = {
     "required": ["name", "visible", "inputs", "outputs", "auxiliary", "truth_table", "j", "h"],
     "properties": {
         "name": {"type": "string", "minLength": 1},
+        # gate_from_json checks it against J's size
+        "n": {"type": "integer"},
         "visible": {"type": "object", "additionalProperties": {"type": "integer"}},
         "inputs": {"type": "array"},
         "outputs": {"type": "array"},

@@ -9,21 +9,20 @@ updates on whatever voltage its machine's weight logic last published for
 it, the rail voltage for a clamped unit included; only a wired unit
 bypasses the weight logic and reads its source's output.
 
-The weight logic is a pure function of the machine's own outputs, so at
-the start of each run every machine of at most ``TABLE_UNITS`` units (the
-full adder, the largest shipped machine, has 14) gets a table v[state, unit]
-of the voltages it publishes in each of its 2^n local states, from one
-batched ``weight_inputs`` call. The batch sums each drive in the same
-ascending unit order as a single state, so a table row has the bits a
-per-state call would give. A refresh then does no weight-logic work: it
-writes its row's firing probabilities ``sigmoid(2v - 5)`` into the units'
-held probabilities with one slice assignment. Each probability is computed
-once per distinct voltage the run meets and kept in a map that lives for
-the run. A larger machine (only a ``matrix`` scenario of 15 or more units)
-computes a state's row of firing probabilities when it first meets the
-state and keeps up to ``MEMO_ENTRIES`` (2^``TABLE_UNITS``) of them, so a
-refresh in a state met before is one slice assignment too. A wired unit
-reads one of two probabilities fixed by its source's output.
+The weight logic is a pure function of the machine's own outputs. Each
+run builds one ``_Machines`` from its network, which all three engines
+read. It tabulates every machine of at most ``TABLE_UNITS`` units (the full
+adder, the largest shipped machine, has 14): v[state, unit], the voltages
+it publishes in each of its 2^n local states, from one batched
+``weight_inputs`` call that sums each drive in the same ascending unit
+order as a single state, so a row has the bits a per-state call would give.
+Its one row rule, ``_Machines.row``, gives a machine's firing probabilities
+``sigmoid(2v - 5)`` in a local state, on a miss from the table, or for a
+larger machine (only a ``matrix`` scenario of 15 or more units) from one
+``weight_inputs`` call. Every machine keeps up to ``MEMO_ENTRIES`` rows, so
+a refresh in a state met before does no weight-logic work, and each
+probability is computed once per distinct voltage the run meets. A wired
+unit reads one of two probabilities fixed by its source's output.
 
 A refresh whose machine saw no flip since its last one would publish the
 same voltages again, so only dirty machines queue one: every machine
@@ -68,7 +67,7 @@ would publish the same values. So every update in [t_k, t_k+1) compares its
 ``u`` against p(S_k), the held probability in the state at tick t_k, and
 the interval is a map on the 2^n states in which each unit that updated
 takes the output of its last update. The composed engine reads p[state,
-unit] off the machine's voltage table, takes each unit's update times and
+unit] from the machine's rows, takes each unit's update times and
 ``u`` values from its schedule, and applies the interval maps forward over
 windows of whole ticks, in the manner of Propp and Wilson's coupled maps
 (Random Struct. Alg. 9, 223, 1996) run forward on the same streams: it
@@ -85,10 +84,12 @@ the schedules in windows of at most ``CHUNK`` updates per unit and makes
 events only of the flips that change some other unit's probability: a flip
 of a bit that some voltage of its machine depends on (read off the tables
 once per run), which queues a refresh at the machine's next tick, and a
-flip of a wire's source. A refresh changes only the probabilities whose
-voltages differ. A unit finds its next such flip with a numpy scan, or all
-of a window's flips at once if its own probability never changes; every
-other update only adds to its unit's counts, once per window. Only
+flip of a wire's source. A refresh reads its machine's row in the local
+state masked to those bits, which has the same voltages, and changes only
+the probabilities that differ. A unit finds its next such flip with a numpy
+scan, or all of a window's flips at once if its own probability never
+changes; every other update only adds to its unit's counts, once per
+window. Only
 zero-delay wires need the heap's order of equal-time updates
 (``_rank_ties``: by each one's previous update time, recursively, then by
 unit id); the engine ranks an instant's updates only among the ends of
@@ -269,41 +270,73 @@ def _trace(n, taus, last, clock, flip_times, flip_masks, update_counts,
     )
 
 
-class Simulator:
+class _Machines:
+    """What every engine reads of a network's machines, built once per run.
+
+    Machine k's units are ``offsets[k]``, ``offsets[k] + 1``, ...; its local
+    state is ``mask >> shifts[k]`` masked to its units. ``modes[k]`` are
+    its unit modes as its weight logic is asked for them, a wired unit's as
+    clamped low: its input is its wire, so its entry is a rail no update
+    reads. ``tables[k]`` is v[state, unit] for a machine of up to
+    ``TABLE_UNITS`` units, None for a larger one. ``mask`` is every unit's
+    output at t = 0, and each schedule draws ``chunk`` updates a refill."""
+
+    def __init__(self, network: NetworkSpec, seed: int, chunk: int):
+        n = self.n = network.n_total
+        self.machines = network.machines
+        self.machine_of = network.machine_of()
+        self.offsets = network.offsets()
+        self.shifts = [n - off - mach.n for off, mach in zip(self.offsets, self.machines)]
+        self.taus = [mach.tau_sample_us for mach in self.machines]
+        self.wires = [p.mode if isinstance(p.mode, Wired) else None for p in network.pbits]
+        modes = [CLAMPED_LOW if w else p.mode for p, w in zip(network.pbits, self.wires)]
+        self.modes = [modes[off:off + mach.n] for off, mach in zip(self.offsets, self.machines)]
+        self.tables = [weight_inputs(mach.coupling, bit_rows(0, 1 << mach.n, mach.n),
+                                     modes, mach.quant) if mach.n <= TABLE_UNITS else None
+                       for mach, modes in zip(self.machines, self.modes)]
+        # each machine's probability rows, keyed by local state
+        self.memos = [{} for _ in self.machines]
+        self.p_of = _Probabilities()
+        self.wire_p = (self.p_of[0.0], self.p_of[V_RAIL])
+        self.mask, self.schedules = _units(network, seed, chunk)
+
+    def row(self, k: int, local: int) -> list:
+        """Machine k's firing probabilities in local state ``local``: on a
+        miss read off its table, or from one weight-logic call for a machine
+        too large to tabulate, and kept while its cache has room."""
+        memo = self.memos[k]
+        row = memo.get(local)
+        if row is None:
+            table = self.tables[k]
+            if table is None:
+                mach = self.machines[k]
+                volts = weight_inputs(mach.coupling, bit_rows(local, local + 1, mach.n)[0],
+                                      self.modes[k], mach.quant)
+            else:
+                volts = table[local].tolist()
+            row = list(map(self.p_of.__getitem__, volts))
+            if len(memo) < MEMO_ENTRIES:
+                memo[local] = row
+        return row
+
+
+class Simulator(_Machines):
     """Event-queue state for one run. Strictly single-threaded."""
 
     def __init__(self, network: NetworkSpec, seed: int):
         network.validate()
-        n = network.n_total
-        self.n = n
-
-        self.machine_of = network.machine_of()
-        # machine k's units are offsets[k], offsets[k] + 1, ...
-        self.offsets = network.offsets()
-        # a machine's local output mask is (mask >> shift) & local_mask
-        self.shifts = [n - off - mach.n for off, mach in zip(self.offsets, network.machines)]
-        self.local_masks = [(1 << mach.n) - 1 for mach in network.machines]
-        self.modes = _weight_modes(network)
-        self.machines = network.machines
-        self.p_of = _Probabilities()
-        # the voltages of each machine of up to TABLE_UNITS units in every
-        # local state; a larger machine caches the probability rows it
-        # computed, keyed by local output mask
-        self.tables = [_voltage_table(mach, modes) if mach.n <= TABLE_UNITS else None
-                       for mach, modes in zip(network.machines, self.modes)]
-        self.memos = [{} for _ in network.machines]
-        self.wires = [p.mode if isinstance(p.mode, Wired) else None for p in network.pbits]
-        self.mask, schedules = _units(network, seed, BLOCK)
+        super().__init__(network, seed, BLOCK)
+        n = self.n
+        self.local_masks = [(1 << mach.n) - 1 for mach in self.machines]
         self.outputs = [(self.mask >> (n - 1 - gid)) & 1 for gid in range(n)]
         # every machine refreshes at t = 0, before any update reads these
         self.held_p = [None] * n
-        self.wire_p = (self.p_of[0.0], self.p_of[V_RAIL])
 
         self.clock = 0
-        m = len(network.machines)
+        m = len(self.machines)
         self.queue = [(0, PRIO_REFRESH, k, k) for k in range(m)]
         # each unit's next update: its time waits in the queue, its u here
-        self.next_update = [s.updates().__next__ for s in schedules]
+        self.next_update = [s.updates().__next__ for s in self.schedules]
         self.next_u = [None] * n
         for gid, next_update in enumerate(self.next_update):
             t, self.next_u[gid] = next_update()
@@ -311,9 +344,8 @@ class Simulator:
         heapq.heapify(self.queue)
         self._seq = m + n
 
-        self.taus = [mach.tau_sample_us for mach in network.machines]
         # a machine is dirty exactly while its refresh is queued
-        self.dirty = [True] * len(network.machines)
+        self.dirty = [True] * m
         self.flip_times = [-1]
         self.flip_masks = [self.mask]
         self.n_updates = 0
@@ -348,30 +380,10 @@ class Simulator:
             self._update(t, target)
 
     def _refresh(self, k: int) -> None:
-        local = (self.mask >> self.shifts[k]) & self.local_masks[k]
-        table = self.tables[k]
         off = self.offsets[k]
-        if table is None:
-            row = self._row(k, local)
-        else:
-            row = list(map(self.p_of.__getitem__, table[local].tolist()))
+        row = self.row(k, (self.mask >> self.shifts[k]) & self.local_masks[k])
         self.held_p[off:off + len(row)] = row
         self.dirty[k] = False
-
-    def _row(self, k: int, local: int) -> list:
-        """Machine k's firing probabilities in local state ``local``, for a
-        machine too large to tabulate: computed on a miss, and kept while its
-        cache has room."""
-        memo = self.memos[k]
-        row = memo.get(local)
-        if row is None:
-            mach = self.machines[k]
-            volts = weight_inputs(mach.coupling, bit_rows(local, local + 1, mach.n)[0],
-                                  self.modes[k], mach.quant)
-            row = list(map(self.p_of.__getitem__, volts))
-            if len(memo) < MEMO_ENTRIES:
-                memo[local] = row
-        return row
 
     def _update(self, t: int, gid: int) -> None:
         wire = self.wires[gid]
@@ -483,22 +495,6 @@ class _Probabilities(dict):
         return p
 
 
-def _weight_modes(network: NetworkSpec) -> list:
-    """Each machine's unit modes as its weight logic is asked for them. A
-    wired unit's input is its wire, so it is asked for as clamped low: its
-    entry is a rail no update reads, and every entry is a voltage."""
-    return [[CLAMPED_LOW if isinstance(p.mode, Wired) else p.mode
-             for p in network.pbits[off:off + mach.n]]
-            for off, mach in zip(network.offsets(), network.machines)]
-
-
-def _voltage_table(mach, modes) -> np.ndarray:
-    """v[state, unit]: the voltage the machine's weight logic publishes for
-    each unit in local state ``state`` (unit k is bit n-1-k), from one call
-    over every state."""
-    return weight_inputs(mach.coupling, bit_rows(0, 1 << mach.n, mach.n), modes, mach.quant)
-
-
 def _composable(network: NetworkSpec, max_updates) -> str:
     """The engine ``run`` gives a run: ``"heap"`` for an update budget, since
     only the heap's cost is fixed by the count, or for a network with a
@@ -601,14 +597,12 @@ def _run_composed(network, seed, stop, last) -> SimulationTrace:
     budget already turned into ``stop`` and ``last``: each tick interval is
     a map on the 2^n states, and the run composes them forward, window by
     window, up to ``stop``."""
-    mach = network.machines[0]
-    n, tau = network.n_total, mach.tau_sample_us
-    # p[state, unit]: every unit's held probability after a refresh in that state
-    p_of = _Probabilities()
-    p = np.array([list(map(p_of.__getitem__, row))
-                  for row in _voltage_table(mach, _weight_modes(network)[0]).tolist()])
+    n = network.n_total
     chunk = min(CHUNK, WINDOW_ENTRIES // (n << n))
-    state, schedules = _units(network, seed, chunk)
+    machines = _Machines(network, seed, chunk)
+    tau, state, schedules = machines.taus[0], machines.mask, machines.schedules
+    # p[state, unit]: every unit's held probability after a refresh in that state
+    p = np.array([machines.row(0, local) for local in range(1 << n)])
     # whole ticks of at most ``chunk`` updates per unit, or a single tick
     span = max(tau, chunk * min(s.min_step for s in schedules) // tau * tau)
 
@@ -630,17 +624,14 @@ def _run_composed(network, seed, stop, last) -> SimulationTrace:
                   np.concatenate(flip_masks), update_counts, one_counts)
 
 
-def _dependence(volts, wired) -> int:
+def _dependence(volts) -> int:
     """The local mask of the bits that some voltage in table ``volts``
-    depends on; a wired unit's column is never read."""
+    depends on; a wired unit's column, a rail, depends on none."""
     n = volts.shape[1]
-    read = volts[:, [not w for w in wired]]
     dep = 0
-    if not read.size:
-        return dep
     for k in range(n):
         # the states without unit k's bit, and the same states with it
-        halves = read.reshape(1 << k, 2, -1, read.shape[1])
+        halves = volts.reshape(1 << k, 2, -1, n)
         if np.any(halves[:, 0] != halves[:, 1]):
             dep |= 1 << (n - 1 - k)
     return dep
@@ -678,7 +669,7 @@ def _rank_ties(times, units, last_t, last_rank) -> dict:
     return rank
 
 
-class _FlipRun:
+class _FlipRun(_Machines):
     """One run of the flip-driven engine, window by window.
 
     Each unit's held probability is constant between two changes of its
@@ -696,18 +687,9 @@ class _FlipRun:
     """
 
     def __init__(self, network: NetworkSpec, seed: int):
-        n = self.n = network.n_total
-        machines = network.machines
-        self.m = len(machines)
-        self.machine_of = network.machine_of()
-        self.offsets = network.offsets()
-        self.taus = [mach.tau_sample_us for mach in machines]
-        self.shifts = [n - off - mach.n for off, mach in zip(self.offsets, machines)]
-        self.volts = [_voltage_table(mach, modes)
-                      for mach, modes in zip(machines, _weight_modes(network))]
-        self.p_of = _Probabilities()
-        self.wire_p = (self.p_of[0.0], self.p_of[V_RAIL])
-        wires = [p.mode if isinstance(p.mode, Wired) else None for p in network.pbits]
+        super().__init__(network, seed, CHUNK)
+        n, wires = self.n, self.wires
+        self.m = len(self.machines)
         self.wired = [w is not None for w in wires]
         self.readers = [[] for _ in range(n)]
         for r, w in enumerate(wires):
@@ -717,16 +699,15 @@ class _FlipRun:
         self.tie_units = sorted({g for r, w in enumerate(wires) if w is not None
                                  and not w.delay_us for g in (r, w.source)})
         # the global mask bits each machine's voltages depend on
-        self.dep_masks = [_dependence(volts, self.wired[off:off + volts.shape[1]]) << shift
-                          for volts, off, shift in zip(self.volts, self.offsets, self.shifts)]
+        self.dep_masks = [_dependence(table) << shift
+                          for table, shift in zip(self.tables, self.shifts)]
         self.bits = [1 << (n - 1 - g) for g in range(n)]
         self.refreshes = [self.dep_masks[k] & bit != 0
                           for k, bit in zip(self.machine_of, self.bits)]
         self.eager = [dep or bool(readers) for dep, readers in zip(self.refreshes, self.readers)]
-        fixed = np.concatenate([np.all(volts == volts[0], axis=0) for volts in self.volts])
+        fixed = np.concatenate([np.all(table == table[0], axis=0) for table in self.tables])
         self.constant = [bool(c) and not w for c, w in zip(fixed, self.wired)]
 
-        self.mask, self.schedules = _units(network, seed, CHUNK)
         self.initial_mask = self.mask
         self.out = [(self.mask >> (n - 1 - g)) & 1 for g in range(n)]
         # each unit's output after the last settled window
@@ -735,9 +716,9 @@ class _FlipRun:
         self.held = [(self.mask & dep) >> shift for dep, shift in zip(self.dep_masks, self.shifts)]
         self.p = [self.wire_p[self.out[w.source]] if w is not None else None for w in wires]
         for k, off in enumerate(self.offsets):
-            for g, v in enumerate(self.volts[k][self.held[k]].tolist(), off):
+            for g, p in enumerate(self.row(k, self.held[k]), off):
                 if not self.wired[g]:
-                    self.p[g] = self.p_of[v]
+                    self.p[g] = p
         self.pending = [False] * self.m
         # events (time, order, code, extra). Refreshes and wire changes have
         # order -1, so they run before the updates of their instant; a flip
@@ -890,9 +871,9 @@ class _FlipRun:
         if local == self.held[k]:
             return
         self.held[k] = local
-        for g, v in enumerate(self.volts[k][local].tolist(), self.offsets[k]):
+        for g, p in enumerate(self.row(k, local), self.offsets[k]):
             if not self.wired[g]:
-                self._set_p(g, t, self.p_of[v])
+                self._set_p(g, t, p)
 
     def _set_p(self, g: int, t: int, p: float) -> None:
         """Unit g holds ``p`` from its first update at or after ``t``."""

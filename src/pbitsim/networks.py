@@ -42,6 +42,8 @@ from .oracle import all_energies, project, state_bits, state_index
 DEGENERACY_TOL = 1e-9
 # the smallest energy gap (in units of i0) a synthesized gate may have
 MIN_GAP = 0.25
+# the most aux assignments synthesis searches when none are listed, one LP each
+SEARCH_LIMIT = 4096
 # Trace states are int64 bitmasks with unit k at bit n-1-k; bit 63 is the sign.
 MAX_UNITS = 63
 
@@ -122,7 +124,7 @@ def gate_to_json(gate: GateSpec) -> dict:
 
 
 def gate_from_json(doc: dict) -> GateSpec:
-    return GateSpec(
+    gate = GateSpec(
         name=doc["name"],
         visible={str(k): int(v) for k, v in doc["visible"].items()},
         inputs=[str(s) for s in doc["inputs"]],
@@ -131,6 +133,9 @@ def gate_from_json(doc: dict) -> GateSpec:
         truth_table=doc["truth_table"],
         j=doc["j"], h=doc["h"],
     )
+    if doc.get("n", gate.n) != gate.n:
+        raise ConfigurationError(f"n is {doc['n']}, but J is {gate.n} x {gate.n}")
+    return gate
 
 
 def save_gate(gate: GateSpec, path) -> None:
@@ -254,7 +259,7 @@ def synthesize_gate_lp(
     to coefficient bounds and accept the first assignment with g >= MIN_GAP.
     ``aux_assignments`` optionally lists candidate assignments (one aux word
     below 2**n_aux per truth row); otherwise all are tried in lexicographic
-    order.
+    order, and a search of more than ``SEARCH_LIMIT`` is refused.
     Solutions are snapped to a quarter-integer grid when the snapped gate
     still verifies with a gap of at least MIN_GAP.
     """
@@ -272,6 +277,10 @@ def synthesize_gate_lp(
     n_params = phi.shape[1]
 
     if aux_assignments is None:
+        if 1 << (n_aux * n_rows) > SEARCH_LIMIT:
+            raise CapacityError(
+                f"searching every aux assignment would solve 2**{n_aux * n_rows} LPs, "
+                f"past the limit of {SEARCH_LIMIT}; list candidates in aux_assignments")
         aux_assignments = itertools.product(range(1 << n_aux), repeat=n_rows)
     elif any(len(a) != n_rows or not all(0 <= w < 1 << n_aux for w in a)
              for a in aux_assignments):

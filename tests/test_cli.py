@@ -2,12 +2,14 @@
 
 import contextlib
 import dataclasses
+import itertools
 import json
 import signal
 
 import jsonschema
 import numpy as np
 import pytest
+import scipy.optimize
 
 from pbitsim import dynamics
 from pbitsim.analysis import sweep_sampling_time
@@ -461,6 +463,17 @@ class TestVerify:
         assert main(["verify", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("n, message", [
+        (7, "n is 7, but J is 3 x 3"),
+        ("3", "'3' is not of type 'integer'"),
+    ], ids=["mismatch", "not_an_integer"])
+    def test_n_must_match_j(self, tmp_path, capsys, n, message):
+        # an n of 7 used to be ignored, and the gate verified as ok
+        path = tmp_path / "and.json"
+        path.write_text(json.dumps({**gate_to_json(load_gate("and")), "n": n}))
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_json_lists_spurious_states(self, tmp_path, capsys):
         # with J and h all zero every state is a ground state
         gate = dataclasses.replace(load_gate("and"), j=np.zeros((3, 3)), h=np.zeros(3))
@@ -559,6 +572,22 @@ class TestSynth:
         assert main(["synth", str(spec), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: gate name {name!r} is not a plain file name\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.json"]
+
+    def test_unbounded_search_refused(self, tmp_path, capsys, monkeypatch):
+        # 4-input parity with one aux bit: searching every assignment of 16
+        # rows would solve 2**16 LPs and used to run on for minutes
+        def no_lp(*args, **kwargs):
+            raise AssertionError("the search started solving")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
+        table = [[*bits, sum(bits) % 2] for bits in itertools.product((0, 1), repeat=4)]
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps({"name": "parity4", "table": table, "n_aux": 1}))
+        assert main(["synth", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: searching every aux assignment would solve 2**16 LPs, past the "
+            "limit of 4096; list candidates in aux_assignments\n")
+        assert not (tmp_path / "o").exists()
 
     def test_infeasible_exits_three(self, tmp_path):
         spec = tmp_path / "xor.json"

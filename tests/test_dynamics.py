@@ -308,10 +308,15 @@ class TestEventCounts:
         assert len(pops) >= len(flips) + len(refreshes)
         assert len(flips) + len(refreshes) <= 0.05 * updates
 
-    def test_control_tabulates_each_machine_once(self, monkeypatch):
+    @pytest.mark.parametrize("budget, engine, ran", [
+        ({"max_samples": 5000}, "flips", lambda trace: len(trace) == 5000),
+        ({"max_updates": 20_000}, "heap", lambda trace: trace.update_counts.sum() == 20_000),
+    ], ids=["samples", "updates"])
+    def test_control_tabulates_each_machine_once(self, monkeypatch, budget, engine, ran):
         # the factorizer at i0 = 0: its 13-unit machines visit thousands of
-        # local states, and each machine calls the weight logic once; the
-        # sigmoid runs at most once per voltage published or read off a wire
+        # local states, and each machine calls the weight logic once, on the
+        # flip-driven engine and on the heap alike; the sigmoid runs at most
+        # once per voltage published or read off a wire
         net = build_network({
             "name": "control", "seed": 0,
             "network": {"kind": "factorizer", "i0": 0.0, "tau_sample_us": 2000},
@@ -329,8 +334,9 @@ class TestEventCounts:
 
         monkeypatch.setattr(dynamics, "weight_inputs", tabulating)
         monkeypatch.setattr(dynamics, "sigmoid", sigmoid_calls)
-        trace = run(net, seed=11, max_samples=5000)
-        assert len(trace) == 5000
+        assert dynamics._composable(net, budget.get("max_updates")) == engine
+        trace = run(net, seed=11, **budget)
+        assert ran(trace)
         assert len(tables) == len(net.machines) == 4
         published = {0.0, 5.0}.union(*(t[~np.isnan(t)].tolist() for t in tables))
         assert len(sigmoid_args) == len(set(sigmoid_args)) <= len(published)
