@@ -63,7 +63,9 @@ SCENARIO_SCHEMA = {
                 "h": {"type": "array"},
                 "labels": {"type": "object",
                            "additionalProperties": {"type": "integer", "minimum": 0}},
-                "i0": {"type": "number", "minimum": 0},
+                # float64 holds every integer exactly only up to 2**53, and
+                # numpy's checks take no integer past int64
+                "i0": {"type": "number", "minimum": 0, "maximum": 2 ** sys.float_info.mant_dig},
                 "tau_sample_us": {"type": "integer", "minimum": 1},
                 # float64 holds every DAC code exactly up to 2**53
                 "dac_bits": {"type": "integer", "minimum": 0,
@@ -176,16 +178,25 @@ PLANS_SCHEMA = {
 }
 
 
+# JSON Schema's "integer" admits an integral float such as 2.0, which the
+# program would then use where it needs an int; this validator refuses it
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)))
+
+
 def _validate(doc, schema: dict) -> None:
     """Raise the best-matching error of ``doc`` under one of the schemas
-    above, as ``jsonschema.validate`` does, but without checking the schema
-    itself against its metaschema on every call, which costs far more than
-    the validation; the tests check each schema once.
+    above, as ``jsonschema.validate`` does, but with an ``integer`` type
+    that refuses floats, and without checking the schema itself against its
+    metaschema on every call, which costs far more than the validation; the
+    tests check each schema once.
 
     A broken ``not`` rule is reported by the fields it forbids, since
     jsonschema's message echoes the whole object, matrices and lists too."""
     error = jsonschema.exceptions.best_match(
-        jsonschema.Draft202012Validator(schema).iter_errors(doc))
+        _Validator(schema).iter_errors(doc))
     if error is None:
         return
     if error.validator == "not":  # {"required": [...]} or {"anyOf": [{"required": [f]}, ...]}

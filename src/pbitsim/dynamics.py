@@ -47,19 +47,22 @@ each draws its ``u`` and then, with jitter f, the interval to the next,
 updates ahead and the other engines more; none of them changes a bit.
 
 Three engines run a network, and they give the same trace and end time.
-``_composable`` picks one from the network and the budget:
+``_composable`` picks one from the network alone, under any budget:
 
-- ``"heap"``, the event heap of ``Simulator``, for every run with an
-  update budget and every network with a machine too large to tabulate;
-- ``"composed"`` for the other runs on one machine of at most
-  ``COMPOSED_UNITS`` (8) units (one machine holds no wire), which compose
-  per-tick state maps;
-- ``"flips"`` for every other run, which steps only the flips that other
-  units read.
+- ``"heap"``, the event heap of ``Simulator``, for every network with a
+  machine too large to tabulate;
+- ``"composed"`` for one machine of at most ``COMPOSED_UNITS`` (8) units
+  (one machine holds no wire), which composes per-tick state maps;
+- ``"flips"`` for every other network, which steps only the flips that
+  other units read.
 
-So the two fast engines take only sample and duration budgets. An update
-budget's run costs the heap a fixed amount per update; on the flip-driven
-engine its cost would follow its flips, which vary between seeds.
+The heap counts the updates of an update budget as it runs them. The two
+fast engines take it as a cut made before the run: update times come from
+the schedules alone, so ``_cut`` finds the instant t_cut of the budget's
+last update in the heap's order, and each unit's updates up to and
+including it, from fresh schedules; the engine then runs to t_cut + 1 and
+takes no more than its count of each unit's updates. Where a sample or
+duration budget ends the run first, it binds and no cut applies.
 
 In one machine without wires the published voltages change only at lattice
 ticks: a refresh runs before the updates at its tick, and a clean refresh
@@ -95,15 +98,17 @@ zero-delay wires need the heap's order of equal-time updates
 unit id); the engine ranks an instant's updates only among the ends of
 such wires, and only where several of them tie.
 
-Both window engines take their updates by one rule, ``_windows``: a
-window holds every unit's updates before its end, each window spans a
-fixed time, and the span bounds a unit's updates in a window.
+Both window engines, the cut and ``update_order`` take their updates by
+one rule, ``_windows``: a window holds every unit's updates before its
+end, up to a unit's cap if it has one, each window spans a fixed time, and
+the span bounds a unit's updates in a window.
 
 No engine logs its updates. A unit's update times come from its schedule
 alone, and its outputs never feed back into them, so ``update_order``
 rebuilds the heap's order of a run's updates from the per-unit counts of
 its trace: each unit's first updates, sorted by time and, within an
-instant, by ``_rank_ties`` over every unit.
+instant, by ``_rank_ties`` over every unit, window by window
+(``_tie_ranks``, which the cut reads too).
 
 Every virtual time of a run, the updates drawn ahead included, stays below
 ``TIME_LIMIT_US`` (2^62 µs), so int64 arrays hold it; ``run`` refuses a
@@ -116,7 +121,6 @@ import functools
 import heapq
 import math
 from bisect import bisect_right
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -495,14 +499,13 @@ class _Probabilities(dict):
         return p
 
 
-def _composable(network: NetworkSpec, max_updates) -> str:
-    """The engine ``run`` gives a run: ``"heap"`` for an update budget, since
-    only the heap's cost is fixed by the count, or for a network with a
-    machine of more than ``TABLE_UNITS`` units, whose voltage table the other
-    engines read; ``"composed"`` for one machine (``NetworkSpec.validate``
-    allows no wire inside a machine) of at most ``COMPOSED_UNITS`` units;
-    ``"flips"`` for any other run."""
-    if max_updates is not None or any(m.n > TABLE_UNITS for m in network.machines):
+def _composable(network: NetworkSpec) -> str:
+    """The engine ``run`` gives a network, under any budget: ``"heap"`` for
+    a network with a machine of more than ``TABLE_UNITS`` units, whose
+    voltage table the other engines read; ``"composed"`` for one machine
+    (``NetworkSpec.validate`` allows no wire inside a machine) of at most
+    ``COMPOSED_UNITS`` units; ``"flips"`` for any other network."""
+    if any(m.n > TABLE_UNITS for m in network.machines):
         return "heap"
     if len(network.machines) == 1 and network.n_total <= COMPOSED_UNITS:
         return "composed"
@@ -528,17 +531,20 @@ def _check_horizon(pbits, taus, max_samples, duration_us, max_updates) -> None:
             "or sampling period")
 
 
-def _windows(schedules, span, stop):
-    """Every unit's updates before ``stop``, window by window: for each
-    window of ``span`` from 0, its end and the updates before it, unit g's
-    times ``times[g]`` and comparison values ``u[g]``, taken from its
-    schedule and refilled as needed."""
+def _windows(schedules, span, stop, caps=None):
+    """Every unit's updates before ``stop``, or its first ``caps[g]`` of
+    them, window by window: for each window of ``span`` from 0, its end and
+    the updates before it, unit g's times ``times[g]`` and comparison values
+    ``u[g]``, taken from its schedule and refilled as needed."""
+    left = [math.inf] * len(schedules) if caps is None else [int(c) for c in caps]
     for start in range(0, stop, span):
         end = min(start + span, stop)
         for s in schedules:
             while s.next_t < end:
                 s.refill(end)
-        times, u = zip(*[s.take(int(s.times.searchsorted(end))) for s in schedules])
+        counts = [min(int(s.times.searchsorted(end)), c) for s, c in zip(schedules, left)]
+        left = [c - k for c, k in zip(left, counts)]
+        times, u = zip(*[s.take(k) for s, k in zip(schedules, counts)])
         yield end, times, u
 
 
@@ -592,11 +598,12 @@ def _run_heap(network, seed, stop, last, max_updates) -> SimulationTrace:
     return sim.trace(last)
 
 
-def _run_composed(network, seed, stop, last) -> SimulationTrace:
-    """``run`` for a network and budget that ``_composable`` admits, with the
-    budget already turned into ``stop`` and ``last``: each tick interval is
-    a map on the 2^n states, and the run composes them forward, window by
-    window, up to ``stop``."""
+def _run_composed(network, seed, stop, last, caps) -> SimulationTrace:
+    """``run`` for a network that ``_composable`` gives the composed engine,
+    with the budgets already turned into ``stop``, ``last`` and the update
+    ``caps`` of each unit (or None): each tick interval is a map on the 2^n
+    states, and the run composes them forward, window by window, up to
+    ``stop``."""
     n = network.n_total
     chunk = min(CHUNK, WINDOW_ENTRIES // (n << n))
     machines = _Machines(network, seed, chunk)
@@ -610,7 +617,7 @@ def _run_composed(network, seed, stop, last) -> SimulationTrace:
     update_counts = np.zeros(n, dtype=np.int64)
     one_counts = np.zeros(n, dtype=np.int64)
     clock = 0
-    for _, times, u in _windows(schedules, span, stop):
+    for _, times, u in _windows(schedules, span, stop, caps):
         counts = [len(t) for t in times]
         if not sum(counts):
             continue
@@ -643,30 +650,74 @@ def _rank_ties(times, units, last_t, last_rank) -> dict:
     fall. They run in the order of each one's previous update, the earlier
     first, and among updates whose previous ones fell in one instant, by
     their ranks there; unit g's update before ``times[g][0]`` fell at
-    ``last_t[g]`` with rank ``last_rank[g]``, which are -1 and g before its
-    first update. How two units' updates are ordered depends on those two
-    units alone, so ranks among any set of units order its members as the
-    heap does. An update at an instant without a tie has no entry."""
-    rank = {}
+    ``last_t[g]``, before every time in ``times``, with rank
+    ``last_rank[g]``, which are -1 and g before its first update. How two
+    units' updates are ordered depends on those two units alone, so ranks
+    among any set of units order its members as the heap does. An update at
+    an instant without a tie has no entry.
+
+    So two tied updates run in the order of their units' sequences of
+    earlier update times, compared backwards from the tie. A tied update's
+    sequence runs back through tied updates to an anchor, which is unique: a
+    previous update at an instant without a tie, or, before the first
+    update in ``times``, the unit's update before them, valued below every
+    time. Pointer jumping ranks all of these sequences at once, doubling
+    the length compared in each round (the prefix doubling of suffix
+    sorting), until every sequence has met its anchor."""
+    units = list(units)
     counts = [len(times[g]) for g in units]
     flat = np.concatenate([times[g] for g in units] + [[]]).astype(np.int64)
     ordered = np.sort(flat)
     same = ordered[1:] == ordered[:-1]
     if not same.any():
-        return rank
+        return {}
     tied = np.unique(ordered[1:][same])
     at = np.minimum(tied.searchsorted(flat), len(tied) - 1)
     hit = np.flatnonzero(tied[at] == flat)
     place = np.repeat(np.arange(len(units)), counts)[hit]
-    owner = np.array(units)[place]
     index = hit - np.cumsum([0] + counts[:-1])[place]
-    order = np.lexsort((owner, flat[hit]))
-    hits = zip(flat[hit][order].tolist(), owner[order].tolist(), index[order].tolist())
-    for _, group in itertools.groupby(hits, key=lambda h: h[0]):
-        keyed = sorted(((int(times[g][i - 1]), rank.get((g, i - 1), 0)) if i
-                        else (last_t[g], last_rank[g]), g, i) for _, g, i in group)
-        rank.update(((g, i), r) for r, (_, g, i) in enumerate(keyed))
-    return rank
+    k = len(hit)
+    # a tied update whose unit's previous update is tied too follows it
+    chained = np.append(False, (hit[1:] == hit[:-1] + 1) & (place[1:] == place[:-1]))
+    heads = np.flatnonzero(~chained)
+    # the anchors: the time of an untied previous update, or below every
+    # time, in the order of the units' (last_t, last_rank)
+    before = np.lexsort(([last_rank[g] for g in units], [last_t[g] for g in units]))
+    below = np.empty(len(units), dtype=np.int64)
+    below[before] = np.arange(len(units)) - len(units) - 1
+    anchors = np.where(index[heads] > 0, flat[hit[heads] - 1], below[place[heads]])
+    value = np.concatenate((flat[hit], anchors))
+    # each sequence's element before, in ``value``; an anchor points to itself
+    prev = np.concatenate((np.where(chained, np.arange(k) - 1, k + np.cumsum(~chained) - 1),
+                           np.arange(k, k + len(heads))))
+    rank = np.unique(value, return_inverse=True)[1]
+    while rank.max() + 1 < len(value):
+        rank = np.unique(rank * len(value) + rank[prev], return_inverse=True)[1]
+        prev = prev[prev]
+    rank = rank[:k]
+    order = np.lexsort((rank, flat[hit]))
+    at_time = flat[hit][order]
+    within = np.empty(k, dtype=np.int64)
+    within[order] = np.arange(k) - at_time.searchsorted(at_time)
+    owner = np.array(units)[place]
+    return dict(zip(zip(owner.tolist(), index.tolist()), within.tolist()))
+
+
+def _tie_ranks(schedules, stop, caps=None):
+    """The updates of ``schedules`` before ``stop``, or the first ``caps[g]``
+    of schedule g, window by window: each window's times ``times[g]`` and
+    their ``_rank_ties`` ranks among all the schedules, its state carried
+    from one window to the next. g is a schedule's index in ``schedules``,
+    which are in unit order."""
+    n = len(schedules)
+    last_t, last_rank = [-1] * n, list(range(n))
+    span = CHUNK * min(s.min_step for s in schedules)
+    for _, times, _ in _windows(schedules, span, stop, caps):
+        rank = _rank_ties(times, range(n), last_t, last_rank)
+        yield times, rank
+        for g, ts in enumerate(times):
+            if len(ts):
+                last_t[g], last_rank[g] = int(ts[-1]), rank.get((g, len(ts) - 1), 0)
 
 
 class _FlipRun(_Machines):
@@ -926,18 +977,60 @@ class _FlipRun(_Machines):
                       self.one_counts)
 
 
-def _run_flips(network, seed, stop, last) -> SimulationTrace:
-    """``run`` for a network and budget that ``_composable`` gives the
-    flip-driven engine, with the sample and duration budgets already turned
-    into ``stop`` and ``last``. Schedules are drawn in windows of at most
-    ``CHUNK`` updates per unit."""
+def _run_flips(network, seed, stop, last, caps) -> SimulationTrace:
+    """``run`` for a network that ``_composable`` gives the flip-driven
+    engine, with the budgets already turned into ``stop``, ``last`` and the
+    update ``caps`` of each unit (or None). Schedules are drawn in windows
+    of at most ``CHUNK`` updates per unit."""
     run_ = _FlipRun(network, seed)
     span = CHUNK * min(s.min_step for s in run_.schedules)
-    for end, times, u in _windows(run_.schedules, span, stop):
+    for end, times, u in _windows(run_.schedules, span, stop, caps):
         run_.begin(times, u)
         run_.advance(end)
         run_.settle()
     return run_.trace(last)
+
+
+def _cut(network: NetworkSpec, seed: int, max_updates: int, stop):
+    """Where an update budget ends a run, from the schedules alone, or None
+    if the run reaches ``stop`` (None for no bound) first: the time t_cut of
+    the ``max_updates``-th update in the heap's order, and each unit's
+    updates up to and including that one. A walk over fresh schedules,
+    window by window, counts the updates and finds the window and the
+    instant of that update; only if the budget ends inside an instant of
+    several updates does a second walk rank its units' updates up to that
+    instant by the heap's tie rule (``_tie_ranks``). Neither walk holds
+    more than a window of updates per unit, and the first one's windows
+    hold no more than the budget's share of each unit's updates. The cut of
+    no updates is t_cut = -1."""
+    n = network.n_total
+    caps = np.zeros(n, dtype=np.int64)
+    if not max_updates:
+        return -1, caps
+    _, schedules = _units(network, seed, CHUNK)
+    span = min(CHUNK, -(-max_updates // n)) * min(s.min_step for s in schedules)
+    left = max_updates
+    for _, times, _ in _windows(schedules, span, TIME_LIMIT_US if stop is None else stop):
+        counts = list(map(len, times))
+        if sum(counts) < left:
+            caps += counts
+            left -= sum(counts)
+            continue
+        t_cut = int(np.partition(np.concatenate(times), left - 1)[left - 1])
+        before = [int(ts.searchsorted(t_cut)) for ts in times]
+        caps += before
+        left -= sum(before)
+        at_cut = [g for g, (ts, i) in enumerate(zip(times, before))
+                  if i < len(ts) and ts[i] == t_cut]
+        if left < len(at_cut):
+            _, schedules = _units(network, seed, CHUNK)
+            for window, rank in _tie_ranks([schedules[g] for g in at_cut], t_cut + 1):
+                pass  # the last window ends with the tied updates at t_cut
+            order = sorted(range(len(at_cut)), key=lambda j: rank[(j, len(window[j]) - 1)])
+            at_cut = [at_cut[j] for j in order]
+        caps[at_cut[:left]] += 1
+        return t_cut, caps
+    return None
 
 
 def run(
@@ -953,12 +1046,15 @@ def run(
     ``max_samples`` counts trace rows and stops at the last one's time s*,
     running the events strictly before it; ``max_updates`` counts unit
     update events and ends the samples at the last update's time. A zero
-    budget yields an empty trace. ``_composable`` picks the engine: the
-    event heap for an update budget or a machine too large to tabulate,
-    per-tick state maps for a machine of up to ``COMPOSED_UNITS`` units,
-    and the flip-driven engine for any other run. All three give the same
-    trace. A run whose virtual times could reach ``TIME_LIMIT_US`` is
-    refused. ``update_order`` gives the order of the run's updates.
+    budget yields an empty trace. ``_composable`` picks the engine from the
+    network: the event heap for a machine too large to tabulate, per-tick
+    state maps for a machine of up to ``COMPOSED_UNITS`` units, and the
+    flip-driven engine for any other network. All three give the same
+    trace. The heap counts its updates as it runs; for the other two
+    engines ``_cut`` turns an update budget into ``stop``, ``last`` and
+    per-unit caps before the run, unless another budget ends the run first.
+    A run whose virtual times could reach ``TIME_LIMIT_US`` is refused.
+    ``update_order`` gives the order of the run's updates.
     """
     if max_samples is None and duration_us is None and max_updates is None:
         raise ConfigurationError("a sample, update, or duration budget is required")
@@ -973,30 +1069,32 @@ def run(
         s_star = sample_time(taus, max_samples - 1) if max_samples > 0 else -1
         if stop is None or s_star < stop:
             stop, last = s_star, s_star
-    engine = _composable(network, max_updates)
-    if engine == "composed":
-        return _run_composed(network, seed, stop, last)
-    if engine == "flips":
-        return _run_flips(network, seed, stop, last)
-    return _run_heap(network, seed, stop, last, max_updates)
+    engine = _composable(network)
+    if engine == "heap":
+        return _run_heap(network, seed, stop, last, max_updates)
+    cut = None if max_updates is None else _cut(network, seed, max_updates, stop)
+    caps = None
+    if cut is not None:
+        t_cut, caps = cut
+        stop, last = t_cut + 1, t_cut
+    run_engine = _run_composed if engine == "composed" else _run_flips
+    return run_engine(network, seed, stop, last, caps)
 
 
 def update_order(network: NetworkSpec, seed: int, update_counts) -> list:
     """The ``(time, unit)`` pair of every update of a run, in the order the
     event heap runs them, from the run's ``update_counts``: each unit g's
     first ``update_counts[g]`` updates from a fresh schedule, sorted by
-    time and, within an instant, by ``_rank_ties`` over every unit."""
-    n = network.n_total
+    time and, within an instant, by ``_rank_ties`` over every unit
+    (``_tie_ranks``)."""
     _, schedules = _units(network, seed, CHUNK)
-    times = []
-    for s, count in zip(schedules, update_counts):
-        while len(s.times) < count:
-            s.refill(TIME_LIMIT_US)
-        times.append(s.times[:count])
-    rank = _rank_ties(times, range(n), [-1] * n, list(range(n)))
-    events = sorted((t, rank.get((g, i), 0), g)
-                    for g, ts in enumerate(times) for i, t in enumerate(ts.tolist()))
-    return [(t, g) for t, _, g in events]
+    total, events = int(sum(update_counts)), []
+    for times, rank in _tie_ranks(schedules, TIME_LIMIT_US, update_counts):
+        events += [(t, g) for t, _, g in sorted(
+            (t, rank.get((g, i), 0), g) for g, ts in enumerate(times)
+            for i, t in enumerate(ts.tolist()))]
+        if len(events) == total:
+            return events
 
 
 def serialization_metric(aligned, start: int = 0, end: int = None) -> float:

@@ -61,15 +61,22 @@ def test_install_wraps_and_restore_puts_originals_back(recorder):
 def test_traced_run_reaches_every_layer(recorder, tmp_path, capsys):
     rec, _ = recorder
     networks.load_gate.cache_clear()  # a fresh pbitsim process loads its gates cold
-    scenario = tmp_path / "and.json"
-    # an update budget on a 14-unit machine: the event heap runs it, so
-    # Simulator.step is reached
-    scenario.write_text(json.dumps({
-        "name": "hooks", "seed": 3, "updates": 300,
-        "network": {"kind": "full_adder", "i0": 1.0},
-        "retention_us": 20_000,
-    }))
-    assert cli.main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 0
+    # a full adder, a shipped gate that is verified when loaded, and a
+    # 15-unit matrix machine, too large to tabulate: the event heap runs
+    # it, so Simulator.step is reached
+    n = dynamics.TABLE_UNITS + 1
+    docs = [
+        {"name": "hooks", "seed": 3, "updates": 300,
+         "network": {"kind": "full_adder", "i0": 1.0}, "retention_us": 20_000},
+        {"name": "hooks_matrix", "seed": 3, "samples": 300,
+         "network": {"kind": "matrix", "i0": 1.0, "j": [[0.0] * n] * n, "h": [0.5] * n},
+         "retention_us": 20_000},
+    ]
+    for doc in docs:
+        scenario = tmp_path / f"{doc['name']}.json"
+        scenario.write_text(json.dumps(doc))
+        out = tmp_path / doc["name"]
+        assert cli.main(["run", str(scenario), "--out", str(out)]) == 0
     for name in ("cli.main", "cli.load_scenario", "cli.build_network",
                  "networks.single_machine_network", "networks.verify_ground_states",
                  "dynamics.run", "analysis.histogram", "analysis.mode_report",

@@ -224,6 +224,29 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: 2000 is greater than the maximum of 53\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("fields", [
+        {"seed": 2.0},
+        {"samples": 1000.0},
+        {"updates": 1000.0},
+        {"network": {"kind": "gate", "gate": "and", "i0": 0.8, "dac_bits": 4.0}},
+    ], ids=["seed", "samples", "updates", "dac_bits"])
+    def test_integral_floats_rejected(self, tmp_path, capsys, fields):
+        # JSON Schema's integer admits 2.0: the seed, samples and DAC bits
+        # used to end in a TypeError traceback, and the update budget ran
+        path = write_scenario(tmp_path / "f.json", **fields)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.endswith(".0 is not of type 'integer'\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_huge_i0_rejected(self, tmp_path, capsys):
+        # 2**70 used to end in a TypeError traceback from np.isfinite
+        path = write_scenario(tmp_path / "i.json", network={
+            "kind": "gate", "gate": "and", "i0": 2 ** 70})
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: 1180591620717411303424 is greater than the maximum of 9007199254740992\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command, flag", [
         ("verify", "--seed"), ("verify", "--out"),
         ("synth", "--seed"), ("synth", "--format"),

@@ -2,7 +2,9 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from pbitsim import dynamics
 from pbitsim.analysis import histogram
-from pbitsim.cli import build_network
+from pbitsim.cli import build_network, load_scenario
 from pbitsim.core import (
     CLAMPED_HIGH,
     CLAMPED_LOW,
@@ -33,6 +35,8 @@ from pbitsim.networks import (
 from pbitsim.oracle import project
 from pbitsim.dynamics import (PRIO_REFRESH, Simulator, alignment_flags, run, sample_count,
                               sample_time, serialization_metric, update_order)
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def and_net(i0=0.8, tau_sample_us=None, retention_us=None):
@@ -164,10 +168,28 @@ class TestBudgets:
         with pytest.raises(ConfigurationError):
             run(and_net(), seed=2)
 
+    def test_update_cut_holds_a_window_per_unit(self, monkeypatch):
+        # 2M updates of the and_serialization network are cut from its
+        # schedules window by window: a schedule never holds more than one
+        # window of CHUNK updates and what its last refill drew past it
+        held, refill = [], dynamics._Schedule.refill
+
+        def holding(schedule, horizon):
+            refill(schedule, horizon)
+            held.append(len(schedule.times))
+
+        monkeypatch.setattr(dynamics._Schedule, "refill", holding)
+        net = build_network(load_scenario(SCENARIOS / "and_serialization.json"))
+        _, caps = dynamics._cut(net, 4, 2_000_000, None)
+        assert caps.sum() == 2_000_000
+        assert len(held) > 2_000_000 // dynamics.CHUNK
+        assert max(held) <= 2 * dynamics.CHUNK
+
 
 def two_and_net(tau_sample_us, retention_us):
     """Two AND machines, the second one's A wired to the first one's C: a
-    network the event heap runs."""
+    network the flip-driven engine runs, and the event heap through
+    ``heap_run``."""
     gate = load_gate("and")
     mach = lambda name: MachineSpec(name, gate.coupling(0.8), tau_sample_us=tau_sample_us)
     pbits = [PBitConfig(id=k, retention_us=retention_us) for k in range(6)]
@@ -310,12 +332,12 @@ class TestEventCounts:
 
     @pytest.mark.parametrize("budget, engine, ran", [
         ({"max_samples": 5000}, "flips", lambda trace: len(trace) == 5000),
-        ({"max_updates": 20_000}, "heap", lambda trace: trace.update_counts.sum() == 20_000),
+        ({"max_updates": 20_000}, "flips", lambda trace: trace.update_counts.sum() == 20_000),
     ], ids=["samples", "updates"])
     def test_control_tabulates_each_machine_once(self, monkeypatch, budget, engine, ran):
         # the factorizer at i0 = 0: its 13-unit machines visit thousands of
-        # local states, and each machine calls the weight logic once, on the
-        # flip-driven engine and on the heap alike; the sigmoid runs at most
+        # local states, and each machine calls the weight logic once, under a
+        # sample and an update budget alike; the sigmoid runs at most
         # once per voltage published or read off a wire
         net = build_network({
             "name": "control", "seed": 0,
@@ -334,7 +356,7 @@ class TestEventCounts:
 
         monkeypatch.setattr(dynamics, "weight_inputs", tabulating)
         monkeypatch.setattr(dynamics, "sigmoid", sigmoid_calls)
-        assert dynamics._composable(net, budget.get("max_updates")) == engine
+        assert dynamics._composable(net) == engine
         trace = run(net, seed=11, **budget)
         assert ran(trace)
         assert len(tables) == len(net.machines) == 4
@@ -407,7 +429,7 @@ class TestRandomStreams:
     @pytest.mark.parametrize("make_net", [and_net, two_and_net], ids=["one_machine", "heap"])
     def test_update_times_match_scalar_jitter(self, make_net, f):
         # every unit's update times, rebuilt from scalar draws on its
-        # generator; an update budget steps the heap on both networks
+        # generator, on one machine and on two wired ones
         net = make_net(retention_us=1000, tau_sample_us=100)
         net.set_jitter(f)
         trace = run(net, seed=4, max_updates=3 * net.n_total * dynamics.BLOCK)
@@ -523,6 +545,13 @@ def digest(trace):
     return h.hexdigest()
 
 
+def matrix_net(n):
+    """One machine of n uncoupled units."""
+    return NetworkSpec(
+        [MachineSpec("m", CouplingMatrix(np.zeros((n, n)), np.zeros(n), 1.0))],
+        [PBitConfig(id=k, retention_us=1000) for k in range(n)])
+
+
 @st.composite
 def small_machines(draw, units=(1, 8)):
     """A random machine of ``units`` (least, most) units with clamps, phases,
@@ -558,19 +587,19 @@ def small_machines(draw, units=(1, 8)):
 budgets = st.fixed_dictionaries({}, optional={
     "max_samples": st.integers(0, 3000),
     "duration_us": st.integers(0, 300_000),
+    "max_updates": st.integers(0, 3000),
 }).filter(bool)
 
 
 class TestComposedEngine:
-    """One-machine runs of up to 8 units under sample and duration budgets
-    compose per-tick state maps; they must give the heap's bits under every
-    such budget and window size."""
+    """One-machine runs of up to 8 units compose per-tick state maps; they
+    must give the heap's bits under every budget and window size."""
 
     @settings(max_examples=150, deadline=None)
     @given(net=small_machines(), seed=st.integers(0, 2**32), budget=budgets,
            chunk=st.sampled_from([3, 64, dynamics.CHUNK]))
     def test_matches_the_heap(self, net, seed, budget, chunk):
-        assert dynamics._composable(net, None) == "composed"
+        assert dynamics._composable(net) == "composed"
         want = heap_run(net, seed, **budget)
         with mock.patch.object(dynamics, "CHUNK", chunk):
             got = run(net, seed, **budget)
@@ -591,24 +620,24 @@ class TestComposedEngine:
     def test_untabulated_machines_step_the_heap(self):
         # a one-machine run past COMPOSED_UNITS takes the flip-driven
         # engine; only a machine past TABLE_UNITS sends a run to the heap
-        machine = lambda n: NetworkSpec(
-            [MachineSpec("m", CouplingMatrix(np.zeros((n, n)), np.zeros(n), 1.0))],
-            [PBitConfig(id=k, retention_us=1000) for k in range(n)])
-        assert dynamics._composable(machine(9), None) == "flips"
-        assert dynamics._composable(machine(dynamics.TABLE_UNITS + 1), None) == "heap"
-        assert dynamics._composable(and_net(), None) == "composed"
-        assert dynamics._composable(two_and_net(1000, 1000), None) == "flips"
+        assert dynamics._composable(matrix_net(9)) == "flips"
+        assert dynamics._composable(matrix_net(dynamics.TABLE_UNITS + 1)) == "heap"
+        assert dynamics._composable(and_net()) == "composed"
+        assert dynamics._composable(two_and_net(1000, 1000)) == "flips"
 
     @pytest.mark.parametrize("net, budget, heap", [
-        (and_net, {"max_updates": 100}, True),
+        (and_net, {"max_updates": 100}, False),
         (and_net, {"max_samples": 100}, False),
-        (lambda: two_and_net(1000, 1000), {"max_updates": 100}, True),
+        (lambda: two_and_net(1000, 1000), {"max_updates": 100}, False),
         (lambda: two_and_net(1000, 1000), {"max_samples": 100}, False),
+        (lambda: matrix_net(dynamics.TABLE_UNITS + 1), {"max_updates": 100}, True),
     ], ids=["max_updates", "max_samples",
-            "two_machines_max_updates", "two_machines_max_samples"])
+            "two_machines_max_updates", "two_machines_max_samples",
+            "untabulated_max_updates"])
     def test_update_budgets_step_the_heap(self, monkeypatch, net, budget, heap):
-        # only a run without an update budget composes maps or takes the
-        # flip-driven engine; the heap's cost is fixed by the budget
+        # an update budget steps the heap only where the network does: a
+        # tabulated network composes maps or takes the flip-driven engine
+        # under every budget, the update budget cut from its schedules
         steps = []
         step = Simulator.step
         monkeypatch.setattr(Simulator, "step", lambda sim: steps.append(sim) or step(sim))
@@ -666,13 +695,12 @@ def small_networks(draw):
 
 class TestFlipEngine:
     """Runs on several machines, or on one machine of 9 to ``TABLE_UNITS``
-    units, under sample and duration budgets go to the flip-driven engine;
-    under every such budget and window size it must give the heap's bits,
-    end time and length."""
+    units, go to the flip-driven engine; under every budget and window size
+    it must give the heap's bits, end time and length."""
 
     @staticmethod
     def _check(net, seed, budget, chunk):
-        assert dynamics._composable(net, None) == "flips"
+        assert dynamics._composable(net) == "flips"
         want = heap_run(net, seed, **budget)
         with mock.patch.object(dynamics, "CHUNK", chunk):
             got = run(net, seed, **budget)
@@ -710,6 +738,45 @@ class TestUpdateOrder:
                                lambda sim, t, gid: log.append((t, gid)) or update(sim, t, gid)):
             trace = heap_run(net, seed, **budget)
         assert update_order(net, seed, trace.update_counts) == log
+
+
+def rank_ties_by_instant(times, units, last_t, last_rank) -> dict:
+    """``dynamics._rank_ties`` instant by instant: each tied update keyed by
+    its previous update's time and rank, the rank already given to it."""
+    rank = {}
+    events = sorted((int(t), g, i) for g in units for i, t in enumerate(times[g]))
+    for t, group in itertools.groupby(events, key=lambda e: e[0]):
+        group = list(group)
+        if len(group) < 2:
+            continue
+        keyed = sorted(((int(times[g][i - 1]), rank.get((g, i - 1), 0)) if i
+                        else (last_t[g], last_rank[g]), g, i) for _, g, i in group)
+        rank.update(((g, i), r) for r, (_, g, i) in enumerate(keyed))
+    return rank
+
+
+class TestTieRanks:
+    """``_rank_ties`` ranks every tied instant at once by pointer jumping;
+    it must give the ranks of the rule applied one instant at a time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), span=st.integers(0, 40))
+    def test_matches_the_rule_by_instant(self, data, n, span):
+        # few distinct times, so that ties and long chains of ties are common
+        times = [np.array(sorted(data.draw(st.sets(st.integers(0, span), max_size=30))),
+                          dtype=np.int64) for _ in range(n)]
+        units = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        last_t = [data.draw(st.integers(-3, -1)) for _ in range(n)]
+        last_rank = data.draw(st.permutations(range(n)))
+        assert dynamics._rank_ties(times, units, last_t, last_rank) == \
+            rank_ties_by_instant(times, units, last_t, last_rank)
+
+    def test_lockstep_units_keep_their_order(self):
+        # three units in lockstep from t = 0 run in unit order at every
+        # instant, and a fourth that starts one step late runs first
+        times = [np.arange(0, 50, 5)] * 3 + [np.arange(5, 50, 5)]
+        rank = dynamics._rank_ties(times, range(4), [-1] * 4, list(range(4)))
+        assert [rank[(g, 3 - (g == 3))] for g in range(4)] == [1, 2, 3, 0]
 
 
 @st.composite

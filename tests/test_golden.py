@@ -294,7 +294,7 @@ def test_composed_cases_span_their_windows(name, windows, monkeypatch):
     monkeypatch.setattr(dynamics, "_compose_window",
                         lambda *args: calls.append(1) or compose(*args))
     net = factory()
-    assert dynamics._composable(net, None) == "composed"
+    assert dynamics._composable(net) == "composed"
     trace = run(net, seed=11, **budget)
     assert windows(len(calls), len(trace))
 
@@ -489,11 +489,13 @@ def test_histogram_digest(name):
                                   "late_source_tie_updates_inside_an_instant"])
 def test_update_order_cut_inside_an_instant(name, monkeypatch):
     # the heap's order of the updates, logged as it runs them, up to a
-    # budget that ends inside an instant of six tied updates
+    # budget that ends inside an instant of six tied updates; the run is
+    # sent to the heap, which alone runs its updates one by one
     factory, budget, _ = BUDGET_CASES[name]
     log, update = [], Simulator._update
     monkeypatch.setattr(Simulator, "_update",
                         lambda sim, t, gid: log.append((t, gid)) or update(sim, t, gid))
+    monkeypatch.setattr(dynamics, "_composable", lambda *_: "heap")
     net = factory()
     trace = run(net, seed=11, **budget)
     assert update_order(net, 11, trace.update_counts) == log
@@ -547,8 +549,8 @@ matrix16 = written(random_matrix_scenario())
 
 # short composite runs that discard a burn-in fraction that cuts no lattice
 # period evenly and count only some of their units, in their own order: one
-# of several machines on the flip-driven engine, and one under an update
-# budget on the event heap
+# of several machines under a sample budget, and one machine under an update
+# budget, both on the flip-driven engine
 RCA4_BURN_IN = {
     "name": "rca4_burn_in",
     "network": {"kind": "rca4", "i0": 1.0, "tau_sample_us": 2000},
