@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import operator
@@ -123,7 +124,9 @@ SCENARIO_SCHEMA = {
         },
         "record_trace": {"type": "boolean"},
         "compare_oracle": {"type": "boolean"},
-        "serialization_window_us": {"type": "integer", "minimum": 1},
+        # a window past every virtual time would overflow the int64 times
+        "serialization_window_us": {"type": "integer", "minimum": 1,
+                                    "maximum": dynamics.TIME_LIMIT_US},
     },
     # both set every unit's retention, so a scenario gives at most one plan
     "not": {"required": ["retention_us", "retention_normal"]},
@@ -167,6 +170,8 @@ GATE_FILE_SCHEMA = {
         "outputs": {"type": "array"},
         "auxiliary": {"type": "array", "items": {"type": "integer"}},
         "truth_table": {"type": "array", "items": {"type": "array", "items": {"enum": [0, 1]}}},
+        "j": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
+        "h": {"type": "array", "items": {"type": "number"}},
     },
 }
 
@@ -526,7 +531,11 @@ def _add_scenario_flags(parser):
     _add_format(parser)
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and shared by
+    every later one: parsing keeps no state in it, since ``parse_args``
+    returns a fresh namespace each time."""
     parser = argparse.ArgumentParser(
         prog="pbitsim",
         description="Discrete-event simulation of stochastic p-bit networks.",

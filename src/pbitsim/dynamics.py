@@ -107,7 +107,7 @@ No engine logs its updates. A unit's update times come from its schedule
 alone, and its outputs never feed back into them, so ``update_order``
 rebuilds the heap's order of a run's updates from the per-unit counts of
 its trace: each unit's first updates, sorted by time and, within an
-instant, by ``_rank_ties`` over every unit, window by window
+instant, by ``_tied_ranks`` over every unit, window by window
 (``_tie_ranks``, which the cut reads too).
 
 Every virtual time of a run, the updates drawn ahead included, stays below
@@ -187,11 +187,14 @@ def sample_count(taus, x):
 def sample_time(taus, index: int) -> int:
     """The time of sample ``index`` (from 0): the first instant with ``index
     + 1`` samples up to it, found by binary search within ``index *
-    min(taus)``, since the fastest lattice alone has enough points there."""
+    min(taus)``, since the fastest lattice alone has enough points there.
+    The search counts samples in Python ints, by ``sample_count``'s rule
+    (``_lattice_terms``), which costs far less than numpy on one scalar."""
+    terms = _lattice_terms(taus)
     lo, hi = 0, index * min(taus)
     while lo < hi:
         mid = (lo + hi) // 2
-        if sample_count(taus, mid) > index:
+        if sum(c * (mid // period + 1) for period, c in terms) > index:
             hi = mid
         else:
             lo = mid + 1
@@ -644,17 +647,19 @@ def _dependence(volts) -> int:
     return dep
 
 
-def _rank_ties(times, units, last_t, last_rank) -> dict:
-    """The heap's tie rule: rank ``(g, i)``, unit g's update ``times[g][i]``,
-    among the updates of ``units`` at every instant where several of them
-    fall. They run in the order of each one's previous update, the earlier
-    first, and among updates whose previous ones fell in one instant, by
-    their ranks there; unit g's update before ``times[g][0]`` fell at
+def _tied_ranks(times, units, last_t, last_rank):
+    """The heap's tie rule: rank unit g's update ``times[g][i]`` among the
+    updates of ``units`` at every instant where several of them fall. They
+    run in the order of each one's previous update, the earlier first, and
+    among updates whose previous ones fell in one instant, by their ranks
+    there; unit g's update before ``times[g][0]`` fell at
     ``last_t[g]``, before every time in ``times``, with rank
     ``last_rank[g]``, which are -1 and g before its first update. How two
     units' updates are ordered depends on those two units alone, so ranks
-    among any set of units order its members as the heap does. An update at
-    an instant without a tie has no entry.
+    among any set of units order its members as the heap does. Returns the
+    positions of the tied updates in the concatenation of the times of
+    ``units``, and their ranks; an update at an instant without a tie has
+    none.
 
     So two tied updates run in the order of their units' sequences of
     earlier update times, compared backwards from the tie. A tied update's
@@ -670,7 +675,7 @@ def _rank_ties(times, units, last_t, last_rank) -> dict:
     ordered = np.sort(flat)
     same = ordered[1:] == ordered[:-1]
     if not same.any():
-        return {}
+        return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
     tied = np.unique(ordered[1:][same])
     at = np.minimum(tied.searchsorted(flat), len(tied) - 1)
     hit = np.flatnonzero(tied[at] == flat)
@@ -699,25 +704,39 @@ def _rank_ties(times, units, last_t, last_rank) -> dict:
     at_time = flat[hit][order]
     within = np.empty(k, dtype=np.int64)
     within[order] = np.arange(k) - at_time.searchsorted(at_time)
-    owner = np.array(units)[place]
-    return dict(zip(zip(owner.tolist(), index.tolist()), within.tolist()))
+    return hit, within
+
+
+def _rank_ties(times, units, last_t, last_rank) -> dict:
+    """``_tied_ranks`` keyed by ``(g, i)``, unit g's update ``times[g][i]``:
+    the rank of every tied update, and no entry for any other."""
+    units = list(units)
+    hit, within = _tied_ranks(times, units, last_t, last_rank)
+    starts = np.cumsum([0] + [len(times[g]) for g in units])
+    place = starts.searchsorted(hit, "right") - 1
+    owner = np.array(units, dtype=np.int64)[place]
+    return dict(zip(zip(owner.tolist(), (hit - starts[place]).tolist()), within.tolist()))
 
 
 def _tie_ranks(schedules, stop, caps=None):
     """The updates of ``schedules`` before ``stop``, or the first ``caps[g]``
     of schedule g, window by window: each window's times ``times[g]`` and
-    their ``_rank_ties`` ranks among all the schedules, its state carried
-    from one window to the next. g is a schedule's index in ``schedules``,
-    which are in unit order."""
+    the ``_tied_ranks`` rank among all the schedules of each of its updates,
+    in the order of ``np.concatenate(times)``, 0 at an instant without a
+    tie, its state carried from one window to the next. g is a schedule's
+    index in ``schedules``, which are in unit order."""
     n = len(schedules)
     last_t, last_rank = [-1] * n, list(range(n))
     span = CHUNK * min(s.min_step for s in schedules)
     for _, times, _ in _windows(schedules, span, stop, caps):
-        rank = _rank_ties(times, range(n), last_t, last_rank)
+        counts = list(map(len, times))
+        hit, within = _tied_ranks(times, range(n), last_t, last_rank)
+        rank = np.zeros(sum(counts), dtype=np.int64)
+        rank[hit] = within
         yield times, rank
-        for g, ts in enumerate(times):
-            if len(ts):
-                last_t[g], last_rank[g] = int(ts[-1]), rank.get((g, len(ts) - 1), 0)
+        for g, end in enumerate(np.cumsum(counts).tolist()):
+            if counts[g]:
+                last_t[g], last_rank[g] = int(times[g][-1]), int(rank[end - 1])
 
 
 class _FlipRun(_Machines):
@@ -1026,8 +1045,8 @@ def _cut(network: NetworkSpec, seed: int, max_updates: int, stop):
             _, schedules = _units(network, seed, CHUNK)
             for window, rank in _tie_ranks([schedules[g] for g in at_cut], t_cut + 1):
                 pass  # the last window ends with the tied updates at t_cut
-            order = sorted(range(len(at_cut)), key=lambda j: rank[(j, len(window[j]) - 1)])
-            at_cut = [at_cut[j] for j in order]
+            ends = np.cumsum(list(map(len, window))) - 1
+            at_cut = [at_cut[j] for j in np.argsort(rank[ends]).tolist()]
         caps[at_cut[:left]] += 1
         return t_cut, caps
     return None
@@ -1085,14 +1104,15 @@ def update_order(network: NetworkSpec, seed: int, update_counts) -> list:
     """The ``(time, unit)`` pair of every update of a run, in the order the
     event heap runs them, from the run's ``update_counts``: each unit g's
     first ``update_counts[g]`` updates from a fresh schedule, sorted by
-    time and, within an instant, by ``_rank_ties`` over every unit
-    (``_tie_ranks``)."""
+    time and, within an instant, by ``_tied_ranks`` over every unit
+    (``_tie_ranks``), in one ``np.lexsort`` per window."""
     _, schedules = _units(network, seed, CHUNK)
     total, events = int(sum(update_counts)), []
     for times, rank in _tie_ranks(schedules, TIME_LIMIT_US, update_counts):
-        events += [(t, g) for t, _, g in sorted(
-            (t, rank.get((g, i), 0), g) for g, ts in enumerate(times)
-            for i, t in enumerate(ts.tolist()))]
+        at = np.concatenate(times)
+        units = np.repeat(np.arange(len(times)), list(map(len, times)))
+        order = np.lexsort((units, rank, at))
+        events += zip(at[order].tolist(), units[order].tolist())
         if len(events) == total:
             return events
 

@@ -1,20 +1,29 @@
 """Command-line interface: scenarios, overrides, exit codes, artifacts."""
 
+import argparse
 import contextlib
+import copy
+import csv
 import dataclasses
+import io
 import itertools
 import json
 import signal
+import tempfile
+import traceback
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
-from pbitsim import dynamics
+from pbitsim import cli, dynamics, networks
 from pbitsim.analysis import sweep_sampling_time
 from pbitsim.cli import GATE_FILE_SCHEMA, GATE_INPUT_SCHEMA, PLANS_SCHEMA, SCENARIO_SCHEMA, main
 from pbitsim.dynamics import SimulationTrace
+from pbitsim.oracle import all_energies, state_index
 from pbitsim.networks import (
     build_and_machine,
     gate_from_json,
@@ -38,13 +47,13 @@ def write_scenario(path, **overrides):
 
 
 @contextlib.contextmanager
-def within_a_second():
-    """Fail the block, instead of waiting on it, if it runs past one second."""
+def within(seconds):
+    """Fail the block, instead of waiting on it, if it runs past ``seconds``."""
     def expire(*_):
-        pytest.fail("took more than a second")
+        pytest.fail(f"took more than {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
     finally:
@@ -211,7 +220,7 @@ class TestExitCodes:
         path.write_text(json.dumps({
             "name": "x", "seed": 7, "network": {"kind": "gate", "gate": "and", "i0": 0.8},
             **fields}))
-        with within_a_second():
+        with within(1.0):
             assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "past the limit of 2**62 = 4611686018427387904 us" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -245,6 +254,14 @@ class TestExitCodes:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
             "error: 1180591620717411303424 is greater than the maximum of 9007199254740992\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_huge_serialization_window_rejected(self, tmp_path, capsys):
+        # 2**70 used to end in an OverflowError traceback after the run
+        path = write_scenario(tmp_path / "w.json", serialization_window_us=2 ** 70)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: 1180591620717411303424 is greater than the maximum of 4611686018427387904\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, flag", [
@@ -455,6 +472,23 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
 
+class TestParser:
+    def test_built_once_per_process(self, scenario, tmp_path, capsys, monkeypatch):
+        # a build makes the top parser and one per subcommand, 7 in all;
+        # later calls, a refused one included, reuse them
+        cli.make_parser.cache_clear()
+        built, init = [], argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
+        assert main(["run", str(scenario), "--out", str(tmp_path / "o")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(scenario), "--no-such-flag"])
+        assert exc.value.code == 2
+        save_gate(load_gate("and"), tmp_path / "and.json")
+        assert main(["verify", str(tmp_path / "and.json")]) == 0
+        assert len(built) == 7
+
+
 class TestVerify:
     def test_shipped_gate_passes(self, tmp_path, capsys):
         gate = load_gate("and")
@@ -494,6 +528,19 @@ class TestVerify:
         # an n of 7 used to be ignored, and the gate verified as ok
         path = tmp_path / "and.json"
         path.write_text(json.dumps({**gate_to_json(load_gate("and")), "n": n}))
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("j", 0.5, "0.5 is not of type 'array'"),
+        ("j", -1, "-1 is not of type 'array'"),
+        ("j", [1.5], "1.5 is not of type 'array'"),
+        ("h", [0, "x", 1], "'x' is not of type 'number'"),
+    ], ids=["j_float", "j_int", "j_vector", "h_string"])
+    def test_j_and_h_are_numeric_arrays(self, tmp_path, capsys, field, value, message):
+        # a number for J used to end in an IndexError traceback
+        path = tmp_path / "and.json"
+        path.write_text(json.dumps({**gate_to_json(load_gate("and")), field: value}))
         assert main(["verify", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -753,3 +800,129 @@ class TestReport:
         path.write_text(text)
         assert main(["report", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+
+# Fuzzed input documents of every subcommand: each ends in exit 0, 2 or 3,
+# with a message on stderr when it fails, never in a traceback or a hang.
+
+ROOT = Path(__file__).resolve().parent.parent
+GATE_DIR = Path(networks.__file__).parent / "gates"
+
+# what a mutated field becomes: null, a bool, 0, -1, a huge int, a float
+# (an integral one too), a string, a list or a dict
+VALUES = [None, True, False, 0, -1, 2**70, 0.5, 2.0, "x", [0, 1], {"k": 1}]
+# budgets are cut to this, only to bound each case's time; budgets past the
+# run's limits have their own refusal tests
+BUDGET_CAP = 2000
+# seconds a case may take
+CASE_SECONDS = 10
+
+
+def _gate_table(name: str) -> dict:
+    """A truth-table document for ``synth`` from a shipped gate, with each
+    row's auxiliary word read off the gate's ground states, so that one LP
+    solves it."""
+    gate = json.loads((GATE_DIR / f"{name}.json").read_text())
+    n_aux = len(gate["auxiliary"])
+    doc = {"name": name, "table": gate["truth_table"], "labels": list(gate["visible"]),
+           "inputs": gate["inputs"], "outputs": gate["outputs"], "n_aux": n_aux}
+    if n_aux:
+        energies = all_energies(gate_from_json(gate).coupling(1.0))
+        doc["aux_assignments"] = [[int(energies[state_index(row) << n_aux:][:1 << n_aux].argmin())
+                                   for row in gate["truth_table"]]]
+    return doc
+
+
+# a histogram.csv as ``run`` writes it, as rows of cells
+HISTOGRAM = [["state", "label", "count", "probability"],
+             ["0", "000", "799", "0.4438888888888889"], ["1", "001", "0", "0.0"],
+             ["2", "010", "601", "0.3338888888888889"], ["7", "111", "400", "0.2222222222222222"]]
+
+SCENARIOS = {p.stem: json.loads(p.read_text()) for p in sorted((ROOT / "scenarios").glob("*.json"))}
+# no shipped scenario has a raw coupling matrix: the AND gate's, as one
+_AND = json.loads((GATE_DIR / "and.json").read_text())
+SCENARIOS["matrix"] = {
+    "name": "matrix",
+    "network": {"kind": "matrix", "i0": 0.8, "j": _AND["j"], "h": _AND["h"],
+                "labels": _AND["visible"], "tau_sample_us": 1000},
+    "retention_us": 200_000, "seed": 3, "samples": BUDGET_CAP, "compare_oracle": True,
+}
+PLANS = json.dumps([[200_000] * 3, [137_000, 200_000, 263_000]])
+# subcommand -> (its documents, the arguments after the input file)
+COMMANDS = {
+    "run": (SCENARIOS, []),
+    "sweep-tau": (SCENARIOS, ["--taus", "1000,50000"]),
+    "sweep-retention": (SCENARIOS, ["--plans", PLANS]),
+    "verify": ({p.stem: json.loads(p.read_text()) for p in sorted(GATE_DIR.glob("*.json"))}, []),
+    "synth": ({g: _gate_table(g) for g in ("and", "copy", "half_adder", "xor")}, []),
+    "report": ({"histogram": HISTOGRAM}, []),
+}
+
+
+@st.composite
+def fields(draw, doc):
+    """The path of a field of ``doc``: a key at each level from the top,
+    stopping at a value that is not a container, or at random above it, so
+    that a top-level field is drawn as often as a matrix entry."""
+    path, node = [], doc
+    while True:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        path.append(key)
+        if not isinstance(node[key], (dict, list)) or not node[key] or draw(st.booleans()):
+            return path
+        node = node[key]
+
+
+@st.composite
+def cases(draw):
+    """A subcommand and one of its documents with one to three fields
+    changed, budgets cut to ``BUDGET_CAP``."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    docs, _ = COMMANDS[command]
+    doc = copy.deepcopy(docs[draw(st.sampled_from(sorted(docs)))])
+    for _ in range(draw(st.integers(1, 3))):
+        *parents, key = draw(fields(doc))
+        target = doc
+        for part in parents:
+            target = target[part]
+        target[key] = copy.deepcopy(draw(st.sampled_from(VALUES)))
+    if command not in ("verify", "synth", "report"):
+        for budget in ("samples", "updates"):
+            value = doc.get(budget)
+            if type(value) is int and value > BUDGET_CAP:
+                doc[budget] = BUDGET_CAP
+    return command, doc
+
+
+def _write(command, doc, path: Path) -> None:
+    if command != "report":
+        path.write_text(json.dumps(doc))
+        return
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(
+            [c if isinstance(c, str) else json.dumps(c) for c in row]
+            if isinstance(row, list) else [json.dumps(row)] for row in doc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=cases())
+def test_fuzzed_documents_exit_cleanly(case):
+    command, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        _write(command, doc, path)
+        argv = [command, str(path), *COMMANDS[command][1]]
+        if command in ("run", "sweep-tau", "sweep-retention", "synth"):
+            argv += ["--out", str(Path(tmp) / "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with within(CASE_SECONDS):
+                try:
+                    code = main(argv)
+                except Exception:
+                    pytest.fail(f"{argv[0]} on {json.dumps(doc)}:\n{traceback.format_exc()}")
+    message = err.getvalue()
+    assert code in (0, 2, 3), message
+    assert "Traceback" not in message
+    if code:
+        assert message.startswith("error: ") and message[len("error: "):].strip(), message

@@ -832,3 +832,36 @@ class TestSampleCounts:
         assert dist.counts.dtype == np.int64
         assert dist.counts.tolist() == want.tolist()
         assert (dist.total, dist.burn_in_discarded) == (len(times) - discard, discard)
+
+
+@st.composite
+def period_sets(draw):
+    """One to four periods, each a product of small primes: periods that
+    share factors, periods that divide others, and co-prime pairs."""
+    period = st.builds(math.prod, st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), max_size=4))
+    return draw(st.lists(period, min_size=1, max_size=4))
+
+
+class TestSampleTime:
+    """``sample_time`` searches in Python ints by the rule of
+    ``_lattice_terms``; each of the first 201 samples must fall where the
+    union of the lattices puts it."""
+
+    @staticmethod
+    def _check(taus):
+        times = dynamics.sample_times(taus, 200 * min(taus))
+        assert [sample_time(taus, index) for index in range(201)] == times[:201].tolist()
+        assert sample_count(taus, times[:201]).tolist() == list(range(1, 202))
+
+    @settings(max_examples=100, deadline=None)
+    @given(taus=period_sets())
+    def test_matches_the_lattices(self, taus):
+        self._check(taus)
+
+    def test_lcm_past_the_time_limit(self):
+        # four co-prime periods whose lcm passes TIME_LIMIT_US, so the term
+        # of all four is clipped there; any three stay below it
+        taus = [1_000_003, 1_000_033, 1_000_037, 1_000_039]
+        assert math.prod(taus) > dynamics.TIME_LIMIT_US > math.prod(taus[1:])
+        assert (dynamics.TIME_LIMIT_US, -1) in dynamics._lattice_terms(taus)
+        self._check(taus)

@@ -631,6 +631,18 @@ def test_cli_output_digest(case, tmp_path, capsys):
     assert got == expected
 
 
+def test_cli_digests_hold_on_a_shared_parser(tmp_path):
+    # ``main`` reuses one parser per process: every case, run twice in one
+    # process, forwards and then backwards, must give its own digests, so no
+    # call leaves anything in the parser for the next
+    cases = sorted(CLI_GOLDEN)
+    for k, case in enumerate(cases + cases[::-1]):
+        write, command, args, expected = CLI_GOLDEN[case]
+        out = tmp_path / f"out_{k}"
+        assert main([command, str(write(tmp_path)), *args, "--out", str(out)]) == 0
+        assert {fname: file_digest(out / fname) for fname in expected} == expected, case
+
+
 def network_digest(net) -> str:
     """sha256 of everything a run reads from a built network."""
     h = hashlib.sha256()
