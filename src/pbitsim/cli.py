@@ -157,6 +157,12 @@ GATE_INPUT_SCHEMA = {
     },
 }
 
+# a J or h entry of a gate file: as for network.i0, float64 holds every
+# integer exactly only up to 2**53, and a state's energy, a sum of such
+# entries, then stays far from overflow
+GATE_COEFFICIENT = {"type": "number", "minimum": -2 ** sys.float_info.mant_dig,
+                    "maximum": 2 ** sys.float_info.mant_dig}
+
 # the fields gate_from_json converts; GateSpec checks the gate they make
 GATE_FILE_SCHEMA = {
     "type": "object",
@@ -170,8 +176,8 @@ GATE_FILE_SCHEMA = {
         "outputs": {"type": "array"},
         "auxiliary": {"type": "array", "items": {"type": "integer"}},
         "truth_table": {"type": "array", "items": {"type": "array", "items": {"enum": [0, 1]}}},
-        "j": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
-        "h": {"type": "array", "items": {"type": "number"}},
+        "j": {"type": "array", "items": {"type": "array", "items": GATE_COEFFICIENT}},
+        "h": {"type": "array", "items": GATE_COEFFICIENT},
     },
 }
 

@@ -73,9 +73,15 @@ takes the output of its last update. The composed engine reads p[state,
 unit] from the machine's rows, takes each unit's update times and
 ``u`` values from its schedule, and applies the interval maps forward over
 windows of whole ticks, in the manner of Propp and Wilson's coupled maps
-(Random Struct. Alg. 9, 223, 1996) run forward on the same streams: it
-builds a window's maps with numpy and walks them in one pass, one lookup
-per tick.
+(Random Struct. Alg. 9, 223, 1996) run forward on the same streams. A
+unit's last update fires in state x when p[x, g] > u: in the states of the
+highest p[:, g], as many as its code, the number of states in which it
+fires. So an interval's map is fixed by one level per unit, 0 for no
+update and 1 + that code. Per window the engine merges the units' sorted
+ticks into rows, numbers the rows by their levels, builds one map per
+distinct row of levels (``_tick_maps``; on the AND gate far fewer than the
+rows), walks the rows through them in one pass, one lookup per tick, and
+counts each unit's ones against the probabilities of each row's state.
 
 In any network, unit g's held probability at time t is its machine's
 p[state just before tick floor(t/tau)*tau, g], and a wired unit's is fixed
@@ -150,6 +156,9 @@ CHUNK = 4096
 WINDOW_ENTRIES = 1 << 20
 # every virtual time of a run stays below this, half of int64's range
 TIME_LIMIT_US = 1 << 62
+# the most updates a run may draw: far above every shipped scenario, of
+# which ``rca4_inverted`` draws the most, about 7.5M
+UPDATE_LIMIT = 1 << 30
 
 
 def sample_times(taus, last: int) -> np.ndarray:
@@ -516,11 +525,14 @@ def _composable(network: NetworkSpec) -> str:
 
 
 def _check_horizon(pbits, taus, max_samples, duration_us, max_updates) -> None:
-    """Refuse a run whose virtual times could reach ``TIME_LIMIT_US``. Its
-    events end by its first budget's bound (the duration, the samples'
-    ticks, or an interval of up to twice the longest retention per update
-    after the latest phase) or by that phase. Past them come one tick of
-    the slowest lattice and a refill of updates drawn ahead."""
+    """Refuse a run whose virtual times could reach ``TIME_LIMIT_US``, or
+    that would draw more than ``UPDATE_LIMIT`` updates. Its events end by
+    its first budget's bound (the duration, the samples' ticks, or an
+    interval of up to twice the longest retention per update after the
+    latest phase) or by that phase. Past them come one tick of the slowest
+    lattice and a refill of updates drawn ahead. Up to that end, each unit
+    updates at its phase and then once per retention time, its mean
+    interval, whatever its jitter; an update budget caps the sum."""
     longest = 2 * max(p.retention_us for p in pbits)
     phase = max(p.phase_us for p in pbits)
     ends = [duration_us, None if max_samples is None else max_samples * min(taus),
@@ -532,6 +544,13 @@ def _check_horizon(pbits, taus, max_samples, duration_us, max_updates) -> None:
             f"the run's virtual times could reach {reach} us, past the limit of "
             f"2**62 = {TIME_LIMIT_US} us; shorten its budget, retention, phases "
             "or sampling period")
+    updates = sum((end - p.phase_us) // p.retention_us + 1 for p in pbits)
+    if max_updates is not None:
+        updates = min(updates, max_updates)
+    if updates > UPDATE_LIMIT:
+        raise ConfigurationError(
+            f"the run could draw {updates} updates, past the limit of 2**30 = "
+            f"{UPDATE_LIMIT}; shorten its budget or lengthen its retention times")
 
 
 def _windows(schedules, span, stop, caps=None):
@@ -551,38 +570,86 @@ def _windows(schedules, span, stop, caps=None):
         yield end, times, u
 
 
-def _compose_window(p, tau, state, times, u):
+def _ranks(p):
+    """For each unit g, each state's rank in p[:, g] from the top, the
+    number of states whose probability of g is at least its own, and
+    p[:, g] in ascending order, read off those ranks."""
+    ranks = [len(p) - (p[:, g, None] > p[None, :, g]).sum(1) for g in range(p.shape[1])]
+    return ranks, [p[np.argsort(-rank), g] for g, rank in enumerate(ranks)]
+
+
+def _tick_maps(ranks, levels) -> np.ndarray:
+    """One state map per entry of each unit's ``levels``: ``maps[i, x]`` is
+    the state at the next tick from state x at a tick where unit g's level
+    is ``levels[g][i]``, 0 if it did not update and otherwise 1 + the code of
+    its last update, the number of states in which that update fires.
+    Those are the states whose ``ranks[g]`` (``_ranks``) are at most the
+    code."""
+    n, size = len(ranks), len(ranks[0])
+    identity = np.arange(size, dtype=np.uint8)
+    maps = np.tile(identity, (len(levels[0]), 1))
+    for g, (rank, level) in enumerate(zip(ranks, levels)):
+        rows, bit = np.flatnonzero(level), 1 << (n - 1 - g)
+        fires = level[rows, None] > rank
+        maps[rows] = np.where(fires, maps[rows] | bit, maps[rows] & (identity[-1] ^ bit))
+    return maps
+
+
+def _compose_window(p, ranks, ordered, tau, state, times, u):
     """Apply one window's updates, ``times[g]`` and ``u[g]`` being unit g's,
     from ``state`` at the window's first tick. Returns the number of outputs
     1 per unit, the ticks after which the state changed, the states it
-    changed to, and the state at the window's end."""
-    n = len(times)
-    counts = [len(t) for t in times]
-    times, u = np.concatenate(times), np.concatenate(u)
-    gids = np.repeat(np.arange(n), counts)
-    ticks, at = np.unique(times // tau, return_inverse=True)
-    # row i maps the state at tick ticks[i] to the state at the next tick
-    identity = np.arange(len(p), dtype=np.uint8)
-    maps = np.tile(identity, (len(ticks), 1))
-    lo = 0
-    for g, c in enumerate(counts):
-        if c:
-            rows = at[lo:lo + c]
-            final = np.append(rows[1:] != rows[:-1], True)
-            rows, bit = rows[final], 1 << (n - 1 - g)
-            fires = p[:, g] > u[lo:lo + c][final, None]
-            maps[rows] = np.where(fires, maps[rows] | bit, maps[rows] & (identity[-1] ^ bit))
-        lo += c
-    # the state at each tick of the window and at its end, one lookup a row
-    flat, states = maps.ravel(), [state]
-    for base in range(0, flat.size, len(p)):
-        state = flat.item(base + state)
-        states.append(state)
-    states = np.array(states)
+    changed to, and the state at the window's end.
+
+    The window's rows are its ticks that hold an update. Only a unit's last
+    update in a tick sets its bit at the next tick, to ``p[x, g] > u`` in
+    state x. The states where that holds are those of the highest p[:, g],
+    as many as the update's code counts, so the update enters the map only
+    through its code, found in ``ordered[g]`` (``_ranks``). A row is named
+    by one level per unit (``_tick_maps``), and the rows of one set of
+    levels share one map, built once."""
+    n, size = len(times), len(p)
+    # each unit's ticks that hold an update, and its last update in each
+    ticks_of, lasts = [], []
+    for t in times:
+        k = t // tau
+        last = np.flatnonzero(np.append(k[1:] != k[:-1], len(k) > 0))
+        ticks_of.append(k[last])
+        lasts.append(last)
+    # merge the units' ticks into the rows, and find each tick's row
+    ticks, row_of = np.unique(np.concatenate(ticks_of), return_inverse=True)
+    rows_of = np.split(row_of, np.cumsum(list(map(len, ticks_of)))[:-1])
+    # each row's level of each unit: 0, or 1 + the code of its last update
+    levels = []
+    for rows, last, us, probs in zip(rows_of, lasts, u, ordered):
+        level = np.zeros(len(ticks), dtype=np.int64)
+        level[rows] = 1 + size - probs.searchsorted(us[last], "right")
+        levels.append(level)
+    # number the rows densely by their levels: fold in the levels of as
+    # many units as 31 bits hold, renumber, and go on, so that every number
+    # stays below rows * 2^31
+    radix = size + 2
+    fold, inverse = 31 // radix.bit_length(), np.zeros(len(ticks), dtype=np.int64)
+    for start in range(0, n, fold):
+        for level in levels[start:start + fold]:
+            inverse = inverse * radix + level
+        distinct, inverse = np.unique(inverse, return_inverse=True)
+    # one map for each distinct row of levels, built from one of its rows
+    first = np.empty(len(distinct), dtype=np.int64)
+    first[inverse] = np.arange(len(ticks))
+    maps = _tick_maps(ranks, [level[first] for level in levels])
+    # the state at each row and at the window's end, one lookup a row
+    flat, path = maps.tobytes(), bytearray([state])
+    for base in memoryview(inverse * size):
+        state = flat[base + state]
+        path.append(state)
+    states = np.frombuffer(path, dtype=np.uint8).astype(np.int64)
     before, after = states[:-1], states[1:]
+    # every update in a row reads the probability of the row's state
+    ones = [np.count_nonzero(np.repeat(p[before[rows], g], np.diff(last, prepend=-1)) > us)
+            for g, (rows, last, us) in enumerate(zip(rows_of, lasts, u))]
     moved = after != before
-    ones = np.bincount(gids[p[before[at], gids] > u], minlength=n)
-    return ones, ticks[moved] * tau, after[moved], state
+    return np.array(ones, dtype=np.int64), ticks[moved] * tau, after[moved], state
 
 
 def _run_heap(network, seed, stop, last, max_updates) -> SimulationTrace:
@@ -606,13 +673,16 @@ def _run_composed(network, seed, stop, last, caps) -> SimulationTrace:
     with the budgets already turned into ``stop``, ``last`` and the update
     ``caps`` of each unit (or None): each tick interval is a map on the 2^n
     states, and the run composes them forward, window by window, up to
-    ``stop``."""
+    ``stop``. A window spans whole ticks and holds at most ``chunk`` updates
+    per unit, so its tick rows, and the maps ``_compose_window`` builds for
+    their distinct levels, fit ``WINDOW_ENTRIES`` entries."""
     n = network.n_total
     chunk = min(CHUNK, WINDOW_ENTRIES // (n << n))
     machines = _Machines(network, seed, chunk)
     tau, state, schedules = machines.taus[0], machines.mask, machines.schedules
     # p[state, unit]: every unit's held probability after a refresh in that state
     p = np.array([machines.row(0, local) for local in range(1 << n)])
+    ranks, ordered = _ranks(p)
     # whole ticks of at most ``chunk`` updates per unit, or a single tick
     span = max(tau, chunk * min(s.min_step for s in schedules) // tau * tau)
 
@@ -624,7 +694,8 @@ def _run_composed(network, seed, stop, last, caps) -> SimulationTrace:
         counts = [len(t) for t in times]
         if not sum(counts):
             continue
-        ones, moved_at, moved_to, state = _compose_window(p, tau, state, times, u)
+        ones, moved_at, moved_to, state = _compose_window(p, ranks, ordered, tau, state,
+                                                          times, u)
         update_counts += counts
         one_counts += ones
         flip_times.append(moved_at)

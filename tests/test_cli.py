@@ -225,6 +225,23 @@ class TestExitCodes:
         assert "past the limit of 2**62 = 4611686018427387904 us" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep-tau", "--taus", "400000"]],
+                             ids=["run", "sweep_tau"])
+    def test_billions_of_updates_refused(self, tmp_path, capsys, command):
+        # and_breakdown_400ms at a 1 us retention draws about 2.4e9 updates
+        # for 2,000 samples, and used to run without end
+        doc = dict(json.loads((ROOT / "scenarios" / "and_breakdown_400ms.json").read_text()),
+                   retention_us=1, samples=2000)
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(doc))
+        argv = [command[0], str(path), *command[1:], "--out", str(tmp_path / "o")]
+        with within(1.0):
+            assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: the run could draw 2400000003 updates, past the limit of 2**30 = "
+            "1073741824; shorten its budget or lengthen its retention times\n")
+        assert not (tmp_path / "o").exists()
+
     def test_dac_bits_at_most_53(self, tmp_path, capsys):
         # 2000 bits used to end in an OverflowError traceback
         path = write_scenario(tmp_path / "d.json", network={
@@ -539,6 +556,19 @@ class TestVerify:
     ], ids=["j_float", "j_int", "j_vector", "h_string"])
     def test_j_and_h_are_numeric_arrays(self, tmp_path, capsys, field, value, message):
         # a number for J used to end in an IndexError traceback
+        path = tmp_path / "and.json"
+        path.write_text(json.dumps({**gate_to_json(load_gate("and")), field: value}))
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("h", [1e308, 0, 0], "1e+308 is greater than the maximum of 9007199254740992"),
+        ("j", [[0, -1e308, 0], [-1e308, 0, 0], [0, 0, 0]],
+         "-1e+308 is less than the minimum of -9007199254740992"),
+    ], ids=["h", "j"])
+    def test_huge_coefficients_rejected(self, tmp_path, capsys, field, value, message):
+        # an h entry of 1e308 used to print numpy's overflow warning before
+        # its exit-3 error
         path = tmp_path / "and.json"
         path.write_text(json.dumps({**gate_to_json(load_gate("and")), field: value}))
         assert main(["verify", str(path)]) == 2

@@ -289,6 +289,31 @@ class TestEventCounts:
         assert steps == []
         assert self._tabulated(weight_calls, 1)
 
+    def test_composed_maps_built_once_per_distinct_code(self, monkeypatch):
+        # and_breakdown_400ms at full budget, tau_sample = 2 tau_N: its
+        # 499,999 tick rows hold 9,998 distinct rows of levels, and the run
+        # builds one map for each of those and none for any other row
+        doc = load_scenario(SCENARIOS / "and_breakdown_400ms.json")
+        rows, codes, built = [], [], []
+        compose, tick_maps = dynamics._compose_window, dynamics._tick_maps
+
+        def counting_compose(p, ranks, ordered, tau, state, times, u):
+            levels = row_levels(p, tau, times, u)
+            rows.append(len(levels))
+            codes.append(len(np.unique(levels, axis=0)))
+            return compose(p, ranks, ordered, tau, state, times, u)
+
+        def counting_maps(ranks, levels):
+            built.append(len(levels[0]))
+            return tick_maps(ranks, levels)
+
+        monkeypatch.setattr(dynamics, "_compose_window", counting_compose)
+        monkeypatch.setattr(dynamics, "_tick_maps", counting_maps)
+        trace = run(build_network(doc), doc["seed"], max_samples=doc["samples"])
+        assert len(trace) == doc["samples"]
+        assert built == codes
+        assert (sum(rows), sum(built)) == (499_999, 9_998)
+
     def test_held_probabilities_match_held_voltages(self):
         # after each refresh, each unit of the machine holds sigmoid(2v - 5)
         # of the voltage the weight logic publishes for that one state; the
@@ -556,11 +581,16 @@ def matrix_net(n):
 def small_machines(draw, units=(1, 8)):
     """A random machine of ``units`` (least, most) units with clamps, phases,
     jitter and a DAC, sampled at 1/200 to 2 times its units' retention
-    time."""
+    time. Its J and h lie on the quarter grid, or in some machines off it,
+    with diagonal entries up to the 1e-12 that ``CouplingMatrix`` allows,
+    so that a unit's probability takes up to 2^n values."""
     n = draw(st.integers(*units))
-    grid = st.integers(-4, 4).map(lambda k: k / 4)
+    off_grid = not draw(st.integers(0, 2))
+    grid = st.floats(-2, 2) if off_grid else st.integers(-4, 4).map(lambda k: k / 4)
     j = np.zeros((n, n))
     for a in range(n):
+        if off_grid:
+            j[a, a] = draw(st.floats(-1e-12, 1e-12))
         for b in range(a + 1, n):
             j[a, b] = j[b, a] = draw(grid)
     h = np.array([draw(grid) for _ in range(n)])
@@ -643,6 +673,145 @@ class TestComposedEngine:
         monkeypatch.setattr(Simulator, "step", lambda sim: steps.append(sim) or step(sim))
         run(net(), seed=1, **budget)
         assert bool(steps) == heap
+
+
+def compose_window_by_updates(p, tau, state, times, u):
+    """``dynamics._compose_window`` with one map per tick row: each unit's
+    last update in a tick scattered into that row's map, and the ones
+    counted over every update at once."""
+    n = len(times)
+    counts = [len(t) for t in times]
+    times, u = np.concatenate(times), np.concatenate(u)
+    gids = np.repeat(np.arange(n), counts)
+    ticks, at = np.unique(times // tau, return_inverse=True)
+    # row i maps the state at tick ticks[i] to the state at the next tick
+    identity = np.arange(len(p), dtype=np.uint8)
+    maps = np.tile(identity, (len(ticks), 1))
+    lo = 0
+    for g, c in enumerate(counts):
+        if c:
+            rows = at[lo:lo + c]
+            final = np.append(rows[1:] != rows[:-1], True)
+            rows, bit = rows[final], 1 << (n - 1 - g)
+            fires = p[:, g] > u[lo:lo + c][final, None]
+            maps[rows] = np.where(fires, maps[rows] | bit, maps[rows] & (identity[-1] ^ bit))
+        lo += c
+    flat, states = maps.ravel(), [state]
+    for base in range(0, flat.size, len(p)):
+        state = flat.item(base + state)
+        states.append(state)
+    states = np.array(states)
+    before, after = states[:-1], states[1:]
+    moved = after != before
+    ones = np.bincount(gids[p[before[at], gids] > u], minlength=n)
+    return ones, ticks[moved] * tau, after[moved], state
+
+
+def probabilities(net):
+    """p[state, unit] of a one-machine network, as the composed engine reads it."""
+    machines = dynamics._Machines(net, 0, dynamics.CHUNK)
+    return np.array([machines.row(0, local) for local in range(1 << net.n_total)])
+
+
+def row_levels(p, tau, times, u):
+    """Each tick row of a window, by its unit g's level in column g: 0 if g
+    did not update in the tick, else 1 + the number of states in which g's
+    last update there fires, those where p[:, g] exceeds its ``u``."""
+    ticks = np.unique(np.concatenate(times) // tau)
+    levels = np.zeros((len(ticks), len(times)), dtype=np.int64)
+    for g, (t, x) in enumerate(zip(times, u)):
+        # the first of each tick in reverse order is the tick's last update
+        at, last = np.unique((t // tau)[::-1], return_index=True)
+        levels[ticks.searchsorted(at), g] = 1 + (p[:, g] > x[::-1][last, None]).sum(1)
+    return levels
+
+
+def compose(p, tau, state, times, u):
+    """``dynamics._compose_window`` with the ranks the composed engine
+    reads from p once per run."""
+    return dynamics._compose_window(p, *dynamics._ranks(p), tau, state, times, u)
+
+
+def assert_same_window(got, want):
+    assert [a.tolist() for a in got[:3]] == [a.tolist() for a in want[:3]]
+    assert got[3] == want[3]
+    assert [a.dtype for a in got[:3]] == [np.int64] * 3
+
+
+class TestComposeWindow:
+    """``_compose_window`` builds one map per distinct row of levels; it
+    must give what one map per tick row gives."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(net=small_machines(), data=st.data())
+    def test_matches_one_map_per_tick(self, net, data):
+        n, p = net.n_total, probabilities(net)
+        # at a tick of 1 us a unit updates at most once a tick, at 50 us
+        # often many times
+        tau = data.draw(st.sampled_from([1, 7, 50]))
+        times = [np.array(sorted(data.draw(st.sets(st.integers(0, 300), max_size=30))),
+                          dtype=np.int64) for _ in range(n)]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        u = [rng.random(len(t)) for t in times]
+        for g, x in enumerate(u):
+            # some values equal a probability of the unit's, the edge of p > u
+            exact = rng.random(len(x)) < 0.3
+            x[exact] = rng.choice(p[:, g], exact.sum())
+        state = data.draw(st.integers(0, (1 << n) - 1))
+        assert_same_window(compose(p, tau, state, times, u),
+                           compose_window_by_updates(p, tau, state, times, u))
+
+    def test_codes_past_int64_stay_exact(self, monkeypatch):
+        # 8 units, each with 2^8 distinct probabilities from off-grid
+        # couplings and its own diagonal entry, so each takes all 2^8 + 2
+        # levels: read as one base-258 number, a row's levels reach
+        # 258^8 > 2^63, and rows must still be told apart exactly
+        rng = np.random.default_rng(8)
+        j = np.triu(rng.uniform(-1, 1, (8, 8)), 1)
+        j = j + j.T + np.diag(np.full(8, 1e-12))
+        mach = MachineSpec("m", CouplingMatrix(j, rng.uniform(-1, 1, 8), 0.5))
+        net = NetworkSpec([mach], [PBitConfig(id=k, retention_us=1000) for k in range(8)])
+        p = probabilities(net)
+        values = [np.unique(p[:, g]) for g in range(8)]
+        assert list(map(len, values)) == [256] * 8 and 258 ** 8 > 2 ** 63
+        # the first two ticks' levels differ by the base-258 digits of 2^64,
+        # so as one int64 number each, unit 0 highest, they would be equal
+        digits = [2 ** 64 // 258 ** (7 - g) % 258 for g in range(8)]
+        first, second = digits[:7] + [digits[7] + 1], [0] * 7 + [1]
+        times, u = [[] for _ in range(8)], [[] for _ in range(8)]
+        for tick, levels in enumerate([first, second]):
+            for g, level in enumerate(levels):
+                if level:
+                    times[g].append(10 * tick + g)
+                    # a u exceeded in level - 1 states
+                    u[g].append(values[g][256 - level] if level < 257 else 0.0)
+        # then every unit updates once or twice in each of 200 more ticks
+        for g in range(8):
+            times[g] = np.append(times[g], np.sort(rng.choice(2000, 300, replace=False)) + 20)
+            u[g] = np.append(u[g], rng.random(300))
+        assert row_levels(p, 10, times, u)[:2].tolist() == [first, second]
+        built = []
+        tick_maps = dynamics._tick_maps
+        monkeypatch.setattr(dynamics, "_tick_maps",
+                            lambda ranks, levels: built.append(len(levels[0]))
+                            or tick_maps(ranks, levels))
+        assert_same_window(compose(p, 10, 0, times, u),
+                           compose_window_by_updates(p, 10, 0, times, u))
+        assert built == [len(np.unique(row_levels(p, 10, times, u), axis=0))]
+
+
+class TestUpdateLimit:
+    def test_counts_updates_at_the_mean_interval(self):
+        # and_breakdown_400ms at a jitter of 0.9999: a unit's shortest
+        # interval is 20 us, but its intervals average its 200,000 us
+        # retention, so its 500,000 samples of 400,000 us draw about
+        # 1,000,001 updates a unit. Counted at the shortest interval, the
+        # run was refused at 3e10
+        doc = dict(load_scenario(SCENARIOS / "and_breakdown_400ms.json"),
+                   jitter_fraction=0.9999)
+        net = build_network(doc)
+        assert {p.jitter_fraction for p in net.pbits} == {0.9999}
+        dynamics._check_horizon(net.pbits, [400_000], doc["samples"], None, None)
 
 
 @st.composite
