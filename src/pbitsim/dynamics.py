@@ -161,10 +161,20 @@ TIME_LIMIT_US = 1 << 62
 UPDATE_LIMIT = 1 << 30
 
 
+def _distinct(values) -> np.ndarray:
+    """The sorted distinct entries of ``values``. A plain ``np.unique`` call
+    imports ``numpy.ma`` to ask whether its input is masked, which no run
+    needs; a sort and an adjacent-difference mask do not."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def sample_times(taus, last: int) -> np.ndarray:
     """The union of the refresh lattices of periods ``taus`` over [0, last]."""
     lattices = [np.arange(0, last + 1, tau, dtype=np.int64) for tau in set(taus)]
-    return lattices[0] if len(lattices) == 1 else np.unique(np.concatenate(lattices))
+    return lattices[0] if len(lattices) == 1 else _distinct(np.concatenate(lattices))
 
 
 def _lattice_terms(taus) -> list:
@@ -747,7 +757,7 @@ def _tied_ranks(times, units, last_t, last_rank):
     same = ordered[1:] == ordered[:-1]
     if not same.any():
         return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-    tied = np.unique(ordered[1:][same])
+    tied = _distinct(ordered[1:][same])
     at = np.minimum(tied.searchsorted(flat), len(tied) - 1)
     hit = np.flatnonzero(tied[at] == flat)
     place = np.repeat(np.arange(len(units)), counts)[hit]
@@ -1209,7 +1219,7 @@ def alignment_flags(events, network, window_us) -> np.ndarray:
     times, gids = np.array(events, dtype=np.int64).reshape(-1, 2).T
     machines = np.array(network.machine_of())[gids]
     flags = np.zeros(len(events), dtype=bool)
-    for k in np.unique(machines):
+    for k in _distinct(machines):
         at = np.flatnonzero(machines == k)
         t, g = times[at], gids[at]
         # the updates within the window of each one are lo..hi-1, and the

@@ -44,6 +44,12 @@ DEGENERACY_TOL = 1e-9
 MIN_GAP = 0.25
 # the most aux assignments synthesis searches when none are listed, one LP each
 SEARCH_LIMIT = 4096
+# synthesis' row generation: how far a state may sit below the gap and count
+# as met (HiGHS meets its own rows to 1e-7), and the share of the gap within
+# which a state joins the rows before it breaks; adding the near states cuts
+# the rounds, for the 14-unit full adder from 20 to 4
+ROW_TOL = 1e-9
+ROW_MARGIN = 0.5
 # Trace states are int64 bitmasks with unit k at bit n-1-k; bit 63 is the sign.
 MAX_UNITS = 63
 
@@ -241,6 +247,51 @@ def _round_to_grid(x: np.ndarray) -> np.ndarray:
     return np.round(np.asarray(x) / 0.25) * 0.25
 
 
+def _max_gap(phi: np.ndarray, n: int, chosen, bound: float):
+    """The LP solution (theta, e0, g) with the largest gap g when the
+    ``chosen`` states share energy e0 and every other state sits at least g
+    above it, or None when that gap is below MIN_GAP.
+
+    The LP is solved by row generation (Kelley's cutting planes). Its rows
+    start as the states one flip away from a chosen state. Each round finds
+    every state's height above e0 with one product over all states, stops
+    when no state outside the rows sits below g, and otherwise adds every
+    state below (1 + ROW_MARGIN) * g. A round's LP has a subset of the rows,
+    so its gap bounds the full LP's from above, and a round whose gap is
+    already below MIN_GAP rejects the assignment.
+    """
+    from scipy.optimize import linprog
+
+    n_params = phi.shape[1]
+    chosen = np.asarray(chosen, dtype=np.int64)
+    is_chosen = np.zeros(len(phi), dtype=bool)
+    is_chosen[chosen] = True
+    rows = np.zeros(len(phi), dtype=bool)
+    rows[(chosen[:, None] ^ (1 << np.arange(n))).ravel()] = True
+    rows &= ~is_chosen
+    # variables: theta (n_params), e0, g; maximize g
+    c = np.zeros(n_params + 2)
+    c[-1] = -1.0
+    a_eq = np.zeros((len(chosen), n_params + 2))
+    a_eq[:, :n_params] = phi[chosen]
+    a_eq[:, n_params] = 1.0
+    b_eq = np.zeros(len(chosen))
+    bounds = [(-bound, bound)] * n_params + [(None, None), (0.0, 4.0 * bound)]
+    while True:
+        states = np.flatnonzero(rows)
+        a_ub = np.ones((states.size, n_params + 2))
+        a_ub[:, :n_params] = phi[states]
+        res = linprog(c, A_ub=a_ub, b_ub=np.zeros(states.size), A_eq=a_eq, b_eq=b_eq,
+                      bounds=bounds, method="highs")
+        if res.status != 0 or res.x[-1] < MIN_GAP:
+            return None
+        # a state's slack is g less its height above e0: above 0, its row is broken
+        slack = phi @ res.x[:n_params] + (res.x[-2] + res.x[-1])
+        if not np.any(slack[~rows & ~is_chosen] > ROW_TOL):
+            return res.x
+        rows |= (slack > -ROW_MARGIN * res.x[-1]) & ~is_chosen
+
+
 def synthesize_gate_lp(
     truth_table,
     n_aux: int = 0,
@@ -256,15 +307,13 @@ def synthesize_gate_lp(
     For a fixed assignment of auxiliary bits to each truth row, requiring
     the assigned states to share energy e0 and every other state to sit at
     least ``g`` above it is linear in (J, h, e0, g); we maximize g subject
-    to coefficient bounds and accept the first assignment with g >= MIN_GAP.
-    ``aux_assignments`` optionally lists candidate assignments (one aux word
+    to coefficient bounds, by row generation (``_max_gap``), and accept the
+    first assignment with g >= MIN_GAP. ``aux_assignments`` optionally lists candidate assignments (one aux word
     below 2**n_aux per truth row); otherwise all are tried in lexicographic
     order, and a search of more than ``SEARCH_LIMIT`` is refused.
     Solutions are snapped to a quarter-integer grid when the snapped gate
     still verifies with a gap of at least MIN_GAP.
     """
-    from scipy.optimize import linprog
-
     truth_table = [tuple(int(b) for b in r) for r in truth_table]
     n_vis = len(truth_table[0])
     if any(len(row) != n_vis for row in truth_table):
@@ -288,29 +337,13 @@ def synthesize_gate_lp(
             f"each aux assignment needs one word per truth row ({n_rows}), "
             f"each below 2**n_aux = {1 << n_aux}")
 
-    n_states = 1 << n
     best = None
     for assignment in aux_assignments:
         # each chosen state: the truth row's bits above its auxiliary word
         chosen = [(state_index(row) << n_aux) | aw
                   for row, aw in zip(truth_table, assignment)]
-        others = np.setdiff1d(np.arange(n_states), np.array(chosen))
-        # variables: theta (n_params), e0, g; maximize g
-        c = np.zeros(n_params + 2)
-        c[-1] = -1.0
-        a_eq = np.zeros((n_rows, n_params + 2))
-        a_eq[:, :n_params] = phi[chosen]
-        a_eq[:, n_params] = 1.0
-        b_eq = np.zeros(n_rows)
-        a_ub = np.zeros((others.size, n_params + 2))
-        a_ub[:, :n_params] = phi[others]
-        a_ub[:, n_params] = 1.0
-        a_ub[:, n_params + 1] = 1.0
-        b_ub = np.zeros(others.size)
-        bounds = [(-bound, bound)] * n_params + [(None, None), (0.0, 4.0 * bound)]
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
-        if res.status == 0 and res.x[-1] >= MIN_GAP:
-            best = res.x
+        best = _max_gap(phi, n, chosen, bound)
+        if best is not None:
             break
     if best is None:
         raise SynthesisError("no feasible coupling matrix at the given bound")

@@ -8,7 +8,10 @@ import dataclasses
 import io
 import itertools
 import json
+import os
 import signal
+import subprocess
+import sys
 import tempfile
 import traceback
 from pathlib import Path
@@ -104,6 +107,19 @@ class TestRun:
         assert report["seed"] == 99
         assert report["samples"] == 150
         assert report["burn_in_discarded"] == 30
+
+    def test_run_does_not_import_numpy_ma(self, tmp_path):
+        # a plain np.unique call imports numpy.ma, about 1 MB no run needs;
+        # this test session has imported it already, so a fresh process runs
+        doc = json.loads((ROOT / "scenarios" / "factorizer_control.json").read_text())
+        path = tmp_path / "control.json"
+        path.write_text(json.dumps(dict(doc, samples=2000)))
+        argv = ["run", str(path), "--out", str(tmp_path / "out")]
+        code = ("import sys; from pbitsim import cli; "
+                f"print(cli.main({argv!r}), 'numpy.ma' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120)
+        assert done.stdout.splitlines()[-1] == "0 False", done.stderr
 
     def test_matrix_network(self, tmp_path):
         path = write_scenario(

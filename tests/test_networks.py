@@ -6,9 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from pbitsim import networks
+from pbitsim import libgen, networks
 from pbitsim.core import CLAMPED_HIGH, CLAMPED_LOW, Wired
 from pbitsim.errors import (
     CapacityError,
@@ -37,6 +38,7 @@ from pbitsim.networks import (
     synthesize_gate_lp,
     verify_ground_states,
 )
+from pbitsim.oracle import state_index
 
 AND_TABLE = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 1)]
 GATE_DIR = Path(networks.__file__).parent / "gates"
@@ -198,6 +200,88 @@ class TestSynthesis:
         # aux spin must be 1 exactly on the (1,1,1) ground state
         report = ground_state_report(gate)
         assert report["ok"]
+
+
+def _exact_synth_full_adder() -> dict:
+    """The benchmark's 12-spin full adder: libgen's auxiliary spins, less
+    the two that copy inputs A and B, fixed per row."""
+    aux = (lambda a, b, c: c, lambda a, b, c: a & b, lambda a, b, c: a & c,
+           lambda a, b, c: b & c, lambda a, b, c: a ^ b, lambda a, b, c: (a ^ b) & c,
+           lambda a, b, c: a | b)
+    table = libgen.full_adder_table()
+    words = []
+    for a, b, c, _s, _co in table:
+        word = 0
+        for fn in aux:
+            word = (word << 1) | fn(a, b, c)
+        words.append(word)
+    return {"truth_table": table, "n_aux": len(aux), "aux_assignments": [tuple(words)],
+            "labels": ["A", "B", "CIN", "S", "COUT"]}
+
+
+ROW_GENERATION_CASES = {
+    "and": lambda: synthesize_gate_lp(AND_TABLE),
+    "or": lambda: synthesize_gate_lp(libgen.OR_TABLE),
+    "xor_search": lambda: synthesize_gate_lp(libgen.XOR_TABLE, n_aux=1),
+    "half_adder": libgen.make_half_adder,
+    "full_adder_12": lambda: synthesize_gate_lp(**_exact_synth_full_adder()),
+}
+
+
+class TestRowGeneration:
+    """Each assignment's LP is solved by row generation; the gap it returns
+    must be the full LP's, whose every non-chosen state is a row."""
+
+    @pytest.mark.parametrize("case", sorted(ROW_GENERATION_CASES))
+    def test_gap_of_the_full_lp(self, case, monkeypatch):
+        linprog = scipy.optimize.linprog
+        solves = []
+
+        def recording(*args, **kwargs):
+            res = linprog(*args, **kwargs)
+            solves.append((args[0], kwargs, res))
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "linprog", recording)
+        gate = ROW_GENERATION_CASES[case]()
+        assert gate.verified
+        # the last solve is the accepted assignment's last round; its
+        # equality rows are the chosen states' features
+        c, kwargs, res = solves[-1]
+        phi = networks._feature_matrix(gate.n)
+        n_params = phi.shape[1]
+        chosen = [int(np.flatnonzero((phi == row).all(axis=1))[0])
+                  for row in kwargs["A_eq"][:, :n_params]]
+        others = np.setdiff1d(np.arange(1 << gate.n), chosen)
+        assert len(kwargs["A_ub"]) <= len(others)
+        a_ub = np.ones((others.size, n_params + 2))
+        a_ub[:, :n_params] = phi[others]
+        full = linprog(c, A_ub=a_ub, b_ub=np.zeros(others.size),
+                       A_eq=kwargs["A_eq"], b_eq=kwargs["b_eq"], bounds=kwargs["bounds"],
+                       method="highs")
+        assert full.status == 0
+        assert res.x[-1] == pytest.approx(full.x[-1], abs=1e-7)
+        # and the returned solution meets every row of the full LP
+        assert np.max(a_ub @ res.x) <= 1e-7
+
+    def test_full_adder_12_never_solves_the_full_lp(self, monkeypatch):
+        # the first round's rows are the states one flip from a chosen
+        # state, and no round needs all 4,088 of the full LP
+        linprog = scipy.optimize.linprog
+        rows = []
+
+        def counting(*args, **kwargs):
+            rows.append(len(kwargs["A_ub"]))
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", counting)
+        doc = _exact_synth_full_adder()
+        synthesize_gate_lp(**doc)
+        chosen = {(state_index(row) << doc["n_aux"]) | word
+                  for row, word in zip(doc["truth_table"], doc["aux_assignments"][0])}
+        flips = {s ^ (1 << k) for s in chosen for k in range(12)} - chosen
+        assert rows[0] == len(flips)
+        assert max(rows) < (1 << 12) - len(chosen)
 
 
 class TestComposition:

@@ -1,6 +1,7 @@
 """Exact enumeration reference: energies, Boltzmann law, conditioning."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,61 @@ class TestEnergy:
         n = 25
         with pytest.raises(CapacityError):
             all_energies(CouplingMatrix(np.zeros((n, n)), np.zeros(n), 1.0))
+
+
+def einsum_energies(c):
+    """The energies as one einsum over the full 2**n x n bipolar table, the
+    way ``all_energies`` built them before it split the units in halves."""
+    m = bit_rows(0, 1 << c.n, c.n) * 2.0 - 1.0
+    pair = 0.5 * np.einsum("si,ij,sj->s", m, c.j, m)
+    return -c.i0 * (pair + m @ c.h)
+
+
+def random_coupling(rng, n, values):
+    """A coupling of ``n`` units with J and h drawn by ``values(size)``."""
+    j = np.triu(values((n, n)), 1)
+    return CouplingMatrix(j + j.T, values(n), float(rng.uniform(0, 2)))
+
+
+class TestHalfTables:
+    """``all_energies`` from two half-tables against the single einsum."""
+
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_bits_equal_the_einsum_on_the_quarter_grid(self, n):
+        # every partial sum of quarter multiples this small is exact, so the
+        # summation order cannot show
+        rng = np.random.default_rng(n)
+        c = random_coupling(rng, n, lambda size: rng.integers(-8, 9, size) * 0.25)
+        assert np.array_equal(all_energies(c), einsum_energies(c))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_off_grid_energies_within_1e_12(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(3):
+            c = random_coupling(rng, n, lambda size: rng.uniform(-2, 2, size))
+            assert np.max(np.abs(all_energies(c) - einsum_energies(c))) <= 1e-12
+
+    def test_asymmetry_within_tolerance_counts_both_blocks(self):
+        # CouplingMatrix accepts J symmetric to 1e-9; the single einsum sums
+        # both off-diagonal blocks, and so must the cross term
+        rng = np.random.default_rng(7)
+        c = random_coupling(rng, 6, lambda size: rng.integers(-8, 9, size) * 0.25)
+        j = c.j.copy()
+        j[0, 5] += 2.0 ** -31
+        c = CouplingMatrix(j, c.h, c.i0)
+        assert np.array_equal(all_energies(c), einsum_energies(c))
+
+    def test_peak_memory_at_20_units(self):
+        # a 2**20 x 20 table of all states would alone be 20 times the result
+        rng = np.random.default_rng(20)
+        c = random_coupling(rng, 20, lambda size: rng.uniform(-2, 2, size))
+        tracemalloc.start()
+        try:
+            table = all_energies(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * table.nbytes
 
 
 class TestBoltzmannDistribution:
