@@ -215,10 +215,10 @@ def weight_inputs(
     Clamped units get exactly the rail voltage; wired units are skipped
     because their input is bound outside this machine. A snapshot gives a
     list, None for a wired unit; a batch gives a float array, NaN there.
-    A run makes one batch call per machine of up to ``TABLE_UNITS`` units,
-    over all its local states, and one snapshot call per local state a
-    larger machine meets; every engine reads the rows of probabilities
-    that one per-run model caches (see ``dynamics``).
+    A run makes one call per local state a machine meets, over that state
+    alone, and the composed engine one batch call over all the local states
+    of its machine; every engine reads the rows of probabilities that one
+    per-run model caches (see ``dynamics``).
     """
     n = coupling.n
     bits = np.asarray(outputs)

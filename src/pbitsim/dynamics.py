@@ -11,18 +11,16 @@ bypasses the weight logic and reads its source's output.
 
 The weight logic is a pure function of the machine's own outputs. Each
 run builds one ``_Machines`` from its network, which all three engines
-read. It tabulates every machine of at most ``TABLE_UNITS`` units (the full
-adder, the largest shipped machine, has 14): v[state, unit], the voltages
-it publishes in each of its 2^n local states, from one batched
-``weight_inputs`` call that sums each drive in the same ascending unit
-order as a single state, so a row has the bits a per-state call would give.
-Its one row rule, ``_Machines.row``, gives a machine's firing probabilities
-``sigmoid(2v - 5)`` in a local state, on a miss from the table, or for a
-larger machine (only a ``matrix`` scenario of 15 or more units) from one
-``weight_inputs`` call. Every machine keeps up to ``MEMO_ENTRIES`` rows, so
-a refresh in a state met before does no weight-logic work, and each
-probability is computed once per distinct voltage the run meets. A wired
-unit reads one of two probabilities fixed by its source's output.
+read. Its one row rule, ``_Machines.row``, gives a machine's firing
+probabilities ``sigmoid(2v - 5)`` in a local state: on a miss, from one
+``weight_inputs`` call over that state, which sums each drive in the same
+ascending unit order as a batch, so a row has the bits a batched call
+would give. Every machine keeps up to ``MEMO_ENTRIES`` (2^14) rows, every
+local state of a machine of up to ``TABLE_UNITS`` units (the full adder,
+the largest shipped machine, has 14), so a refresh in a state met before
+does no weight-logic work, and each probability is computed once per
+distinct voltage the run meets. A wired unit reads one of two
+probabilities fixed by its source's output.
 
 A refresh whose machine saw no flip since its last one would publish the
 same voltages again, so only dirty machines queue one: every machine
@@ -50,7 +48,7 @@ Three engines run a network, and they give the same trace and end time.
 ``_composable`` picks one from the network alone, under any budget:
 
 - ``"heap"``, the event heap of ``Simulator``, for every network with a
-  machine too large to tabulate;
+  machine of more than ``TABLE_UNITS`` (14) units;
 - ``"composed"`` for one machine of at most ``COMPOSED_UNITS`` (8) units
   (one machine holds no wire), which composes per-tick state maps;
 - ``"flips"`` for every other network, which steps only the flips that
@@ -91,18 +89,17 @@ flip-driven engine, in the manner of rejection-free Monte Carlo (Bortz,
 Kalos and Lebowitz, J. Comput. Phys. 17, 10, 1975) but bit for bit, takes
 the schedules in windows of at most ``CHUNK`` updates per unit and makes
 events only of the flips that change some other unit's probability: a flip
-of a bit that some voltage of its machine depends on (read off the tables
-once per run), which queues a refresh at the machine's next tick, and a
-flip of a wire's source. A refresh reads its machine's row in the local
-state masked to those bits, which has the same voltages, and changes only
-the probabilities that differ. A unit finds its next such flip with a numpy
-scan, or all of a window's flips at once if its own probability never
-changes; every other update only adds to its unit's counts, once per
-window. Only
-zero-delay wires need the heap's order of equal-time updates
-(``_rank_ties``: by each one's previous update time, recursively, then by
-unit id); the engine ranks an instant's updates only among the ends of
-such wires, and only where several of them tie.
+of a bit that some voltage of its machine can depend on (read off J once
+per run, ``_couplings``), which queues a refresh at the machine's next
+tick, and a flip of a wire's source. A refresh reads its machine's row in
+the local state masked to those bits, which has the same voltages, and
+changes only the probabilities that differ. A unit finds its next such flip
+with a numpy scan, or all of a window's flips at once if its own
+probability never changes; every other update only adds to its unit's
+counts, once per window. Only zero-delay wires need the heap's order of
+equal-time updates (``_rank_ties``: by each one's previous update time,
+recursively, then by unit id); the engine ranks an instant's updates only
+among the ends of such wires, and only where several of them tie.
 
 Both window engines, the cut and ``update_order`` take their updates by
 one rule, ``_windows``: a window holds every unit's updates before its
@@ -131,7 +128,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CLAMPED_HIGH, CLAMPED_LOW, V_RAIL, Wired, sigmoid, weight_inputs
+from .core import CLAMPED_HIGH, CLAMPED_LOW, FREE, V_RAIL, Wired, sigmoid, weight_inputs
 from .errors import ConfigurationError
 from .networks import NetworkSpec
 from .oracle import bit_rows
@@ -140,11 +137,11 @@ PRIO_REFRESH = 0
 PRIO_UPDATE = 1
 # updates drawn ahead per refill of a unit's schedule in the event heap
 BLOCK = 256
-# the largest machine whose weight logic a run tabulates over every local
-# state: the full adder, the largest shipped machine
+# the largest machine the window engines take: the full adder, the largest
+# shipped machine
 TABLE_UNITS = 14
-# rows of firing probabilities cached per larger machine, as many as a
-# table holds; a row only refers to the run's shared floats
+# rows of firing probabilities cached per machine, every local state's up to
+# TABLE_UNITS units; a row only refers to the run's shared floats
 MEMO_ENTRIES = 1 << TABLE_UNITS
 # the largest machine the composed engine runs
 COMPOSED_UNITS = 8
@@ -303,9 +300,9 @@ class _Machines:
     state is ``mask >> shifts[k]`` masked to its units. ``modes[k]`` are
     its unit modes as its weight logic is asked for them, a wired unit's as
     clamped low: its input is its wire, so its entry is a rail no update
-    reads. ``tables[k]`` is v[state, unit] for a machine of up to
-    ``TABLE_UNITS`` units, None for a larger one. ``mask`` is every unit's
-    output at t = 0, and each schedule draws ``chunk`` updates a refill."""
+    reads. ``memos[k]`` holds machine k's rows of firing probabilities by
+    local state. ``mask`` is every unit's output at t = 0, and each
+    schedule draws ``chunk`` updates a refill."""
 
     def __init__(self, network: NetworkSpec, seed: int, chunk: int):
         n = self.n = network.n_total
@@ -317,9 +314,6 @@ class _Machines:
         self.wires = [p.mode if isinstance(p.mode, Wired) else None for p in network.pbits]
         modes = [CLAMPED_LOW if w else p.mode for p, w in zip(network.pbits, self.wires)]
         self.modes = [modes[off:off + mach.n] for off, mach in zip(self.offsets, self.machines)]
-        self.tables = [weight_inputs(mach.coupling, bit_rows(0, 1 << mach.n, mach.n),
-                                     modes, mach.quant) if mach.n <= TABLE_UNITS else None
-                       for mach, modes in zip(self.machines, self.modes)]
         # each machine's probability rows, keyed by local state
         self.memos = [{} for _ in self.machines]
         self.p_of = _Probabilities()
@@ -328,18 +322,14 @@ class _Machines:
 
     def row(self, k: int, local: int) -> list:
         """Machine k's firing probabilities in local state ``local``: on a
-        miss read off its table, or from one weight-logic call for a machine
-        too large to tabulate, and kept while its cache has room."""
+        miss from one weight-logic call over that state, and kept while its
+        cache has room."""
         memo = self.memos[k]
         row = memo.get(local)
         if row is None:
-            table = self.tables[k]
-            if table is None:
-                mach = self.machines[k]
-                volts = weight_inputs(mach.coupling, bit_rows(local, local + 1, mach.n)[0],
-                                      self.modes[k], mach.quant)
-            else:
-                volts = table[local].tolist()
+            mach = self.machines[k]
+            volts = weight_inputs(mach.coupling, bit_rows(local, local + 1, mach.n)[0],
+                                  self.modes[k], mach.quant)
             row = list(map(self.p_of.__getitem__, volts))
             if len(memo) < MEMO_ENTRIES:
                 memo[local] = row
@@ -523,8 +513,8 @@ class _Probabilities(dict):
 
 def _composable(network: NetworkSpec) -> str:
     """The engine ``run`` gives a network, under any budget: ``"heap"`` for
-    a network with a machine of more than ``TABLE_UNITS`` units, whose
-    voltage table the other engines read; ``"composed"`` for one machine
+    a network with a machine of more than ``TABLE_UNITS`` units, more local
+    states than a machine's cache holds; ``"composed"`` for one machine
     (``NetworkSpec.validate`` allows no wire inside a machine) of at most
     ``COMPOSED_UNITS`` units; ``"flips"`` for any other network."""
     if any(m.n > TABLE_UNITS for m in network.machines):
@@ -690,8 +680,11 @@ def _run_composed(network, seed, stop, last, caps) -> SimulationTrace:
     chunk = min(CHUNK, WINDOW_ENTRIES // (n << n))
     machines = _Machines(network, seed, chunk)
     tau, state, schedules = machines.taus[0], machines.mask, machines.schedules
-    # p[state, unit]: every unit's held probability after a refresh in that state
-    p = np.array([machines.row(0, local) for local in range(1 << n)])
+    # p[state, unit]: every unit's held probability after a refresh in that
+    # state, from one weight-logic call over all 2^n states
+    mach = machines.machines[0]
+    volts = weight_inputs(mach.coupling, bit_rows(0, 1 << n, n), machines.modes[0], mach.quant)
+    p = np.array([list(map(machines.p_of.__getitem__, v)) for v in volts.tolist()])
     ranks, ordered = _ranks(p)
     # whole ticks of at most ``chunk`` updates per unit, or a single tick
     span = max(tau, chunk * min(s.min_step for s in schedules) // tau * tau)
@@ -715,17 +708,16 @@ def _run_composed(network, seed, stop, last, caps) -> SimulationTrace:
                   np.concatenate(flip_masks), update_counts, one_counts)
 
 
-def _dependence(volts) -> int:
-    """The local mask of the bits that some voltage in table ``volts``
-    depends on; a wired unit's column, a rail, depends on none."""
-    n = volts.shape[1]
-    dep = 0
-    for k in range(n):
-        # the states without unit k's bit, and the same states with it
-        halves = volts.reshape(1 << k, 2, -1, n)
-        if np.any(halves[:, 0] != halves[:, 1]):
-            dep |= 1 << (n - 1 - k)
-    return dep
+def _couplings(mach, modes):
+    """Which units of machine ``mach``, with unit modes ``modes``, have a
+    voltage that can change: those free at i0 != 0 with a nonzero row of J;
+    and the local mask of the bits they can depend on, their rows' nonzero
+    columns. Saturation or DAC rounding can hide a dependence; the flips
+    found stay the same."""
+    j = mach.coupling.j
+    live = (np.array(modes) == FREE) & (mach.coupling.i0 != 0) & np.any(j != 0, axis=1)
+    dep = np.flatnonzero(np.any(j[live] != 0, axis=0)).tolist()
+    return live.tolist(), sum(1 << (mach.n - 1 - c) for c in dep)
 
 
 def _tied_ranks(times, units, last_t, last_rank):
@@ -829,12 +821,13 @@ class _FlipRun(_Machines):
     probability) and turns them into outputs, counts and flips once per
     window (``settle``). Only a flip that changes some other unit's
     probability is an event: the flip of a bit that a voltage of its
-    machine depends on, which queues a refresh at the machine's next tick,
-    or of a wire's source. The units that flip such bits are "eager". An
-    eager unit whose own probability never changes (not wired, its voltage
-    the same in every state: a clamped unit, or any unit at i0 = 0) has its
-    flips found for the whole window at once; any other finds its next flip
-    by scanning its segment. A heap runs the events in time order.
+    machine can depend on (``_couplings``), which queues a refresh at the
+    machine's next tick, or of a wire's source. The units that flip such
+    bits are "eager". An eager unit whose own probability never changes
+    (not wired, and by J its voltage the same in every state: a clamped
+    unit, any unit at i0 = 0, or one with a zero row of J) has its flips
+    found for the whole window at once; any other finds its next flip by
+    scanning its segment. A heap runs the events in time order.
     """
 
     def __init__(self, network: NetworkSpec, seed: int):
@@ -849,15 +842,15 @@ class _FlipRun(_Machines):
         # the units whose same-instant order matters: the ends of zero-delay wires
         self.tie_units = sorted({g for r, w in enumerate(wires) if w is not None
                                  and not w.delay_us for g in (r, w.source)})
-        # the global mask bits each machine's voltages depend on
-        self.dep_masks = [_dependence(table) << shift
-                          for table, shift in zip(self.tables, self.shifts)]
+        # which units' voltages can change, and the global mask bits each
+        # machine's voltages can depend on
+        live, deps = zip(*map(_couplings, self.machines, self.modes))
+        self.dep_masks = [dep << shift for dep, shift in zip(deps, self.shifts)]
         self.bits = [1 << (n - 1 - g) for g in range(n)]
         self.refreshes = [self.dep_masks[k] & bit != 0
                           for k, bit in zip(self.machine_of, self.bits)]
         self.eager = [dep or bool(readers) for dep, readers in zip(self.refreshes, self.readers)]
-        fixed = np.concatenate([np.all(table == table[0], axis=0) for table in self.tables])
-        self.constant = [bool(c) and not w for c, w in zip(fixed, self.wired)]
+        self.constant = [not c and not w for c, w in zip(sum(live, []), self.wired)]
 
         self.initial_mask = self.mask
         self.out = [(self.mask >> (n - 1 - g)) & 1 for g in range(n)]
@@ -1147,11 +1140,11 @@ def run(
     running the events strictly before it; ``max_updates`` counts unit
     update events and ends the samples at the last update's time. A zero
     budget yields an empty trace. ``_composable`` picks the engine from the
-    network: the event heap for a machine too large to tabulate, per-tick
-    state maps for a machine of up to ``COMPOSED_UNITS`` units, and the
-    flip-driven engine for any other network. All three give the same
-    trace. The heap counts its updates as it runs; for the other two
-    engines ``_cut`` turns an update budget into ``stop``, ``last`` and
+    network: the event heap for a machine of more than ``TABLE_UNITS``
+    units, per-tick state maps for a machine of up to ``COMPOSED_UNITS``
+    units, and the flip-driven engine for any other network. All three give
+    the same trace. The heap counts its updates as it runs; for the other
+    two engines ``_cut`` turns an update budget into ``stop``, ``last`` and
     per-unit caps before the run, unless another budget ends the run first.
     A run whose virtual times could reach ``TIME_LIMIT_US`` is refused.
     ``update_order`` gives the order of the run's updates.

@@ -62,7 +62,7 @@ def test_traced_run_reaches_every_layer(recorder, tmp_path, capsys):
     rec, _ = recorder
     networks.load_gate.cache_clear()  # a fresh pbitsim process loads its gates cold
     # a full adder, a shipped gate that is verified when loaded, and a
-    # 15-unit matrix machine, too large to tabulate: the event heap runs
+    # 15-unit matrix machine, past TABLE_UNITS: the event heap runs
     # it, so Simulator.step is reached
     n = dynamics.TABLE_UNITS + 1
     docs = [

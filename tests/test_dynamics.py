@@ -32,7 +32,7 @@ from pbitsim.networks import (
     build_and_machine,
     load_gate,
 )
-from pbitsim.oracle import project
+from pbitsim.oracle import bit_rows, project
 from pbitsim.dynamics import (PRIO_REFRESH, Simulator, alignment_flags, run, sample_count,
                               sample_time, serialization_metric, update_order)
 
@@ -220,8 +220,44 @@ class TestEventCounts:
                 == machines
                 and all(np.array_equal(outputs, states) for _, outputs, *_ in weight_calls))
 
+    @staticmethod
+    def _evaluated(weight_calls, machines) -> list:
+        """Each weight-logic call as (machine index, local state): every
+        call must be a single-state call for one of ``machines``."""
+        index = {id(mach.coupling): k for k, mach in enumerate(machines)}
+        evaluated = []
+        for coupling, outputs, *_ in weight_calls:
+            bits = np.asarray(outputs)
+            assert bits.shape == (coupling.n,)
+            local = int(bits @ (1 << np.arange(coupling.n - 1, -1, -1)))
+            evaluated.append((index[id(coupling)], local))
+        return evaluated
+
+    @staticmethod
+    def _heap_refreshes(monkeypatch) -> list:
+        """Log each refresh on the event heap as (simulator, machine, local
+        state it refreshes in)."""
+        refreshes, refresh = [], Simulator._refresh
+
+        def logging_refresh(sim, k):
+            refreshes.append((sim, k, (sim.mask >> sim.shifts[k]) & sim.local_masks[k]))
+            refresh(sim, k)
+
+        monkeypatch.setattr(Simulator, "_refresh", logging_refresh)
+        return refreshes
+
+    @classmethod
+    def _assert_once_per_state(cls, sim, refreshed, weight_calls):
+        """One single-state weight-logic call per distinct (machine, local
+        state) in ``refreshed``, and every such row kept in the memo."""
+        evaluated = cls._evaluated(weight_calls, sim.machines)
+        assert len(evaluated) == len(set(evaluated))
+        assert set(evaluated) == set(refreshed)
+        for k, memo in enumerate(sim.memos):
+            assert set(memo) == {local for m, local in refreshed if m == k}
+
     def test_clean_refreshes_are_elided(self, monkeypatch):
-        heads, refreshes, weight_calls = [], [], []
+        heads, weight_calls = [], []
         step = Simulator.step
 
         def counting_step(sim):
@@ -229,34 +265,42 @@ class TestEventCounts:
             step(sim)
 
         monkeypatch.setattr(Simulator, "step", counting_step)
-        self._count_calls(monkeypatch, Simulator, "_refresh", refreshes)
+        refreshes = self._heap_refreshes(monkeypatch)
         self._count_calls(monkeypatch, dynamics, "weight_inputs", weight_calls)
         # tau_sample = tau_N / 200, the regime where nearly every refresh is
-        # clean, on the event heap
+        # clean, on the event heap; each machine computes a row only when it
+        # first refreshes in a local state
         trace = heap_run(two_and_net(tau_sample_us=1000, retention_us=200_000), seed=1,
                          max_samples=20_000)
         assert len(trace) == 20_000
         assert len(heads) == trace.update_counts.sum() + len(refreshes)
         assert len(heads) <= 0.05 * len(trace)
         assert heads[0] == (0, PRIO_REFRESH)
-        assert self._tabulated(weight_calls, 2)
+        sim = refreshes[0][0]
+        self._assert_once_per_state(sim, [(k, local) for _, k, local in refreshes],
+                                    weight_calls)
 
     def test_weight_logic_runs_once_per_local_state(self, monkeypatch):
-        refreshes, weight_calls = [], []
-        self._count_calls(monkeypatch, Simulator, "_refresh", refreshes)
+        weight_calls = []
+        refreshes = self._heap_refreshes(monkeypatch)
         self._count_calls(monkeypatch, dynamics, "weight_inputs", weight_calls)
         # tau_sample = tau_N, the breakdown regime where every refresh is
-        # dirty, on the event heap
+        # dirty, on the event heap: thousands of refreshes, and one
+        # weight-logic call for each distinct local state among them, of
+        # the two machines' 2^3 each
         trace = heap_run(two_and_net(tau_sample_us=200_000, retention_us=200_000), seed=1,
                          max_samples=20_000)
         assert len(refreshes) > 0.9 * len(trace)
-        assert self._tabulated(weight_calls, 2)
+        sim = refreshes[0][0]
+        refreshed = [(k, local) for _, k, local in refreshes]
+        self._assert_once_per_state(sim, refreshed, weight_calls)
+        assert len(weight_calls) <= 2 * 8 < len(refreshes)
 
     def test_untabulated_weight_logic_runs_once_per_local_state(self, monkeypatch):
-        # a random 18-unit machine with J and h on the quarter grid, too large
-        # to tabulate, visits hundreds of local states: it computes a state's
-        # row when it first refreshes in that state and reads it back on
-        # every later refresh there
+        # a random 18-unit machine with J and h on the quarter grid, past
+        # TABLE_UNITS and so on the event heap, visits hundreds of local
+        # states: it computes a state's row when it first refreshes in that
+        # state and reads it back on every later refresh there
         rng = np.random.default_rng(18)
         j = np.triu(rng.integers(-4, 5, (18, 18)) / 4, 1)
         net = build_network({
@@ -355,39 +399,86 @@ class TestEventCounts:
         assert len(pops) >= len(flips) + len(refreshes)
         assert len(flips) + len(refreshes) <= 0.05 * updates
 
+    @staticmethod
+    def _flip_refreshes(monkeypatch) -> list:
+        """Log the flip-driven engine's refreshes as (run, machine, local
+        state masked to its dependences), each machine's refresh at t = 0,
+        made as the run starts, included."""
+        refreshes, begin, refresh = [], dynamics._FlipRun.begin, dynamics._FlipRun._refresh
+
+        def logging_begin(run_, times, u):
+            if not any(r is run_ for r, *_ in refreshes):
+                refreshes.extend((run_, k, local) for k, local in enumerate(run_.held))
+            begin(run_, times, u)
+
+        def logging_refresh(run_, k, t):
+            refreshes.append((run_, k, (run_.mask & run_.dep_masks[k]) >> run_.shifts[k]))
+            refresh(run_, k, t)
+
+        monkeypatch.setattr(dynamics._FlipRun, "begin", logging_begin)
+        monkeypatch.setattr(dynamics._FlipRun, "_refresh", logging_refresh)
+        return refreshes
+
     @pytest.mark.parametrize("budget, engine, ran", [
         ({"max_samples": 5000}, "flips", lambda trace: len(trace) == 5000),
         ({"max_updates": 20_000}, "flips", lambda trace: trace.update_counts.sum() == 20_000),
     ], ids=["samples", "updates"])
     def test_control_tabulates_each_machine_once(self, monkeypatch, budget, engine, ran):
-        # the factorizer at i0 = 0: its 13-unit machines visit thousands of
-        # local states, and each machine calls the weight logic once, under a
-        # sample and an update budget alike; the sigmoid runs at most
-        # once per voltage published or read off a wire
+        # the factorizer at i0 = 0: no voltage of its 8- to 13-unit machines
+        # depends on any bit, so each machine calls the weight logic once,
+        # over its local state masked to no bits, under a sample and an
+        # update budget alike; the sigmoid runs at most once per voltage
+        # published or read off a wire
         net = build_network({
             "name": "control", "seed": 0,
             "network": {"kind": "factorizer", "i0": 0.0, "tau_sample_us": 2000},
             "retention_us": 20_000, "clamps": {"S0": 0, "S1": 1, "S2": 1, "S3": 0}})
-        tables, sigmoid_args = [], []
+        weight_calls, volts, sigmoid_args = [], [], []
         weight_inputs, sigmoid_ = dynamics.weight_inputs, dynamics.sigmoid
 
-        def tabulating(*args):
-            tables.append(weight_inputs(*args))
-            return tables[-1]
+        def logging_weight_inputs(*args):
+            weight_calls.append(args)
+            volts.append(weight_inputs(*args))
+            return volts[-1]
 
         def sigmoid_calls(x):
             sigmoid_args.append(x)
             return sigmoid_(x)
 
-        monkeypatch.setattr(dynamics, "weight_inputs", tabulating)
+        refreshes = self._flip_refreshes(monkeypatch)
+        monkeypatch.setattr(dynamics, "weight_inputs", logging_weight_inputs)
         monkeypatch.setattr(dynamics, "sigmoid", sigmoid_calls)
         assert dynamics._composable(net) == engine
         trace = run(net, seed=11, **budget)
         assert ran(trace)
-        assert len(tables) == len(net.machines) == 4
-        published = {0.0, 5.0}.union(*(t[~np.isnan(t)].tolist() for t in tables))
+        run_ = refreshes[0][0]
+        assert run_.dep_masks == [0] * 4
+        assert [(k, local) for _, k, local in refreshes] == [(k, 0) for k in range(4)]
+        self._assert_once_per_state(run_, [(k, 0) for k in range(4)], weight_calls)
+        published = {0.0, 5.0}.union(*volts)
         assert len(sigmoid_args) == len(set(sigmoid_args)) <= len(published)
         assert set(sigmoid_args) <= {2.0 * v - 5.0 for v in published}
+
+    def test_flip_run_evaluates_only_refreshed_states(self, monkeypatch):
+        # the factorizer at i0 = 1.5 under an update budget: each machine
+        # calls the weight logic once per distinct local state, masked to
+        # its dependences, that it refreshes in, and keeps every such row;
+        # the run evaluates under 2% of its machines' 20,736 local states
+        net = build_network({
+            "name": "factorizer", "seed": 0, "network": {"kind": "factorizer", "i0": 1.5},
+            "clamps": {"S0": 0, "S1": 1, "S2": 1, "S3": 0}})
+        weight_calls = []
+        refreshes = self._flip_refreshes(monkeypatch)
+        self._count_calls(monkeypatch, dynamics, "weight_inputs", weight_calls)
+        assert dynamics._composable(net) == "flips"
+        trace = run(net, seed=1, max_updates=50_000)
+        assert trace.update_counts.sum() == 50_000
+        run_ = refreshes[0][0]
+        refreshed = [(k, local) for _, k, local in refreshes]
+        self._assert_once_per_state(run_, refreshed, weight_calls)
+        assert len(weight_calls) < len(refreshes)
+        assert len(weight_calls) < 0.02 * sum(1 << mach.n for mach in net.machines) \
+            == 0.02 * 20_736
 
 
 class TestJitter:
@@ -666,7 +757,8 @@ class TestComposedEngine:
             "untabulated_max_updates"])
     def test_update_budgets_step_the_heap(self, monkeypatch, net, budget, heap):
         # an update budget steps the heap only where the network does: a
-        # tabulated network composes maps or takes the flip-driven engine
+        # network of machines of at most TABLE_UNITS units composes maps or
+        # takes the flip-driven engine
         # under every budget, the update budget cut from its schedules
         steps = []
         step = Simulator.step
@@ -887,6 +979,83 @@ class TestFlipEngine:
            budget=budgets, chunk=st.sampled_from([3, 64, dynamics.CHUNK]))
     def test_one_machine_matches_the_heap(self, net, seed, budget, chunk):
         self._check(net, seed, budget, chunk)
+
+
+def table_dependence(volts) -> int:
+    """The local mask of the bits that some voltage in table ``volts``,
+    v[state, unit] over every local state, depends on; a wired unit's
+    column, a rail, depends on none. The flip-driven engine's former rule,
+    kept as the reference for ``_couplings``."""
+    n = volts.shape[1]
+    dep = 0
+    for k in range(n):
+        # the states without unit k's bit, and the same states with it
+        halves = volts.reshape(1 << k, 2, -1, n)
+        if np.any(halves[:, 0] != halves[:, 1]):
+            dep |= 1 << (n - 1 - k)
+    return dep
+
+
+def table_rules(run_):
+    """The dependence masks and constant units of a ``_FlipRun`` by the
+    former rules: each machine's voltages tabulated over its local states,
+    a machine depending on the bits that change some voltage, and a unit
+    constant if it is not wired and its column is the same in every state."""
+    tables = [weight_inputs(mach.coupling, bit_rows(0, 1 << mach.n, mach.n), modes, mach.quant)
+              for mach, modes in zip(run_.machines, run_.modes)]
+    deps = [table_dependence(t) << shift for t, shift in zip(tables, run_.shifts)]
+    fixed = np.concatenate([np.all(t == t[0], axis=0) for t in tables])
+    return deps, [bool(c) and not w for c, w in zip(fixed, run_.wired)]
+
+
+def saturated_net():
+    """Two machines, the first one's unit 0 driven past the saturation
+    limit in every state: its voltage is the rail, though its row of J is
+    not zero, so J says that it can change and that bit 1 matters, and the
+    table says neither. Unit 1 is read by nothing else, so by J it is an
+    eager unit and by the table it is not."""
+    first = CouplingMatrix(np.array([[0.0, 0.25, 0.0], [0.25, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+                           np.array([8.0, 0.0, -0.25]), 1.0)
+    second = CouplingMatrix(np.array([[0.0, -0.5], [-0.5, 0.0]]), np.array([0.25, 0.0]), 1.0)
+    pbits = [PBitConfig(id=k, retention_us=300 + 50 * k, phase_us=20 * k) for k in range(5)]
+    pbits[3] = PBitConfig(id=3, retention_us=300, mode=Wired(source=2))
+    net = NetworkSpec([MachineSpec("sat", first, tau_sample_us=100),
+                       MachineSpec("pair", second, tau_sample_us=150)], pbits)
+    net.validate()
+    return net
+
+
+class TestCouplingRule:
+    """The flip-driven engine reads which bits each machine depends on, and
+    which units publish one voltage in every state, off J (``_couplings``).
+    It must give the table rules' answer on every shipped network, and may
+    only over-report a dependence elsewhere, which changes no bit."""
+
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+    def test_scenarios_match_the_table_rules(self, path):
+        run_ = dynamics._FlipRun(build_network(load_scenario(path)), seed=0)
+        assert (run_.dep_masks, run_.constant) == table_rules(run_)
+
+    @settings(max_examples=100, deadline=None)
+    @given(net=st.one_of(small_machines(units=(1, 10)), small_networks()))
+    def test_covers_the_table_rules(self, net):
+        run_ = dynamics._FlipRun(net, seed=0)
+        deps, constant = table_rules(run_)
+        assert all(dep & ~j_dep == 0 for dep, j_dep in zip(deps, run_.dep_masks))
+        assert all(c for j_c, c in zip(run_.constant, constant) if j_c)
+
+    def test_saturated_machine_keeps_the_heap_bits(self):
+        net = saturated_net()
+        run_ = dynamics._FlipRun(net, seed=0)
+        deps, constant = table_rules(run_)
+        assert (deps[0], run_.dep_masks[0]) == (0b10000, 0b11000)
+        assert (constant[0], run_.constant[0]) == (True, False)
+        assert run_.eager[:3] == [True, True, True]
+        assert dynamics._composable(net) == "flips"
+        for budget in ({"max_samples": 3000}, {"max_updates": 5000}, {"duration_us": 200_000}):
+            want, got = heap_run(net, 5, **budget), run(net, 5, **budget)
+            assert digest(got) == digest(want)
+            assert (got.final_time_us, len(got)) == (want.final_time_us, len(want))
 
 
 class TestUpdateOrder:

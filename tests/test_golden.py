@@ -234,9 +234,8 @@ TRACE_CASES = {
         {"max_samples": SAMPLES},
         "ec166cc06ec1dd45414a86443a13382dc4f686d282f070a8d900ce189144014d",
     ),
-    # non-dyadic machines: 12 units, read from a table by the flip-driven
-    # engine, and 15 units, computed row by row on the event heap, that
-    # visit more local states than their cache holds
+    # non-dyadic machines: 12 units on the flip-driven engine, and 15 units
+    # on the event heap
     "matrix12_sevenths": (
         lambda: sevenths_matrix(12),
         {"max_samples": SAMPLES},
@@ -299,43 +298,64 @@ def test_composed_cases_span_their_windows(name, windows, monkeypatch):
     assert windows(len(calls), len(trace))
 
 
-def local_states_seen(name):
-    """The run of a trace case stepped by hand: the simulator after it, and
-    the local states each machine refreshed in."""
+def stepped_by_hand(name, monkeypatch):
+    """The run of a trace case stepped by hand on the event heap: the
+    simulator after it, each refresh as (machine, local state) in order, and
+    each weight-logic call the same way, every call a single-state one."""
     factory, budget, _ = TRACE_CASES[name]
     sim = Simulator(factory(), seed=11)
+    index = {id(mach.coupling): k for k, mach in enumerate(sim.machines)}
+    calls, weight_inputs = [], dynamics.weight_inputs
+
+    def logging_weight_inputs(coupling, outputs, *args):
+        bits = np.asarray(outputs)
+        assert bits.shape == (coupling.n,)
+        calls.append((index[id(coupling)], int(bits @ (1 << np.arange(coupling.n)[::-1]))))
+        return weight_inputs(coupling, outputs, *args)
+
+    monkeypatch.setattr(dynamics, "weight_inputs", logging_weight_inputs)
     stop = sample_time(sim.taus, budget["max_samples"] - 1)
-    seen = [set() for _ in sim.machines]
+    refreshes = []
     while sim.queue[0][0] < stop:
         if sim.queue[0][1] == dynamics.PRIO_REFRESH:
             k = sim.queue[0][3]
-            seen[k].add((sim.mask >> sim.shifts[k]) & sim.local_masks[k])
+            refreshes.append((k, (sim.mask >> sim.shifts[k]) & sim.local_masks[k]))
         sim.step()
-    return sim, seen
+    return sim, refreshes, calls
 
 
-def test_memo_overflow_case_fills_a_cache():
+def test_memo_overflow_case_fills_a_cache(monkeypatch):
     # a 13-unit machine visits over a thousand local states; every machine
-    # has its full table, and its cache holds a row for exactly the local
-    # states it refreshed in
-    sim, seen = local_states_seen("memo_overflow")
-    assert max(len(states) for states in seen) > 1000
-    for mach, table, memo, states in zip(sim.machines, sim.tables, sim.memos, seen):
+    # computes a row with one weight-logic call when it first refreshes in
+    # a local state, and its cache holds a row for exactly the local states
+    # it refreshed in
+    sim, refreshes, calls = stepped_by_hand("memo_overflow", monkeypatch)
+    assert max(sum(1 for m, _ in set(refreshes) if m == k)
+               for k in range(len(sim.machines))) > 1000
+    assert calls == list(dict.fromkeys(refreshes))
+    for k, (mach, memo) in enumerate(zip(sim.machines, sim.memos)):
         assert mach.n <= TABLE_UNITS
-        assert table.shape == (1 << mach.n, mach.n)
-        assert set(memo) == states
+        assert set(memo) == {local for m, local in refreshes if m == k}
 
 
 def test_matrix15_case_fills_its_cache(monkeypatch):
-    # a machine past TABLE_UNITS computes a row per miss and keeps at most
-    # MEMO_ENTRIES of them; with room for 64 the run takes the path that
-    # finds the cache full, and its bits stay the same
+    # a machine computes a row per miss and keeps at most MEMO_ENTRIES of
+    # them; with room for 64 the run takes the path that finds the cache
+    # full: the first 64 local states it refreshes in are kept and computed
+    # once, any other is computed again at every refresh there, and its
+    # bits stay the same
     monkeypatch.setattr(dynamics, "MEMO_ENTRIES", 64)
-    sim, seen = local_states_seen("matrix15_sevenths")
+    sim, refreshes, calls = stepped_by_hand("matrix15_sevenths", monkeypatch)
     assert sim.machines[0].n == TABLE_UNITS + 1
-    assert sim.tables == [None]
-    assert len(seen[0]) > 64
-    assert len(sim.memos[0]) == 64
+    kept = list(dict.fromkeys(refreshes))[:64]
+    assert len(set(refreshes)) > 64
+    assert list(sim.memos[0]) == [local for _, local in kept]
+    want, met = [], set()
+    for r in refreshes:
+        if r not in met or r not in kept:
+            want.append(r)
+        met.add(r)
+    assert calls == want
     _, budget, expected = TRACE_CASES["matrix15_sevenths"]
     assert trace_digest(sim.trace(sample_time(sim.taus, budget["max_samples"] - 1))) == expected
 
