@@ -22,7 +22,6 @@ import os
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import analysis, dynamics
@@ -189,41 +188,304 @@ PLANS_SCHEMA = {
 }
 
 
-# JSON Schema's "integer" admits an integral float such as 2.0, which the
-# program would then use where it needs an int; this validator refuses it
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)))
+# The checker of input documents: an interpreter of the keywords the schemas
+# above use, with the meaning, the messages and the error choice of
+# jsonschema 4.26's Draft 2020-12 validator and its ``best_match``, except
+# that its "integer" refuses an integral float such as 2.0, which the program
+# would then use where it needs an int. tests/test_cli.py keeps that
+# validator as the reference and fails on a keyword the checker lacks.
+
+
+class _Error:
+    """One failed keyword: its message, the errors of the alternatives of a
+    failed ``anyOf`` or ``oneOf``, the keyword and its value, the instance
+    and the schema that hold them, and the path to the instance from the
+    instance of the keyword that descended into its schema."""
+
+    __slots__ = ("message", "context", "keyword", "rule", "instance", "schema", "path")
+
+    def __init__(self, message: str, context=()):
+        self.message, self.context = message, context
+        self.keyword = self.rule = self.instance = self.schema = None
+        self.path = ()
+
+
+# a bool is an int to Python, but only a boolean to JSON
+_TYPES = {"object": dict, "array": list, "string": str, "integer": int,
+          "number": (int, float), "boolean": bool, "null": type(None)}
+
+
+def _is_type(instance, name: str) -> bool:
+    if isinstance(instance, bool):
+        return name == "boolean"
+    return isinstance(instance, _TYPES[name])
+
+
+def _type_names(rule) -> list:
+    """The names a ``type`` rule lists: one name, or a list of them."""
+    return [rule] if isinstance(rule, str) else rule
+
+
+def _of_type(instance, rule) -> bool:
+    return any(_is_type(instance, name) for name in _type_names(rule))
+
+
+def _equal(one, two) -> bool:
+    """JSON equality: ``True`` is not 1, 1 is 1.0, and lists and objects
+    compare member by member."""
+    if one is two:
+        return True
+    if isinstance(one, str) or isinstance(two, str):
+        return one == two
+    if isinstance(one, list) and isinstance(two, list):
+        return len(one) == len(two) and all(map(_equal, one, two))
+    if isinstance(one, dict) and isinstance(two, dict):
+        return len(one) == len(two) and all(k in two and _equal(v, two[k]) for k, v in one.items())
+    return _unbool(one) == _unbool(two)
+
+
+def _unbool(value, true=object(), false=object()):
+    """``value``, with ``True`` and ``False`` made unequal to every number."""
+    if value is True:
+        return true
+    if value is False:
+        return false
+    return value
+
+
+def _unique(items: list) -> bool:
+    """Whether no two of ``items`` are equal: neighbours in sorted order, or
+    every pair where the items do not sort, as jsonschema decides it."""
+    try:
+        ordered = sorted(map(_unbool, items))
+        return not any(map(_equal, ordered, ordered[1:]))
+    except (NotImplementedError, TypeError):
+        seen = []
+        for item in map(_unbool, items):
+            if any(_equal(other, item) for other in seen):
+                return False
+            seen.append(item)
+        return True
+
+
+def _errors(instance, schema: dict):
+    """Yield the errors of ``instance`` under ``schema``, keyword by keyword
+    in the schema's order."""
+    for keyword, rule in schema.items():
+        check = _KEYWORDS.get(keyword)
+        if check is None:  # then and else, which if reads
+            continue
+        for error in check(instance, rule, schema):
+            if error.keyword is None:  # raised here, not in a subschema
+                error.keyword, error.rule = keyword, rule
+                error.instance, error.schema = instance, schema
+            yield error
+
+
+def _descend(instance, schema: dict, step):
+    """The errors of ``instance``, the member ``step`` (a key or an index)
+    of the instance being checked, with ``step`` put first in their paths."""
+    for error in _errors(instance, schema):
+        error.path = (step, *error.path)
+        yield error
+
+
+def _valid(instance, schema: dict) -> bool:
+    return next(_errors(instance, schema), None) is None
+
+
+def _type(instance, rule, schema):
+    if not _of_type(instance, rule):
+        yield _Error(f"{instance!r} is not of type {', '.join(map(repr, _type_names(rule)))}")
+
+
+def _enum(instance, values, schema):
+    if not any(_equal(value, instance) for value in values):
+        yield _Error(f"{instance!r} is not one of {values!r}")
+
+
+def _const(instance, value, schema):
+    if not _equal(instance, value):
+        yield _Error(f"{value!r} was expected")
+
+
+def _required(instance, names, schema):
+    if _is_type(instance, "object"):
+        for name in names:
+            if name not in instance:
+                yield _Error(f"{name!r} is a required property")
+
+
+def _properties(instance, subschemas, schema):
+    if _is_type(instance, "object"):
+        for name, subschema in subschemas.items():
+            if name in instance:
+                yield from _descend(instance[name], subschema, name)
+
+
+def _additional_properties(instance, rule, schema):
+    if not _is_type(instance, "object"):
+        return
+    known = schema.get("properties", {})
+    extras = [name for name in instance if name not in known]
+    if isinstance(rule, dict):
+        for name in extras:
+            yield from _descend(instance[name], rule, name)
+    elif not rule and extras:
+        verb = "was" if len(extras) == 1 else "were"
+        names = ", ".join(map(repr, sorted(extras, key=str)))
+        yield _Error(f"Additional properties are not allowed ({names} {verb} unexpected)")
+
+
+def _items(instance, subschema, schema):
+    if _is_type(instance, "array"):
+        for index, item in enumerate(instance):
+            yield from _descend(item, subschema, index)
+
+
+def _bound(fails, words):
+    """A check of a number against a bound: ``fails(instance, bound)`` is
+    true where the check fails."""
+    def check(instance, bound, schema):
+        if _is_type(instance, "number") and fails(instance, bound):
+            yield _Error(f"{instance!r} is {words} {bound!r}")
+    return check
+
+
+def _min_size(kind):
+    def check(instance, least, schema):
+        if _is_type(instance, kind) and len(instance) < least:
+            yield _Error(f"{instance!r} {'should be non-empty' if least == 1 else 'is too short'}")
+    return check
+
+
+def _unique_items(instance, rule, schema):
+    if rule and _is_type(instance, "array") and not _unique(instance):
+        yield _Error(f"{instance!r} has non-unique elements")
+
+
+def _all_of(instance, subschemas, schema):
+    for subschema in subschemas:
+        yield from _errors(instance, subschema)
+
+
+def _any_of(instance, subschemas, schema):
+    context = []
+    for subschema in subschemas:
+        errors = list(_errors(instance, subschema))
+        if not errors:
+            return
+        context += errors
+    yield _Error(f"{instance!r} is not valid under any of the given schemas", context)
+
+
+def _one_of(instance, subschemas, schema):
+    rest = iter(subschemas)
+    context = []
+    for subschema in rest:
+        errors = list(_errors(instance, subschema))
+        if not errors:
+            break
+        context += errors
+    else:
+        yield _Error(f"{instance!r} is not valid under any of the given schemas", context)
+        return
+    also = [other for other in rest if _valid(instance, other)]
+    if also:
+        valid = ", ".join(map(repr, [*also, subschema]))
+        yield _Error(f"{instance!r} is valid under each of {valid}")
+
+
+def _not(instance, subschema, schema):
+    if _valid(instance, subschema):
+        yield _Error(f"{instance!r} should not be valid under {subschema!r}")
+
+
+def _if(instance, subschema, schema):
+    if _valid(instance, subschema):
+        if "then" in schema:
+            yield from _errors(instance, schema["then"])
+    elif "else" in schema:
+        yield from _errors(instance, schema["else"])
+
+
+_KEYWORDS = {
+    "type": _type,
+    "enum": _enum,
+    "const": _const,
+    "required": _required,
+    "properties": _properties,
+    "additionalProperties": _additional_properties,
+    "items": _items,
+    "minimum": _bound(operator.lt, "less than the minimum of"),
+    "maximum": _bound(operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": _bound(operator.le, "less than or equal to the minimum of"),
+    "exclusiveMaximum": _bound(operator.ge, "greater than or equal to the maximum of"),
+    "minLength": _min_size("string"),
+    "minItems": _min_size("array"),
+    "uniqueItems": _unique_items,
+    "allOf": _all_of,
+    "anyOf": _any_of,
+    "oneOf": _one_of,
+    "not": _not,
+    "if": _if,
+}
+
+
+def _relevance(error: _Error) -> tuple:
+    """``best_match``'s key: the larger, the shallower the error's path,
+    then the later among siblings, then not an ``anyOf`` or ``oneOf``, then
+    of a schema whose ``type`` the instance fails."""
+    matches = "type" in error.schema and _of_type(error.instance, error.schema["type"])
+    return -len(error.path), error.path, error.keyword not in ("anyOf", "oneOf"), not matches
 
 
 def _validate(doc, schema: dict) -> None:
-    """Raise the best-matching error of ``doc`` under one of the schemas
-    above, as ``jsonschema.validate`` does, but with an ``integer`` type
-    that refuses floats, and without checking the schema itself against its
-    metaschema on every call, which costs far more than the validation; the
-    tests check each schema once.
+    """Raise a ConfigurationError with the best-matching error of ``doc``
+    under one of the schemas above: the largest by ``_relevance``, and then,
+    while it has alternatives' errors, the least of those unless the two
+    least tie.
 
-    A broken ``not`` rule is reported by the fields it forbids, since
-    jsonschema's message echoes the whole object, matrices and lists too."""
-    error = jsonschema.exceptions.best_match(
-        _Validator(schema).iter_errors(doc))
-    if error is None:
+    A broken ``not`` rule is reported by the fields it forbids, since its
+    message echoes the whole object, matrices and lists too."""
+    best = max(_errors(doc, schema), key=_relevance, default=None)
+    if best is None:
         return
-    if error.validator == "not":  # {"required": [...]} or {"anyOf": [{"required": [f]}, ...]}
-        obj, rule = error.instance, error.validator_value
+    where = best.path
+    while best.context:
+        first, *second = sorted(best.context, key=_relevance)[:2]
+        if second and _relevance(first) == _relevance(second[0]):
+            break
+        best = first
+        where += best.path
+    if best.keyword == "not":  # {"required": [...]} or {"anyOf": [{"required": [f]}, ...]}
+        obj, rule = best.instance, best.rule
         names = rule.get("required") or [f for alt in rule["anyOf"] for f in alt["required"]]
         fields = " and ".join(repr(f) for f in names if f in obj)
-        where = "".join(f"{part}: " for part in error.absolute_path)
+        prefix = "".join(f"{part}: " for part in where)
         context = f"for kind {obj['kind']!r}" if "kind" in obj else "together"
-        raise ConfigurationError(f"{where}{fields} may not be given {context}")
-    raise error
+        raise ConfigurationError(f"{prefix}{fields} may not be given {context}")
+    raise ConfigurationError(best.message)
+
+
+def _finite(text: str) -> float:
+    """JSON's number, refused unless finite: the hook of every input read
+    for a float literal, and for the NaN, Infinity and -Infinity that
+    Python's json reader accepts."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{text} is not a finite number")
+    return value
+
+
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh, parse_float=_finite, parse_constant=_finite)
 
 
 def load_scenario(path, overrides=None) -> dict:
     """Read a scenario, apply ``overrides`` (top-level keys) and validate it."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     if overrides and isinstance(doc, dict):  # a non-object fails the schema below
         doc.update(overrides)
     _validate(doc, SCENARIO_SCHEMA)
@@ -431,10 +693,9 @@ def cmd_sweep_tau(args) -> int:
 def cmd_sweep_retention(args) -> int:
     # os.path.exists, unlike Path.exists, is False for a value too long to be a path
     if os.path.exists(args.plans):
-        with open(args.plans) as fh:
-            plans = json.load(fh)
+        plans = _read_json(args.plans)
     else:
-        plans = json.loads(args.plans)
+        plans = json.loads(args.plans, parse_float=_finite, parse_constant=_finite)
     _validate(plans, PLANS_SCHEMA)
     return _sweep(
         args, analysis.sweep_retention_spread, plans, ("plan", "tau_ratio", "distance"),
@@ -443,8 +704,7 @@ def cmd_sweep_retention(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.gatespec) as fh:
-        doc = json.load(fh)
+    doc = _read_json(args.gatespec)
     _validate(doc, GATE_FILE_SCHEMA)
     gate = gate_from_json(doc)
     report = ground_state_report(gate)
@@ -462,8 +722,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    with open(args.truthtable) as fh:
-        doc = json.load(fh)
+    doc = _read_json(args.truthtable)
     _validate(doc, GATE_INPUT_SCHEMA)
     filename = f"{doc['name']}.json"
     if Path(filename).name != filename or "\0" in filename:
@@ -596,7 +855,6 @@ def main(argv=None) -> int:
     except (
         ConfigurationError,
         CapacityError,
-        jsonschema.ValidationError,
         json.JSONDecodeError,
         FileNotFoundError,
         FileExistsError,
@@ -604,8 +862,7 @@ def main(argv=None) -> int:
         NotADirectoryError,
         UnicodeDecodeError,
     ) as exc:
-        msg = getattr(exc, "message", None) or str(exc)
-        print(f"error: {msg}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -62,23 +62,6 @@ def sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def encode_input(i: float) -> float:
-    """Bipolar drive to input voltage: v = (i + 5) / 2, so [-5,5] -> [0,5] V.
-
-    A unit decodes its input back as 2*v - 5 (see ``dynamics``).
-    """
-    return (i + 5.0) / 2.0
-
-
-def saturate(x: float) -> float:
-    """Clip a weighted sum to the drive range [-SAT_LIMIT, +SAT_LIMIT]."""
-    if x > SAT_LIMIT:
-        return SAT_LIMIT
-    if x < -SAT_LIMIT:
-        return -SAT_LIMIT
-    return x
-
-
 @dataclass(frozen=True)
 class QuantizationConfig:
     """DAC resolution on the published voltages. 0 bits = ideal path."""
@@ -91,22 +74,10 @@ class QuantizationConfig:
         if not 0 <= self.dac_bits <= sys.float_info.mant_dig:
             raise ConfigurationError(
                 f"DAC bit count must be 0 to {sys.float_info.mant_dig}, got {self.dac_bits}")
-        if self.vref <= 0:
-            raise ConfigurationError("vref must be positive")
-
-
-def quantize_voltage(v: float, bits: int, vref: float = V_RAIL) -> float:
-    """Round ``v`` to the nearest DAC code (ties away from zero).
-
-    Codes are clamped to [0, 2**bits - 1]; code*vref/2**bits is the published
-    voltage. bits == 0 is the identity (ideal converter).
-    """
-    if bits == 0:
-        return v
-    steps = 1 << bits
-    code = math.floor(v / vref * steps + 0.5)
-    code = min(max(code, 0), steps - 1)
-    return code * vref / steps
+        # a NaN vref fails every comparison, so `vref <= 0` alone admits it;
+        # an infinite one makes every code NaN
+        if not (math.isfinite(self.vref) and self.vref > 0):
+            raise ConfigurationError(f"vref must be finite and positive, got {self.vref}")
 
 
 @dataclass
@@ -207,10 +178,10 @@ def weight_inputs(
     ``outputs`` is an atomic snapshot of all unit outputs (0/1), or a 2-D
     array of snapshots, one per row. For a free unit j the drive is
     i0*(h_j + acc_j), where acc starts at 0.0 and adds m_i * J[:, i] for
-    i = 0..n-1 in ascending order (m = 2s - 1); it is saturated to [-5, 5]
-    (``saturate``), encoded as (drive + 5)/2 volts (``encode_input``) and
-    quantized if a DAC is configured (``quantize_voltage``), all vectorized
-    over the snapshots. The fixed order makes the bits independent of any
+    i = 0..n-1 in ascending order (m = 2s - 1); it is saturated to [-5, 5],
+    encoded as (drive + 5)/2 volts and, if a DAC is configured, rounded to
+    the nearest of its codes (ties up) within [0, 2**bits - 1], each code
+    publishing code*vref/2**bits volts, all vectorized over the snapshots. The fixed order makes the bits independent of any
     BLAS kernel, and the same for a snapshot alone and inside a batch.
     Clamped units get exactly the rail voltage; wired units are skipped
     because their input is bound outside this machine. A snapshot gives a

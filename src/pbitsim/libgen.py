@@ -1,4 +1,6 @@
-"""Regenerates the shipped gate library under src/pbitsim/gates/.
+"""Regenerates a gate library equivalent to the one shipped under
+src/pbitsim/gates/: the same terminals, truth tables, ground states and gaps,
+and byte-identical AND, OR, NOT and COPY files (tests/test_networks.py).
 
 Every gate comes from the gap-maximizing LP synthesizer with a fixed
 auxiliary-spin assignment per truth row. Run as
@@ -27,6 +29,24 @@ def full_adder_table():
             for c in (0, 1):
                 rows.append((a, b, c, a ^ b ^ c, (a + b + c) >> 1))
     return rows
+
+
+def make_and():
+    return synthesize_gate_lp(AND_TABLE, name="and", labels=["A", "B", "C"])
+
+
+def make_or():
+    return synthesize_gate_lp(OR_TABLE, name="or", labels=["A", "B", "C"])
+
+
+def make_not():
+    return synthesize_gate_lp(NOT_TABLE, name="not", labels=["A", "Y"], inputs=["A"],
+                              outputs=["Y"])
+
+
+def make_copy():
+    return synthesize_gate_lp(COPY_TABLE, name="copy", labels=["A", "Y"], inputs=["A"],
+                              outputs=["Y"])
 
 
 def make_xor():
@@ -95,21 +115,15 @@ def make_full_adder():
     )
 
 
+# each shipped gate's maker, in the order of networks.SHIPPED_GATES
+MAKERS = {"and": make_and, "or": make_or, "not": make_not, "copy": make_copy,
+          "xor": make_xor, "half_adder": make_half_adder, "full_adder": make_full_adder}
+
+
 def build_library(outdir):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    and_gate = synthesize_gate_lp(AND_TABLE, name="and", labels=["A", "B", "C"])
-    or_gate = synthesize_gate_lp(OR_TABLE, name="or", labels=["A", "B", "C"])
-    not_gate = synthesize_gate_lp(
-        NOT_TABLE, name="not", labels=["A", "Y"], inputs=["A"], outputs=["Y"]
-    )
-    copy_gate = synthesize_gate_lp(
-        COPY_TABLE, name="copy", labels=["A", "Y"], inputs=["A"], outputs=["Y"]
-    )
-    xor_gate = make_xor()
-    half_adder = make_half_adder()
-    full_adder = make_full_adder()
-    gates = [and_gate, or_gate, not_gate, copy_gate, xor_gate, half_adder, full_adder]
+    gates = [make() for make in MAKERS.values()]
     for gate in gates:
         save_gate(gate, outdir / f"{gate.name}.json")
     return gates

@@ -20,12 +20,13 @@ import jsonschema
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pbitsim import cli, dynamics, networks
 from pbitsim.analysis import sweep_sampling_time
 from pbitsim.cli import GATE_FILE_SCHEMA, GATE_INPUT_SCHEMA, PLANS_SCHEMA, SCENARIO_SCHEMA, main
 from pbitsim.dynamics import SimulationTrace
+from pbitsim.errors import ConfigurationError
 from pbitsim.oracle import all_energies, state_index
 from pbitsim.networks import (
     build_and_machine,
@@ -80,6 +81,43 @@ def test_schemas_meet_the_metaschema(schema):
     jsonschema.Draft202012Validator.check_schema(schema)
 
 
+def subschemas(schema):
+    """``schema`` and every schema within it."""
+    yield schema
+    for keyword, rule in schema.items():
+        if keyword == "properties":
+            inner = list(rule.values())
+        elif keyword in ("allOf", "anyOf", "oneOf"):
+            inner = rule
+        elif keyword in ("items", "not", "if", "then", "else"):
+            inner = [rule]
+        elif keyword == "additionalProperties" and rule is not False:
+            inner = [rule]
+        else:
+            continue
+        for each in inner:
+            yield from subschemas(each)
+
+
+@pytest.mark.parametrize("schema", [SCENARIO_SCHEMA, PLANS_SCHEMA, GATE_INPUT_SCHEMA,
+                                    GATE_FILE_SCHEMA], ids=["scenario", "plans", "gate_input",
+                                                            "gate_file"])
+def test_checker_reads_every_keyword(schema):
+    # a keyword the checker does not know would be ignored, as jsonschema
+    # ignores one it does not know; then and else are read by if
+    for each in subschemas(schema):
+        assert isinstance(each, dict), each
+        assert set(each) <= set(cli._KEYWORDS) | {"then", "else"}, each
+
+
+def test_walker_reaches_the_nested_rules():
+    # the not inside the matrix rule's else, and the integer of a plan's list
+    keywords = [k for each in subschemas(SCENARIO_SCHEMA) for k in each]
+    assert keywords.count("not") == 3
+    assert keywords.count("anyOf") == 1
+    assert {"minimum": 1, "type": "integer"} in list(subschemas(PLANS_SCHEMA))
+
+
 class TestRun:
     def test_smoke_artifacts(self, scenario, tmp_path, capsys):
         out = tmp_path / "out"
@@ -120,6 +158,22 @@ class TestRun:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120)
         assert done.stdout.splitlines()[-1] == "0 False", done.stderr
+
+    def test_run_does_not_import_jsonschema(self, tmp_path):
+        # the CLI checks its input itself; jsonschema loaded some 40 modules
+        # (attrs, referencing, rpds, ...) in every process, and this test
+        # session has imported it already, so a fresh process runs
+        doc = json.loads((ROOT / "scenarios" / "and_correlated.json").read_text())
+        path = tmp_path / "and.json"
+        path.write_text(json.dumps(dict(doc, samples=2000)))
+        argv = ["run", str(path), "--out", str(tmp_path / "out")]
+        code = ("import sys; from pbitsim import cli; "
+                f"print(cli.main({argv!r}), "
+                "sorted({m.partition('.')[0] for m in sys.modules} "
+                "& {'jsonschema', 'referencing', 'attrs', 'rpds'}))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120)
+        assert done.stdout.splitlines()[-1] == "0 []", done.stderr
 
     def test_matrix_network(self, tmp_path):
         path = write_scenario(
@@ -316,6 +370,41 @@ class TestExitCodes:
                 "kind": "gate", "gate": "and", "i0": 0.8, **network})
             assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
             assert "'vref' needs a positive 'dac_bits'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("vref, text", [
+        (float("nan"), "NaN"), (float("inf"), "Infinity"), (float("-inf"), "-Infinity")])
+    def test_vref_must_be_finite(self, tmp_path, capsys, vref, text):
+        # NaN used to run with every sample at state 111, and Infinity to
+        # run after a numpy RuntimeWarning from the weight logic
+        path = write_scenario(tmp_path / "v.json", network={
+            "kind": "gate", "gate": "and", "i0": 0.8, "dac_bits": 4, "vref": vref})
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {text} is not a finite number\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_number_refused(self, tmp_path, capsys):
+        # 1e999 is valid JSON that reads as infinity
+        path = write_scenario(tmp_path / "v.json")
+        path.write_text(path.read_text().replace('"i0": 0.8', '"i0": 0.8, "dac_bits": 4, '
+                                                 '"vref": 1e999'))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: 1e999 is not a finite number\n"
+
+    @pytest.mark.parametrize("command", [
+        ["sweep-retention", "SCENARIO", "--plans", "[NaN]"],
+        ["sweep-retention", "SCENARIO", "--plans", "PLANS"],
+        ["verify", "GATE"],
+    ], ids=["plans_string", "plans_file", "gate_file"])
+    def test_every_input_refuses_nan(self, scenario, tmp_path, capsys, command):
+        plans = tmp_path / "plans.json"
+        plans.write_text("[[200000, NaN, 200000]]")
+        gate = tmp_path / "gate.json"
+        gate.write_text(json.dumps(gate_to_json(load_gate("and"))).replace("-1.0", "NaN", 1))
+        argv = [{"SCENARIO": str(scenario), "PLANS": str(plans), "GATE": str(gate)}.get(a, a)
+                for a in command]
+        assert main([*argv, *(["--out", str(tmp_path / "o")] if "--plans" in argv else [])]) == 2
+        assert capsys.readouterr().err == "error: NaN is not a finite number\n"
+        assert not (tmp_path / "o").exists()
 
     def test_schema_violation(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -705,6 +794,18 @@ class TestSynth:
             "limit of 4096; list candidates in aux_assignments\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("max_weight, text", [(float("nan"), "NaN"),
+                                                  (float("inf"), "Infinity")])
+    def test_max_weight_must_be_finite(self, tmp_path, capsys, max_weight, text):
+        # both used to exit 3 with "no feasible coupling matrix at the given
+        # bound", as if the table had no gate
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps({"name": "my_and", "max_weight": max_weight,
+                                    "table": [[0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 1]]}))
+        assert main(["synth", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {text} is not a finite number\n"
+        assert not (tmp_path / "o").exists()
+
     def test_infeasible_exits_three(self, tmp_path):
         spec = tmp_path / "xor.json"
         spec.write_text(json.dumps({
@@ -920,18 +1021,25 @@ def fields(draw, doc):
 
 
 @st.composite
-def cases(draw):
-    """A subcommand and one of its documents with one to three fields
-    changed, budgets cut to ``BUDGET_CAP``."""
-    command = draw(st.sampled_from(sorted(COMMANDS)))
-    docs, _ = COMMANDS[command]
-    doc = copy.deepcopy(docs[draw(st.sampled_from(sorted(docs)))])
+def mutants(draw, doc, values):
+    """A copy of ``doc`` with one to three fields changed to one of ``values``."""
+    doc = copy.deepcopy(doc)
     for _ in range(draw(st.integers(1, 3))):
         *parents, key = draw(fields(doc))
         target = doc
         for part in parents:
             target = target[part]
-        target[key] = copy.deepcopy(draw(st.sampled_from(VALUES)))
+        target[key] = copy.deepcopy(draw(st.sampled_from(values)))
+    return doc
+
+
+@st.composite
+def cases(draw, values=VALUES):
+    """A subcommand and one of its documents with one to three fields
+    changed, budgets cut to ``BUDGET_CAP``."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    docs, _ = COMMANDS[command]
+    doc = draw(mutants(docs[draw(st.sampled_from(sorted(docs)))], values))
     if command not in ("verify", "synth", "report"):
         for budget in ("samples", "updates"):
             value = doc.get(budget)
@@ -972,3 +1080,124 @@ def test_fuzzed_documents_exit_cleanly(case):
     assert "Traceback" not in message
     if code:
         assert message.startswith("error: ") and message[len("error: "):].strip(), message
+
+
+# The CLI's checker against the validator it replaced: jsonschema's Draft
+# 2020-12 validator with an integer type that refuses floats, picking its
+# error with best_match. On every document both must accept, or both refuse
+# with the text ``main`` prints.
+
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)))
+
+
+def reference_validate(doc, schema: dict) -> None:
+    """Raise the best-matching error of ``doc`` under one of the schemas
+    above, as ``jsonschema.validate`` does, but with an ``integer`` type
+    that refuses floats, and without checking the schema itself against its
+    metaschema on every call, which costs far more than the validation; the
+    tests check each schema once.
+
+    A broken ``not`` rule is reported by the fields it forbids, since
+    jsonschema's message echoes the whole object, matrices and lists too."""
+    error = jsonschema.exceptions.best_match(
+        _Validator(schema).iter_errors(doc))
+    if error is None:
+        return
+    if error.validator == "not":  # {"required": [...]} or {"anyOf": [{"required": [f]}, ...]}
+        obj, rule = error.instance, error.validator_value
+        names = rule.get("required") or [f for alt in rule["anyOf"] for f in alt["required"]]
+        fields = " and ".join(repr(f) for f in names if f in obj)
+        where = "".join(f"{part}: " for part in error.absolute_path)
+        context = f"for kind {obj['kind']!r}" if "kind" in obj else "together"
+        raise ConfigurationError(f"{where}{fields} may not be given {context}")
+    raise error
+
+
+def verdict(validate, doc, schema):
+    """None if ``validate`` accepts ``doc``, else the message ``main`` prints."""
+    try:
+        validate(doc, schema)
+    except ConfigurationError as exc:
+        return str(exc)
+    except jsonschema.ValidationError as exc:
+        return exc.message
+    return None
+
+
+def same_verdict(doc, schema):
+    expected = verdict(reference_validate, doc, schema)
+    assert verdict(cli._validate, doc, schema) == expected
+    return expected
+
+
+SCHEMAS = {"run": SCENARIO_SCHEMA, "sweep-tau": SCENARIO_SCHEMA,
+           "sweep-retention": SCENARIO_SCHEMA, "verify": GATE_FILE_SCHEMA,
+           "synth": GATE_INPUT_SCHEMA}
+# the fuzz test's values, and values near the schemas' bounds, of types
+# JSON equality tells apart, and repeated in lists
+CHECKED_VALUES = VALUES + [
+    1, 1.0, -0.5, 53, 54, 2**53, 2**53 + 1, -2**53 - 1, 1e308, -1e308, "", "and", [], {},
+    [1, 1.0], [True, 1], [False, 0], ["A", "A"], [[0, 1], [0, 1]], [[1], [True], [1]],
+    [{"k": 1}, {"k": 1.0}], {"kind": "gate"}, {"seed": 1}]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(case=cases(CHECKED_VALUES))
+def test_checker_matches_the_reference(case):
+    command, doc = case
+    assume(command in SCHEMAS)
+    same_verdict(doc, SCHEMAS[command])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(plans=st.one_of(mutants(json.loads(PLANS), CHECKED_VALUES),
+                       st.sampled_from(CHECKED_VALUES)))
+def test_checker_matches_the_reference_on_plans(plans):
+    same_verdict(plans, PLANS_SCHEMA)
+
+
+@pytest.mark.parametrize("schema", [SCENARIO_SCHEMA, PLANS_SCHEMA, GATE_INPUT_SCHEMA,
+                                    GATE_FILE_SCHEMA], ids=["scenario", "plans", "gate_input",
+                                                            "gate_file"])
+def test_checker_matches_the_reference_on_whole_documents(schema):
+    for doc in CHECKED_VALUES:
+        same_verdict(doc, schema)
+
+
+_BASE = {"name": "x", "network": {"kind": "gate", "gate": "and", "i0": 0.8}, "seed": 1,
+         "samples": 10}
+
+
+@pytest.mark.parametrize("doc, schema, message", [
+    # sorted neighbours [1], [1] and [True] differ by JSON equality, so the
+    # list counts as unique and the first of its items' errors is reported
+    ({**_BASE, "histogram_over": [[1], [True], [1]]}, SCENARIO_SCHEMA,
+     "[1] is not of type 'string'"),
+    ({**_BASE, "histogram_over": ["A", "B", "A"]}, SCENARIO_SCHEMA,
+     "['A', 'B', 'A'] has non-unique elements"),
+    ({**_BASE, "retention_normal": {"seed": 1, "z": 0, "a": 0}}, SCENARIO_SCHEMA,
+     "Additional properties are not allowed ('a', 'z' were unexpected)"),
+    ({"name": "x", "table": [[True, 0], [1, 1]]}, GATE_INPUT_SCHEMA,
+     "True is not one of [0, 1]"),
+    ({"name": "x", "table": [[1.0, 0], [1, 1]]}, GATE_INPUT_SCHEMA, None),
+    # oneOf: the deepest, earliest error of its alternatives
+    ({**_BASE, "retention_us": [1, 0, "x"]}, SCENARIO_SCHEMA, "0 is less than the minimum of 1"),
+    # oneOf: the alternatives' two errors tie, so oneOf's own is reported
+    ({**_BASE, "retention_us": True}, SCENARIO_SCHEMA,
+     "True is not valid under any of the given schemas"),
+    ({**_BASE, "network": {"kind": "gate", "i0": 1, "j": [[0]], "labels": {}}}, SCENARIO_SCHEMA,
+     "'gate' is a required property"),
+], ids=["unique_by_neighbours", "repeated_label", "two_extras", "true_is_not_1",
+        "1.0_is_1", "one_of_descends", "one_of_tie", "then_before_else"])
+def test_checker_matches_the_reference_on_edge_cases(doc, schema, message):
+    assert same_verdict(doc, schema) == message
+
+
+def test_every_shipped_document_is_accepted():
+    for command, schema in SCHEMAS.items():
+        for doc in COMMANDS[command][0].values():
+            assert same_verdict(doc, schema) is None
+    assert same_verdict(json.loads(PLANS), PLANS_SCHEMA) is None

@@ -10,17 +10,51 @@ from pbitsim.core import (
     CLAMPED_HIGH,
     CLAMPED_LOW,
     FREE,
+    SAT_LIMIT,
+    V_RAIL,
     CouplingMatrix,
     QuantizationConfig,
     Wired,
-    encode_input,
-    quantize_voltage,
     retention_time_from_barrier,
-    saturate,
     sigmoid,
     weight_inputs,
 )
 from pbitsim.errors import ConfigurationError
+
+
+# The scalar steps of the weight logic, the reference its vectorized form
+# is checked against (TestSummationOrder).
+
+
+def encode_input(i: float) -> float:
+    """Bipolar drive to input voltage: v = (i + 5) / 2, so [-5,5] -> [0,5] V.
+
+    A unit decodes its input back as 2*v - 5 (see ``dynamics``).
+    """
+    return (i + 5.0) / 2.0
+
+
+def saturate(x: float) -> float:
+    """Clip a weighted sum to the drive range [-SAT_LIMIT, +SAT_LIMIT]."""
+    if x > SAT_LIMIT:
+        return SAT_LIMIT
+    if x < -SAT_LIMIT:
+        return -SAT_LIMIT
+    return x
+
+
+def quantize_voltage(v: float, bits: int, vref: float = V_RAIL) -> float:
+    """Round ``v`` to the nearest DAC code (ties away from zero).
+
+    Codes are clamped to [0, 2**bits - 1]; code*vref/2**bits is the published
+    voltage. bits == 0 is the identity (ideal converter).
+    """
+    if bits == 0:
+        return v
+    steps = 1 << bits
+    code = math.floor(v / vref * steps + 0.5)
+    code = min(max(code, 0), steps - 1)
+    return code * vref / steps
 
 
 class TestSigmoid:
@@ -84,6 +118,13 @@ class TestQuantization:
         assert quantize_voltage(0.0, 10, 5.0) == 0.0
         # full scale clamps to the top code
         assert quantize_voltage(5.0, 10, 5.0) == pytest.approx(1023 * 5.0 / 1024)
+
+    @pytest.mark.parametrize("vref", [0.0, -1.0, math.nan, math.inf])
+    def test_vref_finite_and_positive(self, vref):
+        # NaN fails every comparison and used to pass, and infinity made
+        # every published voltage NaN
+        with pytest.raises(ConfigurationError, match="vref must be finite and positive"):
+            QuantizationConfig(dac_bits=4, vref=vref)
 
     def test_dac_bits_at_most_53(self):
         # float64 holds every code exactly only up to 2**53; 2000 bits used

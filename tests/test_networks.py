@@ -38,10 +38,21 @@ from pbitsim.networks import (
     synthesize_gate_lp,
     verify_ground_states,
 )
-from pbitsim.oracle import state_index
+from pbitsim.oracle import all_energies, state_bits, state_index
 
 AND_TABLE = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 1)]
 GATE_DIR = Path(networks.__file__).parent / "gates"
+
+
+def ground_states(gate) -> dict:
+    """Each truth row's auxiliary words among the gate's ground states."""
+    energies = all_energies(gate.coupling(1.0))
+    found = {}
+    for state in np.flatnonzero(energies <= energies.min() + networks.DEGENERACY_TOL):
+        bits = state_bits(int(state), gate.n)
+        row = tuple(bits[k] for k in gate.visible.values())
+        found.setdefault(row, []).append(tuple(bits[k] for k in gate.auxiliary))
+    return found
 
 
 class TestGateLibrary:
@@ -51,6 +62,26 @@ class TestGateLibrary:
         report = ground_state_report(gate)
         assert report["ok"], f"{name}: {report}"
         assert report["gap"] > 0
+
+    @pytest.mark.parametrize("name", SHIPPED_GATES)
+    def test_libgen_makes_the_shipped_gate(self, name, tmp_path):
+        # the library libgen regenerates must be the one every digest reads:
+        # row generation may land on another vertex of the same LP, so the
+        # gates must agree in every property a run or a check reads, and
+        # the four whose LP vertex is unique agree byte for byte
+        made, shipped = libgen.MAKERS[name](), load_gate(name)
+        assert list(made.visible.items()) == list(shipped.visible.items())
+        for field in ("name", "inputs", "outputs", "auxiliary", "truth_table"):
+            assert getattr(made, field) == getattr(shipped, field), field
+        assert ground_states(verify_ground_states(made)) == ground_states(shipped)
+        gap = ground_state_report(made)["gap"]
+        assert abs(gap - ground_state_report(shipped)["gap"]) <= 1e-9
+        if name in ("and", "or", "not", "copy"):
+            save_gate(made, tmp_path / "made.json")
+            assert (tmp_path / "made.json").read_bytes() == (GATE_DIR / f"{name}.json").read_bytes()
+
+    def test_libgen_makes_every_shipped_gate(self):
+        assert tuple(libgen.MAKERS) == SHIPPED_GATES
 
     def test_library_counts(self):
         assert load_gate("and").n == 3
