@@ -478,9 +478,19 @@ def _finite(text: str) -> float:
     return value
 
 
+def _loads(text: str):
+    """A JSON input document, its numbers finite (``_finite``). The reader
+    recurses once per level of nesting, so a document nested past the
+    interpreter's recursion limit is refused too."""
+    try:
+        return json.loads(text, parse_float=_finite, parse_constant=_finite)
+    except RecursionError:
+        raise ConfigurationError("the JSON input is nested too deeply") from None
+
+
 def _read_json(path):
     with open(path) as fh:
-        return json.load(fh, parse_float=_finite, parse_constant=_finite)
+        return _loads(fh.read())
 
 
 def load_scenario(path, overrides=None) -> dict:
@@ -695,7 +705,7 @@ def cmd_sweep_retention(args) -> int:
     if os.path.exists(args.plans):
         plans = _read_json(args.plans)
     else:
-        plans = json.loads(args.plans, parse_float=_finite, parse_constant=_finite)
+        plans = _loads(args.plans)
     _validate(plans, PLANS_SCHEMA)
     return _sweep(
         args, analysis.sweep_retention_spread, plans, ("plan", "tau_ratio", "distance"),

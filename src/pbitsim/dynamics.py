@@ -54,14 +54,6 @@ Three engines run a network, and they give the same trace and end time.
 - ``"flips"`` for every other network, which steps only the flips that
   other units read.
 
-The heap counts the updates of an update budget as it runs them. The two
-fast engines take it as a cut made before the run: update times come from
-the schedules alone, so ``_cut`` finds the instant t_cut of the budget's
-last update in the heap's order, and each unit's updates up to and
-including it, from fresh schedules; the engine then runs to t_cut + 1 and
-takes no more than its count of each unit's updates. Where a sample or
-duration budget ends the run first, it binds and no cut applies.
-
 In one machine without wires the published voltages change only at lattice
 ticks: a refresh runs before the updates at its tick, and a clean refresh
 would publish the same values. So every update in [t_k, t_k+1) compares its
@@ -101,17 +93,27 @@ equal-time updates (``_rank_ties``: by each one's previous update time,
 recursively, then by unit id); the engine ranks an instant's updates only
 among the ends of such wires, and only where several of them tie.
 
-Both window engines, the cut and ``update_order`` take their updates by
-one rule, ``_windows``: a window holds every unit's updates before its
-end, up to a unit's cap if it has one, each window spans a fixed time, and
-the span bounds a unit's updates in a window.
+Both window engines and ``update_order`` take their updates by one rule,
+``_windows``: a window holds every unit's updates before its end, each
+window spans a fixed time, and the span bounds a unit's updates in a
+window. The same walk applies an update budget, which the heap counts as
+it runs. Update times come from the schedules alone, so the walk counts
+the updates it yields; in the window where the count reaches the budget
+it finds the instant t_cut of the budget's last update in the heap's
+order, keeps each unit's updates up to and including that one, and ends
+at t_cut + 1. Only a budget that ends inside an instant of several
+updates needs the heap's tie rule there, from a second walk over fresh
+copies of those units' schedules (``_tie_ranks``). Where a sample or
+duration budget ends the run first, the count never reaches the update
+budget; a run that spent it ends its samples at t_cut (``_trace``).
 
 No engine logs its updates. A unit's update times come from its schedule
 alone, and its outputs never feed back into them, so ``update_order``
 rebuilds the heap's order of a run's updates from the per-unit counts of
-its trace: each unit's first updates, sorted by time and, within an
-instant, by ``_tied_ranks`` over every unit, window by window
-(``_tie_ranks``, which the cut reads too).
+its trace. Whatever budget ended the run, its updates are the first ones
+in the heap's order, so the walk takes as many as the counts add up to,
+by the budget rule, and sorts each window's by time and, within an
+instant, by ``_tied_ranks`` over every unit (``_tie_ranks``).
 
 Every virtual time of a run, the updates drawn ahead included, stays below
 ``TIME_LIMIT_US`` (2^62 µs), so int64 arrays hold it; ``run`` refuses a
@@ -275,10 +277,13 @@ class SimulationTrace:
 
 
 def _trace(n, taus, last, clock, flip_times, flip_masks, update_counts,
-           one_counts) -> SimulationTrace:
+           one_counts, max_updates=None) -> SimulationTrace:
     """The trace of the samples up to ``last`` (none if it is negative) from
-    a run's flip log. The run ends at its last event (``clock``) or its last
-    sample, whichever is later."""
+    a run's flip log, or, if the run spent its update budget ``max_updates``,
+    up to its last update, its last event (``clock``). The run ends at its
+    last event or its last sample, whichever is later."""
+    if max_updates is not None and int(update_counts.sum()) == max_updates:
+        last = clock if max_updates else -1
     samples = int(sample_count(taus, last))
     end = sample_time(taus, samples - 1) if samples else clock
     return SimulationTrace(
@@ -426,12 +431,13 @@ class Simulator(_Machines):
         heapq.heappush(self.queue, (t, PRIO_UPDATE, self._seq, gid))
         self._seq += 1
 
-    def trace(self, last_sample: int) -> SimulationTrace:
-        """The samples up to ``last_sample`` (none if it is negative)."""
+    def trace(self, last_sample: int, max_updates=None) -> SimulationTrace:
+        """The samples up to ``last_sample`` (none if it is negative), or as
+        ``_trace`` ends them under an update budget ``max_updates``."""
         return _trace(self.n, self.taus, last_sample, self.clock,
                       np.asarray(self.flip_times, dtype=np.int64),
                       np.asarray(self.flip_masks, dtype=np.int64),
-                      self.update_counts, self.one_counts)
+                      self.update_counts, self.one_counts, max_updates)
 
 
 class _Schedule:
@@ -443,6 +449,9 @@ class _Schedule:
 
     def __init__(self, rng: np.random.Generator, pbit, chunk: int):
         self.rng = rng
+        # the stream's state before its first update, for ``restart``
+        self.origin = rng.bit_generator.state
+        self.pbit = pbit
         self.retention = pbit.retention_us
         self.jitter = pbit.jitter_fraction
         self.chunk = chunk
@@ -472,6 +481,12 @@ class _Schedule:
         self.times = np.concatenate((self.times, [self.next_t], after[:-1]))
         self.u = np.concatenate((self.u, u))
         self.next_t = int(after[-1])
+
+    def restart(self) -> "_Schedule":
+        """A fresh copy of this schedule, from its first update."""
+        rng = np.random.Generator(np.random.PCG64())  # its state is replaced
+        rng.bit_generator.state = self.origin
+        return _Schedule(rng, self.pbit, self.chunk)
 
     def take(self, count: int):
         """Remove and return the first ``count`` updates' times and ``u``."""
@@ -553,19 +568,52 @@ def _check_horizon(pbits, taus, max_samples, duration_us, max_updates) -> None:
             f"{UPDATE_LIMIT}; shorten its budget or lengthen its retention times")
 
 
-def _windows(schedules, span, stop, caps=None):
-    """Every unit's updates before ``stop``, or its first ``caps[g]`` of
-    them, window by window: for each window of ``span`` from 0, its end and
-    the updates before it, unit g's times ``times[g]`` and comparison values
-    ``u[g]``, taken from its schedule and refilled as needed."""
-    left = [math.inf] * len(schedules) if caps is None else [int(c) for c in caps]
+def _windows(schedules, chunk, stop, max_updates=None, tick=1):
+    """Every unit's updates before ``stop``, or the first ``max_updates`` in
+    the heap's order, window by window: for each window, its end and the
+    updates before it, unit g's times ``times[g]`` and comparison values
+    ``u[g]``, taken from its schedule and refilled as needed. Each window
+    spans the same whole number of ticks of ``tick``: as many as fit in
+    ``chunk`` shortest intervals, or in the budget's share of each unit's
+    updates if that is fewer, and at least one.
+
+    The walk counts the updates it yields. In the window where the count
+    reaches the budget, the budget's last update falls at t_cut, found by
+    ``np.partition``: the window keeps each unit's updates before t_cut
+    and, of those at t_cut, as many as the budget has left in the heap's
+    order, ends at t_cut + 1, and is the last. Only where the budget ends inside an instant of several
+    updates does that order need the tie rule: a second walk ranks the
+    tied units' updates by ``_tie_ranks``, over fresh copies of their
+    schedules up to t_cut."""
+    left, share = math.inf, chunk
+    if max_updates is not None:
+        left, share = max_updates, min(chunk, -(-max_updates // len(schedules)))
+    span = max(tick, share * min(s.min_step for s in schedules) // tick * tick)
     for start in range(0, stop, span):
+        if not left:
+            return
         end = min(start + span, stop)
         for s in schedules:
             while s.next_t < end:
                 s.refill(end)
-        counts = [min(int(s.times.searchsorted(end)), c) for s, c in zip(schedules, left)]
-        left = [c - k for c, k in zip(left, counts)]
+        counts = [int(s.times.searchsorted(end)) for s in schedules]
+        if sum(counts) >= left:
+            times = [s.times[:k] for s, k in zip(schedules, counts)]
+            t_cut = int(np.partition(np.concatenate(times), left - 1)[left - 1])
+            counts = [int(ts.searchsorted(t_cut)) for ts in times]
+            at_cut = [g for g, (ts, i) in enumerate(zip(times, counts))
+                      if i < len(ts) and ts[i] == t_cut]
+            tied = left - sum(counts)
+            if tied < len(at_cut):
+                for window, rank in _tie_ranks([schedules[g].restart() for g in at_cut],
+                                               t_cut + 1):
+                    pass  # the last window ends with the tied updates at t_cut
+                ends = np.cumsum(list(map(len, window))) - 1
+                at_cut = [at_cut[j] for j in np.argsort(rank[ends]).tolist()]
+            for g in at_cut[:tied]:
+                counts[g] += 1
+            end = t_cut + 1
+        left -= sum(counts)
         times, u = zip(*[s.take(k) for s, k in zip(schedules, counts)])
         yield end, times, u
 
@@ -653,27 +701,23 @@ def _compose_window(p, ranks, ordered, tau, state, times, u):
 
 
 def _run_heap(network, seed, stop, last, max_updates) -> SimulationTrace:
-    """``run`` on the event heap of ``Simulator``, with the budgets already
-    turned into ``stop`` and ``last``; it runs any network."""
+    """``run`` on the event heap of ``Simulator``, with the sample and
+    duration budgets already turned into ``stop`` and ``last``, counting
+    the updates of ``max_updates`` as it runs; it runs any network."""
     sim = Simulator(network, seed)
     queue = sim.queue
     # every update requeues its unit, so the queue never empties
-    while True:
-        if max_updates is not None and sim.n_updates >= max_updates:
-            last = sim.clock if sim.n_updates else -1
-            break
-        if stop is not None and queue[0][0] >= stop:
-            break
+    while (max_updates is None or sim.n_updates < max_updates) and queue[0][0] < stop:
         sim.step()
-    return sim.trace(last)
+    return sim.trace(last, max_updates)
 
 
-def _run_composed(network, seed, stop, last, caps) -> SimulationTrace:
+def _run_composed(network, seed, stop, last, max_updates) -> SimulationTrace:
     """``run`` for a network that ``_composable`` gives the composed engine,
-    with the budgets already turned into ``stop``, ``last`` and the update
-    ``caps`` of each unit (or None): each tick interval is a map on the 2^n
-    states, and the run composes them forward, window by window, up to
-    ``stop``. A window spans whole ticks and holds at most ``chunk`` updates
+    with the sample and duration budgets already turned into ``stop`` and
+    ``last``, and the update budget ``max_updates``: each tick interval is a
+    map on the 2^n states, and the run composes them forward, window by
+    window. A window spans whole ticks and holds at most ``chunk`` updates
     per unit, so its tick rows, and the maps ``_compose_window`` builds for
     their distinct levels, fit ``WINDOW_ENTRIES`` entries."""
     n = network.n_total
@@ -686,14 +730,12 @@ def _run_composed(network, seed, stop, last, caps) -> SimulationTrace:
     volts = weight_inputs(mach.coupling, bit_rows(0, 1 << n, n), machines.modes[0], mach.quant)
     p = np.array([list(map(machines.p_of.__getitem__, v)) for v in volts.tolist()])
     ranks, ordered = _ranks(p)
-    # whole ticks of at most ``chunk`` updates per unit, or a single tick
-    span = max(tau, chunk * min(s.min_step for s in schedules) // tau * tau)
 
     flip_times, flip_masks = [np.array([-1])], [np.array([state])]
     update_counts = np.zeros(n, dtype=np.int64)
     one_counts = np.zeros(n, dtype=np.int64)
     clock = 0
-    for _, times, u in _windows(schedules, span, stop, caps):
+    for _, times, u in _windows(schedules, chunk, stop, max_updates, tau):
         counts = [len(t) for t in times]
         if not sum(counts):
             continue
@@ -705,7 +747,7 @@ def _run_composed(network, seed, stop, last, caps) -> SimulationTrace:
         flip_masks.append(moved_to)
         clock = max(int(t[-1]) for t in times if len(t))
     return _trace(n, [tau], last, clock, np.concatenate(flip_times),
-                  np.concatenate(flip_masks), update_counts, one_counts)
+                  np.concatenate(flip_masks), update_counts, one_counts, max_updates)
 
 
 def _couplings(mach, modes):
@@ -791,17 +833,16 @@ def _rank_ties(times, units, last_t, last_rank) -> dict:
     return dict(zip(zip(owner.tolist(), (hit - starts[place]).tolist()), within.tolist()))
 
 
-def _tie_ranks(schedules, stop, caps=None):
-    """The updates of ``schedules`` before ``stop``, or the first ``caps[g]``
-    of schedule g, window by window: each window's times ``times[g]`` and
-    the ``_tied_ranks`` rank among all the schedules of each of its updates,
-    in the order of ``np.concatenate(times)``, 0 at an instant without a
-    tie, its state carried from one window to the next. g is a schedule's
-    index in ``schedules``, which are in unit order."""
+def _tie_ranks(schedules, stop, max_updates=None):
+    """The updates of ``schedules`` before ``stop``, or the first
+    ``max_updates`` (``_windows``), window by window: each window's times
+    ``times[g]`` and the ``_tied_ranks`` rank among all the schedules of
+    each of its updates, in the order of ``np.concatenate(times)``, 0 at an
+    instant without a tie, its state carried from one window to the next. g
+    is a schedule's index in ``schedules``, which are in unit order."""
     n = len(schedules)
     last_t, last_rank = [-1] * n, list(range(n))
-    span = CHUNK * min(s.min_step for s in schedules)
-    for _, times, _ in _windows(schedules, span, stop, caps):
+    for _, times, _ in _windows(schedules, CHUNK, stop, max_updates):
         counts = list(map(len, times))
         hit, within = _tied_ranks(times, range(n), last_t, last_rank)
         rank = np.zeros(sum(counts), dtype=np.int64)
@@ -1058,8 +1099,9 @@ class _FlipRun(_Machines):
             self.last_rank[g] = self.rank.get((g, len(times) - 1), 0)
             self.clock = max(self.clock, self.last_t[g])
 
-    def trace(self, last: int) -> SimulationTrace:
-        """The samples up to ``last``, from the flips in time order."""
+    def trace(self, last: int, max_updates) -> SimulationTrace:
+        """The samples up to ``last`` (or as ``_trace`` ends them under the
+        update budget ``max_updates``), from the flips in time order."""
         times = np.concatenate([[-1]] + self.flip_times).astype(np.int64)
         units = np.concatenate([[0]] + self.flip_units).astype(np.int64)
         order = np.argsort(times, kind="stable")
@@ -1067,63 +1109,20 @@ class _FlipRun(_Machines):
         bits[0] = self.initial_mask
         return _trace(self.n, self.taus, last, self.clock, times[order],
                       np.bitwise_xor.accumulate(bits), self.update_counts,
-                      self.one_counts)
+                      self.one_counts, max_updates)
 
 
-def _run_flips(network, seed, stop, last, caps) -> SimulationTrace:
+def _run_flips(network, seed, stop, last, max_updates) -> SimulationTrace:
     """``run`` for a network that ``_composable`` gives the flip-driven
-    engine, with the budgets already turned into ``stop``, ``last`` and the
-    update ``caps`` of each unit (or None). Schedules are drawn in windows
-    of at most ``CHUNK`` updates per unit."""
+    engine, with the sample and duration budgets already turned into
+    ``stop`` and ``last``, and the update budget ``max_updates``. Schedules
+    are drawn in windows of at most ``CHUNK`` updates per unit."""
     run_ = _FlipRun(network, seed)
-    span = CHUNK * min(s.min_step for s in run_.schedules)
-    for end, times, u in _windows(run_.schedules, span, stop, caps):
+    for end, times, u in _windows(run_.schedules, CHUNK, stop, max_updates):
         run_.begin(times, u)
         run_.advance(end)
         run_.settle()
-    return run_.trace(last)
-
-
-def _cut(network: NetworkSpec, seed: int, max_updates: int, stop):
-    """Where an update budget ends a run, from the schedules alone, or None
-    if the run reaches ``stop`` (None for no bound) first: the time t_cut of
-    the ``max_updates``-th update in the heap's order, and each unit's
-    updates up to and including that one. A walk over fresh schedules,
-    window by window, counts the updates and finds the window and the
-    instant of that update; only if the budget ends inside an instant of
-    several updates does a second walk rank its units' updates up to that
-    instant by the heap's tie rule (``_tie_ranks``). Neither walk holds
-    more than a window of updates per unit, and the first one's windows
-    hold no more than the budget's share of each unit's updates. The cut of
-    no updates is t_cut = -1."""
-    n = network.n_total
-    caps = np.zeros(n, dtype=np.int64)
-    if not max_updates:
-        return -1, caps
-    _, schedules = _units(network, seed, CHUNK)
-    span = min(CHUNK, -(-max_updates // n)) * min(s.min_step for s in schedules)
-    left = max_updates
-    for _, times, _ in _windows(schedules, span, TIME_LIMIT_US if stop is None else stop):
-        counts = list(map(len, times))
-        if sum(counts) < left:
-            caps += counts
-            left -= sum(counts)
-            continue
-        t_cut = int(np.partition(np.concatenate(times), left - 1)[left - 1])
-        before = [int(ts.searchsorted(t_cut)) for ts in times]
-        caps += before
-        left -= sum(before)
-        at_cut = [g for g, (ts, i) in enumerate(zip(times, before))
-                  if i < len(ts) and ts[i] == t_cut]
-        if left < len(at_cut):
-            _, schedules = _units(network, seed, CHUNK)
-            for window, rank in _tie_ranks([schedules[g] for g in at_cut], t_cut + 1):
-                pass  # the last window ends with the tied updates at t_cut
-            ends = np.cumsum(list(map(len, window))) - 1
-            at_cut = [at_cut[j] for j in np.argsort(rank[ends]).tolist()]
-        caps[at_cut[:left]] += 1
-        return t_cut, caps
-    return None
+    return run_.trace(last, max_updates)
 
 
 def run(
@@ -1143,10 +1142,10 @@ def run(
     network: the event heap for a machine of more than ``TABLE_UNITS``
     units, per-tick state maps for a machine of up to ``COMPOSED_UNITS``
     units, and the flip-driven engine for any other network. All three give
-    the same trace. The heap counts its updates as it runs; for the other
-    two engines ``_cut`` turns an update budget into ``stop``, ``last`` and
-    per-unit caps before the run, unless another budget ends the run first.
-    A run whose virtual times could reach ``TIME_LIMIT_US`` is refused.
+    the same trace. The heap counts its updates as it runs; the other two
+    engines end at an update budget inside the window walk that feeds them
+    (``_windows``), unless another budget ends the run first. A run whose
+    virtual times could reach ``TIME_LIMIT_US`` is refused.
     ``update_order`` gives the order of the run's updates.
     """
     if max_samples is None and duration_us is None and max_updates is None:
@@ -1155,40 +1154,33 @@ def run(
     taus = [mach.tau_sample_us for mach in network.machines]
     _check_horizon(network.pbits, taus, max_samples, duration_us, max_updates)
     # events run strictly before ``stop``; samples end at ``last``
-    stop = last = None
+    stop, last = TIME_LIMIT_US, None
     if duration_us is not None:
         stop, last = duration_us, duration_us - 1
     if max_samples is not None:
         s_star = sample_time(taus, max_samples - 1) if max_samples > 0 else -1
-        if stop is None or s_star < stop:
+        if s_star < stop:
             stop, last = s_star, s_star
-    engine = _composable(network)
-    if engine == "heap":
-        return _run_heap(network, seed, stop, last, max_updates)
-    cut = None if max_updates is None else _cut(network, seed, max_updates, stop)
-    caps = None
-    if cut is not None:
-        t_cut, caps = cut
-        stop, last = t_cut + 1, t_cut
-    run_engine = _run_composed if engine == "composed" else _run_flips
-    return run_engine(network, seed, stop, last, caps)
+    engine = {"heap": _run_heap, "composed": _run_composed, "flips": _run_flips}
+    return engine[_composable(network)](network, seed, stop, last, max_updates)
 
 
 def update_order(network: NetworkSpec, seed: int, update_counts) -> list:
     """The ``(time, unit)`` pair of every update of a run, in the order the
-    event heap runs them, from the run's ``update_counts``: each unit g's
-    first ``update_counts[g]`` updates from a fresh schedule, sorted by
-    time and, within an instant, by ``_tied_ranks`` over every unit
-    (``_tie_ranks``), in one ``np.lexsort`` per window."""
+    event heap runs them, from the run's ``update_counts``. A run's updates
+    are the first ones in the heap's order, whichever budget ended it, so
+    they are the first ``sum(update_counts)`` of fresh schedules, cut by the
+    window walk's budget rule (``_windows``), sorted by time and, within an
+    instant, by ``_tied_ranks`` over every unit (``_tie_ranks``), in one
+    ``np.lexsort`` per window."""
     _, schedules = _units(network, seed, CHUNK)
-    total, events = int(sum(update_counts)), []
-    for times, rank in _tie_ranks(schedules, TIME_LIMIT_US, update_counts):
+    events = []
+    for times, rank in _tie_ranks(schedules, TIME_LIMIT_US, int(sum(update_counts))):
         at = np.concatenate(times)
         units = np.repeat(np.arange(len(times)), list(map(len, times)))
         order = np.lexsort((units, rank, at))
         events += zip(at[order].tolist(), units[order].tolist())
-        if len(events) == total:
-            return events
+    return events
 
 
 def serialization_metric(aligned, start: int = 0, end: int = None) -> float:

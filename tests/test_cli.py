@@ -538,6 +538,22 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["run", "DEEP", "--out", "OUT"],
+        ["verify", "DEEP"],
+        ["sweep-retention", "SCENARIO", "--plans", "DEEP", "--out", "OUT"],
+    ], ids=["run", "verify", "plans_file"])
+    def test_deeply_nested_input(self, scenario, tmp_path, capsys, command):
+        # JSON nested past the recursion limit used to end in a
+        # RecursionError traceback
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        argv = [{"SCENARIO": str(scenario), "DEEP": str(deep), "OUT": str(tmp_path / "o")}.get(a, a)
+                for a in command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: the JSON input is nested too deeply\n"
+        assert not (tmp_path / "o").exists()
+
     def test_adc_bits_rejected(self, tmp_path, capsys):
         path = write_scenario(tmp_path / "a.json", network={
             "kind": "gate", "gate": "and", "i0": 0.8, "adc_bits": 1})

@@ -169,9 +169,10 @@ class TestBudgets:
             run(and_net(), seed=2)
 
     def test_update_cut_holds_a_window_per_unit(self, monkeypatch):
-        # 2M updates of the and_serialization network are cut from its
-        # schedules window by window: a schedule never holds more than one
-        # window of CHUNK updates and what its last refill drew past it
+        # a run of the and_serialization network under a budget of 200k
+        # updates takes them from its schedules window by window: a schedule
+        # never holds more than one window of CHUNK updates and what its
+        # last refill drew past it
         held, refill = [], dynamics._Schedule.refill
 
         def holding(schedule, horizon):
@@ -180,9 +181,9 @@ class TestBudgets:
 
         monkeypatch.setattr(dynamics._Schedule, "refill", holding)
         net = build_network(load_scenario(SCENARIOS / "and_serialization.json"))
-        _, caps = dynamics._cut(net, 4, 2_000_000, None)
-        assert caps.sum() == 2_000_000
-        assert len(held) > 2_000_000 // dynamics.CHUNK
+        trace = run(net, 4, max_updates=200_000)
+        assert trace.update_counts.sum() == 200_000
+        assert len(held) > 200_000 // dynamics.CHUNK
         assert max(held) <= 2 * dynamics.CHUNK
 
 
@@ -479,6 +480,42 @@ class TestEventCounts:
         assert len(weight_calls) < len(refreshes)
         assert len(weight_calls) < 0.02 * sum(1 << mach.n for mach in net.machines) \
             == 0.02 * 20_736
+
+    def test_update_budget_draws_each_stream_once(self, monkeypatch):
+        # the factorizer at i0 = 1.5 under an update budget: the engine's
+        # own window walk ends the run at the budget, so every unit's stream
+        # is built and drawn once: one schedule per unit
+        units, schedules = [], []
+        self._count_calls(monkeypatch, dynamics, "_units", units)
+        self._count_calls(monkeypatch, dynamics._Schedule, "__init__", schedules)
+        net = build_network({
+            "name": "factorizer", "seed": 0, "network": {"kind": "factorizer", "i0": 1.5},
+            "clamps": {"S0": 0, "S1": 1, "S2": 1, "S3": 0}})
+        trace = run(net, seed=1, max_updates=50_000)
+        assert trace.update_counts.sum() == 50_000
+        assert len(units) == 1
+        assert len(schedules) == net.n_total == 46
+
+    def test_cut_inside_an_instant_redraws_only_its_units(self, monkeypatch):
+        # four jitterless units at retention 700, 1000, 1300 and 900 us make
+        # 28 updates before 6300 us, where units 0 and 3 tie; a budget of 29
+        # ends inside that instant, so only those two streams are drawn again
+        # to rank it, and unit 3, whose previous update is the earlier, runs
+        # first, as on the heap
+        gate = load_gate("copy")
+        mach = lambda name: MachineSpec(name, gate.coupling(1.0), tau_sample_us=100)
+        pbits = [PBitConfig(id=k, retention_us=r) for k, r in enumerate([700, 1000, 1300, 900])]
+        net = NetworkSpec([mach("a"), mach("b")], pbits, {"A": 0, "B": 2})
+        net.validate()
+        units, schedules = [], []
+        self._count_calls(monkeypatch, dynamics, "_units", units)
+        self._count_calls(monkeypatch, dynamics._Schedule, "__init__", schedules)
+        trace = run(net, seed=3, max_updates=29)
+        assert len(units) == 1
+        assert [pbit.id for _, _, pbit, _ in schedules] == [0, 1, 2, 3, 0, 3]
+        assert trace.update_counts.tolist() == [9, 7, 5, 8]
+        assert trace.final_time_us == 6300
+        assert digest(trace) == digest(heap_run(net, seed=3, max_updates=29))
 
 
 class TestJitter:

@@ -408,6 +408,13 @@ BUDGET_CASES = {
         ("9dd2d92f405ba574bac97843bb903888a9732fef1498f79439588aa572982933",
          299900, 3000),
     ),
+    # every update before s*: both budgets end on the same update, and the
+    # update budget binds
+    "and_updates_end_with_samples": (
+        fast_and_net, {"max_samples": SAMPLES, "max_updates": 450},
+        ("56644b87690407a1b73632ead2c11bafa0b9d7f86fc6edb2799d9bdb71f3a2e6",
+         298056, 2981),
+    ),
     "and_zero_updates": (
         fast_and_net, {"max_updates": 0},
         ("96371daacf626433c4eed164758569a6d7d2f03a4c1fc098994423b267d153d4",
@@ -451,6 +458,20 @@ BUDGET_CASES = {
         tie_net, {"max_updates": 2003},
         ("97ff3249ca404b08f52d4e6fb0a4ae5848ad65efb7ee7e8cbc699ad2dc822743",
          333000, 3331),
+    ),
+    # the six lockstep units' CHUNK updates each: the budget ends on the
+    # last update of the flip engine's first window
+    "tie_updates_end_a_window": (
+        tie_net, {"max_updates": 6 * dynamics.CHUNK},
+        ("8da8b3807168d2d136e3ee63a656492c7bf5692466f0cb43ec141dc28cb99c26",
+         4095000, 40951),
+    ),
+    # every update before s*: both budgets end on the same update, and the
+    # update budget binds
+    "tie_updates_end_with_samples": (
+        tie_net, {"max_samples": SAMPLES, "max_updates": 1800},
+        ("8fe8dc406d7c696c3cc7d74e1b2d9e7f0c2641380b7caad97f1586749d88354a",
+         299000, 2991),
     ),
     "tie_duration": (
         tie_net, {"duration_us": 250_050},
