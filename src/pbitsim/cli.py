@@ -855,12 +855,21 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(exc) -> None:
+    """Print ``exc`` as an error line of at most 1,000 characters of its
+    message: a message can echo a whole offending value."""
+    text = str(exc)
+    if len(text) > 1000:
+        text = f"{text[:1000]}... ({len(text) - 1000} more characters)"
+    print(f"error: {text}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
     except (VerificationError, SynthesisError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return 3
     except (
         ConfigurationError,
@@ -872,7 +881,7 @@ def main(argv=None) -> int:
         NotADirectoryError,
         UnicodeDecodeError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return 2
 
 

@@ -89,9 +89,11 @@ changes only the probabilities that differ. A unit finds its next such flip
 with a numpy scan, or all of a window's flips at once if its own
 probability never changes; every other update only adds to its unit's
 counts, once per window. Only zero-delay wires need the heap's order of
-equal-time updates (``_rank_ties``: by each one's previous update time,
+equal-time updates (``_tied_ranks``: by each one's previous update time,
 recursively, then by unit id); the engine ranks an instant's updates only
-among the ends of such wires, and only where several of them tie.
+among the ends of such wires, and only where several of them tie. One
+walk, ``_tie_ranks``, carries that rule across windows for this engine,
+the budget cut and ``update_order`` alike.
 
 Both window engines and ``update_order`` take their updates by one rule,
 ``_windows``: a window holds every unit's updates before its end, each
@@ -102,8 +104,8 @@ the updates it yields; in the window where the count reaches the budget
 it finds the instant t_cut of the budget's last update in the heap's
 order, keeps each unit's updates up to and including that one, and ends
 at t_cut + 1. Only a budget that ends inside an instant of several
-updates needs the heap's tie rule there, from a second walk over fresh
-copies of those units' schedules (``_tie_ranks``). Where a sample or
+updates needs the heap's tie rule there: a second walk over fresh copies
+of those units' schedules ranks them (``_tie_ranks``). Where a sample or
 duration budget ends the run first, the count never reaches the update
 budget; a run that spent it ends its samples at t_cut (``_trace``).
 
@@ -113,7 +115,7 @@ rebuilds the heap's order of a run's updates from the per-unit counts of
 its trace. Whatever budget ended the run, its updates are the first ones
 in the heap's order, so the walk takes as many as the counts add up to,
 by the budget rule, and sorts each window's by time and, within an
-instant, by ``_tied_ranks`` over every unit (``_tie_ranks``).
+instant, by their ranks among every unit, distinct there (``_tie_ranks``).
 
 Every virtual time of a run, the updates drawn ahead included, stays below
 ``TIME_LIMIT_US`` (2^62 µs), so int64 arrays hold it; ``run`` refuses a
@@ -581,10 +583,10 @@ def _windows(schedules, chunk, stop, max_updates=None, tick=1):
     reaches the budget, the budget's last update falls at t_cut, found by
     ``np.partition``: the window keeps each unit's updates before t_cut
     and, of those at t_cut, as many as the budget has left in the heap's
-    order, ends at t_cut + 1, and is the last. Only where the budget ends inside an instant of several
-    updates does that order need the tie rule: a second walk ranks the
-    tied units' updates by ``_tie_ranks``, over fresh copies of their
-    schedules up to t_cut."""
+    order, ends at t_cut + 1, and is the last. Only where the budget ends
+    inside an instant of several updates does that order need the tie rule:
+    a second walk ranks the tied units' updates (``_tie_ranks``) over fresh
+    copies of their schedules up to t_cut."""
     left, share = math.inf, chunk
     if max_updates is not None:
         left, share = max_updates, min(chunk, -(-max_updates // len(schedules)))
@@ -605,11 +607,11 @@ def _windows(schedules, chunk, stop, max_updates=None, tick=1):
                       if i < len(ts) and ts[i] == t_cut]
             tied = left - sum(counts)
             if tied < len(at_cut):
-                for window, rank in _tie_ranks([schedules[g].restart() for g in at_cut],
-                                               t_cut + 1):
+                restarted = [schedules[g].restart() for g in at_cut]
+                for *_, rank in _tie_ranks(_windows(restarted, CHUNK, t_cut + 1),
+                                           range(len(at_cut))):
                     pass  # the last window ends with the tied updates at t_cut
-                ends = np.cumsum(list(map(len, window))) - 1
-                at_cut = [at_cut[j] for j in np.argsort(rank[ends]).tolist()]
+                at_cut = [at_cut[j] for j in np.argsort([r[-1] for r in rank]).tolist()]
             for g in at_cut[:tied]:
                 counts[g] += 1
             end = t_cut + 1
@@ -822,35 +824,28 @@ def _tied_ranks(times, units, last_t, last_rank):
     return hit, within
 
 
-def _rank_ties(times, units, last_t, last_rank) -> dict:
-    """``_tied_ranks`` keyed by ``(g, i)``, unit g's update ``times[g][i]``:
-    the rank of every tied update, and no entry for any other."""
+def _tie_ranks(windows, units):
+    """The windows of a ``_windows`` walk, each as ``(end, times, u,
+    rank)``: ``rank[g]`` holds the ``_tied_ranks`` rank among ``units`` of
+    each of unit g's updates ``times[g]``, 0 at an instant without a tie
+    and for every unit outside ``units``. Each ranked unit's last update
+    time and rank carry over from one window to the next; g is a unit's
+    index in the walk's schedules."""
     units = list(units)
-    hit, within = _tied_ranks(times, units, last_t, last_rank)
-    starts = np.cumsum([0] + [len(times[g]) for g in units])
-    place = starts.searchsorted(hit, "right") - 1
-    owner = np.array(units, dtype=np.int64)[place]
-    return dict(zip(zip(owner.tolist(), (hit - starts[place]).tolist()), within.tolist()))
-
-
-def _tie_ranks(schedules, stop, max_updates=None):
-    """The updates of ``schedules`` before ``stop``, or the first
-    ``max_updates`` (``_windows``), window by window: each window's times
-    ``times[g]`` and the ``_tied_ranks`` rank among all the schedules of
-    each of its updates, in the order of ``np.concatenate(times)``, 0 at an
-    instant without a tie, its state carried from one window to the next. g
-    is a schedule's index in ``schedules``, which are in unit order."""
-    n = len(schedules)
-    last_t, last_rank = [-1] * n, list(range(n))
-    for _, times, _ in _windows(schedules, CHUNK, stop, max_updates):
-        counts = list(map(len, times))
-        hit, within = _tied_ranks(times, range(n), last_t, last_rank)
-        rank = np.zeros(sum(counts), dtype=np.int64)
-        rank[hit] = within
-        yield times, rank
-        for g, end in enumerate(np.cumsum(counts).tolist()):
-            if counts[g]:
-                last_t[g], last_rank[g] = int(times[g][-1]), int(rank[end - 1])
+    last_t, last_rank = dict.fromkeys(units, -1), {g: g for g in units}
+    for end, times, u in windows:
+        # every unit outside ``units`` reads one shared array of zeros
+        zeros = np.zeros(max(map(len, times)), dtype=np.int64)
+        rank = [zeros[:len(t)] for t in times]
+        hit, within = _tied_ranks(times, units, last_t, last_rank)
+        counts = [len(times[g]) for g in units]
+        ranked = np.zeros(sum(counts), dtype=np.int64)
+        ranked[hit] = within
+        for g, r in zip(units, np.split(ranked, np.cumsum(counts)[:-1])):
+            rank[g] = r
+            if len(r):
+                last_t[g], last_rank[g] = int(times[g][-1]), int(r[-1])
+        yield end, times, u, rank
 
 
 class _FlipRun(_Machines):
@@ -914,38 +909,31 @@ class _FlipRun(_Machines):
         self.heap = []
         # a unit's flip events of an older segment are stale
         self.version = [0] * n
-        # for ``_rank_ties``: each unit's last update time and its rank among
-        # the updates of that instant; before the first update, -1 and its id
-        self.last_t = [-1] * n
-        self.last_rank = list(range(n))
         self.update_counts = np.zeros(n, dtype=np.int64)
         self.one_counts = np.zeros(n, dtype=np.int64)
         self.flip_times, self.flip_units = [], []
         self.clock = 0
 
-    def _late_reads(self, r: int, g: int, flips) -> list:
-        """For each update of source g in ``flips`` (indices), 1 if its
+    def _late_reads(self, r: int, g: int, flips) -> np.ndarray:
+        """For each update of source g in ``flips`` (indices), whether its
         zero-delay reader r updates at the same instant before it, and so
-        reads g's bit from before that update, else 0."""
+        reads g's bit from before that update."""
         at, times = self.times[g][flips], self.times[r]
-        late = np.zeros(len(flips), dtype=np.int64)
-        if len(times):
-            j = times.searchsorted(at)
-            for q in np.flatnonzero(times[np.minimum(j, len(times) - 1)] == at).tolist():
-                late[q] = self.rank[(r, int(j[q]))] < self.rank[(g, int(flips[q]))]
-        return late
+        if not len(times):
+            return np.zeros(len(at), dtype=bool)
+        j = np.minimum(times.searchsorted(at), len(times) - 1)
+        return (times[j] == at) & (self.rank[r][j] < self.rank[g][flips])
 
-    def begin(self, times, u) -> None:
-        """Take the window's updates, unit g's times ``times[g]`` and its
-        ``u[g]``, and rank their ties among ``tie_units``. Start every
-        unit's first segment of the window at its held probability. Find
-        the flips of each constant eager unit: queue those that refresh its
-        machine, give each zero-delay reader that is not eager its segments,
-        and queue its other readers' input changes. Queue every other eager
-        unit's first flip."""
+    def begin(self, times, u, rank) -> None:
+        """Take the window's updates, unit g's times ``times[g]``, its
+        ``u[g]`` and its ranks ``rank[g]`` among ``tie_units``
+        (``_tie_ranks``). Start every unit's first segment of the window at
+        its held probability. Find the flips of each constant eager unit:
+        queue those that refresh its machine, give each zero-delay reader
+        that is not eager its segments, and queue its other readers' input
+        changes. Queue every other eager unit's first flip."""
         n, heap, wire_p = self.n, self.heap, self.wire_p
-        self.times, self.u = times, u
-        self.rank = _rank_ties(times, self.tie_units, self.last_t, self.last_rank)
+        self.times, self.u, self.rank = times, u, rank
         self.starts = [[0] for _ in range(n)]
         self.probs = [[p] for p in self.p]
         self.next_flip = [None] * n
@@ -1002,7 +990,7 @@ class _FlipRun(_Machines):
         self.version[g] += 1
         self.next_flip[g] = i
         if i is not None:
-            heapq.heappush(self.heap, (int(self.times[g][i]), self.rank.get((g, i), 0),
+            heapq.heappush(self.heap, (self.times[g].item(i), self.rank[g].item(i),
                                        g, self.version[g]))
 
     def advance(self, end: int) -> None:
@@ -1076,8 +1064,7 @@ class _FlipRun(_Machines):
 
     def settle(self) -> None:
         """Turn the window's segments into every unit's outputs: add up its
-        updates and ones and log its flips; keep its last update for the
-        tie rule."""
+        updates and ones and log its flips."""
         for g in range(self.n):
             times, u = self.times[g], self.u[g]
             if not len(times):
@@ -1095,9 +1082,7 @@ class _FlipRun(_Machines):
             self.out[g] = self.out_settled[g] = int(fires[-1])
             self.update_counts[g] += len(u)
             self.one_counts[g] += int(np.count_nonzero(fires))
-            self.last_t[g] = int(times[-1])
-            self.last_rank[g] = self.rank.get((g, len(times) - 1), 0)
-            self.clock = max(self.clock, self.last_t[g])
+            self.clock = max(self.clock, int(times[-1]))
 
     def trace(self, last: int, max_updates) -> SimulationTrace:
         """The samples up to ``last`` (or as ``_trace`` ends them under the
@@ -1118,8 +1103,9 @@ def _run_flips(network, seed, stop, last, max_updates) -> SimulationTrace:
     ``stop`` and ``last``, and the update budget ``max_updates``. Schedules
     are drawn in windows of at most ``CHUNK`` updates per unit."""
     run_ = _FlipRun(network, seed)
-    for end, times, u in _windows(run_.schedules, CHUNK, stop, max_updates):
-        run_.begin(times, u)
+    windows = _windows(run_.schedules, CHUNK, stop, max_updates)
+    for end, times, u, rank in _tie_ranks(windows, run_.tie_units):
+        run_.begin(times, u, rank)
         run_.advance(end)
         run_.settle()
     return run_.trace(last, max_updates)
@@ -1171,14 +1157,15 @@ def update_order(network: NetworkSpec, seed: int, update_counts) -> list:
     are the first ones in the heap's order, whichever budget ended it, so
     they are the first ``sum(update_counts)`` of fresh schedules, cut by the
     window walk's budget rule (``_windows``), sorted by time and, within an
-    instant, by ``_tied_ranks`` over every unit (``_tie_ranks``), in one
-    ``np.lexsort`` per window."""
+    instant, by their ranks among every unit (``_tie_ranks``), distinct at
+    an instant of several updates, in one ``np.lexsort`` per window."""
     _, schedules = _units(network, seed, CHUNK)
+    windows = _windows(schedules, CHUNK, TIME_LIMIT_US, int(sum(update_counts)))
     events = []
-    for times, rank in _tie_ranks(schedules, TIME_LIMIT_US, int(sum(update_counts))):
+    for _, times, _, rank in _tie_ranks(windows, range(len(schedules))):
         at = np.concatenate(times)
         units = np.repeat(np.arange(len(times)), list(map(len, times)))
-        order = np.lexsort((units, rank, at))
+        order = np.lexsort((np.concatenate(rank), at))
         events += zip(at[order].tolist(), units[order].tolist())
     return events
 

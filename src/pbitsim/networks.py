@@ -62,7 +62,8 @@ MAX_UNITS = 63
 class GateSpec:
     """One gate Hamiltonian plus the Boolean contract it must realize.
 
-    ``visible`` maps terminal labels to spin indices; ``truth_table`` rows
+    ``visible`` maps terminal labels to spin indices, and every one of
+    ``inputs`` and ``outputs`` is one of those labels; ``truth_table`` rows
     are 0/1 tuples in the order the labels appear in ``visible``. A gate is
     an immutable value: the mapping is read-only, the sequences are tuples,
     J and h are read-only copies, and ``dataclasses.replace`` is the only way
@@ -102,6 +103,10 @@ class GateSpec:
         for row in self.truth_table:
             if len(row) != len(self.visible):
                 raise ConfigurationError("truth table width must match visible labels")
+        for label in self.inputs + self.outputs:
+            if label not in self.visible:
+                raise ConfigurationError(
+                    f"terminal {label!r} is not a visible label of {self.name!r}")
         spins = sorted(list(self.visible.values()) + list(self.auxiliary))
         if spins != list(range(self.n)):
             raise ConfigurationError("visible + auxiliary must cover all spins exactly once")

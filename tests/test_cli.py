@@ -554,6 +554,21 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: the JSON input is nested too deeply\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("field, value", [("samples", [0] * 100_000),
+                                              ("clamps", [0] * 50_000)])
+    def test_long_message_cut(self, tmp_path, capsys, field, value):
+        # the message echoes the whole value: these printed error lines of
+        # 300,033 and 150,032 bytes
+        path = write_scenario(tmp_path / "long.json", **{field: value})
+        with pytest.raises(ConfigurationError) as caught:
+            cli.load_scenario(path)
+        message = str(caught.value)
+        assert len(message) > 100_000
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {message[:1000]}... ({len(message) - 1000} more characters)\n")
+        assert not (tmp_path / "o").exists()
+
     def test_adc_bits_rejected(self, tmp_path, capsys):
         path = write_scenario(tmp_path / "a.json", network={
             "kind": "gate", "gate": "and", "i0": 0.8, "adc_bits": 1})
@@ -695,6 +710,14 @@ class TestVerify:
         assert main(["verify", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("field", ["inputs", "outputs"])
+    def test_terminals_must_be_labels(self, tmp_path, capsys, field):
+        # a terminal that names no visible label used to verify as ok
+        path = tmp_path / "and.json"
+        path.write_text(json.dumps({**gate_to_json(load_gate("and")), field: ["A", "nope"]}))
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err == "error: terminal 'nope' is not a visible label of 'and'\n"
+
     def test_json_lists_spurious_states(self, tmp_path, capsys):
         # with J and h all zero every state is a ground state
         gate = dataclasses.replace(load_gate("and"), j=np.zeros((3, 3)), h=np.zeros(3))
@@ -722,6 +745,19 @@ class TestSynth:
         doc = json.loads((out / "my_and.json").read_text())
         assert verify_ground_states(gate_from_json(doc)).verified
         assert "gap=" in capsys.readouterr().out
+
+    def test_terminals_must_be_labels(self, tmp_path, capsys):
+        # these terminals used to be written to a verified gate file, exit 0
+        spec = tmp_path / "and.json"
+        spec.write_text(json.dumps({
+            "name": "my_and",
+            "table": [[0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 1]],
+            "labels": ["A", "B", "C"], "inputs": ["Z", "Q"], "outputs": ["nope"],
+        }))
+        out = tmp_path / "gates"
+        assert main(["synth", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: terminal 'Z' is not a visible label of 'my_and'\n"
+        assert not (out / "my_and.json").exists()
 
     def test_method_field_rejected(self, tmp_path):
         # LP is the only synthesizer; the old "method" switch is a schema error

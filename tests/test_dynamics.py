@@ -407,10 +407,10 @@ class TestEventCounts:
         made as the run starts, included."""
         refreshes, begin, refresh = [], dynamics._FlipRun.begin, dynamics._FlipRun._refresh
 
-        def logging_begin(run_, times, u):
+        def logging_begin(run_, times, u, rank):
             if not any(r is run_ for r, *_ in refreshes):
                 refreshes.extend((run_, k, local) for k, local in enumerate(run_.held))
-            begin(run_, times, u)
+            begin(run_, times, u, rank)
 
         def logging_refresh(run_, k, t):
             refreshes.append((run_, k, (run_.mask & run_.dep_masks[k]) >> run_.shifts[k]))
@@ -1106,18 +1106,33 @@ class TestUpdateOrder:
                "max_samples": st.integers(0, 3000),
                "duration_us": st.integers(0, 300_000),
                "max_updates": st.integers(0, 3000),
-           }).filter(bool))
-    def test_matches_the_heap(self, net, seed, budget):
+           }).filter(bool), chunk=st.sampled_from([3, 64, dynamics.CHUNK]))
+    def test_matches_the_heap(self, net, seed, budget, chunk):
+        # a chunk of 3 or 64 spreads the walk over many windows, so the
+        # ranks carry across them and a cut's second walk takes several
         log, update = [], Simulator._update
         with mock.patch.object(Simulator, "_update",
                                lambda sim, t, gid: log.append((t, gid)) or update(sim, t, gid)):
             trace = heap_run(net, seed, **budget)
-        assert update_order(net, seed, trace.update_counts) == log
+        with mock.patch.object(dynamics, "CHUNK", chunk):
+            assert update_order(net, seed, trace.update_counts) == log
+
+
+def rank_ties(times, units, last_t, last_rank) -> dict:
+    """``dynamics._tied_ranks`` keyed by ``(g, i)``, unit g's update
+    ``times[g][i]``: the rank of every tied update, and no entry for any
+    other."""
+    units = list(units)
+    hit, within = dynamics._tied_ranks(times, units, last_t, last_rank)
+    starts = np.cumsum([0] + [len(times[g]) for g in units])
+    place = starts.searchsorted(hit, "right") - 1
+    owner = np.array(units, dtype=np.int64)[place]
+    return dict(zip(zip(owner.tolist(), (hit - starts[place]).tolist()), within.tolist()))
 
 
 def rank_ties_by_instant(times, units, last_t, last_rank) -> dict:
-    """``dynamics._rank_ties`` instant by instant: each tied update keyed by
-    its previous update's time and rank, the rank already given to it."""
+    """``rank_ties`` instant by instant: each tied update keyed by its
+    previous update's time and rank, the rank already given to it."""
     rank = {}
     events = sorted((int(t), g, i) for g in units for i, t in enumerate(times[g]))
     for t, group in itertools.groupby(events, key=lambda e: e[0]):
@@ -1131,7 +1146,7 @@ def rank_ties_by_instant(times, units, last_t, last_rank) -> dict:
 
 
 class TestTieRanks:
-    """``_rank_ties`` ranks every tied instant at once by pointer jumping;
+    """``_tied_ranks`` ranks every tied instant at once by pointer jumping;
     it must give the ranks of the rule applied one instant at a time."""
 
     @settings(max_examples=300, deadline=None)
@@ -1143,14 +1158,47 @@ class TestTieRanks:
         units = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
         last_t = [data.draw(st.integers(-3, -1)) for _ in range(n)]
         last_rank = data.draw(st.permutations(range(n)))
-        assert dynamics._rank_ties(times, units, last_t, last_rank) == \
+        assert rank_ties(times, units, last_t, last_rank) == \
             rank_ties_by_instant(times, units, last_t, last_rank)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 8), lockstep=st.booleans(),
+           chunk=st.sampled_from([3, 8, 64]), stop=st.integers(100, 2000))
+    def test_a_subset_keeps_the_order_of_all_units(self, data, n, lockstep, chunk, stop):
+        # the flip engine ranks only the ends of zero-delay wires: over many
+        # windows, the ranks ``_tie_ranks`` gives a subset must order each
+        # instant's members as ranking every unit does, and be 0, 1, ...
+        # among them, with 0 for every other unit
+        retention = data.draw(st.sampled_from([3, 4, 6]))
+        pbits = [PBitConfig(
+            id=g,
+            retention_us=retention if lockstep else data.draw(st.sampled_from([3, 4, 6])),
+            phase_us=data.draw(st.sampled_from([0, 0, 3, retention])),
+            jitter_fraction=0.0 if lockstep else data.draw(st.sampled_from([0.0, 0.3])),
+        ) for g in range(n)]
+        units = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+
+        def walk(ranked):
+            schedules = [dynamics._Schedule(np.random.default_rng([7, g]), p, chunk)
+                         for g, p in enumerate(pbits)]
+            return dynamics._tie_ranks(dynamics._windows(schedules, chunk, stop), ranked)
+
+        for (_, times, _, some), (_, same, _, every) in zip(walk(units), walk(range(n))):
+            assert all(np.array_equal(a, b) for a, b in zip(times, same))
+            assert not any(some[g].any() for g in range(n) if g not in units)
+            at = np.concatenate([times[g] for g in units])
+            sub = np.concatenate([some[g] for g in units])
+            order = np.lexsort((sub, at))
+            assert order.tolist() == np.lexsort((np.concatenate([every[g] for g in units]),
+                                                 at)).tolist()
+            first = at[order].searchsorted(at[order])
+            assert sub[order].tolist() == (np.arange(len(at)) - first).tolist()
 
     def test_lockstep_units_keep_their_order(self):
         # three units in lockstep from t = 0 run in unit order at every
         # instant, and a fourth that starts one step late runs first
         times = [np.arange(0, 50, 5)] * 3 + [np.arange(5, 50, 5)]
-        rank = dynamics._rank_ties(times, range(4), [-1] * 4, list(range(4)))
+        rank = rank_ties(times, range(4), [-1] * 4, list(range(4)))
         assert [rank[(g, 3 - (g == 3))] for g in range(4)] == [1, 2, 3, 0]
 
 
