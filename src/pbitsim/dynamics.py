@@ -10,7 +10,7 @@ it, the rail voltage for a clamped unit included; only a wired unit
 bypasses the weight logic and reads its source's output.
 
 The weight logic is a pure function of the machine's own outputs. Each
-run builds one ``_Machines`` from its network, which all three engines
+run builds one ``_Machines`` from its network, which all four engines
 read. Its one row rule, ``_Machines.row``, gives a machine's firing
 probabilities ``sigmoid(2v - 5)`` in a local state: on a miss, from one
 ``weight_inputs`` call over that state, which sums each drive in the same
@@ -41,16 +41,20 @@ bit-identically regardless of host or run count. A free unit's output at
 t = 0 is its stream's first value; ``_Schedule`` turns the rest into the
 unit's updates for every engine: the first falls at the unit's phase, and
 each draws its ``u`` and then, with jitter f, the interval to the next,
-``round(r·(1 + uniform(-f, f)))`` and at least 1. The heap draws ``BLOCK``
-updates ahead and the other engines more; none of them changes a bit.
+``round(r·(1 + uniform(-f, f)))`` and at least 1. The heap and the merged
+walk draw ``BLOCK`` updates ahead and the other engines more; none of them
+changes a bit.
 
-Three engines run a network, and they give the same trace and end time.
+Four engines run a network, and they give the same trace and end time.
 ``_composable`` picks one from the network alone, under any budget:
 
-- ``"heap"``, the event heap of ``Simulator``, for every network with a
-  machine of more than ``TABLE_UNITS`` (14) units;
 - ``"composed"`` for one machine of at most ``COMPOSED_UNITS`` (8) units
   (one machine holds no wire), which composes per-tick state maps;
+- ``"merged"`` for one machine of more than ``TABLE_UNITS`` (14) units,
+  which walks its updates in time order;
+- ``"heap"``, the event heap of ``Simulator``, for a network of several
+  machines, one of them of more than ``TABLE_UNITS`` units; it is also the
+  reference the tests compare every other engine with;
 - ``"flips"`` for every other network, which steps only the flips that
   other units read.
 
@@ -72,6 +76,11 @@ ticks into rows, numbers the rows by their levels, builds one map per
 distinct row of levels (``_tick_maps``; on the AND gate far fewer than the
 rows), walks the rows through them in one pass, one lookup per tick, and
 counts each unit's ones against the probabilities of each row's state.
+A machine of more than ``TABLE_UNITS`` units has too many states for maps,
+so the merged walk (``_run_merged``) reads the same held rows one update at
+a time: it merges each window's updates by time and refreshes the row at
+the first update at or after the tick a flip queued. The updates of one
+instant read one row, so it needs no tie rule.
 
 In any network, unit g's held probability at time t is its machine's
 p[state just before tick floor(t/tau)*tau, g], and a wired unit's is fixed
@@ -95,7 +104,7 @@ among the ends of such wires, and only where several of them tie. One
 walk, ``_tie_ranks``, carries that rule across windows for this engine,
 the budget cut and ``update_order`` alike.
 
-Both window engines and ``update_order`` take their updates by one rule,
+The window engines and ``update_order`` take their updates by one rule,
 ``_windows``: a window holds every unit's updates before its end, each
 window spans a fixed time, and the span bounds a unit's updates in a
 window. The same walk applies an update budget, which the heap counts as
@@ -344,7 +353,10 @@ class _Machines:
 
 
 class Simulator(_Machines):
-    """Event-queue state for one run. Strictly single-threaded."""
+    """Event-queue state for one run. Strictly single-threaded. ``run``
+    steps it only for a network of several machines, one of them of more
+    than ``TABLE_UNITS`` units; it runs any network, one event at a time,
+    and is the reference the tests compare every other engine with."""
 
     def __init__(self, network: NetworkSpec, seed: int):
         network.validate()
@@ -529,15 +541,19 @@ class _Probabilities(dict):
 
 
 def _composable(network: NetworkSpec) -> str:
-    """The engine ``run`` gives a network, under any budget: ``"heap"`` for
-    a network with a machine of more than ``TABLE_UNITS`` units, more local
-    states than a machine's cache holds; ``"composed"`` for one machine
-    (``NetworkSpec.validate`` allows no wire inside a machine) of at most
-    ``COMPOSED_UNITS`` units; ``"flips"`` for any other network."""
-    if any(m.n > TABLE_UNITS for m in network.machines):
+    """The engine ``run`` gives a network, under any budget: for one machine
+    (``NetworkSpec.validate`` allows no wire inside a machine),
+    ``"composed"`` up to ``COMPOSED_UNITS`` units and ``"merged"`` past
+    ``TABLE_UNITS`` units, more local states than a machine's cache holds;
+    ``"heap"`` for several machines, one of them past ``TABLE_UNITS`` units;
+    ``"flips"`` for any other network."""
+    if len(network.machines) == 1:
+        if network.n_total <= COMPOSED_UNITS:
+            return "composed"
+        if network.n_total > TABLE_UNITS:
+            return "merged"
+    elif any(m.n > TABLE_UNITS for m in network.machines):
         return "heap"
-    if len(network.machines) == 1 and network.n_total <= COMPOSED_UNITS:
-        return "composed"
     return "flips"
 
 
@@ -750,6 +766,50 @@ def _run_composed(network, seed, stop, last, max_updates) -> SimulationTrace:
         clock = max(int(t[-1]) for t in times if len(t))
     return _trace(n, [tau], last, clock, np.concatenate(flip_times),
                   np.concatenate(flip_masks), update_counts, one_counts, max_updates)
+
+
+def _run_merged(network, seed, stop, last, max_updates) -> SimulationTrace:
+    """``run`` for one machine of more than ``TABLE_UNITS`` units, with the
+    sample and duration budgets already turned into ``stop`` and ``last``,
+    and the update budget ``max_updates``: each window's updates, merged by
+    time, run one by one against the held row, and the first one at or
+    after the tick a flip queued a refresh for reads the row of the present
+    mask, which no update since that tick has changed."""
+    machines = _Machines(network, seed, BLOCK)
+    n, tau, mask = machines.n, machines.taus[0], machines.mask
+    bits = [1 << (n - 1 - g) for g in range(n)]
+    out = [mask & bit != 0 for bit in bits]
+    p, refresh = machines.row(0, mask), math.inf
+    flip_times, flip_masks = [-1], [mask]
+    update_counts = np.zeros(n, dtype=np.int64)
+    one_counts = np.zeros(n, dtype=np.int64)
+    clock = 0
+    for _, times, u in _windows(machines.schedules, BLOCK, stop, max_updates):
+        counts = list(map(len, times))
+        at = np.concatenate(times)
+        if not len(at):
+            continue
+        order = np.argsort(at, kind="stable")
+        units = np.repeat(np.arange(n), counts)[order].tolist()
+        fires = []
+        for t, g, v in zip(at[order].tolist(), units, np.concatenate(u)[order].tolist()):
+            if t >= refresh:
+                p, refresh = machines.row(0, mask), math.inf
+            b = p[g] > v
+            fires.append(b)
+            if b != out[g]:
+                out[g] = b
+                mask ^= bits[g]
+                flip_times.append(t)
+                flip_masks.append(mask)
+                if refresh == math.inf:
+                    refresh = (t // tau + 1) * tau
+        update_counts += counts
+        one_counts += np.bincount(units, fires, n).astype(np.int64)
+        clock = t  # the window's last update
+    return _trace(n, [tau], last, clock, np.array(flip_times, dtype=np.int64),
+                  np.array(flip_masks, dtype=np.int64), update_counts, one_counts,
+                  max_updates)
 
 
 def _couplings(mach, modes):
@@ -1125,12 +1185,14 @@ def run(
     running the events strictly before it; ``max_updates`` counts unit
     update events and ends the samples at the last update's time. A zero
     budget yields an empty trace. ``_composable`` picks the engine from the
-    network: the event heap for a machine of more than ``TABLE_UNITS``
-    units, per-tick state maps for a machine of up to ``COMPOSED_UNITS``
-    units, and the flip-driven engine for any other network. All three give
-    the same trace. The heap counts its updates as it runs; the other two
-    engines end at an update budget inside the window walk that feeds them
-    (``_windows``), unless another budget ends the run first. A run whose
+    network: per-tick state maps for one machine of up to
+    ``COMPOSED_UNITS`` units, a walk of the updates in time order for one
+    machine of more than ``TABLE_UNITS`` units, the event heap for several
+    machines, one of them past ``TABLE_UNITS`` units, and the flip-driven
+    engine for any other network. All four give the same trace. The heap
+    counts its updates as it runs; the other three engines end at an update
+    budget inside the window walk that feeds them (``_windows``), unless
+    another budget ends the run first. A run whose
     virtual times could reach ``TIME_LIMIT_US`` is refused.
     ``update_order`` gives the order of the run's updates.
     """
@@ -1147,7 +1209,8 @@ def run(
         s_star = sample_time(taus, max_samples - 1) if max_samples > 0 else -1
         if s_star < stop:
             stop, last = s_star, s_star
-    engine = {"heap": _run_heap, "composed": _run_composed, "flips": _run_flips}
+    engine = {"heap": _run_heap, "composed": _run_composed, "merged": _run_merged,
+              "flips": _run_flips}
     return engine[_composable(network)](network, seed, stop, last, max_updates)
 
 

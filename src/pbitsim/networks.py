@@ -58,6 +58,17 @@ MAX_UNITS = 63
 # Gate specifications
 
 
+def _check_labels(name, visible, terminals, truth_table) -> None:
+    """Refuse a truth table row whose width is not the number of labels in
+    ``visible``, or a terminal of gate ``name`` that is not one of them."""
+    for row in truth_table:
+        if len(row) != len(visible):
+            raise ConfigurationError("truth table width must match visible labels")
+    for label in terminals:
+        if label not in visible:
+            raise ConfigurationError(f"terminal {label!r} is not a visible label of {name!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class GateSpec:
     """One gate Hamiltonian plus the Boolean contract it must realize.
@@ -100,13 +111,7 @@ class GateSpec:
             object.__setattr__(self, name, value)
         if len(set(self.truth_table)) != len(self.truth_table):
             raise ConfigurationError("truth table rows must be distinct")
-        for row in self.truth_table:
-            if len(row) != len(self.visible):
-                raise ConfigurationError("truth table width must match visible labels")
-        for label in self.inputs + self.outputs:
-            if label not in self.visible:
-                raise ConfigurationError(
-                    f"terminal {label!r} is not a visible label of {self.name!r}")
+        _check_labels(self.name, self.visible, self.inputs + self.outputs, self.truth_table)
         spins = sorted(list(self.visible.values()) + list(self.auxiliary))
         if spins != list(range(self.n)):
             raise ConfigurationError("visible + auxiliary must cover all spins exactly once")
@@ -323,6 +328,12 @@ def synthesize_gate_lp(
     n_vis = len(truth_table[0])
     if any(len(row) != n_vis for row in truth_table):
         raise ConfigurationError("truth table width must be the same in every row")
+    if labels is None:
+        labels = [f"V{k}" for k in range(n_vis)]
+    visible = {lab: k for k, lab in enumerate(labels)}
+    inputs, outputs = tuple(inputs or labels[:-1]), tuple(outputs or labels[-1:])
+    # the gate's label rules, before any LP is solved
+    _check_labels(name, visible, inputs + outputs, truth_table)
     n = n_vis + n_aux
     if n > 16:
         raise CapacityError("LP synthesis limited to 16 total spins")
@@ -354,10 +365,7 @@ def synthesize_gate_lp(
         raise SynthesisError("no feasible coupling matrix at the given bound")
 
     j, h = _theta_to_jh(best[:n_params], n)
-    if labels is None:
-        labels = [f"V{k}" for k in range(n_vis)]
-    gate = GateSpec(name, {lab: k for k, lab in enumerate(labels)}, inputs or labels[:-1],
-                    outputs or labels[-1:], range(n_vis, n), truth_table, j, h)
+    gate = GateSpec(name, visible, inputs, outputs, range(n_vis, n), truth_table, j, h)
     snapped = replace(gate, j=_round_to_grid(j), h=_round_to_grid(h))
     try:
         verified = verify_ground_states(snapped)

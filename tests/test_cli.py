@@ -759,6 +759,21 @@ class TestSynth:
         assert capsys.readouterr().err == "error: terminal 'Z' is not a visible label of 'my_and'\n"
         assert not (out / "my_and.json").exists()
 
+    def test_terminals_are_checked_before_the_search(self, tmp_path, capsys):
+        # the bare XOR table has no feasible gate: this used to exit 3, "no
+        # feasible coupling matrix", after its LP search
+        spec = tmp_path / "xor.json"
+        spec.write_text(json.dumps({
+            "name": "my_xor",
+            "table": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]],
+            "labels": ["A", "B", "S"], "inputs": ["nope"],
+        }))
+        out = tmp_path / "gates"
+        assert main(["synth", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: terminal 'nope' is not a visible label of 'my_xor'\n")
+        assert not (out / "my_xor.json").exists()
+
     def test_method_field_rejected(self, tmp_path):
         # LP is the only synthesizer; the old "method" switch is a schema error
         spec = tmp_path / "copy.json"

@@ -698,11 +698,12 @@ def digest(trace):
     return h.hexdigest()
 
 
-def matrix_net(n):
-    """One machine of n uncoupled units."""
+def matrix_net(*sizes):
+    """One machine of uncoupled units for each of ``sizes``."""
     return NetworkSpec(
-        [MachineSpec("m", CouplingMatrix(np.zeros((n, n)), np.zeros(n), 1.0))],
-        [PBitConfig(id=k, retention_us=1000) for k in range(n)])
+        [MachineSpec(f"m{k}", CouplingMatrix(np.zeros((n, n)), np.zeros(n), 1.0))
+         for k, n in enumerate(sizes)],
+        [PBitConfig(id=k, retention_us=1000) for k in range(sum(sizes))])
 
 
 @st.composite
@@ -777,9 +778,11 @@ class TestComposedEngine:
 
     def test_untabulated_machines_step_the_heap(self):
         # a one-machine run past COMPOSED_UNITS takes the flip-driven
-        # engine; only a machine past TABLE_UNITS sends a run to the heap
+        # engine, and one past TABLE_UNITS the merged walk; only a network
+        # of several machines, one of them past TABLE_UNITS, steps the heap
         assert dynamics._composable(matrix_net(9)) == "flips"
-        assert dynamics._composable(matrix_net(dynamics.TABLE_UNITS + 1)) == "heap"
+        assert dynamics._composable(matrix_net(dynamics.TABLE_UNITS + 1)) == "merged"
+        assert dynamics._composable(matrix_net(dynamics.TABLE_UNITS + 1, 1)) == "heap"
         assert dynamics._composable(and_net()) == "composed"
         assert dynamics._composable(two_and_net(1000, 1000)) == "flips"
 
@@ -788,15 +791,17 @@ class TestComposedEngine:
         (and_net, {"max_samples": 100}, False),
         (lambda: two_and_net(1000, 1000), {"max_updates": 100}, False),
         (lambda: two_and_net(1000, 1000), {"max_samples": 100}, False),
-        (lambda: matrix_net(dynamics.TABLE_UNITS + 1), {"max_updates": 100}, True),
+        (lambda: matrix_net(dynamics.TABLE_UNITS + 1, 1), {"max_updates": 100}, True),
+        (lambda: matrix_net(dynamics.TABLE_UNITS + 1), {"max_updates": 100}, False),
     ], ids=["max_updates", "max_samples",
             "two_machines_max_updates", "two_machines_max_samples",
-            "untabulated_max_updates"])
+            "untabulated_max_updates", "one_untabulated_machine_max_updates"])
     def test_update_budgets_step_the_heap(self, monkeypatch, net, budget, heap):
         # an update budget steps the heap only where the network does: a
         # network of machines of at most TABLE_UNITS units composes maps or
-        # takes the flip-driven engine
-        # under every budget, the update budget cut from its schedules
+        # takes the flip-driven engine, and one machine past TABLE_UNITS the
+        # merged walk, under every budget, the update budget cut from its
+        # schedules
         steps = []
         step = Simulator.step
         monkeypatch.setattr(Simulator, "step", lambda sim: steps.append(sim) or step(sim))
@@ -1016,6 +1021,23 @@ class TestFlipEngine:
            budget=budgets, chunk=st.sampled_from([3, 64, dynamics.CHUNK]))
     def test_one_machine_matches_the_heap(self, net, seed, budget, chunk):
         self._check(net, seed, budget, chunk)
+
+
+class TestMergedEngine:
+    """A run on one machine of more than ``TABLE_UNITS`` units walks its
+    updates in time order; under every budget and window size it must give
+    the heap's bits, end time and length."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(net=small_machines(units=(dynamics.TABLE_UNITS + 1, 20)),
+           seed=st.integers(0, 2**32), budget=budgets, block=st.sampled_from([3, 64, 256]))
+    def test_matches_the_heap(self, net, seed, budget, block):
+        assert dynamics._composable(net) == "merged"
+        want = heap_run(net, seed, **budget)
+        with mock.patch.object(dynamics, "BLOCK", block):
+            got = run(net, seed, **budget)
+        assert digest(got) == digest(want)
+        assert (got.final_time_us, len(got)) == (want.final_time_us, len(want))
 
 
 def table_dependence(volts) -> int:

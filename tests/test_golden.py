@@ -145,6 +145,16 @@ def sevenths_matrix(n, retention_us=20_000):
                         retention_us=retention_us)
 
 
+def lockstep_matrix16_net():
+    """``sevenths_matrix(16)`` without jitter, its last eight units first
+    updating one retention time late: at every later instant all sixteen
+    tie, and the late eight run first."""
+    net = sevenths_matrix(16)
+    net.set_jitter(0.0)
+    net.set_phases([0] * 8 + [20_000] * 8)
+    return net
+
+
 def slow_tick_and_net():
     """An AND gate whose units update every 2 us and whose tick is 10 ms,
     longer than a composed window's updates span."""
@@ -360,6 +370,22 @@ def test_matrix15_case_fills_its_cache(monkeypatch):
     assert trace_digest(sim.trace(sample_time(sim.taus, budget["max_samples"] - 1))) == expected
 
 
+def test_merged_run_past_the_memo(monkeypatch):
+    # with room for 64 rows, the merged walk over the 15-unit machine
+    # computes some local states' rows again at every refresh there, and
+    # its bits stay the heap's
+    monkeypatch.setattr(dynamics, "MEMO_ENTRIES", 64)
+    calls, weight_inputs = [], dynamics.weight_inputs
+    monkeypatch.setattr(dynamics, "weight_inputs",
+                        lambda coupling, outputs, *args: calls.append(tuple(outputs))
+                        or weight_inputs(coupling, outputs, *args))
+    factory, budget, expected = TRACE_CASES["matrix15_sevenths"]
+    net = factory()
+    assert dynamics._composable(net) == "merged"
+    assert trace_digest(run(net, seed=11, **budget)) == expected
+    assert 64 < len(set(calls)) < len(calls)
+
+
 # name -> (network factory, run budget, (digest, final_time_us, samples)):
 # where each budget stops the run, and the end time it reports
 BUDGET_CASES = {
@@ -487,6 +513,13 @@ BUDGET_CASES = {
         late_source_tie_net, {"max_updates": 2003},
         ("22589ad9973703d1bfbd6af94520973b7b55aa40a3765d79cc765a443d0b74b8",
          333000, 3331),
+    ),
+    # one machine past TABLE_UNITS: the last update is the fifth of its
+    # instant's sixteen, so units 8-12 update there and units 0-7 do not
+    "matrix16_updates_inside_an_instant": (
+        lockstep_matrix16_net, {"max_updates": 8 + 16 * 300 + 5},
+        ("0d8eac6a0b4dbaf60cfead71e43a73b47824475c0012d2aacdfa2da02e0c1e63",
+         6020000, 6021),
     ),
 }
 

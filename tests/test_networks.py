@@ -223,6 +223,22 @@ class TestSynthesis:
         with pytest.raises(SynthesisError):
             synthesize_gate_lp(xor, n_aux=0)
 
+    @pytest.mark.parametrize("labels, terminals, message", [
+        (["A", "B", "S"], {"inputs": ["nope"]}, "terminal 'nope' is not a visible label"),
+        (["A", "B", "S"], {"outputs": ["Z"]}, "terminal 'Z' is not a visible label"),
+        (["A", "B"], {}, "truth table width must match visible labels"),
+    ], ids=["input", "output", "width"])
+    def test_label_rules_hold_before_any_lp(self, monkeypatch, labels, terminals, message):
+        # a table with a feasible gate: a bad label is refused before its
+        # search solves one LP
+        solves = []
+        linprog = scipy.optimize.linprog
+        monkeypatch.setattr(scipy.optimize, "linprog",
+                            lambda *a, **k: solves.append(1) or linprog(*a, **k))
+        with pytest.raises(ConfigurationError, match=message):
+            synthesize_gate_lp(AND_TABLE, name="and", labels=labels, **terminals)
+        assert solves == []
+
     def test_lp_respects_fixed_assignment(self):
         gate = synthesize_gate_lp(
             AND_TABLE, n_aux=1, labels=["A", "B", "C"],
