@@ -507,7 +507,7 @@ def load_scenario(path, overrides=None) -> dict:
 def _matrix_network(spec: dict) -> NetworkSpec:
     labels = {str(k): int(v) for k, v in spec.get("labels", {}).items()}
     if not labels:
-        labels = {f"pbit_{k}": k for k in range(len(spec["h"]))}
+        labels = {f"pbit_{k}": k for k in range(len(spec["j"]))}
     gate = GateSpec(
         name="matrix",
         visible=labels,

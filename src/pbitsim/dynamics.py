@@ -45,18 +45,20 @@ each draws its ``u`` and then, with jitter f, the interval to the next,
 walk draw ``BLOCK`` updates ahead and the other engines more; none of them
 changes a bit.
 
-Four engines run a network, and they give the same trace and end time.
-``_composable`` picks one from the network alone, under any budget:
+Three engines run a network, and ``_composable`` picks one from its
+machine count alone, under any budget:
 
 - ``"composed"`` for one machine of at most ``COMPOSED_UNITS`` (8) units
   (one machine holds no wire), which composes per-tick state maps;
-- ``"merged"`` for one machine of more than ``TABLE_UNITS`` (14) units,
-  which walks its updates in time order;
-- ``"heap"``, the event heap of ``Simulator``, for a network of several
-  machines, one of them of more than ``TABLE_UNITS`` units; it is also the
-  reference the tests compare every other engine with;
-- ``"flips"`` for every other network, which steps only the flips that
-  other units read.
+- ``"merged"`` for any larger machine alone, which walks its updates in
+  time order;
+- ``"flips"`` for several machines, which steps only the flips that other
+  units read.
+
+The event heap of ``Simulator`` runs any network one event at a time. It
+is the reference the tests compare every engine with, and ``run`` takes it
+only where ``_composable`` is made to return ``"heap"``. All four give the
+same trace and end time.
 
 In one machine without wires the published voltages change only at lattice
 ticks: a refresh runs before the updates at its tick, and a clean refresh
@@ -76,11 +78,12 @@ ticks into rows, numbers the rows by their levels, builds one map per
 distinct row of levels (``_tick_maps``; on the AND gate far fewer than the
 rows), walks the rows through them in one pass, one lookup per tick, and
 counts each unit's ones against the probabilities of each row's state.
-A machine of more than ``TABLE_UNITS`` units has too many states for maps,
-so the merged walk (``_run_merged``) reads the same held rows one update at
-a time: it merges each window's updates by time and refreshes the row at
-the first update at or after the tick a flip queued. The updates of one
-instant read one row, so it needs no tie rule.
+A machine of more than ``COMPOSED_UNITS`` units has too many states for
+maps, so the merged walk (``_run_merged``) reads the same held rows one
+update at a time: it merges each window's updates by time, and a flip of a
+bit that some voltage can depend on (``_couplings``, below) refreshes the
+row, in the state masked to those bits, at the first update at or after the
+next tick. The updates of one instant read one row, so it needs no tie rule.
 
 In any network, unit g's held probability at time t is its machine's
 p[state just before tick floor(t/tau)*tau, g], and a wired unit's is fixed
@@ -148,13 +151,14 @@ from .oracle import bit_rows
 
 PRIO_REFRESH = 0
 PRIO_UPDATE = 1
-# updates drawn ahead per refill of a unit's schedule in the event heap
+# updates drawn ahead per refill of a unit's schedule in the event heap and
+# the merged walk
 BLOCK = 256
-# the largest machine the window engines take: the full adder, the largest
-# shipped machine
+# a machine's memo holds every local state's row up to this many units:
+# the full adder, the largest shipped machine
 TABLE_UNITS = 14
-# rows of firing probabilities cached per machine, every local state's up to
-# TABLE_UNITS units; a row only refers to the run's shared floats
+# rows of firing probabilities cached per machine; a row only refers to the
+# run's shared floats
 MEMO_ENTRIES = 1 << TABLE_UNITS
 # the largest machine the composed engine runs
 COMPOSED_UNITS = 8
@@ -353,10 +357,10 @@ class _Machines:
 
 
 class Simulator(_Machines):
-    """Event-queue state for one run. Strictly single-threaded. ``run``
-    steps it only for a network of several machines, one of them of more
-    than ``TABLE_UNITS`` units; it runs any network, one event at a time,
-    and is the reference the tests compare every other engine with."""
+    """Event-queue state for one run. Strictly single-threaded. It runs any
+    network, one event at a time, and is the reference the tests compare
+    every engine with; ``run`` steps it only where ``_composable`` is made
+    to return ``"heap"``."""
 
     def __init__(self, network: NetworkSpec, seed: int):
         network.validate()
@@ -541,20 +545,13 @@ class _Probabilities(dict):
 
 
 def _composable(network: NetworkSpec) -> str:
-    """The engine ``run`` gives a network, under any budget: for one machine
-    (``NetworkSpec.validate`` allows no wire inside a machine),
-    ``"composed"`` up to ``COMPOSED_UNITS`` units and ``"merged"`` past
-    ``TABLE_UNITS`` units, more local states than a machine's cache holds;
-    ``"heap"`` for several machines, one of them past ``TABLE_UNITS`` units;
-    ``"flips"`` for any other network."""
-    if len(network.machines) == 1:
-        if network.n_total <= COMPOSED_UNITS:
-            return "composed"
-        if network.n_total > TABLE_UNITS:
-            return "merged"
-    elif any(m.n > TABLE_UNITS for m in network.machines):
-        return "heap"
-    return "flips"
+    """The engine ``run`` gives a network, under any budget, from its
+    machine count alone: for one machine (``NetworkSpec.validate`` allows no
+    wire inside a machine), ``"composed"`` up to ``COMPOSED_UNITS`` units
+    and ``"merged"`` past them; ``"flips"`` for several machines."""
+    if len(network.machines) > 1:
+        return "flips"
+    return "composed" if network.n_total <= COMPOSED_UNITS else "merged"
 
 
 def _check_horizon(pbits, taus, max_samples, duration_us, max_updates) -> None:
@@ -769,17 +766,20 @@ def _run_composed(network, seed, stop, last, max_updates) -> SimulationTrace:
 
 
 def _run_merged(network, seed, stop, last, max_updates) -> SimulationTrace:
-    """``run`` for one machine of more than ``TABLE_UNITS`` units, with the
-    sample and duration budgets already turned into ``stop`` and ``last``,
-    and the update budget ``max_updates``: each window's updates, merged by
-    time, run one by one against the held row, and the first one at or
-    after the tick a flip queued a refresh for reads the row of the present
-    mask, which no update since that tick has changed."""
+    """``run`` for one machine of more than ``COMPOSED_UNITS`` units, with
+    the sample and duration budgets already turned into ``stop`` and
+    ``last``, and the update budget ``max_updates``: each window's updates,
+    merged by time, run one by one against the held row. A flip of a bit
+    that some voltage can depend on (``_couplings``) queues a refresh at the
+    next tick, and the first update at or after it reads the row of the
+    present mask, which no update since that tick has changed, masked to
+    those bits, which gives the same voltages."""
     machines = _Machines(network, seed, BLOCK)
     n, tau, mask = machines.n, machines.taus[0], machines.mask
+    _, dep = _couplings(machines.machines[0], machines.modes[0])
     bits = [1 << (n - 1 - g) for g in range(n)]
     out = [mask & bit != 0 for bit in bits]
-    p, refresh = machines.row(0, mask), math.inf
+    p, refresh = machines.row(0, mask & dep), math.inf
     flip_times, flip_masks = [-1], [mask]
     update_counts = np.zeros(n, dtype=np.int64)
     one_counts = np.zeros(n, dtype=np.int64)
@@ -794,7 +794,7 @@ def _run_merged(network, seed, stop, last, max_updates) -> SimulationTrace:
         fires = []
         for t, g, v in zip(at[order].tolist(), units, np.concatenate(u)[order].tolist()):
             if t >= refresh:
-                p, refresh = machines.row(0, mask), math.inf
+                p, refresh = machines.row(0, mask & dep), math.inf
             b = p[g] > v
             fires.append(b)
             if b != out[g]:
@@ -802,7 +802,7 @@ def _run_merged(network, seed, stop, last, max_updates) -> SimulationTrace:
                 mask ^= bits[g]
                 flip_times.append(t)
                 flip_masks.append(mask)
-                if refresh == math.inf:
+                if refresh == math.inf and bits[g] & dep:
                     refresh = (t // tau + 1) * tau
         update_counts += counts
         one_counts += np.bincount(units, fires, n).astype(np.int64)
@@ -1185,15 +1185,14 @@ def run(
     running the events strictly before it; ``max_updates`` counts unit
     update events and ends the samples at the last update's time. A zero
     budget yields an empty trace. ``_composable`` picks the engine from the
-    network: per-tick state maps for one machine of up to
-    ``COMPOSED_UNITS`` units, a walk of the updates in time order for one
-    machine of more than ``TABLE_UNITS`` units, the event heap for several
-    machines, one of them past ``TABLE_UNITS`` units, and the flip-driven
-    engine for any other network. All four give the same trace. The heap
-    counts its updates as it runs; the other three engines end at an update
-    budget inside the window walk that feeds them (``_windows``), unless
-    another budget ends the run first. A run whose
-    virtual times could reach ``TIME_LIMIT_US`` is refused.
+    network's machine count: per-tick state maps for one machine of up to
+    ``COMPOSED_UNITS`` units, a walk of the updates in time order for a
+    larger machine alone, and the flip-driven engine for several machines.
+    Each ends at an update budget inside the window walk that feeds it
+    (``_windows``), unless another budget ends the run first; the event
+    heap, which the tests force as their reference, counts its updates as
+    it runs, and gives the same trace. A run whose virtual times could
+    reach ``TIME_LIMIT_US`` is refused.
     ``update_order`` gives the order of the run's updates.
     """
     if max_samples is None and duration_us is None and max_updates is None:

@@ -60,11 +60,11 @@ def test_install_wraps_and_restore_puts_originals_back(recorder):
         assert getattr(owner, attr) is original
 
 
-def test_traced_run_reaches_every_layer(recorder, tmp_path, capsys):
+def test_traced_run_reaches_every_layer(recorder, tmp_path, capsys, monkeypatch):
     rec, _ = recorder
     networks.load_gate.cache_clear()  # a fresh pbitsim process loads its gates cold
     # a full adder, a shipped gate that is verified when loaded, and a
-    # 15-unit matrix machine, past TABLE_UNITS, through the CLI
+    # 15-unit matrix machine, which the merged walk runs, through the CLI
     n = dynamics.TABLE_UNITS + 1
     docs = [
         {"name": "hooks", "seed": 3, "updates": 300,
@@ -78,14 +78,14 @@ def test_traced_run_reaches_every_layer(recorder, tmp_path, capsys):
         scenario.write_text(json.dumps(doc))
         out = tmp_path / doc["name"]
         assert cli.main(["run", str(scenario), "--out", str(out)]) == 0
-    # no scenario kind builds a network that steps the event heap: several
-    # machines, one of them past TABLE_UNITS; that 15-unit machine beside a
-    # one-unit machine is one, so Simulator.step is reached
+    # no network takes the event heap, the tests' reference, unless the
+    # chooser is made to pick it, as the engine tests' ``heap_run`` does;
+    # then Simulator.step is reached through dynamics.run
     big, small = (CouplingMatrix(np.zeros((m, m)), np.full(m, 0.5), 1.0) for m in (n, 1))
     net = networks.NetworkSpec(
         [networks.MachineSpec("big", big), networks.MachineSpec("small", small)],
         [PBitConfig(id=g, retention_us=20_000) for g in range(n + 1)])
-    assert dynamics._composable(net) == "heap"
+    monkeypatch.setattr(dynamics, "_composable", lambda *_: "heap")
     dynamics.run(net, seed=3, max_samples=300)
     for name in ("cli.main", "cli.load_scenario", "cli.build_network",
                  "networks.single_machine_network", "networks.verify_ground_states",

@@ -601,6 +601,15 @@ class TestExitCodes:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "phase plan must be one integer or 3 integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("h", [[0.0], [0.0, 0.0, 0.0]], ids=["short", "long"])
+    def test_matrix_h_must_match_j(self, tmp_path, capsys, h):
+        # the default labels used to be counted off h, so a short or long h
+        # was reported as labels that miss or overrun the spins
+        path = write_scenario(tmp_path / "h.json", network={
+            "kind": "matrix", "i0": 1.0, "j": [[0, 1], [1, 0]], "h": h})
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "h must have length 2" in capsys.readouterr().err
+
     def test_ragged_matrix_rejected(self, tmp_path, capsys):
         path = write_scenario(tmp_path / "r.json", network={
             "kind": "matrix", "i0": 1.0, "j": [[0, 1], [1]], "h": [0, 0]})

@@ -299,7 +299,7 @@ class TestEventCounts:
 
     def test_untabulated_weight_logic_runs_once_per_local_state(self, monkeypatch):
         # a random 18-unit machine with J and h on the quarter grid, past
-        # TABLE_UNITS and so on the event heap, visits hundreds of local
+        # TABLE_UNITS, run on the event heap, visits hundreds of local
         # states: it computes a state's row when it first refreshes in that
         # state and reads it back on every later refresh there
         rng = np.random.default_rng(18)
@@ -320,6 +320,23 @@ class TestEventCounts:
         heap_run(net, seed=1, max_samples=10_000)
         assert len(set(states)) > 500
         assert len(weight_calls) == len(set(states)) < len(states)
+
+    def test_merged_control_evaluates_one_state(self, monkeypatch):
+        # a 15-unit machine at i0 = 0: no voltage depends on any bit, so the
+        # merged walk calls the weight logic once, over its state masked to
+        # no bits, and reads that row through over a thousand flips
+        rng = np.random.default_rng(15)
+        j = np.triu(rng.integers(-4, 5, (15, 15)) / 4, 1)
+        net = build_network({
+            "name": "matrix15", "seed": 0, "retention_us": 20_000,
+            "network": {"kind": "matrix", "i0": 0.0, "j": (j + j.T).tolist(),
+                        "h": (rng.integers(-4, 5, 15) / 4).tolist(), "tau_sample_us": 1000}})
+        weight_calls = []
+        self._count_calls(monkeypatch, dynamics, "weight_inputs", weight_calls)
+        assert dynamics._composable(net) == "merged"
+        trace = run(net, seed=1, max_samples=5000)
+        assert len(trace.flip_times) > 1000
+        assert len(weight_calls) == 1
 
     @pytest.mark.parametrize("tau_sample_us", [1000, 200_000])
     def test_composed_run_tabulates_the_weight_logic(self, monkeypatch, tau_sample_us):
@@ -685,10 +702,15 @@ class TestSerializationMetric:
             serialization_metric(alignment_flags(events, net, 10), start=10**9)
 
 
-def heap_run(net, seed, **budget):
-    """``run`` on the event heap, whatever engine the chooser would pick."""
-    with mock.patch.object(dynamics, "_composable", lambda *_: "heap"):
+def forced_run(engine, net, seed, **budget):
+    """``run`` on ``engine``, whatever engine the chooser would pick."""
+    with mock.patch.object(dynamics, "_composable", lambda *_: engine):
         return run(net, seed, **budget)
+
+
+def heap_run(net, seed, **budget):
+    """``run`` on the event heap, the reference of every engine."""
+    return forced_run("heap", net, seed, **budget)
 
 
 def digest(trace):
@@ -777,36 +799,36 @@ class TestComposedEngine:
         assert events[1:5] == [(1000, 1), (1000, 0), (2000, 1), (2000, 0)]
 
     def test_untabulated_machines_step_the_heap(self):
-        # a one-machine run past COMPOSED_UNITS takes the flip-driven
-        # engine, and one past TABLE_UNITS the merged walk; only a network
-        # of several machines, one of them past TABLE_UNITS, steps the heap
-        assert dynamics._composable(matrix_net(9)) == "flips"
+        # the machine count alone picks the engine: a one-machine run past
+        # COMPOSED_UNITS takes the merged walk, at any size, and a network of
+        # several machines the flip-driven engine, whatever their sizes; no
+        # network steps the heap
+        assert dynamics._composable(matrix_net(9)) == "merged"
         assert dynamics._composable(matrix_net(dynamics.TABLE_UNITS + 1)) == "merged"
-        assert dynamics._composable(matrix_net(dynamics.TABLE_UNITS + 1, 1)) == "heap"
+        assert dynamics._composable(matrix_net(dynamics.TABLE_UNITS + 1, 1)) == "flips"
         assert dynamics._composable(and_net()) == "composed"
         assert dynamics._composable(two_and_net(1000, 1000)) == "flips"
 
-    @pytest.mark.parametrize("net, budget, heap", [
-        (and_net, {"max_updates": 100}, False),
-        (and_net, {"max_samples": 100}, False),
-        (lambda: two_and_net(1000, 1000), {"max_updates": 100}, False),
-        (lambda: two_and_net(1000, 1000), {"max_samples": 100}, False),
-        (lambda: matrix_net(dynamics.TABLE_UNITS + 1, 1), {"max_updates": 100}, True),
-        (lambda: matrix_net(dynamics.TABLE_UNITS + 1), {"max_updates": 100}, False),
+    @pytest.mark.parametrize("net, budget", [
+        (and_net, {"max_updates": 100}),
+        (and_net, {"max_samples": 100}),
+        (lambda: two_and_net(1000, 1000), {"max_updates": 100}),
+        (lambda: two_and_net(1000, 1000), {"max_samples": 100}),
+        (lambda: matrix_net(dynamics.TABLE_UNITS + 1, 1), {"max_updates": 100}),
+        (lambda: matrix_net(dynamics.TABLE_UNITS + 1), {"max_updates": 100}),
     ], ids=["max_updates", "max_samples",
             "two_machines_max_updates", "two_machines_max_samples",
             "untabulated_max_updates", "one_untabulated_machine_max_updates"])
-    def test_update_budgets_step_the_heap(self, monkeypatch, net, budget, heap):
-        # an update budget steps the heap only where the network does: a
-        # network of machines of at most TABLE_UNITS units composes maps or
-        # takes the flip-driven engine, and one machine past TABLE_UNITS the
-        # merged walk, under every budget, the update budget cut from its
-        # schedules
+    def test_update_budgets_step_the_heap(self, monkeypatch, net, budget):
+        # no budget steps the heap: one machine composes maps or takes the
+        # merged walk, and several machines, one of them past TABLE_UNITS
+        # too, take the flip-driven engine, under every budget, the update
+        # budget cut from their schedules
         steps = []
         step = Simulator.step
         monkeypatch.setattr(Simulator, "step", lambda sim: steps.append(sim) or step(sim))
         run(net(), seed=1, **budget)
-        assert bool(steps) == heap
+        assert steps == []
 
 
 def compose_window_by_updates(p, tau, state, times, u):
@@ -996,10 +1018,41 @@ def small_networks(draw):
     return net
 
 
+@st.composite
+def large_networks(draw):
+    """A ``small_networks`` network behind a random machine of 9 to 20 units
+    (``small_machines``), past ``COMPOSED_UNITS`` and in some networks past
+    ``TABLE_UNITS``. Where some unit of the others reads no wire, a wire of
+    zero or positive delay runs from the large machine into it, and in some
+    networks another back from a third machine."""
+    big, rest = draw(small_machines(units=(dynamics.COMPOSED_UNITS + 1, 20))), draw(small_networks())
+    shift = big.n_total
+    pbits = list(big.pbits)
+    for p in rest.pbits:
+        mode = Wired(p.mode.source + shift, p.mode.delay_us) if isinstance(p.mode, Wired) else p.mode
+        pbits.append(dataclasses.replace(p, id=p.id + shift, mode=mode))
+    net = NetworkSpec(big.machines + rest.machines, pbits)
+    machine_of = net.machine_of()
+    delays = st.sampled_from([0, 0, 50, 1000])
+    unwired = [g for g in range(shift, len(pbits)) if not isinstance(pbits[g].mode, Wired)]
+    if unwired:
+        dst = draw(st.sampled_from(unwired))
+        pbits[dst] = dataclasses.replace(pbits[dst], mode=Wired(
+            draw(st.integers(0, shift - 1)), draw(delays)))
+        if draw(st.booleans()):
+            src = draw(st.sampled_from([g for g in range(shift, len(pbits))
+                                        if machine_of[g] != machine_of[dst]]))
+            back = draw(st.integers(0, shift - 1))
+            pbits[back] = dataclasses.replace(pbits[back], mode=Wired(src, draw(delays)))
+    net = NetworkSpec(net.machines, pbits, {f"u{gid}": gid for gid in range(len(pbits))})
+    net.validate()
+    return net
+
+
 class TestFlipEngine:
-    """Runs on several machines, or on one machine of 9 to ``TABLE_UNITS``
-    units, go to the flip-driven engine; under every budget and window size
-    it must give the heap's bits, end time and length."""
+    """Runs on several machines go to the flip-driven engine, however large
+    one of them is; under every budget and window size it must give the
+    heap's bits, end time and length."""
 
     @staticmethod
     def _check(net, seed, budget, chunk):
@@ -1016,20 +1069,20 @@ class TestFlipEngine:
     def test_matches_the_heap(self, net, seed, budget, chunk):
         self._check(net, seed, budget, chunk)
 
-    @settings(max_examples=15, deadline=None)
-    @given(net=small_machines(units=(9, dynamics.TABLE_UNITS)), seed=st.integers(0, 2**32),
-           budget=budgets, chunk=st.sampled_from([3, 64, dynamics.CHUNK]))
-    def test_one_machine_matches_the_heap(self, net, seed, budget, chunk):
+    @settings(max_examples=40, deadline=None)
+    @given(net=large_networks(), seed=st.integers(0, 2**32), budget=budgets,
+           chunk=st.sampled_from([3, 64, dynamics.CHUNK]))
+    def test_a_large_machine_among_several_matches_the_heap(self, net, seed, budget, chunk):
         self._check(net, seed, budget, chunk)
 
 
 class TestMergedEngine:
-    """A run on one machine of more than ``TABLE_UNITS`` units walks its
+    """A run on one machine of more than ``COMPOSED_UNITS`` units walks its
     updates in time order; under every budget and window size it must give
     the heap's bits, end time and length."""
 
     @settings(max_examples=100, deadline=None)
-    @given(net=small_machines(units=(dynamics.TABLE_UNITS + 1, 20)),
+    @given(net=small_machines(units=(dynamics.COMPOSED_UNITS + 1, 20)),
            seed=st.integers(0, 2**32), budget=budgets, block=st.sampled_from([3, 64, 256]))
     def test_matches_the_heap(self, net, seed, budget, block):
         assert dynamics._composable(net) == "merged"
@@ -1038,6 +1091,27 @@ class TestMergedEngine:
             got = run(net, seed, **budget)
         assert digest(got) == digest(want)
         assert (got.final_time_us, len(got)) == (want.final_time_us, len(want))
+
+
+@pytest.mark.parametrize("budget", [{"max_samples": 2000}, {"max_updates": 3000}],
+                         ids=["samples", "updates"])
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_every_engine_runs_a_scenario_alike(path, budget):
+    # every shipped scenario's network, forced onto each engine that can
+    # take it: the heap and the flip-driven engine take any network, the
+    # merged walk one machine, and the composed engine one machine of up to
+    # COMPOSED_UNITS units; all of them give one trace
+    doc = load_scenario(path)
+    net = build_network(doc)
+    engines = ["heap", "flips"]
+    if len(net.machines) == 1:
+        engines.append("merged")
+        if net.n_total <= dynamics.COMPOSED_UNITS:
+            engines.append("composed")
+    assert dynamics._composable(net) in engines
+    digests = {engine: digest(forced_run(engine, net, doc["seed"], **budget))
+               for engine in engines}
+    assert len(set(digests.values())) == 1, digests
 
 
 def table_dependence(volts) -> int:

@@ -237,15 +237,15 @@ TRACE_CASES = {
         {"max_samples": 5000},
         "f9ec3dcfcfe254be906b0ae2035bd6a93f81970323e2ebd427804d32d6361248",
     ),
-    # a one-machine composite on the flip-driven engine, through a 4-bit DAC
+    # a one-machine composite on the merged walk, through a 4-bit DAC
     "full_adder_dac_bits_4": (
         lambda: scenario_net({"kind": "full_adder", "i0": 1.0, "tau_sample_us": 2000,
                               "dac_bits": 4}, retention_us=20_000),
         {"max_samples": SAMPLES},
         "ec166cc06ec1dd45414a86443a13382dc4f686d282f070a8d900ce189144014d",
     ),
-    # non-dyadic machines: 12 units on the flip-driven engine, and 15 units
-    # on the event heap
+    # non-dyadic machines of 12 and 15 units, the second past TABLE_UNITS,
+    # both on the merged walk
     "matrix12_sevenths": (
         lambda: sevenths_matrix(12),
         {"max_samples": SAMPLES},
@@ -623,8 +623,8 @@ matrix16 = written(random_matrix_scenario())
 
 # short composite runs that discard a burn-in fraction that cuts no lattice
 # period evenly and count only some of their units, in their own order: one
-# of several machines under a sample budget, and one machine under an update
-# budget, both on the flip-driven engine
+# of several machines under a sample budget, on the flip-driven engine, and
+# one machine under an update budget, on the merged walk
 RCA4_BURN_IN = {
     "name": "rca4_burn_in",
     "network": {"kind": "rca4", "i0": 1.0, "tau_sample_us": 2000},
