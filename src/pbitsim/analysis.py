@@ -97,21 +97,21 @@ def histogram(
 
     ``visible`` maps labels to global unit ids; the first label is the most
     significant bit of the state word. The leading ``burn_in`` fraction of
-    samples is discarded. The samples are counted from the trace's flip log:
-    each flip's mask adds the number of kept samples that hold it, so the
-    cost follows the run's flips, not its samples.
+    samples is discarded. The samples are counted from the trace's run-length
+    encoding: each run's mask adds the number of its samples past the
+    discarded ones, so the cost follows the runs, not the samples.
     """
     check_histogram_units(len(visible))
     if not 0.0 <= burn_in < 1.0:
         raise ConfigurationError("burn-in fraction must lie in [0, 1)")
     discard = int(len(trace) * burn_in)
-    held = trace.segment_samples(discard)
+    held = np.clip(np.cumsum(trace.runs) - discard, 0, trace.runs)
     total = int(held.sum())
     if total == 0:
         raise ConfigurationError("no samples remain after burn-in")
     labels = list(visible)
     seen = held > 0
-    words = project(trace.flip_masks[seen], trace.n, [visible[label] for label in labels])
+    words = project(trace.masks[seen], trace.n, [visible[label] for label in labels])
     counts = np.zeros(1 << len(labels), dtype=np.int64)
     np.add.at(counts, words, held[seen])
     return EmpiricalDistribution(

@@ -27,13 +27,15 @@ same voltages again, so only dirty machines queue one: every machine
 refreshes at t = 0, and a flip in a clean machine queues its refresh at the
 next tick of that machine's lattice. The trace samples are the instants of
 the union of all machines' lattices, and no engine makes an event per
-sample: a trace keeps the run's log of flips, and ``sample_count`` counts
-from the periods alone how many samples each flip's mask holds for, by
-inclusion-exclusion over the lcm of each set of periods. So a statistic of
-the samples costs one step per flip; the per-sample arrays are built only
-when asked for. The same log is the only record of the past: a wire with a
-delay reads its source's bit from the mask of the newest flip at or before
-``t - delay``, found by binary search, and no per-wire history is kept.
+sample: an engine logs the changes of its state, and ``_trace`` alone turns
+that log into the samples' run-length encoding, the same on every engine.
+``sample_count`` counts from the periods alone how many samples each entry
+holds, by inclusion-exclusion over the lcm of each set of periods, so a
+statistic of the samples costs one step per run; the per-sample arrays are
+built only when asked for. The heap's log is its only record of the past: a
+wire with a delay reads its source's bit from the mask of the newest flip at
+or before ``t - delay``, found by binary search, and no per-wire history is
+kept.
 
 Virtual time is integer microseconds. Each unit owns an independent seeded
 PCG64 stream derived from (scenario seed, unit id), so traces replay
@@ -237,16 +239,15 @@ def sample_time(taus, index: int) -> int:
 @dataclass
 class SimulationTrace:
     """A run's samples of the full output vector at the machines' refresh
-    instants, held as its log of flips.
+    instants, held as their run-length encoding.
 
     The samples are the instants of the union of the machines' refresh
     lattices (periods ``taus``) in [0, ``last``]; machines refreshing at the
     same instant give one sample. A sample's state is the mask after every
     update strictly before its time, since refreshes run before updates at
-    the same instant: ``flip_masks[i]`` is the mask after the flip at
-    ``flip_times[i]``, in time order from the initial mask at the sentinel
-    time -1. So every statistic of the samples is a sum over flips of the
-    samples each mask holds for (``segment_samples``). States are big-endian
+    the same instant. ``masks[i]`` is the state of ``runs[i]`` consecutive
+    samples; every run is at least 1 and no two neighbouring masks are
+    equal, so every engine gives the same encoding. States are big-endian
     bitmasks (unit k is bit n-1-k); the per-sample arrays ``times`` and
     ``states`` are built only when asked for.
     """
@@ -254,22 +255,14 @@ class SimulationTrace:
     n: int
     taus: list
     last: int
-    flip_times: np.ndarray
-    flip_masks: np.ndarray
+    masks: np.ndarray
+    runs: np.ndarray
     update_counts: np.ndarray
     one_counts: np.ndarray
     final_time_us: int
 
     def __len__(self):
-        return int(sample_count(self.taus, self.last))
-
-    def segment_samples(self, first: int) -> np.ndarray:
-        """For each flip, the number of samples from sample ``first`` on
-        that hold its mask: those at s with flip_times[i] < s <=
-        flip_times[i + 1], or up to ``last`` after the final flip."""
-        lo = np.maximum(self.flip_times, sample_time(self.taus, first) - 1)
-        hi = np.append(np.minimum(self.flip_times[1:], self.last), self.last)
-        return np.maximum(sample_count(self.taus, hi) - sample_count(self.taus, lo), 0)
+        return int(self.runs.sum())
 
     @functools.cached_property
     def times(self) -> np.ndarray:
@@ -279,7 +272,7 @@ class SimulationTrace:
     @functools.cached_property
     def states(self) -> np.ndarray:
         """Every sample's state."""
-        return self.flip_masks[np.searchsorted(self.flip_times, self.times, "left") - 1]
+        return np.repeat(self.masks, self.runs)
 
     def to_csv(self, path) -> None:
         """Write one row per sample, its time and every unit's level, in the
@@ -293,24 +286,28 @@ class SimulationTrace:
 
 def _trace(n, taus, last, clock, flip_times, flip_masks, update_counts,
            one_counts, max_updates=None) -> SimulationTrace:
-    """The trace of the samples up to ``last`` (none if it is negative) from
-    a run's flip log, or, if the run spent its update budget ``max_updates``,
-    up to its last update, its last event (``clock``). The run ends at its
-    last event or its last sample, whichever is later."""
+    """The trace of the samples up to ``last`` (none if it is negative), or,
+    if the run spent its update budget ``max_updates``, up to its last
+    update, its last event (``clock``), from an engine's log: entry i holds
+    ``flip_masks[i]`` over the samples in (flip_times[i], flip_times[i + 1]],
+    from the initial mask at -1 and clipped at the last sample. The entries
+    that hold none are dropped and equal neighbours merged, which leaves the
+    samples' run-length encoding. The run ends at its last event or its last
+    sample, whichever is later."""
     if max_updates is not None and int(update_counts.sum()) == max_updates:
         last = clock if max_updates else -1
-    samples = int(sample_count(taus, last))
-    end = sample_time(taus, samples - 1) if samples else clock
-    return SimulationTrace(
-        n=n,
-        taus=list(taus),
-        last=last,
-        flip_times=flip_times,
-        flip_masks=flip_masks,
-        update_counts=update_counts,
-        one_counts=one_counts,
-        final_time_us=max(clock, end),
-    )
+    runs = np.append(flip_times, last)
+    runs = np.diff(sample_count(taus, np.minimum(runs, last, out=runs)))
+    kept = runs > 0
+    masks, runs = flip_masks[kept], runs[kept]
+    # a run starts at each mask unlike the one before it; no mask is -1
+    starts = np.flatnonzero(np.diff(masks, prepend=-1))
+    masks = masks[starts]
+    runs = np.add.reduceat(runs, starts)
+    end = sample_time(taus, int(runs.sum()) - 1) if len(runs) else clock
+    return SimulationTrace(n=n, taus=list(taus), last=last, masks=masks, runs=runs,
+                           update_counts=update_counts, one_counts=one_counts,
+                           final_time_us=max(clock, end))
 
 
 class _Machines:
@@ -761,8 +758,9 @@ def _run_composed(network, seed, stop, last, max_updates) -> SimulationTrace:
         flip_times.append(moved_at)
         flip_masks.append(moved_to)
         clock = max(int(t[-1]) for t in times if len(t))
-    return _trace(n, [tau], last, clock, np.concatenate(flip_times),
-                  np.concatenate(flip_masks), update_counts, one_counts, max_updates)
+    flip_times, flip_masks = np.concatenate(flip_times), np.concatenate(flip_masks)
+    return _trace(n, [tau], last, clock, flip_times, flip_masks, update_counts,
+                  one_counts, max_updates)
 
 
 def _run_merged(network, seed, stop, last, max_updates) -> SimulationTrace:
@@ -1150,10 +1148,11 @@ class _FlipRun(_Machines):
         times = np.concatenate([[-1]] + self.flip_times).astype(np.int64)
         units = np.concatenate([[0]] + self.flip_units).astype(np.int64)
         order = np.argsort(times, kind="stable")
-        bits = np.left_shift(np.int64(1), self.n - 1 - units[order])
-        bits[0] = self.initial_mask
-        return _trace(self.n, self.taus, last, self.clock, times[order],
-                      np.bitwise_xor.accumulate(bits), self.update_counts,
+        times, masks = times[order], np.left_shift(np.int64(1), self.n - 1 - units[order])
+        del order, units
+        masks[0] = self.initial_mask
+        return _trace(self.n, self.taus, last, self.clock, times,
+                      np.bitwise_xor.accumulate(masks, out=masks), self.update_counts,
                       self.one_counts, max_updates)
 
 

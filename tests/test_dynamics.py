@@ -153,6 +153,7 @@ class TestBudgets:
     def test_zero_budget_empty_trace(self):
         trace = run(and_net(), seed=2, max_samples=0)
         assert len(trace) == 0
+        assert trace.masks.tolist() == trace.runs.tolist() == trace.states.tolist() == []
 
     def test_max_updates_counts_events(self):
         trace = run(and_net(), seed=2, max_updates=1234)
@@ -324,7 +325,8 @@ class TestEventCounts:
     def test_merged_control_evaluates_one_state(self, monkeypatch):
         # a 15-unit machine at i0 = 0: no voltage depends on any bit, so the
         # merged walk calls the weight logic once, over its state masked to
-        # no bits, and reads that row through over a thousand flips
+        # no bits, and reads that row through over a thousand flips, counted
+        # by stepping the event heap over the same run
         rng = np.random.default_rng(15)
         j = np.triu(rng.integers(-4, 5, (15, 15)) / 4, 1)
         net = build_network({
@@ -335,8 +337,12 @@ class TestEventCounts:
         self._count_calls(monkeypatch, dynamics, "weight_inputs", weight_calls)
         assert dynamics._composable(net) == "merged"
         trace = run(net, seed=1, max_samples=5000)
-        assert len(trace.flip_times) > 1000
         assert len(weight_calls) == 1
+        sim = Simulator(net, 1)
+        stop = sample_time(sim.taus, len(trace) - 1)
+        while sim.queue[0][0] < stop:
+            sim.step()
+        assert len(sim.flip_times) - 1 > 1000
 
     @pytest.mark.parametrize("tau_sample_us", [1000, 200_000])
     def test_composed_run_tabulates_the_weight_logic(self, monkeypatch, tau_sample_us):
@@ -637,6 +643,30 @@ class TestTrace:
         assert lines[0] == "time_us,pbit_0,pbit_1,pbit_2"
         assert len(lines) == 6
 
+    # a raw log over the lattices of periods 2 and 3, whose samples up to 10
+    # fall at 0, 2, 3, 4, 6, 8, 9 and 10: a flip at sample instant 2, two
+    # flips at 5 that cancel, flips at 6 and 7 that cancel between the
+    # samples at 6 and 8, and flips past the last sample
+    RAW = ([-1, 1, 2, 5, 5, 6, 7, 9, 11, 14], [0, 1, 3, 2, 3, 1, 3, 0, 2, 1])
+
+    @pytest.mark.parametrize("last, clock, max_updates, used", [
+        (10, 14, None, 0),
+        (10, 10, 20, 19),
+        (99, 10, 20, 20),
+    ], ids=["samples", "budget-left", "budget-spent"])
+    def test_raw_log_becomes_the_run_length_encoding(self, last, clock, max_updates, used):
+        flip_times, flip_masks = (np.array(a, dtype=np.int64) for a in self.RAW)
+        counts = np.array([used, 0], dtype=np.int64)
+        trace = dynamics._trace(2, [2, 3], last, clock, flip_times, flip_masks, counts,
+                                counts, max_updates)
+        assert trace.masks.tolist() == [0, 1, 3, 0]
+        assert trace.runs.tolist() == [1, 1, 5, 1]
+        assert (len(trace), trace.last, trace.final_time_us) == (8, 10, max(clock, 10))
+        # each sample holds the mask of the newest entry strictly before it
+        newest = [max(i for i, t in enumerate(flip_times) if t < s) for s in trace.times]
+        assert trace.times.tolist() == [0, 2, 3, 4, 6, 8, 9, 10]
+        assert np.repeat(trace.masks, trace.runs).tolist() == flip_masks[newest].tolist()
+
 
 class TestSerializationMetric:
     def _events(self, phases, jitter=0.0):
@@ -714,8 +744,13 @@ def heap_run(net, seed, **budget):
 
 
 def digest(trace):
-    h = hashlib.sha256(f"{len(trace)}:{trace.n}:{trace.final_time_us}:".encode())
-    for arr in (trace.times, trace.states, trace.update_counts, trace.one_counts):
+    """A hash of the trace, its run-length encoding included, which must be
+    the samples' own: every run at least 1, no two neighbouring masks equal."""
+    assert np.all(trace.runs > 0) and np.all(trace.masks[1:] != trace.masks[:-1])
+    h = hashlib.sha256(f"{len(trace)}:{len(trace.runs)}:{trace.n}:{trace.final_time_us}:"
+                       .encode())
+    for arr in (trace.times, trace.states, trace.masks, trace.runs, trace.update_counts,
+                trace.one_counts):
         h.update(np.ascontiguousarray(arr, dtype="<i8").tobytes())
     return h.hexdigest()
 
@@ -1311,9 +1346,10 @@ def periodic_networks(draw):
 
 
 class TestSampleCounts:
-    """A trace holds its run's flip log; ``sample_count`` counts the samples
-    each flip's mask holds for, and every count must equal the one read off
-    the per-sample arrays, under every budget, burn-in and set of units."""
+    """A trace holds its samples' run-length encoding, built by
+    ``sample_count``'s counts of the samples each logged mask holds for, and
+    every count must equal the one read off the per-sample arrays, under
+    every budget, burn-in and set of units."""
 
     @settings(max_examples=100, deadline=None)
     @given(net=periodic_networks(), seed=st.integers(0, 2**32), data=st.data(),
@@ -1351,6 +1387,25 @@ class TestSampleCounts:
         assert dist.counts.dtype == np.int64
         assert dist.counts.tolist() == want.tolist()
         assert (dist.total, dist.burn_in_discarded) == (len(times) - discard, discard)
+
+    @pytest.mark.parametrize("make_net", [and_net, lambda: two_machine_net(FREE, 300)],
+                             ids=["and", "two-lattices"])
+    def test_burn_in_cuts_the_runs(self, make_net):
+        # a cut at 0, inside a run and on a run boundary keeps the samples
+        # from the cut on; the last machine samples every 70 us, the other
+        # of two every 100 us
+        net = make_net()
+        net.machines[-1].tau_sample_us = 70
+        trace = run(net, seed=5, max_samples=3000)
+        assert len(set(trace.taus)) == len(net.machines)
+        ends = np.cumsum(trace.runs)
+        long = np.flatnonzero(trace.runs[1:] > 1)[0] + 1
+        for discard in (0, int(ends[long - 1]) + 1, int(ends[len(ends) // 2])):
+            dist = histogram(trace, {"A": 0, "B": 1, "C": 2}, (discard + 0.5) / len(trace))
+            want = np.bincount(project(trace.states[discard:], trace.n, [0, 1, 2]),
+                               minlength=8)
+            assert dist.burn_in_discarded == discard
+            assert dist.counts.tolist() == want.tolist()
 
 
 @st.composite
